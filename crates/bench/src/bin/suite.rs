@@ -1,14 +1,13 @@
-//! One-process suite runner: plans every requested figure, unions the
-//! plans into one deduplicated work graph, executes it on a
+//! The evaluation's one entry point: plans every requested figure,
+//! unions the plans into one deduplicated work graph, executes it on a
 //! work-stealing pool, and streams each figure's TSV the moment its last
 //! cell completes (see [`jumanji_bench::suite`]).
 //!
 //! fig13 and fig14 run the *same* experiment matrix and differ only in
 //! rendering; the sensitivity study's default rows duplicate the
 //! main-results cells; the ablation re-runs case-study seeds. The work
-//! graph computes each unique cell exactly once *before* any figure
-//! renders — with byte-identical TSVs at every thread count, enforced by
-//! the golden tests, `tests/sched_identity.rs`, and `scripts/verify.sh`.
+//! graph computes each unique cell exactly once, with byte-identical
+//! TSVs at every thread count.
 //!
 //! Usage:
 //!
@@ -16,7 +15,7 @@
 //! suite [--figures all|fig13,fig14,…] [--out DIR] [--stats PATH]
 //!       [--mixes N] [--threads N] [--seed N] [--accesses N]
 //!       [--trace PATH] [--no-cache] [--cache-dir DIR]
-//!       [--cache-cap-bytes N] [--sequential]
+//!       [--cache-cap-bytes N]
 //! ```
 //!
 //! - `--figures` — comma-separated [`FigureKind`] names, or `all` for
@@ -26,50 +25,40 @@
 //!   missing) instead of concatenating everything to stdout.
 //! - `--stats PATH` — write a JSON cache/scheduler statistics report.
 //! - `--mixes` / `--threads` / `--seed` / `--accesses` — forwarded to
-//!   every figure exactly as the standalone binaries resolve them
-//!   (CLI beats `JUMANJI_*` env beats the per-figure default).
-//!   `--threads` also sizes the work-stealing pool.
+//!   every figure (CLI beats `JUMANJI_*` env beats the per-figure
+//!   default; see [`jumanji_bench::spec`]). `--threads` also sizes the
+//!   work-stealing pool; `--threads 1` is the serial reference.
 //! - `--trace PATH` — one shared JSONL sink for the whole suite (also
 //!   honours `JUMANJI_TRACE`); each unique cell's event stream is
 //!   emitted exactly once.
-//! - `--no-cache` — disable the shared cache: every cell computes fresh
-//!   (this forces the sequential path; scheduling into a disabled cache
-//!   would be pure waste).
+//! - `--no-cache` — run against a throwaway memory-only cache: no store
+//!   is read or written (also honours `JUMANJI_NO_CACHE`).
 //! - `--cache-dir DIR` — back the cache with a persistent store (also
 //!   honours `JUMANJI_CACHE_DIR`): completed cells — analytic runs *and*
 //!   detailed-simulator reports — are read from and written to `DIR`, so
-//!   a second suite run — or a standalone figure binary pointed at the
-//!   same directory — starts warm.
+//!   a second run starts warm.
 //! - `--cache-cap-bytes N` — bound the persistent store (also honours
 //!   `JUMANJI_CACHE_CAP`): oldest cells are evicted first once the
 //!   store exceeds `N` bytes (0 = unbounded, the default).
-//! - `--sequential` — render figures one at a time without the work
-//!   graph (the A/B baseline `timings` measures against).
 //!
-//! Per-figure timing and cache-delta lines go to stderr; exit codes match
-//! the figure binaries (usage → 2, runtime → 1).
-
-// The JUMANJI_TRACE fallback below mirrors spec.rs's env surface for the
-// suite CLI; sanctioned by a lint.toml [[allow]] — mirrored for clippy.
-#![allow(clippy::disallowed_methods)]
+//! Per-figure timing lines go to stderr; usage errors exit 2, runtime
+//! errors (including a cell that failed to compute) exit 1, and no
+//! figure needing a failed cell is written.
 
 use jumanji::telemetry::{Event, JsonlSink, NoopSink, Telemetry};
 use jumanji::types::Error;
-use jumanji_bench::cell_cache::{apply_cache_flags, CellCache, CellCacheStats};
+use jumanji_bench::cell_cache::{persist_global_disk, CellCacheStats};
 use jumanji_bench::exec::flag_value;
 use jumanji_bench::suite::{run_suite, SchedReport, SuiteFigure};
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-/// One figure's timing and cache-delta report.
+/// One figure's render timing.
 struct FigureReport {
     name: &'static str,
     seconds: f64,
-    computed: u64,
-    reused: u64,
 }
 
 /// The figures to run: `--figures a,b,c` with `all` as shorthand for
@@ -104,28 +93,15 @@ fn parse_figures(args: &[String]) -> Result<Vec<FigureKind>, Error> {
     Ok(out)
 }
 
-/// The shared trace sink, if tracing: `--trace PATH` beats
-/// `JUMANJI_TRACE`. One sink for the whole suite, so per-figure runs
-/// append instead of truncating each other.
-fn trace_sink(args: &[String]) -> Result<Option<Arc<JsonlSink>>, Error> {
-    let path = match flag_value(args, "--trace") {
-        Some(p) if !p.is_empty() => Some(PathBuf::from(p)),
-        Some(_) => return Err(Error::flag("--trace", "expected a value")),
-        None => match std::env::var_os("JUMANJI_TRACE") {
-            Some(p) if !p.is_empty() => Some(PathBuf::from(p)),
-            _ => None,
-        },
-    };
-    Ok(match path {
-        Some(p) => Some(Arc::new(JsonlSink::create(&p)?)),
-        None => None,
-    })
-}
-
-fn cells_of(stats: &CellCacheStats) -> (u64, u64) {
+/// `(computed, reused)` cells of a run: cells the cache had to produce
+/// (simulated or read from the store), and planned cells served by a
+/// node another lookup already needed or by the cache's memory.
+fn cells_of(stats: &CellCacheStats, sched: &SchedReport) -> (u64, u64) {
+    let deduped =
+        (sched.planned_runs - sched.run_nodes) + (sched.planned_details - sched.detail_nodes);
     (
         stats.runs.misses + stats.details.misses,
-        stats.runs.hits + stats.details.hits,
+        deduped as u64 + stats.runs.hits + stats.details.hits,
     )
 }
 
@@ -134,10 +110,10 @@ fn write_stats(
     reports: &[FigureReport],
     total_seconds: f64,
     stats: &CellCacheStats,
-    sched: Option<&SchedReport>,
+    s: &SchedReport,
 ) -> std::io::Result<()> {
     let mut f = BufWriter::new(std::fs::File::create(path)?);
-    let (computed, reused) = cells_of(stats);
+    let (computed, reused) = cells_of(stats, s);
     let lookups = computed + reused;
     let reuse_rate = if lookups == 0 {
         0.0
@@ -149,11 +125,9 @@ fn write_stats(
     for (i, r) in reports.iter().enumerate() {
         writeln!(
             f,
-            "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"computed\": {}, \"reused\": {}}}{}",
+            "    {{\"name\": \"{}\", \"seconds\": {:.3}}}{}",
             r.name,
             r.seconds,
-            r.computed,
-            r.reused,
             if i + 1 < reports.len() { "," } else { "" }
         )?;
     }
@@ -179,48 +153,41 @@ fn write_stats(
     )?;
     writeln!(
         f,
-        "  \"hulls\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}}{}",
-        stats.hulls.hits,
-        stats.hulls.misses,
-        stats.hulls.entries,
-        if sched.is_some() || stats.disk.is_some() {
-            ","
-        } else {
-            ""
-        }
+        "  \"hulls\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
+        stats.hulls.hits, stats.hulls.misses, stats.hulls.entries,
     )?;
-    if let Some(s) = sched {
-        let comma = if stats.disk.is_some() { "," } else { "" };
-        writeln!(f, "  \"sched\": {{")?;
-        writeln!(f, "    \"planned_runs\": {},", s.planned_runs)?;
-        writeln!(f, "    \"planned_details\": {},", s.planned_details)?;
-        writeln!(f, "    \"nodes\": {},", s.nodes)?;
-        writeln!(f, "    \"edges\": {},", s.edges)?;
-        writeln!(f, "    \"workers\": {},", s.graph.workers)?;
-        writeln!(f, "    \"steals\": {},", s.graph.steals)?;
-        writeln!(f, "    \"critical_path_us\": {},", s.graph.critical_path_us)?;
-        writeln!(f, "    \"elapsed_us\": {},", s.graph.elapsed_us)?;
-        writeln!(f, "    \"computed_runs\": {},", s.computed_runs)?;
-        writeln!(f, "    \"disk_run_hits\": {},", s.disk_run_hits)?;
-        writeln!(f, "    \"detail_computed\": {},", s.detail_computed)?;
-        writeln!(f, "    \"detail_disk_hits\": {},", s.detail_disk_hits)?;
-        writeln!(f, "    \"warm_skipped_exps\": {},", s.warm_skipped_exps)?;
-        writeln!(f, "    \"cost_drift\": [")?;
-        for (i, d) in s.drift.iter().enumerate() {
-            writeln!(
-                f,
-                "      {{\"design\": \"{}\", \"prior\": {:.3}, \"measured\": {:.3}, \
-                 \"samples\": {}}}{}",
-                d.design,
-                d.prior,
-                d.measured,
-                d.samples,
-                if i + 1 < s.drift.len() { "," } else { "" }
-            )?;
-        }
-        writeln!(f, "    ]")?;
-        writeln!(f, "  }}{comma}")?;
+    let comma = if stats.disk.is_some() { "," } else { "" };
+    writeln!(f, "  \"sched\": {{")?;
+    writeln!(f, "    \"planned_runs\": {},", s.planned_runs)?;
+    writeln!(f, "    \"run_nodes\": {},", s.run_nodes)?;
+    writeln!(f, "    \"planned_details\": {},", s.planned_details)?;
+    writeln!(f, "    \"detail_nodes\": {},", s.detail_nodes)?;
+    writeln!(f, "    \"nodes\": {},", s.nodes)?;
+    writeln!(f, "    \"edges\": {},", s.edges)?;
+    writeln!(f, "    \"workers\": {},", s.graph.workers)?;
+    writeln!(f, "    \"steals\": {},", s.graph.steals)?;
+    writeln!(f, "    \"critical_path_us\": {},", s.graph.critical_path_us)?;
+    writeln!(f, "    \"elapsed_us\": {},", s.graph.elapsed_us)?;
+    writeln!(f, "    \"computed_runs\": {},", s.computed_runs)?;
+    writeln!(f, "    \"disk_run_hits\": {},", s.disk_run_hits)?;
+    writeln!(f, "    \"detail_computed\": {},", s.detail_computed)?;
+    writeln!(f, "    \"detail_disk_hits\": {},", s.detail_disk_hits)?;
+    writeln!(f, "    \"warm_skipped_exps\": {},", s.warm_skipped_exps)?;
+    writeln!(f, "    \"cost_drift\": [")?;
+    for (i, d) in s.drift.iter().enumerate() {
+        writeln!(
+            f,
+            "      {{\"design\": \"{}\", \"prior\": {:.3}, \"measured\": {:.3}, \
+             \"samples\": {}}}{}",
+            d.design,
+            d.prior,
+            d.measured,
+            d.samples,
+            if i + 1 < s.drift.len() { "," } else { "" }
+        )?;
     }
+    writeln!(f, "    ]")?;
+    writeln!(f, "  }}{comma}")?;
     if let Some(d) = &stats.disk {
         writeln!(f, "  \"disk_cache\": {{")?;
         writeln!(f, "    \"hits\": {},", d.hits)?;
@@ -235,35 +202,31 @@ fn write_stats(
 }
 
 fn run(args: &[String]) -> Result<(), Error> {
-    apply_cache_flags(args);
     let figures = parse_figures(args)?;
     let out_dir = flag_value(args, "--out").map(PathBuf::from);
     let stats_path = flag_value(args, "--stats").map(PathBuf::from);
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let sink = trace_sink(args)?;
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir)?;
     }
-
     let specs = figures
         .iter()
-        .map(|&kind| {
-            // The suite owns telemetry (one shared sink) and rendering;
-            // clear the per-figure trace so figures don't truncate each
-            // other's streams.
-            let mut spec = ExperimentSpec::from_args_env(kind)?;
-            spec.trace = None;
-            spec.telemetry = None;
-            Ok(spec)
-        })
+        .map(|&kind| ExperimentSpec::from_args_env(kind))
         .collect::<Result<Vec<_>, Error>>()?;
-    let threads = specs.first().map_or(1, |s| s.threads);
+    // Every spec resolves the same argv and environment, so the first
+    // speaks for the run-wide knobs: pool size and trace file. One sink
+    // serves the whole suite, so figures never truncate each other's
+    // streams.
+    let first = specs.first();
+    let threads = first.map_or(1, |s| s.threads);
+    let sink = match first.and_then(|s| s.trace.as_ref()) {
+        Some(path) => Some(JsonlSink::create(path)?),
+        None => None,
+    };
     let tel: &dyn Telemetry = match &sink {
-        Some(s) => s.as_ref(),
+        Some(s) => s,
         None => &NoopSink,
     };
 
-    let cache = CellCache::global();
     let mut reports = Vec::with_capacity(specs.len());
     let mut emit = |fig: SuiteFigure| -> Result<(), Error> {
         if let Some(dir) = &out_dir {
@@ -273,24 +236,19 @@ fn run(args: &[String]) -> Result<(), Error> {
             let stdout = std::io::stdout();
             stdout.lock().write_all(&fig.bytes)?;
         }
-        let report = FigureReport {
+        eprintln!("[suite] {}: {:.2}s render", fig.kind.name(), fig.seconds);
+        reports.push(FigureReport {
             name: fig.kind.name(),
             seconds: fig.seconds,
-            computed: fig.computed,
-            reused: fig.reused,
-        };
-        eprintln!(
-            "[suite] {}: {:.2}s ({} cells computed, {} reused)",
-            report.name, report.seconds, report.computed, report.reused
-        );
-        reports.push(report);
+        });
         Ok(())
     };
-    let summary = run_suite(&specs, threads, sequential, tel, &mut emit)?;
+    let summary = run_suite(&specs, threads, tel, &mut emit)?;
     let total_seconds = summary.total_seconds;
+    let stats = summary.cache;
+    let s = &summary.sched;
 
-    let stats = cache.stats();
-    let (computed, reused) = cells_of(&stats);
+    let (computed, reused) = cells_of(&stats, s);
     let lookups = computed + reused;
     let reuse_pct = if lookups == 0 {
         0.0
@@ -302,36 +260,36 @@ fn run(args: &[String]) -> Result<(), Error> {
          hulls: {} computed, {} reused",
         total_seconds, computed, reused, reuse_pct, stats.hulls.misses, stats.hulls.hits
     );
-    if let Some(s) = &summary.sched {
+    eprintln!(
+        "[suite] sched: {} nodes ({} planned runs -> {} unique, {} planned detail cells -> \
+         {} unique), {} edges, {} workers, {} steals, critical path {:.2}s of {:.2}s",
+        s.nodes,
+        s.planned_runs,
+        s.run_nodes,
+        s.planned_details,
+        s.detail_nodes,
+        s.edges,
+        s.graph.workers,
+        s.graph.steals,
+        s.graph.critical_path_us as f64 / 1e6,
+        s.graph.elapsed_us as f64 / 1e6
+    );
+    if stats.disk.is_some() {
         eprintln!(
-            "[suite] sched: {} nodes ({} planned runs, {} planned detail cells), \
-             {} edges, {} workers, {} steals, critical path {:.2}s of {:.2}s",
-            s.nodes,
-            s.planned_runs,
-            s.planned_details,
-            s.edges,
-            s.graph.workers,
-            s.graph.steals,
-            s.graph.critical_path_us as f64 / 1e6,
-            s.graph.elapsed_us as f64 / 1e6
+            "[suite] sched: {} runs computed, {} served from disk, \
+             {} experiment constructions skipped warm",
+            s.computed_runs, s.disk_run_hits, s.warm_skipped_exps
         );
-        if stats.disk.is_some() {
-            eprintln!(
-                "[suite] sched: {} runs computed, {} served from disk, \
-                 {} experiment constructions skipped warm",
-                s.computed_runs, s.disk_run_hits, s.warm_skipped_exps
-            );
-            eprintln!(
-                "[suite] sched: {} detail cells computed, {} served from disk",
-                s.detail_computed, s.detail_disk_hits
-            );
-        }
-        for d in &s.drift {
-            eprintln!(
-                "[suite] cost drift: {} prior {:.2} measured {:.2} ({} samples)",
-                d.design, d.prior, d.measured, d.samples
-            );
-        }
+        eprintln!(
+            "[suite] sched: {} detail cells computed, {} served from disk",
+            s.detail_computed, s.detail_disk_hits
+        );
+    }
+    for d in &s.drift {
+        eprintln!(
+            "[suite] cost drift: {} prior {:.2} measured {:.2} ({} samples)",
+            d.design, d.prior, d.measured, d.samples
+        );
     }
     if let Some(d) = &stats.disk {
         eprintln!(
@@ -368,15 +326,9 @@ fn run(args: &[String]) -> Result<(), Error> {
         sink.flush()?;
     }
     if let Some(path) = &stats_path {
-        write_stats(
-            path,
-            &reports,
-            total_seconds,
-            &stats,
-            summary.sched.as_ref(),
-        )?;
+        write_stats(path, &reports, total_seconds, &stats, s)?;
     }
-    jumanji_bench::cell_cache::persist_global_disk();
+    persist_global_disk();
     Ok(())
 }
 

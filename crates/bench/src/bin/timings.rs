@@ -1,18 +1,19 @@
-//! Times the experiment-heavy figure binaries and writes `BENCH_suite.json`
-//! at the repo root (or the directory given with `--out DIR`).
+//! Times the experiment-heavy figures and writes `BENCH_suite.json` at the
+//! repo root (or the directory given with `--out DIR`).
 //!
-//! Each binary runs with `--mixes 4` so the suite finishes in minutes while
-//! still exercising the full mix × design fan-out. If a `BENCH_baseline.json`
-//! with the same schema exists next to the output (e.g., measured on an
-//! older tree), the report includes the combined speedup against it.
+//! Each figure runs as its own cold `suite --figures <name>` process with
+//! `--mixes 4`, so the suite finishes in minutes while still exercising
+//! the full mix × design fan-out, and each row stays comparable with the
+//! per-figure rows of a `BENCH_baseline.json` with the same schema; when
+//! one exists next to the output (e.g., measured on an older tree), the
+//! report includes the combined speedup against it.
 //!
-//! After timing the standalone binaries, the same figure set runs once
-//! through the one-process `suite` binary; the report's `"suite"` section
-//! pins its wall-clock, speedup over the summed standalone times, and the
-//! shared-cache dedup counts.
+//! After the per-figure rows, the same figure set runs once as one
+//! `suite` process; the report's `"suite"` section pins its wall-clock,
+//! speedup over the summed per-figure times, and the dedup counts.
 //!
 //! Usage: `timings [--out DIR] [--threads N]` (`--threads` is forwarded to
-//! the figure binaries).
+//! the per-figure runs).
 
 // Wall-clock measurement is this binary's entire purpose; lint.toml's
 // [paths].timing_allow sanctions it, and this mirrors that for clippy.
@@ -31,7 +32,7 @@ use jumanji::types::{CoreId, VmId};
 use jumanji::workloads::LcLoad;
 use jumanji_bench::exec::{flag_value, thread_count};
 
-/// The binaries whose wall-clock the suite tracks, in run order.
+/// The figures whose wall-clock the suite tracks, in run order.
 const SUITE: &[&str] = &[
     "fig13",
     "fig14",
@@ -42,12 +43,12 @@ const SUITE: &[&str] = &[
     "ablation",
 ];
 
-/// Mix count forwarded to every binary: small enough for a quick suite,
+/// Mix count forwarded to every run: small enough for a quick suite,
 /// large enough to exercise the fan-out.
 const SUITE_MIXES: usize = 4;
 
 /// Accesses per application for the single-core detailed-simulator
-/// throughput probe — the `validate` binary's scale.
+/// throughput probe — the `validate` figure's scale.
 const DETAIL_ACCESSES: usize = 80_000;
 
 /// Measures detailed-simulator throughput (accesses/sec) on one core at
@@ -110,29 +111,36 @@ fn analytic_throughput() -> (u64, f64) {
     (intervals, intervals as f64 / secs)
 }
 
-/// Runs the one-process `suite` binary over the whole [`SUITE`] at the
-/// same mix/thread settings and returns `(seconds, cells_computed,
-/// cells_reused)`. The suite shares one [`CellCache`] across figures, so
-/// this wall-clock is the dedup headline the report compares against the
-/// summed standalone times.
-///
-/// [`CellCache`]: jumanji_bench::cell_cache::CellCache
-fn suite_timing(bin_dir: &Path, out_dir: &Path, threads: usize) -> (f64, u64, u64) {
-    let tsv_dir = out_dir.join("suite_tsv");
-    let stats_path = out_dir.join("suite_stats.json");
-    let t = Instant::now();
-    let status = Command::new(bin_dir.join("suite"))
-        .args(["--figures", &SUITE.join(",")])
-        .args(["--mixes", &SUITE_MIXES.to_string()])
-        .args(["--threads", &threads.to_string()])
-        .args(["--out".as_ref(), tsv_dir.as_os_str()])
-        .args(["--stats".as_ref(), stats_path.as_os_str()])
+/// Spawns one `suite` process with the arguments `args` adds (output
+/// silenced), asserts it succeeded, and returns its wall-clock seconds.
+fn time_suite(bin_dir: &Path, args: impl FnOnce(&mut Command) -> &mut Command) -> f64 {
+    let mut cmd = Command::new(bin_dir.join("suite"));
+    args(&mut cmd)
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null());
+    let t = Instant::now();
+    let status = cmd
         .status()
         .unwrap_or_else(|e| panic!("failed to spawn suite: {e}"));
     assert!(status.success(), "suite exited with {status}");
-    let secs = t.elapsed().as_secs_f64();
+    t.elapsed().as_secs_f64()
+}
+
+/// Runs one `suite` process over the whole [`SUITE`] at the same
+/// mix/thread settings and returns `(seconds, cells_computed,
+/// cells_reused)`. The work graph dedups cells across figures, so this
+/// wall-clock is the dedup headline the report compares against the
+/// summed per-figure times.
+fn suite_timing(bin_dir: &Path, out_dir: &Path, threads: usize) -> (f64, u64, u64) {
+    let tsv_dir = out_dir.join("suite_tsv");
+    let stats_path = out_dir.join("suite_stats.json");
+    let secs = time_suite(bin_dir, |c| {
+        c.args(["--figures", &SUITE.join(",")])
+            .args(["--mixes", &SUITE_MIXES.to_string()])
+            .args(["--threads", &threads.to_string()])
+            .args(["--out".as_ref(), tsv_dir.as_os_str()])
+            .args(["--stats".as_ref(), stats_path.as_os_str()])
+    });
     let stats = std::fs::read_to_string(&stats_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", stats_path.display()));
     let computed = read_number(&stats, "\"cells_computed\":").expect("cells_computed") as u64;
@@ -146,6 +154,7 @@ fn suite_timing(bin_dir: &Path, out_dir: &Path, threads: usize) -> (f64, u64, u6
 struct SchedTiming {
     threads: usize,
     seconds: f64,
+    /// The same run at the serial reference `--threads 1`.
     sequential_seconds: f64,
     planned_runs: u64,
     nodes: u64,
@@ -155,44 +164,35 @@ struct SchedTiming {
     elapsed_us: u64,
 }
 
-/// Runs the `suite` binary over [`SUITE`] twice at a fixed `--threads 4`
-/// — once through the work-graph scheduler, once `--sequential` — in
-/// separate processes (cold caches both), asserts the TSVs are
-/// byte-identical, and returns both wall-clocks plus the scheduler's
-/// own stats.
+/// Runs the `suite` binary over [`SUITE`] twice — at `--threads 4`,
+/// then at the serial reference `--threads 1` — in separate processes
+/// (cold caches both), asserts the TSVs are byte-identical, and returns
+/// both wall-clocks plus the scheduler's own stats.
 fn sched_timing(bin_dir: &Path, out_dir: &Path) -> SchedTiming {
     const THREADS: usize = 4;
-    let run = |mode_dir: &Path, stats: Option<&Path>, sequential: bool| -> f64 {
-        let mut cmd = Command::new(bin_dir.join("suite"));
-        cmd.args(["--figures", &SUITE.join(",")])
-            .args(["--mixes", &SUITE_MIXES.to_string()])
-            .args(["--threads", &THREADS.to_string()])
-            .args(["--out".as_ref(), mode_dir.as_os_str()]);
-        if let Some(stats) = stats {
-            cmd.args(["--stats".as_ref(), stats.as_os_str()]);
-        }
-        if sequential {
-            cmd.arg("--sequential");
-        }
-        let t = Instant::now();
-        let status = cmd
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn suite: {e}"));
-        assert!(status.success(), "suite exited with {status}");
-        t.elapsed().as_secs_f64()
+    let run = |mode_dir: &Path, stats: &Path, threads: usize| -> f64 {
+        time_suite(bin_dir, |c| {
+            c.args(["--figures", &SUITE.join(",")])
+                .args(["--mixes", &SUITE_MIXES.to_string()])
+                .args(["--threads", &threads.to_string()])
+                .args(["--out".as_ref(), mode_dir.as_os_str()])
+                .args(["--stats".as_ref(), stats.as_os_str()])
+        })
     };
 
     let sched_dir = out_dir.join("sched_tsv");
     let seq_dir = out_dir.join("sched_seq_tsv");
     let stats_path = out_dir.join("sched_stats.json");
-    let seconds = run(&sched_dir, Some(&stats_path), false);
-    let sequential_seconds = run(&seq_dir, None, true);
+    let seq_stats_path = out_dir.join("sched_seq_stats.json");
+    let seconds = run(&sched_dir, &stats_path, THREADS);
+    let sequential_seconds = run(&seq_dir, &seq_stats_path, 1);
     for name in SUITE {
         let a = std::fs::read(sched_dir.join(format!("{name}.tsv"))).expect("scheduled tsv");
-        let b = std::fs::read(seq_dir.join(format!("{name}.tsv"))).expect("sequential tsv");
-        assert_eq!(a, b, "{name}: scheduled and sequential TSVs differ");
+        let b = std::fs::read(seq_dir.join(format!("{name}.tsv"))).expect("--threads 1 tsv");
+        assert_eq!(
+            a, b,
+            "{name}: --threads {THREADS} and --threads 1 TSVs differ"
+        );
     }
     let stats = std::fs::read_to_string(&stats_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", stats_path.display()));
@@ -211,75 +211,17 @@ fn sched_timing(bin_dir: &Path, out_dir: &Path) -> SchedTiming {
     let _ = std::fs::remove_dir_all(&sched_dir);
     let _ = std::fs::remove_dir_all(&seq_dir);
     let _ = std::fs::remove_file(&stats_path);
+    let _ = std::fs::remove_file(&seq_stats_path);
     timing
 }
 
-/// Persistent-store A/B measurements over the [`SUITE`] figure set.
-struct DiskTiming {
+/// Persistent-store A/B measurements.
+struct StoreTiming {
     cold_seconds: f64,
     warm_seconds: f64,
     entries_written: u64,
-    warm_disk_hits: u64,
-}
-
-/// Runs the `suite` binary twice against one fresh `--cache-dir` — a
-/// cold run that populates the store, then a warm run in a new process
-/// that should serve (nearly) everything from disk — asserts the TSVs
-/// are byte-identical, and returns both wall-clocks plus the store's
-/// write and hit counts.
-fn disk_timing(bin_dir: &Path, out_dir: &Path) -> DiskTiming {
-    let cache_dir = out_dir.join("disk_cache_probe");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let run = |mode_dir: &Path, stats: &Path| -> f64 {
-        let t = Instant::now();
-        let status = Command::new(bin_dir.join("suite"))
-            .args(["--figures", &SUITE.join(",")])
-            .args(["--mixes", &SUITE_MIXES.to_string()])
-            .args(["--out".as_ref(), mode_dir.as_os_str()])
-            .args(["--stats".as_ref(), stats.as_os_str()])
-            .args(["--cache-dir".as_ref(), cache_dir.as_os_str()])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn suite: {e}"));
-        assert!(status.success(), "suite exited with {status}");
-        t.elapsed().as_secs_f64()
-    };
-
-    let cold_dir = out_dir.join("disk_cold_tsv");
-    let warm_dir = out_dir.join("disk_warm_tsv");
-    let cold_stats_path = out_dir.join("disk_cold_stats.json");
-    let warm_stats_path = out_dir.join("disk_warm_stats.json");
-    let cold_seconds = run(&cold_dir, &cold_stats_path);
-    let warm_seconds = run(&warm_dir, &warm_stats_path);
-    for name in SUITE {
-        let a = std::fs::read(cold_dir.join(format!("{name}.tsv"))).expect("cold tsv");
-        let b = std::fs::read(warm_dir.join(format!("{name}.tsv"))).expect("warm tsv");
-        assert_eq!(a, b, "{name}: cold and warm TSVs differ");
-    }
-    let cold_stats = std::fs::read_to_string(&cold_stats_path).expect("cold stats");
-    let warm_stats = std::fs::read_to_string(&warm_stats_path).expect("warm stats");
-    let entries_written = read_number(&cold_stats, "\"writes\":").expect("cold writes") as u64;
-    let warm_disk_hits = read_number(&warm_stats, "\"disk_run_hits\":").expect("warm hits") as u64;
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&cold_dir);
-    let _ = std::fs::remove_dir_all(&warm_dir);
-    let _ = std::fs::remove_file(&cold_stats_path);
-    let _ = std::fs::remove_file(&warm_stats_path);
-    DiskTiming {
-        cold_seconds,
-        warm_seconds,
-        entries_written,
-        warm_disk_hits,
-    }
-}
-
-/// Detailed-cell store A/B measurements over the fig02 + validate set.
-struct DetailCacheTiming {
-    cold_seconds: f64,
-    warm_seconds: f64,
-    entries_written: u64,
-    warm_detail_hits: u64,
+    /// The warm run's `hits_key` counter (cells served from disk).
+    warm_hits: u64,
 }
 
 /// The detailed-simulator figures and the settings their probe runs at:
@@ -289,37 +231,39 @@ const DETAIL_FIGURES: &[&str] = &["fig02", "validate"];
 const DETAIL_MIXES: usize = 2;
 const DETAIL_CACHE_ACCESSES: usize = 60_000;
 
-/// [`disk_timing`], for the detailed-simulator cells: runs the `suite`
-/// binary over fig02 + validate twice against one fresh `--cache-dir`,
-/// asserts cold and warm TSVs are byte-identical, and returns both
-/// wall-clocks plus the store's write and detail-hit counts.
-fn detail_cache_timing(bin_dir: &Path, out_dir: &Path) -> DetailCacheTiming {
-    let cache_dir = out_dir.join("detail_cache_probe");
+/// Runs the `suite` binary over `figures` (plus `args`) twice against
+/// one fresh `--cache-dir` — a cold run that populates the store, then a
+/// warm run in a new process that should serve (nearly) everything from
+/// disk — asserts the TSVs are byte-identical, and returns both
+/// wall-clocks plus the store's write count and the warm run's
+/// `hits_key` stats counter. `tag` names the scratch paths.
+fn store_timing(
+    bin_dir: &Path,
+    out_dir: &Path,
+    tag: &str,
+    figures: &[&str],
+    args: &[String],
+    hits_key: &str,
+) -> StoreTiming {
+    let cache_dir = out_dir.join(format!("{tag}_cache_probe"));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let run = |mode_dir: &Path, stats: &Path| -> f64 {
-        let t = Instant::now();
-        let status = Command::new(bin_dir.join("suite"))
-            .args(["--figures", &DETAIL_FIGURES.join(",")])
-            .args(["--mixes", &DETAIL_MIXES.to_string()])
-            .args(["--accesses", &DETAIL_CACHE_ACCESSES.to_string()])
-            .args(["--out".as_ref(), mode_dir.as_os_str()])
-            .args(["--stats".as_ref(), stats.as_os_str()])
-            .args(["--cache-dir".as_ref(), cache_dir.as_os_str()])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn suite: {e}"));
-        assert!(status.success(), "suite exited with {status}");
-        t.elapsed().as_secs_f64()
+        time_suite(bin_dir, |c| {
+            c.args(["--figures", &figures.join(",")])
+                .args(args)
+                .args(["--out".as_ref(), mode_dir.as_os_str()])
+                .args(["--stats".as_ref(), stats.as_os_str()])
+                .args(["--cache-dir".as_ref(), cache_dir.as_os_str()])
+        })
     };
 
-    let cold_dir = out_dir.join("detail_cold_tsv");
-    let warm_dir = out_dir.join("detail_warm_tsv");
-    let cold_stats_path = out_dir.join("detail_cold_stats.json");
-    let warm_stats_path = out_dir.join("detail_warm_stats.json");
+    let cold_dir = out_dir.join(format!("{tag}_cold_tsv"));
+    let warm_dir = out_dir.join(format!("{tag}_warm_tsv"));
+    let cold_stats_path = out_dir.join(format!("{tag}_cold_stats.json"));
+    let warm_stats_path = out_dir.join(format!("{tag}_warm_stats.json"));
     let cold_seconds = run(&cold_dir, &cold_stats_path);
     let warm_seconds = run(&warm_dir, &warm_stats_path);
-    for name in DETAIL_FIGURES {
+    for name in figures {
         let a = std::fs::read(cold_dir.join(format!("{name}.tsv"))).expect("cold tsv");
         let b = std::fs::read(warm_dir.join(format!("{name}.tsv"))).expect("warm tsv");
         assert_eq!(a, b, "{name}: cold and warm TSVs differ");
@@ -327,18 +271,17 @@ fn detail_cache_timing(bin_dir: &Path, out_dir: &Path) -> DetailCacheTiming {
     let cold_stats = std::fs::read_to_string(&cold_stats_path).expect("cold stats");
     let warm_stats = std::fs::read_to_string(&warm_stats_path).expect("warm stats");
     let entries_written = read_number(&cold_stats, "\"writes\":").expect("cold writes") as u64;
-    let warm_detail_hits =
-        read_number(&warm_stats, "\"detail_disk_hits\":").expect("warm detail hits") as u64;
+    let warm_hits = read_number(&warm_stats, hits_key).expect("warm hits") as u64;
     let _ = std::fs::remove_dir_all(&cache_dir);
     let _ = std::fs::remove_dir_all(&cold_dir);
     let _ = std::fs::remove_dir_all(&warm_dir);
     let _ = std::fs::remove_file(&cold_stats_path);
     let _ = std::fs::remove_file(&warm_stats_path);
-    DetailCacheTiming {
+    StoreTiming {
         cold_seconds,
         warm_seconds,
         entries_written,
-        warm_detail_hits,
+        warm_hits,
     }
 }
 
@@ -355,16 +298,11 @@ fn main() {
 
     let mut rows: Vec<(String, f64)> = Vec::new();
     for name in SUITE {
-        let t = Instant::now();
-        let status = Command::new(bin_dir.join(name))
-            .args(["--mixes", &SUITE_MIXES.to_string()])
-            .args(["--threads", &threads.to_string()])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        assert!(status.success(), "{name} exited with {status}");
-        let secs = t.elapsed().as_secs_f64();
+        let secs = time_suite(&bin_dir, |c| {
+            c.args(["--figures", name])
+                .args(["--mixes", &SUITE_MIXES.to_string()])
+                .args(["--threads", &threads.to_string()])
+        });
         eprintln!("{name}: {secs:.2}s");
         rows.push((name.to_string(), secs));
     }
@@ -379,25 +317,32 @@ fn main() {
         cells_reused as f64 / lookups as f64
     };
     eprintln!(
-        "suite: {suite_secs:.2}s ({:.2}x vs summed standalone; {cells_computed} cells computed, \
+        "suite: {suite_secs:.2}s ({:.2}x vs summed per-figure runs; {cells_computed} cells computed, \
          {cells_reused} reused)",
         total / suite_secs
     );
 
     let sched = sched_timing(&bin_dir, &out_dir);
     eprintln!(
-        "sched: {:.2}s scheduled vs {:.2}s sequential at {} threads \
+        "sched: {:.2}s at {} threads vs {:.2}s at 1 thread \
          ({:.2}x; {} nodes, {} steals, critical path {:.2}s)",
         sched.seconds,
-        sched.sequential_seconds,
         sched.threads,
+        sched.sequential_seconds,
         sched.sequential_seconds / sched.seconds,
         sched.nodes,
         sched.steals,
         sched.critical_path_us as f64 / 1e6
     );
 
-    let disk = disk_timing(&bin_dir, &out_dir);
+    let disk = store_timing(
+        &bin_dir,
+        &out_dir,
+        "disk",
+        SUITE,
+        &["--mixes".into(), SUITE_MIXES.to_string()],
+        "\"disk_run_hits\":",
+    );
     eprintln!(
         "disk cache: {:.2}s cold vs {:.2}s warm ({:.2}x; {} entries written, \
          {} warm disk hits)",
@@ -405,10 +350,22 @@ fn main() {
         disk.warm_seconds,
         disk.cold_seconds / disk.warm_seconds,
         disk.entries_written,
-        disk.warm_disk_hits
+        disk.warm_hits
     );
 
-    let detail_cache = detail_cache_timing(&bin_dir, &out_dir);
+    let detail_cache = store_timing(
+        &bin_dir,
+        &out_dir,
+        "detail",
+        DETAIL_FIGURES,
+        &[
+            "--mixes".into(),
+            DETAIL_MIXES.to_string(),
+            "--accesses".into(),
+            DETAIL_CACHE_ACCESSES.to_string(),
+        ],
+        "\"detail_disk_hits\":",
+    );
     eprintln!(
         "detail cache: {:.2}s cold vs {:.2}s warm ({:.2}x; {} entries written, \
          {} warm detail hits)",
@@ -416,7 +373,7 @@ fn main() {
         detail_cache.warm_seconds,
         detail_cache.cold_seconds / detail_cache.warm_seconds,
         detail_cache.entries_written,
-        detail_cache.warm_detail_hits
+        detail_cache.warm_hits
     );
 
     let (detail_accesses, detail_rate) = detail_throughput();
@@ -513,7 +470,7 @@ fn main() {
         disk.warm_seconds,
         disk.cold_seconds / disk.warm_seconds,
         disk.entries_written,
-        disk.warm_disk_hits
+        disk.warm_hits
     ));
     json.push_str("  },\n");
     json.push_str("  \"detail_cache\": {\n");
@@ -527,7 +484,7 @@ fn main() {
         detail_cache.warm_seconds,
         detail_cache.cold_seconds / detail_cache.warm_seconds,
         detail_cache.entries_written,
-        detail_cache.warm_detail_hits
+        detail_cache.warm_hits
     ));
     json.push_str("  },\n");
     json.push_str(&format!("  \"total_seconds\": {total:.3}"));

@@ -26,7 +26,7 @@
 //! **Experiment handles are lazy.** [`CellCache::experiment`] returns a
 //! handle that *names* the experiment (inputs + content key) without
 //! constructing it; construction happens at most once per handle, on
-//! first use inside [`CellCache::run`] — and only when the run cell
+//! first use inside [`CellCache::run_sourced`] — and only when the run cell
 //! itself has to be computed. With a warm disk cache that means a run
 //! can serve every figure without ever paying for hull sampling or
 //! deadline isolation runs.
@@ -35,9 +35,9 @@
 //! a [`DiskCache`] (see [`crate::disk_cache`]); run and allocation
 //! lookups then read through the in-memory maps to disk and write newly
 //! computed cells back, so the dedup survives the process — a warm
-//! `suite` run or a standalone `fig14` after a prior `fig13` renders
-//! almost entirely from disk. `--cache-dir DIR` (or
-//! `JUMANJI_CACHE_DIR`) on any figure binary attaches the store.
+//! `suite` run renders almost entirely from disk. A spec's `cache_dir`
+//! (`--cache-dir` / `JUMANJI_CACHE_DIR`) attaches the store to the
+//! global cache ([`attach_global_disk`]).
 //!
 //! **Tracing bypasses cache reads.** A traced run must emit its complete
 //! per-interval event stream, so when the sink is enabled the cache
@@ -45,9 +45,10 @@
 //! readers). Telemetry's bit-identical contract makes the written-through
 //! result indistinguishable from an untraced computation.
 //!
-//! The escape hatch: `--no-cache` on any figure binary (or
-//! `JUMANJI_NO_CACHE=1`) disables the global cache, making every lookup
-//! compute fresh (and ignoring any attached disk store).
+//! `--no-cache` (`JUMANJI_NO_CACHE=1`) runs the suite executor against a
+//! throwaway [`CellCache::new`] with no store: cells are still computed
+//! once per call, and nothing is read from or written to the global
+//! cache or the disk.
 
 use crate::disk_cache::{DiskCache, DiskCacheStats};
 use jumanji::core::{Allocation, DesignKind, PlacementInput};
@@ -59,7 +60,7 @@ use jumanji::types::hash::fingerprint128;
 use jumanji::types::{CoreId, MapStats, ShardedMap, VmId};
 use jumanji::workloads::{LcLoad, WorkloadMix};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The cache identity of an experiment: a 128-bit content fingerprint of
@@ -71,7 +72,7 @@ pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u12
 }
 
 /// The cache identity of a completed `(experiment, design)` run cell —
-/// the key [`CellCache::run`] files results under.
+/// the key [`CellCache::run_sourced`] files results under.
 pub fn run_key(experiment_key: u128, design: DesignKind) -> u128 {
     fingerprint128(format!("run|{experiment_key:032x}|{design:?}").as_bytes())
 }
@@ -80,7 +81,7 @@ pub fn run_key(experiment_key: u128, design: DesignKind) -> u128 {
 /// fingerprint of every input [`run_detailed`] consumes — the full
 /// [`DetailOptions`] (which carry the machine config, access budget, and
 /// stream seed), the per-app profiles, core pinning, VM membership, and
-/// the allocation under test. This is the key [`CellCache::run_detail`]
+/// the allocation under test. This is the key [`CellCache::run_detail_sourced`]
 /// files reports under, exposed so the plan pass can name a detailed
 /// cell without simulating it.
 pub fn detail_key(
@@ -114,18 +115,16 @@ impl ExpCell {
 }
 
 /// A lazily constructed experiment plus the cache identity it is filed
-/// under (`None` when the cache is disabled, so downstream run lookups
-/// also compute fresh).
+/// under.
 ///
 /// Cloning a handle shares the construction slot: however many clones
 /// exist, the experiment is built at most once per handle family — and
-/// at most once per *process* when the handles came from an enabled
-/// cache, whose `experiments` map dedups construction across handles
-/// with the same key.
+/// at most once per cache, whose `experiments` map dedups construction
+/// across handles with the same key.
 #[derive(Debug, Clone)]
 pub struct ExperimentHandle {
     cell: Arc<ExpCell>,
-    key: Option<u128>,
+    key: u128,
 }
 
 impl ExperimentHandle {
@@ -133,7 +132,7 @@ impl ExperimentHandle {
     ///
     /// This standalone accessor does not consult any cache map (it has
     /// no cache reference); handles obtained from the same
-    /// [`CellCache`] share constructions through [`CellCache::run`]
+    /// [`CellCache`] share constructions through [`CellCache::run_sourced`]
     /// instead.
     pub fn experiment(&self) -> &Experiment {
         self.cell.exp.get_or_init(|| self.cell.construct())
@@ -173,12 +172,11 @@ pub struct CellCacheStats {
 
 /// A shared concurrent cache of experiment cells (see the module docs).
 ///
-/// All methods are `&self` and thread-safe; the figure binaries share one
+/// All methods are `&self` and thread-safe; suite runs share one
 /// instance via [`CellCache::global`], while tests that need isolated
 /// counters construct their own with [`CellCache::new`].
 #[derive(Debug)]
 pub struct CellCache {
-    enabled: AtomicBool,
     experiments: ShardedMap<u128, Arc<Experiment>>,
     runs: ShardedMap<u128, Arc<ExperimentResult>>,
     details: ShardedMap<u128, Arc<DetailReport>>,
@@ -193,10 +191,9 @@ impl Default for CellCache {
 }
 
 impl CellCache {
-    /// An empty, enabled, memory-only cache.
+    /// An empty, memory-only cache.
     pub fn new() -> CellCache {
         CellCache {
-            enabled: AtomicBool::new(true),
             experiments: ShardedMap::new(),
             runs: ShardedMap::new(),
             details: ShardedMap::new(),
@@ -205,33 +202,11 @@ impl CellCache {
         }
     }
 
-    /// The process-wide cache every figure and the `suite` binary share.
-    ///
-    /// Honours `JUMANJI_NO_CACHE` at first use: any value other than empty
-    /// or `0` starts the cache disabled.
-    #[allow(clippy::disallowed_methods)] // env read carries a lint.toml [[allow]]
+    /// The process-wide cache every suite run shares (unless its specs
+    /// ask for `no_cache`).
     pub fn global() -> &'static CellCache {
         static GLOBAL: OnceLock<CellCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = CellCache::new();
-            if let Ok(v) = std::env::var("JUMANJI_NO_CACHE") {
-                if !v.is_empty() && v != "0" {
-                    cache.set_enabled(false);
-                }
-            }
-            cache
-        })
-    }
-
-    /// Whether lookups may reuse memoized results.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns memoization on or off. Disabling does not drop existing
-    /// entries; it makes every lookup compute fresh.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
+        GLOBAL.get_or_init(CellCache::new)
     }
 
     /// Backs this cache with a persistent store: run and allocation
@@ -247,24 +222,19 @@ impl CellCache {
         self.disk.write().expect("disk slot lock").take()
     }
 
-    /// The attached persistent store, if any — `None` whenever the
-    /// cache is disabled, so `--no-cache` really computes everything.
+    /// The attached persistent store, if any.
     pub fn disk(&self) -> Option<Arc<DiskCache>> {
-        if !self.enabled() {
-            return None;
-        }
         self.disk.read().expect("disk slot lock").clone()
     }
 
     /// A lazy handle naming the experiment for `(mix, load, opts)`.
     ///
     /// No construction happens here: the handle carries the inputs and
-    /// the content key, and [`CellCache::run`] forces construction only
+    /// the content key, and [`CellCache::run_sourced`] forces construction only
     /// when a run cell actually has to be simulated. Forced
-    /// constructions are deduplicated process-wide through the
-    /// `experiments` map while the cache is enabled.
+    /// constructions are deduplicated through the `experiments` map.
     pub fn experiment(&self, mix: WorkloadMix, load: LcLoad, opts: SimOptions) -> ExperimentHandle {
-        let key = self.enabled().then(|| experiment_key(&mix, load, &opts));
+        let key = experiment_key(&mix, load, &opts);
         ExperimentHandle {
             cell: Arc::new(ExpCell {
                 mix,
@@ -277,50 +247,30 @@ impl CellCache {
     }
 
     /// Forces `handle`'s experiment, deduplicating the construction
-    /// through the cache's `experiments` map when the handle was issued
-    /// by an enabled cache.
+    /// through the cache's `experiments` map.
     pub fn force_experiment(&self, handle: &ExperimentHandle) -> Arc<Experiment> {
         Arc::clone(handle.cell.exp.get_or_init(|| {
-            match handle.key {
-                Some(key) if self.enabled() => self
-                    .experiments
-                    .get_or_compute(key, || handle.cell.construct()),
-                _ => handle.cell.construct(),
-            }
+            self.experiments
+                .get_or_compute(handle.key, || handle.cell.construct())
         }))
     }
 
     /// The result of running `design` on `handle`'s experiment, computed
-    /// at most once per process while the cache is enabled and `tel` is
-    /// disabled.
+    /// at most once per cache while `tel` is disabled, plus where it
+    /// came from, so callers measuring node durations (the suite
+    /// scheduler) can tell real simulations from cache hits.
     ///
     /// An enabled sink forces a full re-run (the event stream must be
     /// complete) whose result is written through for later untraced
     /// readers — sound because traced runs are bit-identical to untraced
     /// ones by the telemetry contract.
-    pub fn run(
-        &self,
-        handle: &ExperimentHandle,
-        design: DesignKind,
-        tel: &dyn Telemetry,
-    ) -> Arc<ExperimentResult> {
-        self.run_sourced(handle, design, tel).0
-    }
-
-    /// [`CellCache::run`] plus where the result came from, so callers
-    /// measuring node durations (the suite scheduler) can tell real
-    /// simulations from cache hits.
     pub fn run_sourced(
         &self,
         handle: &ExperimentHandle,
         design: DesignKind,
         tel: &dyn Telemetry,
     ) -> (Arc<ExperimentResult>, RunSource) {
-        let Some(base) = handle.key else {
-            let result = Arc::new(self.force_experiment(handle).run(design, tel));
-            return (result, RunSource::Computed);
-        };
-        let key = run_key(base, design);
+        let key = run_key(handle.key, design);
         if tel.enabled() {
             let result = Arc::new(self.force_experiment(handle).run(design, tel));
             self.runs.insert(key, Arc::clone(&result));
@@ -348,29 +298,14 @@ impl CellCache {
     }
 
     /// The detailed-simulator report for `(opts, profiles, cores, vms,
-    /// alloc)`, computed at most once per process while the cache is
-    /// enabled and `tel` is disabled, with read-through to the disk
-    /// store's `details/` namespace. See [`CellCache::run_detail_sourced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_detail(
-        &self,
-        opts: &DetailOptions,
-        profiles: &[Profile],
-        cores: &[CoreId],
-        vms: &[VmId],
-        alloc: &Allocation,
-        tel: &dyn Telemetry,
-    ) -> Arc<DetailReport> {
-        self.run_detail_sourced(opts, profiles, cores, vms, alloc, tel)
-            .0
-    }
-
-    /// [`CellCache::run_detail`] plus where the report came from.
+    /// alloc)`, computed at most once per cache while `tel` is disabled,
+    /// with read-through to the disk store's `details/` namespace, plus
+    /// where it came from.
     ///
     /// Detailed cells follow exactly the run-cell contract: an enabled
     /// sink forces a full re-simulation (the [`Event::DetailBank`] stream
     /// must be complete) whose report is written through for later
-    /// untraced readers; a disabled cache computes fresh every time.
+    /// untraced readers.
     ///
     /// [`Event::DetailBank`]: jumanji::telemetry::Event::DetailBank
     #[allow(clippy::too_many_arguments)]
@@ -383,10 +318,6 @@ impl CellCache {
         alloc: &Allocation,
         tel: &dyn Telemetry,
     ) -> (Arc<DetailReport>, RunSource) {
-        if !self.enabled() {
-            let report = Arc::new(run_detailed(opts, profiles, cores, vms, alloc, tel));
-            return (report, RunSource::Computed);
-        }
         let key = detail_key(opts, profiles, cores, vms, alloc);
         if tel.enabled() {
             let report = Arc::new(run_detailed(opts, profiles, cores, vms, alloc, tel));
@@ -419,27 +350,18 @@ impl CellCache {
     /// no counters, no decode (a file that later fails validation just
     /// falls back to recompute).
     pub fn probe_run(&self, key: u128) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         self.runs.get(&key).is_some() || self.disk().is_some_and(|d| d.has_run(key))
     }
 
     /// [`CellCache::probe_run`] for a detailed-simulator cell.
     pub fn probe_detail(&self, key: u128) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         self.details.get(&key).is_some() || self.disk().is_some_and(|d| d.has_detail(key))
     }
 
     /// The allocation `design` produces for `input`, computed at most once
-    /// per process per distinct input while the cache is enabled (and at
-    /// most once across processes with a disk store attached).
+    /// per cache per distinct input (and at most once across processes
+    /// with a disk store attached).
     pub fn allocate(&self, design: DesignKind, input: &PlacementInput) -> Allocation {
-        if !self.enabled() {
-            return design.allocate(input);
-        }
         let key =
             fingerprint128(format!("alloc|{design:?}|{:032x}", input.content_key()).as_bytes());
         self.allocs.get_or_compute(key, || {
@@ -473,83 +395,41 @@ impl CellCache {
                 .map(|d| d.stats()),
         }
     }
-
-    /// Drops every in-memory entry and resets this cache's counters.
-    /// The hull memo is owned by the simulator and the disk store's
-    /// files outlive the process by design; both are left alone.
-    pub fn clear(&self) {
-        self.experiments.clear();
-        self.runs.clear();
-        self.details.clear();
-        self.allocs.clear();
-    }
 }
 
-/// Applies process-level cache flags from a figure binary's argument
-/// list: `--no-cache` disables the global cache before any experiment
-/// runs; otherwise `--cache-dir DIR` (or `JUMANJI_CACHE_DIR`) attaches
-/// a persistent store to it and warm-starts the simulator's model
-/// memos from the store, and `--cache-cap-bytes N` (or
-/// `JUMANJI_CACHE_CAP`) bounds the store's size, evicting the
-/// least-recently-written entries on overflow.
-pub fn apply_cache_flags(args: &[String]) {
-    if wants_no_cache(args) {
-        CellCache::global().set_enabled(false);
+/// Attaches the persistent store at `dir` to the global cache, seeding
+/// the simulator's model memos from it, and bounds it to `cap` bytes
+/// (`0` = unbounded; the least-recently-written entries are evicted on
+/// overflow). A store
+/// already attached at `dir` is kept as is, so its counters survive
+/// repeated suite runs in one process. An unopenable directory warns and
+/// leaves the cache memory-only — a bad flag costs the warm start, never
+/// the run.
+pub fn attach_global_disk(dir: &Path, cap: u64) {
+    let cache = CellCache::global();
+    if cache.disk().is_some_and(|d| d.root() == dir) {
         return;
     }
-    if let Some(dir) = cache_dir_from(args) {
-        attach_global_disk(&dir);
-        if let Some(cap) = cache_cap_from(args) {
-            if let Some(disk) = CellCache::global().disk() {
-                disk.set_cap_bytes(cap);
-                disk.enforce_cap();
-            }
-        }
-    }
-}
-
-/// The persistent-store directory requested by `args` or the
-/// environment: `--cache-dir DIR` / `--cache-dir=DIR` beats
-/// `JUMANJI_CACHE_DIR`; an empty value means "no store".
-#[allow(clippy::disallowed_methods)] // env read carries a lint.toml [[allow]]
-pub fn cache_dir_from(args: &[String]) -> Option<String> {
-    crate::exec::flag_value(args, "--cache-dir")
-        .or_else(|| std::env::var("JUMANJI_CACHE_DIR").ok())
-        .filter(|dir| !dir.is_empty())
-}
-
-/// The store size cap requested by `args` or the environment:
-/// `--cache-cap-bytes N` / `--cache-cap-bytes=N` beats
-/// `JUMANJI_CACHE_CAP`; an unparsable or zero value means "unbounded"
-/// (lenient, like every other env-sourced knob).
-#[allow(clippy::disallowed_methods)] // env read carries a lint.toml [[allow]]
-pub fn cache_cap_from(args: &[String]) -> Option<u64> {
-    crate::exec::flag_value(args, "--cache-cap-bytes")
-        .or_else(|| std::env::var("JUMANJI_CACHE_CAP").ok())
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&cap| cap > 0)
-}
-
-/// Opens `dir` and attaches it to the global cache, seeding the
-/// simulator's model memos from the store. An unopenable directory
-/// warns and leaves the cache memory-only — a bad flag costs the warm
-/// start, never the run.
-pub fn attach_global_disk(dir: &str) {
     match DiskCache::open(dir) {
         Ok(disk) => {
-            let disk = Arc::new(disk);
             disk.seed_model();
-            CellCache::global().attach_disk(disk);
+            disk.set_cap_bytes(cap);
+            disk.enforce_cap();
+            cache.attach_disk(Arc::new(disk));
         }
         Err(e) => {
-            eprintln!("warning: cannot open --cache-dir {dir}: {e}; continuing without disk cache");
+            eprintln!(
+                "warning: cannot open --cache-dir {}: {e}; continuing without disk cache",
+                dir.display()
+            );
         }
     }
 }
 
 /// Persists the simulator's model memos (ratio hulls, deadlines) to the
-/// global cache's disk store, if one is attached. Figure binaries call
-/// this once after rendering, so the *next* process constructs warm.
+/// global cache's disk store, if one is attached. The `suite` binary
+/// calls this once after rendering, so the *next* process constructs
+/// warm.
 pub fn persist_global_disk() {
     if let Some(disk) = CellCache::global().disk() {
         disk.persist_model();
@@ -557,10 +437,6 @@ pub fn persist_global_disk() {
         // over its limit; evict before the next process starts.
         disk.enforce_cap();
     }
-}
-
-fn wants_no_cache(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--no-cache")
 }
 
 #[cfg(test)]
@@ -588,7 +464,7 @@ mod tests {
     fn cached_run_matches_direct_run_exactly() {
         let cache = CellCache::new();
         let handle = cache.experiment(case_study_mix(3), LcLoad::High, quick_opts());
-        let cached = cache.run(&handle, DesignKind::Jumanji, &NoopSink);
+        let (cached, _) = cache.run_sourced(&handle, DesignKind::Jumanji, &NoopSink);
         let direct = Experiment::new(case_study_mix(3), LcLoad::High, quick_opts())
             .run(DesignKind::Jumanji, &NoopSink);
         assert_eq!(format!("{cached:?}"), format!("{direct:?}"));
@@ -623,10 +499,10 @@ mod tests {
         let cache = CellCache::new();
         let handle = cache.experiment(case_study_mix(2), LcLoad::High, quick_opts());
         // Warm the cache untraced.
-        let warm = cache.run(&handle, DesignKind::Jumanji, &NoopSink);
+        let (warm, _) = cache.run_sourced(&handle, DesignKind::Jumanji, &NoopSink);
         // A traced run must still emit the full event stream...
         let sink = RecordingSink::new();
-        let traced = cache.run(&handle, DesignKind::Jumanji, &sink);
+        let (traced, _) = cache.run_sourced(&handle, DesignKind::Jumanji, &sink);
         assert!(
             sink.events()
                 .iter()
@@ -639,24 +515,6 @@ mod tests {
         // a miss) — never served from cache.
         assert_eq!(cache.stats().runs.hits, 0);
         assert_eq!(cache.stats().runs.misses, 2);
-    }
-
-    #[test]
-    fn disabled_cache_computes_fresh_and_stores_nothing() {
-        let cache = CellCache::new();
-        cache.set_enabled(false);
-        assert!(!cache.enabled());
-        let h1 = cache.experiment(case_study_mix(1), LcLoad::High, quick_opts());
-        let h2 = cache.experiment(case_study_mix(1), LcLoad::High, quick_opts());
-        let (r1, s1) = cache.run_sourced(&h1, DesignKind::Jumanji, &NoopSink);
-        let (r2, s2) = cache.run_sourced(&h2, DesignKind::Jumanji, &NoopSink);
-        assert_eq!(s1, RunSource::Computed);
-        assert_eq!(s2, RunSource::Computed);
-        assert!(!Arc::ptr_eq(&r1, &r2));
-        assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
-        let s = cache.stats();
-        assert_eq!(s.experiments.entries, 0);
-        assert_eq!(s.runs.entries, 0);
     }
 
     #[test]
@@ -703,7 +561,8 @@ mod tests {
         let (_, src) = warm.run_sourced(&handle, DesignKind::Static, &NoopSink);
         assert_eq!(src, RunSource::Memory);
 
-        // probe_run sees disk entries; a disabled cache ignores them.
+        // probe_run sees disk entries; the throwaway cache `--no-cache`
+        // runs against has no store to see them in.
         let key = run_key(
             experiment_key(&case_study_mix(5), LcLoad::Low, &quick_opts()),
             DesignKind::Static,
@@ -711,9 +570,12 @@ mod tests {
         let probe = CellCache::new();
         probe.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
         assert!(probe.probe_run(key));
-        probe.set_enabled(false);
-        assert!(!probe.probe_run(key));
-        assert!(probe.disk().is_none(), "--no-cache must ignore the store");
+        let throwaway = CellCache::new();
+        assert!(
+            throwaway.disk().is_none(),
+            "--no-cache must ignore the store"
+        );
+        assert!(!throwaway.probe_run(key));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -731,19 +593,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(warm.stats().disk.expect("disk attached").hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_flags_are_recognised() {
-        // Parsing only: the global cache is shared with other tests, so
-        // this avoids flipping it.
-        let plain: Vec<String> = vec!["--mixes".into(), "2".into()];
-        assert!(!wants_no_cache(&plain));
-        let flagged: Vec<String> = vec!["--mixes".into(), "2".into(), "--no-cache".into()];
-        assert!(wants_no_cache(&flagged));
-        let dir: Vec<String> = vec!["--cache-dir".into(), "/tmp/x".into()];
-        assert_eq!(cache_dir_from(&dir), Some("/tmp/x".to_string()));
-        let eq: Vec<String> = vec!["--cache-dir=/tmp/y".into()];
-        assert_eq!(cache_dir_from(&eq), Some("/tmp/y".to_string()));
     }
 }

@@ -30,7 +30,7 @@
 //! to byte-identical TSVs.
 //!
 //! The store is bounded on request: [`DiskCache::set_cap_bytes`]
-//! (`--cache-cap-bytes` / `JUMANJI_CACHE_CAP` on the binaries) caps the
+//! (`--cache-cap-bytes` / `JUMANJI_CACHE_CAP` on `suite`) caps the
 //! total size of the entry files, and [`DiskCache::enforce_cap`] evicts
 //! the least-recently-written entries (by mtime — every write refreshes
 //! its entry's mtime, so write order approximates use order) until the
@@ -869,7 +869,7 @@ impl DiskCache {
     /// Caps the total size of the store's entry files (`runs/`,
     /// `details/`, `allocs/`). `0` means unbounded (the default). The
     /// cap takes effect at the next [`DiskCache::enforce_cap`] call —
-    /// the binaries enforce it at attach time and again at exit.
+    /// the `suite` binary enforces it at attach time and again at exit.
     pub fn set_cap_bytes(&self, cap: u64) {
         self.cap_bytes.store(cap, Ordering::Relaxed);
     }

@@ -1,24 +1,13 @@
-//! Parallel experiment-execution engine.
+//! Execution support: knob resolution and the work-graph scheduler.
 //!
-//! The figure binaries fan out over hundreds of independent
-//! `(group, load, mix, design)` cells; each cell is seconds of pure CPU
-//! with no shared state, so they parallelize embarrassingly well. This
-//! module provides the machinery:
-//!
-//! - [`parallel_map`] — an order-preserving indexed map over a scoped
-//!   thread pool (work-stealing via an atomic index; no dependencies, no
-//!   unsafe code).
-//! - [`parallel_map_traced`] — the same engine emitting one
-//!   [`Event::WorkerSpan`] per job into a telemetry sink, for profiling
-//!   how cells spread across the pool.
 //! - [`thread_count`] / [`resolve_count`] / [`flag_value`] — worker-count
 //!   and knob resolution (`--flag N` beats the env var beats the default).
-//! - [`sched`] — the dependency-aware work-graph scheduler the `suite`
-//!   binary executes its deduplicated cross-figure plan on: per-worker
+//! - [`sched`] — the dependency-aware work-graph scheduler the suite
+//!   executor runs every figure's deduplicated cells on: per-worker
 //!   deques, steal-half work stealing, long-pole-first ordering.
 //!
-//! Determinism: every job derives its RNG streams from its own index, and
-//! results land in slots addressed by that index, so output is
+//! Determinism: every cell derives its RNG streams from its own inputs,
+//! and results land in slots addressed by node id, so output is
 //! byte-identical no matter how many workers run or how the scheduler
 //! interleaves them. `--threads 1` is the reference serial order.
 
@@ -27,11 +16,6 @@
 #![allow(clippy::disallowed_methods)]
 
 pub mod sched;
-
-use jumanji::telemetry::{Event, NoopSink, Telemetry};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Returns the value of `flag` (e.g., `--mixes`) in `args`, accepting
 /// both the space form (`--mixes 4`) and the equals form (`--mixes=4`).
@@ -81,89 +65,6 @@ pub fn thread_count() -> usize {
         available_threads(),
     )
     .max(1)
-}
-
-/// Maps `f` over `0..n` on up to `threads` workers, returning results in
-/// index order.
-///
-/// Jobs are handed out through a shared atomic counter (natural work
-/// stealing: a worker that finishes a cheap cell immediately grabs the
-/// next), and each result is stored in the slot of its index, so the
-/// output `Vec` is identical to the serial `(0..n).map(f).collect()` —
-/// only wall-clock changes with `threads`.
-///
-/// # Panics
-///
-/// Propagates a panic from any job after the scope unwinds.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_traced(n, threads, &NoopSink, f)
-}
-
-/// [`parallel_map`] that also emits one [`Event::WorkerSpan`] per job:
-/// which worker ran it, when it started (µs since the fan-out began), and
-/// how long it took. With a disabled sink this is exactly [`parallel_map`].
-///
-/// # Panics
-///
-/// Propagates a panic from any job after the scope unwinds.
-pub fn parallel_map_traced<T, F>(n: usize, threads: usize, tel: &dyn Telemetry, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.min(n).max(1);
-    let tracing = tel.enabled();
-    let epoch = Instant::now();
-    let run = |worker: usize, i: usize| -> T {
-        if !tracing {
-            return f(i);
-        }
-        let start = epoch.elapsed();
-        let r = f(i);
-        let end = epoch.elapsed();
-        tel.emit(&Event::WorkerSpan {
-            worker,
-            job: i,
-            start_us: start.as_micros() as u64,
-            dur_us: (end - start).as_micros() as u64,
-        });
-        r
-    };
-    if workers == 1 {
-        return (0..n).map(|i| run(0, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        let (next, slots, run) = (&next, &slots, &run);
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = run(w, i);
-                    *slots[i].lock().expect("slot lock") = Some(r);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("experiment worker panicked");
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("every job ran exactly once")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -217,51 +118,5 @@ mod tests {
         // Unparseable sources fall through.
         assert_eq!(resolve_count(Some("x"), Some("9"), 2), 9);
         assert_eq!(resolve_count(Some("x"), Some("y"), 2), 2);
-    }
-
-    #[test]
-    fn parallel_map_preserves_index_order() {
-        for threads in [1, 2, 4, 7] {
-            let out = parallel_map(23, threads, |i| i * i);
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, 4, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn traced_map_emits_one_span_per_job() {
-        use jumanji::telemetry::RecordingSink;
-        for threads in [1, 3] {
-            let sink = RecordingSink::new();
-            let out = parallel_map_traced(9, threads, &sink, |i| i * 2);
-            assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
-            let mut jobs: Vec<usize> = sink
-                .events()
-                .iter()
-                .map(|e| match e {
-                    Event::WorkerSpan { job, .. } => *job,
-                    other => panic!("unexpected event {other:?}"),
-                })
-                .collect();
-            jobs.sort_unstable();
-            assert_eq!(jobs, (0..9).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_map_runs_every_job_once() {
-        use std::sync::atomic::AtomicUsize;
-        let calls = AtomicUsize::new(0);
-        let out = parallel_map(50, 4, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 50);
-        assert_eq!(out.len(), 50);
     }
 }

@@ -1,11 +1,10 @@
 //! Dependency-aware work-graph scheduler.
 //!
-//! [`parallel_map`](super::parallel_map) hands out independent,
-//! identically-shaped jobs through one atomic counter. The suite's
-//! cross-figure plan is a different animal: a *graph* of heterogeneous
-//! nodes (experiment constructions feeding design runs) whose costs span
-//! two orders of magnitude, where finishing a figure's last node should
-//! unblock rendering immediately. This module executes such graphs:
+//! The suite's cross-figure plan is a *graph* of heterogeneous nodes
+//! (experiment constructions feeding design runs, detailed-simulator
+//! cells) whose costs span two orders of magnitude, where finishing a
+//! figure's last node should unblock rendering immediately. This module
+//! executes such graphs:
 //!
 //! - **Per-worker deques.** Each worker owns a deque of ready nodes and
 //!   pops from the front. Nodes a completion enables go to the front of
@@ -22,10 +21,10 @@
 //!   Seeds are dealt round-robin in descending priority, so the longest
 //!   poles start first and stragglers can't ambush the tail of the run.
 //!
-//! The scheduler runs *effects*, not values: the caller's closure writes
-//! results through the shared [`CellCache`](crate::cell_cache::CellCache),
-//! so execution order can never change what a later lookup observes —
-//! only wall-clock. Telemetry ([`Event::SchedSteal`],
+//! The scheduler runs *effects*, not values: the caller's closure stores
+//! each node's result (the suite executor keeps one slot per node), so
+//! execution order can never change what a render folds — only
+//! wall-clock. Telemetry ([`Event::SchedSteal`],
 //! [`Event::SchedQueue`], [`Event::SchedWorker`], [`Event::SchedSummary`])
 //! records how the pool behaved, including the measured critical path —
 //! the wall-clock floor no worker count can beat.
@@ -200,7 +199,7 @@ impl WorkDeque {
 /// Executes `graph` on up to `threads` workers, calling `run(i)` exactly
 /// once per node, never before all of node `i`'s dependencies completed.
 ///
-/// `run` performs effects (writing results through a shared cache); the
+/// `run` performs effects (storing each node's result); the
 /// scheduler guarantees the dependency order and measures the execution,
 /// it does not collect values. With an enabled sink it emits one
 /// [`Event::SchedQueue`] sample per node start, one [`Event::SchedSteal`]

@@ -2,21 +2,15 @@
 //! set-dueling performance leakage (Fig. 12). Both run fixed scenarios;
 //! the spec's knobs don't apply.
 
-use crate::spec::ExperimentSpec;
 use jumanji::attacks::leakage::{leakage_experiment, LeakageConfig};
 use jumanji::attacks::port::{run_port_attack, PortAttackConfig};
-use jumanji::prelude::Telemetry;
 use jumanji::types::Error;
 use std::io::Write;
 
 /// Fig. 11: LLC port attack demonstration — attacker access times vs.
 /// wall-clock time while a 3-thread victim rotates through flooding each
 /// of the 12 LLC banks.
-pub fn fig11(
-    _spec: &ExperimentSpec,
-    _tel: &dyn Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
+pub fn fig11(out: &mut dyn Write) -> Result<(), Error> {
     let cfg = PortAttackConfig::default();
     let trace = run_port_attack(cfg);
     writeln!(
@@ -71,11 +65,7 @@ pub fn fig11(
 /// tail latency across 40 batch mixes with a fixed S-NUCA partition
 /// (red) vs. a fixed D-NUCA allocation in its own banks (blue),
 /// normalized to img-dnn running alone.
-pub fn fig12(
-    _spec: &ExperimentSpec,
-    _tel: &dyn Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
+pub fn fig12(out: &mut dyn Write) -> Result<(), Error> {
     let r = leakage_experiment(LeakageConfig::default());
     writeln!(
         out,

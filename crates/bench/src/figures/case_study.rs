@@ -3,19 +3,18 @@
 //! (Fig. 5), the S-NUCA vs D-NUCA allocation curve (Fig. 8), and
 //! controller-parameter sensitivity (Fig. 9).
 
-use super::sim_opts;
-use crate::cell_cache::CellCache;
-use crate::exec::parallel_map_traced;
+use super::plan::FigurePlan;
+use super::FigureResults;
 use crate::spec::ExperimentSpec;
 use jumanji::cache::analytic::assoc_penalty;
 use jumanji::core::AppKind;
 use jumanji::noc::MeshNoc;
 use jumanji::prelude::*;
-use jumanji::sim::detail::{DetailOptions, DetailReport};
+use jumanji::sim::detail::DetailOptions;
 use jumanji::sim::metrics::{gmean, percentile};
 use jumanji::sim::perf::Profile;
 use jumanji::sim::queueing::LcQueue;
-use jumanji::types::{AppId, BankId, CoreId, Error, Seconds, VmId};
+use jumanji::types::{AppId, BankId, CoreId, Error};
 use std::io::Write;
 
 const MB: f64 = 1048576.0;
@@ -57,8 +56,7 @@ fn render_map(
     out
 }
 
-/// The detailed-run options Fig. 2 uses. Shared with the plan pass,
-/// which must name the exact same cells the render looks up.
+/// The detailed-run options of Fig. 2's cells (see [`super::plan`]).
 pub(crate) fn fig02_opts(cfg: &SystemConfig, accesses: usize) -> DetailOptions {
     DetailOptions {
         cfg: cfg.clone(),
@@ -68,7 +66,7 @@ pub(crate) fn fig02_opts(cfg: &SystemConfig, accesses: usize) -> DetailOptions {
 }
 
 /// Fig. 2's canonical profile assignment over the example placement
-/// input. Shared with the plan pass.
+/// input (see [`super::plan`]).
 pub(crate) fn fig02_profiles(input: &PlacementInput) -> Vec<Profile> {
     let lc = tailbench();
     let batch = spec2006();
@@ -88,36 +86,14 @@ pub(crate) fn fig02_profiles(input: &PlacementInput) -> Vec<Profile> {
 ///
 /// Two maps per design: the *descriptor* placement (what the allocator
 /// asked for) and the *observed* occupancy (which VMs' lines actually
-/// sit in each bank after a detailed simulation of the allocation). The
-/// designs are independent cells fanned across the worker pool; output
-/// is byte-identical at any thread count.
-pub fn fig02(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+/// sit in each bank after a detailed simulation of the allocation) —
+/// one planned detailed cell per design.
+pub fn fig02(plan: &FigurePlan, results: &FigureResults, out: &mut dyn Write) -> Result<(), Error> {
     let cfg = SystemConfig::micro2020();
     let input = PlacementInput::example(&cfg);
     let mesh = cfg.mesh();
-    let profiles = fig02_profiles(&input);
-    let cores: Vec<CoreId> = input.apps.iter().map(|a| a.core).collect();
-    let vms: Vec<VmId> = input.apps.iter().map(|a| a.vm).collect();
-    let designs = &spec.designs;
-
-    // Each design's detailed simulation is an independent cell, read
-    // through the cell cache (warm after a scheduled suite run or a
-    // prior process with the same --cache-dir).
-    let reports: Vec<(Allocation, std::sync::Arc<DetailReport>)> =
-        parallel_map_traced(designs.len(), spec.threads, tel, |i| {
-            let alloc = CellCache::global().allocate(designs[i], &input);
-            let report = CellCache::global().run_detail(
-                &fig02_opts(&cfg, spec.accesses),
-                &profiles,
-                &cores,
-                &vms,
-                &alloc,
-                tel,
-            );
-            (alloc, report)
-        });
-
-    for (design, (alloc, report)) in designs.iter().zip(&reports) {
+    for (cell, report) in plan.details.iter().zip(&results.details) {
+        let (design, alloc) = (cell.design, &cell.alloc);
         writeln!(
             out,
             "# {design} placement ({}x{} banks)",
@@ -142,7 +118,7 @@ pub fn fig02(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
             } else {
                 "no"
             },
-            if report.vm_isolated(&vms) {
+            if report.vm_isolated(&cell.vms) {
                 "yes"
             } else {
                 "no"
@@ -155,12 +131,11 @@ pub fn fig02(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// Fig. 4: how the LLC designs behave over time on the case study —
 /// (a) average end-to-end xapian latency, (b) average LLC allocation for
 /// xapian, and (c) vulnerability to shared-cache-structure attacks.
-pub fn fig04(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    let opts = SimOptions {
-        duration: Seconds(4.0),
-        ..sim_opts(spec)
-    };
-    let mix = case_study_mix(spec.seed);
+pub fn fig04(
+    spec: &ExperimentSpec,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     writeln!(
         out,
         "# Fig. 4: case study over time (4 VMs x [xapian + 4 batch], high load)"
@@ -169,10 +144,7 @@ pub fn fig04(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
         out,
         "design\tt_ms\tavg_latency_ms\tavg_alloc_mb\tvulnerability"
     )?;
-    let cache = CellCache::global();
-    let exp = cache.experiment(mix, LcLoad::High, opts);
-    for &design in &spec.designs {
-        let r = cache.run(&exp, design, tel);
+    for (&design, r) in spec.designs.iter().zip(&results.runs[0]) {
         for rec in &r.timeline {
             let lat: Vec<f64> = rec.lc_mean_latency_ms.iter().flatten().copied().collect();
             let avg_lat = if lat.is_empty() {
@@ -206,12 +178,13 @@ pub fn fig04(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 
 /// Fig. 5: end-to-end case-study results — normalized tail latency and
 /// batch weighted speedup for each LLC design.
-pub fn fig05(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    let opts = sim_opts(spec);
-    let mix = case_study_mix(spec.seed);
-    let cache = CellCache::global();
-    let exp = cache.experiment(mix, LcLoad::High, opts);
-    let baseline = cache.run(&exp, DesignKind::Static, tel);
+pub fn fig05(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
+    let baseline = results.run(plan, 0, DesignKind::Static);
     writeln!(
         out,
         "# Fig. 5: case study end-to-end (normalized to Static)"
@@ -221,13 +194,13 @@ pub fn fig05(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
         "design\tworst_norm_tail\tbatch_speedup_pct\tvulnerability"
     )?;
     for &design in &spec.designs {
-        let r = cache.run(&exp, design, tel);
+        let r = results.run(plan, 0, design);
         writeln!(
             out,
             "{}\t{:.3}\t{:.2}\t{:.2}",
             design,
             r.max_norm_tail(),
-            (r.weighted_speedup_vs(&baseline) - 1.0) * 100.0,
+            (r.weighted_speedup_vs(baseline) - 1.0) * 100.0,
             r.vulnerability
         )?;
     }
@@ -257,11 +230,7 @@ fn tail_ms(service: f64, interarrival: f64, freq: f64) -> f64 {
 /// allocation, with way-partitioning (S-NUCA) and with the allocation
 /// reserved in the closest banks (D-NUCA). Run in isolation at high
 /// load.
-pub fn fig08(
-    _spec: &ExperimentSpec,
-    _tel: &dyn Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
+pub fn fig08(out: &mut dyn Write) -> Result<(), Error> {
     let cfg = SystemConfig::micro2020();
     let noc = MeshNoc::new(&cfg);
     let xapian = tailbench()
@@ -325,34 +294,8 @@ pub fn fig08(
     Ok(())
 }
 
-/// One Fig. 9 controller variant: gmean speedup and worst tail over
-/// case-study seeds.
-fn fig09_run(
-    params: ControllerParams,
-    mixes: usize,
-    base_opts: &SimOptions,
-    tel: &dyn Telemetry,
-) -> (f64, f64) {
-    let cache = CellCache::global();
-    let mut speedups = Vec::new();
-    let mut worst_tail: f64 = 0.0;
-    for seed in 0..mixes as u64 {
-        let opts = SimOptions {
-            controller: Some(params),
-            ..base_opts.clone()
-        };
-        let exp = cache.experiment(case_study_mix(seed), LcLoad::High, opts);
-        let baseline = cache.run(&exp, DesignKind::Static, tel);
-        let r = cache.run(&exp, DesignKind::Jumanji, tel);
-        speedups.push(r.weighted_speedup_vs(&baseline));
-        worst_tail = worst_tail.max(r.max_norm_tail());
-    }
-    (gmean(&speedups), worst_tail)
-}
-
 /// The Fig. 9 controller-parameter grid: `(group, label, params)` rows
-/// in plotting order. Shared by the renderer and the suite's plan pass
-/// ([`super::plan`]) so both enumerate identical experiment cells.
+/// in plotting order: the plan's cells and the render's row labels.
 pub(crate) fn fig09_cases() -> Vec<(&'static str, &'static str, ControllerParams)> {
     let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
     let base = ControllerParams::micro2020(llc);
@@ -402,20 +345,32 @@ pub(crate) fn fig09_cases() -> Vec<(&'static str, &'static str, ControllerParams
 /// Fig. 9: sensitivity of Jumanji to the feedback controller's
 /// parameters — target latency range, panic threshold, and step size.
 /// Bars: gmean batch speedup; lines: worst normalized tail latency.
-pub fn fig09(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig09(
+    spec: &ExperimentSpec,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let base_opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 9: controller parameter sensitivity ({mixes} mixes, case study)"
     )?;
     writeln!(out, "group\tvariant\tgmean_speedup_pct\tworst_norm_tail")?;
-    for (group, label, params) in fig09_cases() {
-        let (speedup, tail) = fig09_run(params, mixes, &base_opts, tel);
+    // Each case's cells run [Static, Jumanji] over `mixes` case-study
+    // seeds.
+    for ((group, label, _), runs) in fig09_cases().into_iter().zip(results.runs.chunks(mixes)) {
+        let speedups: Vec<f64> = runs
+            .iter()
+            .map(|r| r[1].weighted_speedup_vs(&r[0]))
+            .collect();
+        let tail = runs
+            .iter()
+            .map(|r| r[1].max_norm_tail())
+            .fold(0.0f64, f64::max);
         writeln!(
             out,
             "{group}\t{label}\t{:.2}\t{:.3}",
-            (speedup - 1.0) * 100.0,
+            (gmean(&speedups) - 1.0) * 100.0,
             tail
         )?;
     }

@@ -2,9 +2,10 @@
 //! speedup distributions), Fig. 14 (vulnerability), Fig. 15 (energy),
 //! and Fig. 16 (the cost of Jumanji's security and simplicity).
 
-use super::{groups_by_load, load_label, sim_opts};
+use super::plan::FigurePlan;
+use super::{design_cells, groups_by_load, load_label, FigureResults};
 use crate::spec::ExperimentSpec;
-use crate::{run_matrices, BoxStats, LcGroup};
+use crate::{BoxStats, LcGroup};
 use jumanji::prelude::*;
 use jumanji::types::Error;
 use std::io::Write;
@@ -14,20 +15,22 @@ use std::io::Write;
 /// latency-critical load, for each workload group and design.
 ///
 /// Box-and-whisker rows: min, q1, median, q3, max over mixes.
-pub fn fig13(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig13(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 13: tail latency + batch speedup over {mixes} random mixes"
     )?;
     writeln!(out, "group\tload\tdesign\tmetric\tmin\tq1\tmedian\tq3\tmax")?;
-    // All (load, group) matrices go through one fan-out so every worker
-    // stays busy even at small mix counts.
     let matrices = groups_by_load(&[LcLoad::High, LcLoad::Low]);
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
-    for ((group, load), cells) in matrices.iter().zip(&results) {
+    let cells_by_matrix = design_cells(spec, plan, results);
+    for ((group, load), cells) in matrices.iter().zip(&cells_by_matrix) {
         let load_label = load_label(*load);
         for (design, cell) in designs.iter().zip(cells) {
             writeln!(
@@ -74,14 +77,16 @@ pub fn fig13(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// Fig. 14: each LLC design's vulnerability to port attacks — average
 /// number of potential attackers per LLC access, averaged over all
 /// experiments.
-pub fn fig14(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig14(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
-    let matrices = groups_by_load(&[LcLoad::High, LcLoad::Low]);
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
     let mut acc = vec![Vec::new(); designs.len()];
-    for cells in &results {
+    for cells in &design_cells(spec, plan, results) {
         for (d, cell) in cells.iter().enumerate() {
             acc[d].extend(cell.vulnerability.iter().copied());
         }
@@ -106,10 +111,13 @@ pub fn fig14(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// Fig. 15: dynamic data-movement energy at high load, broken down into
 /// L1 / L2 / LLC banks / NoC / memory, normalized to the first design in
 /// the list (Static by default).
-pub fn fig15(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    let mixes = spec.mixes;
+pub fn fig15(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 15: data-movement energy at high load, normalized to Static"
@@ -117,12 +125,10 @@ pub fn fig15(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
     writeln!(out, "group\tdesign\tl1\tl2\tllc\tnoc\tmem\ttotal")?;
     let mut totals = vec![0.0f64; designs.len()];
     let mut static_total = 0.0f64;
-    let matrices: Vec<(LcGroup, LcLoad)> = LcGroup::all()
-        .into_iter()
-        .map(|g| (g, LcLoad::High))
-        .collect();
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
-    for ((group, _), cells) in matrices.iter().zip(&results) {
+    for (group, cells) in LcGroup::all()
+        .iter()
+        .zip(&design_cells(spec, plan, results))
+    {
         // Per-group baseline (first design) for normalization.
         let base: f64 = cells[0]
             .energy
@@ -176,20 +182,23 @@ pub fn fig15(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// of Jumanji vs. "Jumanji: Insecure" (no bank isolation) and "Jumanji:
 /// Ideal Batch" (no competition with latency-critical placement), at
 /// high and low load.
-pub fn fig16(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig16(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 16: Jumanji vs Insecure vs Ideal Batch ({mixes} mixes/group)"
     )?;
     writeln!(out, "load\tgroup\tjumanji_pct\tinsecure_pct\tideal_pct")?;
     let loads = [LcLoad::High, LcLoad::Low];
-    let matrices = groups_by_load(&loads);
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
+    let cells_by_matrix = design_cells(spec, plan, results);
     let groups_per_load = LcGroup::all().len();
-    for (load, chunk) in loads.iter().zip(results.chunks(groups_per_load)) {
+    for (load, chunk) in loads.iter().zip(cells_by_matrix.chunks(groups_per_load)) {
         let label = load_label(*load);
         let mut sums = vec![0.0f64; designs.len()];
         let mut count = 0.0;

@@ -1,21 +1,26 @@
-//! Figure renderers: one `emit` function per figure/table/study, each
-//! writing the same TSV the original standalone binary printed.
+//! Figure renderers: one pure fold per figure/table/study from the
+//! executor's results to the TSV the paper's evaluation reports.
 //!
-//! Every renderer takes the resolved [`ExperimentSpec`], a telemetry
-//! sink, and an output writer, so figures compose: a test can render
-//! into a `Vec<u8>` with a [`RecordingSink`](jumanji::telemetry::RecordingSink),
-//! while the binaries stream to stdout with a
-//! [`JsonlSink`](jumanji::telemetry::JsonlSink) behind `--trace`.
+//! Each figure is two functions. [`plan::of`] enumerates the cells it
+//! needs without computing them; its render folds the results of those
+//! cells — handed over in plan order as a [`FigureResults`] — into
+//! bytes. A render never looks anything up and never computes a cell:
+//! the closed-form pieces (fig08's curve, the attack demos, the tables,
+//! ablation's trade pass, validate's analytic model) are not cells, so
+//! they stay inline. The executor ([`crate::suite::run_suite`]) is the
+//! only code that runs cells.
 //!
-//! Output contract: at a figure's default spec, the bytes written to
-//! `out` are identical to the pre-spec binaries (the golden TSVs under
-//! `results/` enforce this in CI). Human-facing summaries that were on
-//! stderr stay on stderr.
+//! Output contract: at a figure's default spec the bytes are those of
+//! the golden TSVs under `results/` (CI enforces this). Human-facing
+//! summaries stay on stderr.
 
 use crate::spec::{ExperimentSpec, FigureKind};
+use crate::{DesignCell, MixMetrics};
 use jumanji::prelude::*;
+use jumanji::sim::detail::DetailReport;
 use jumanji::types::Error;
 use std::io::Write;
+use std::sync::Arc;
 
 mod attacks;
 mod case_study;
@@ -26,31 +31,79 @@ mod studies;
 mod tables;
 mod validate;
 
-/// Renders `spec.kind` to `out`, emitting telemetry into `tel`.
+use plan::FigurePlan;
+
+/// The executor's results for one figure, in plan order.
+#[derive(Debug, Clone, Default)]
+pub struct FigureResults {
+    /// One row per [`FigurePlan::cells`] entry: the result of each of
+    /// the cell's designs, in [`CellPlan::designs`](plan::CellPlan)
+    /// order.
+    pub runs: Vec<Vec<Arc<ExperimentResult>>>,
+    /// One report per [`FigurePlan::details`] entry.
+    pub details: Vec<Arc<DetailReport>>,
+}
+
+impl FigureResults {
+    /// The result of `design` on the plan's `cell`-th cell.
+    fn run(&self, plan: &FigurePlan, cell: usize, design: DesignKind) -> &ExperimentResult {
+        let at = plan.cells[cell]
+            .designs
+            .iter()
+            .position(|&d| d == design)
+            .expect("the plan runs every design its render reads");
+        &self.runs[cell][at]
+    }
+}
+
+/// Renders `spec.kind` to `out`: plans the figure, runs its cells on the
+/// suite executor over the process-wide cell cache (a throwaway one under
+/// [`ExperimentSpec::no_cache`]), and folds the results. Telemetry from
+/// the cells goes to `tel`.
 ///
 /// # Errors
 ///
-/// Usage errors for bad spec contents, runtime errors for I/O failures.
+/// Usage errors for bad spec contents, runtime errors for I/O failures
+/// and failed cells.
 pub fn emit(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+    crate::suite::run_suite(std::slice::from_ref(spec), spec.threads, tel, &mut |fig| {
+        out.write_all(&fig.bytes)?;
+        Ok(())
+    })?;
+    Ok(())
+}
+
+/// Folds `results` — the executor's output for `plan`, which must be
+/// [`plan::of`]`(spec)` — into `spec.kind`'s TSV.
+///
+/// # Errors
+///
+/// Runtime errors for I/O failures on `out` and degenerate samples.
+pub fn render(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     match spec.kind {
-        FigureKind::Fig02 => case_study::fig02(spec, tel, out),
-        FigureKind::Fig04 => case_study::fig04(spec, tel, out),
-        FigureKind::Fig05 => case_study::fig05(spec, tel, out),
-        FigureKind::Fig08 => case_study::fig08(spec, tel, out),
-        FigureKind::Fig09 => case_study::fig09(spec, tel, out),
-        FigureKind::Fig11 => attacks::fig11(spec, tel, out),
-        FigureKind::Fig12 => attacks::fig12(spec, tel, out),
-        FigureKind::Fig13 => main_results::fig13(spec, tel, out),
-        FigureKind::Fig14 => main_results::fig14(spec, tel, out),
-        FigureKind::Fig15 => main_results::fig15(spec, tel, out),
-        FigureKind::Fig16 => main_results::fig16(spec, tel, out),
-        FigureKind::Fig17 => scaling::fig17(spec, tel, out),
-        FigureKind::Fig18 => scaling::fig18(spec, tel, out),
-        FigureKind::Table2 => tables::table2(spec, tel, out),
-        FigureKind::Table3 => tables::table3(spec, tel, out),
-        FigureKind::Ablation => studies::ablation(spec, tel, out),
-        FigureKind::Sensitivity => studies::sensitivity(spec, tel, out),
-        FigureKind::Validate => validate::validate(spec, tel, out),
+        FigureKind::Fig02 => case_study::fig02(plan, results, out),
+        FigureKind::Fig04 => case_study::fig04(spec, results, out),
+        FigureKind::Fig05 => case_study::fig05(spec, plan, results, out),
+        FigureKind::Fig08 => case_study::fig08(out),
+        FigureKind::Fig09 => case_study::fig09(spec, results, out),
+        FigureKind::Fig11 => attacks::fig11(out),
+        FigureKind::Fig12 => attacks::fig12(out),
+        FigureKind::Fig13 => main_results::fig13(spec, plan, results, out),
+        FigureKind::Fig14 => main_results::fig14(spec, plan, results, out),
+        FigureKind::Fig15 => main_results::fig15(spec, plan, results, out),
+        FigureKind::Fig16 => main_results::fig16(spec, plan, results, out),
+        FigureKind::Fig17 => scaling::fig17(spec, results, out),
+        FigureKind::Fig18 => scaling::fig18(spec, results, out),
+        FigureKind::Table2 => tables::table2(out),
+        FigureKind::Table3 => tables::table3(out),
+        FigureKind::Ablation => studies::ablation(spec, results, out),
+        FigureKind::Sensitivity => studies::sensitivity(spec, results, out),
+        FigureKind::Validate => validate::validate(spec, plan, results, out),
     }
 }
 
@@ -60,6 +113,33 @@ fn groups_by_load(loads: &[LcLoad]) -> Vec<(crate::LcGroup, LcLoad)> {
     loads
         .iter()
         .flat_map(|&load| crate::LcGroup::all().into_iter().map(move |g| (g, load)))
+        .collect()
+}
+
+/// Per-design distributions of the matrix figures: the plan holds
+/// `spec.mixes` consecutive cells per `(group, load)` matrix, each with
+/// the Static baseline, so this yields one `DesignCell` per
+/// `spec.designs` entry for every matrix, in plan order.
+fn design_cells(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+) -> Vec<Vec<DesignCell>> {
+    (0..plan.cells.len() / spec.mixes)
+        .map(|matrix| {
+            let mut cells: Vec<DesignCell> = spec
+                .designs
+                .iter()
+                .map(|_| DesignCell::with_capacity(spec.mixes))
+                .collect();
+            for i in matrix * spec.mixes..(matrix + 1) * spec.mixes {
+                let baseline = results.run(plan, i, DesignKind::Static);
+                for (cell, &design) in cells.iter_mut().zip(&spec.designs) {
+                    cell.push(&MixMetrics::of(results.run(plan, i, design), baseline));
+                }
+            }
+            cells
+        })
         .collect()
 }
 
@@ -142,9 +222,9 @@ mod tests {
 
     #[test]
     fn trace_sink_sees_a_whole_figure_run() {
-        // Fig. 5 runs the baseline plus four designs serially; the sink
-        // must observe one RunSummary per run and the per-interval
-        // controller stream, without changing the rendered bytes.
+        // Fig. 5 runs the baseline plus four designs; the sink must
+        // observe one RunSummary per run and the per-interval controller
+        // stream, without changing the rendered bytes.
         let spec = ExperimentSpec::new(FigureKind::Fig05).threads(1);
         let mut plain = Vec::new();
         emit(&spec, &NoopSink, &mut plain).expect("renders");

@@ -1,32 +1,19 @@
 //! The figures' *plan* phase: enumerate a figure's experiment cells
 //! without computing any of them.
 //!
-//! Every renderer in this directory ultimately reads `(experiment,
-//! design)` cells through the [`CellCache`](crate::cell_cache::CellCache).
-//! [`of`] produces, for a resolved [`ExperimentSpec`], the exact cell
-//! descriptors that figure's render pass will look up — same mixes, same
-//! option derivation, same designs — so the suite can union the plans of
-//! many figures into one deduplicated work graph *before* any compute.
-//!
-//! Identity is load-bearing: a planned cell must hash to the same
-//! [`experiment_key`](crate::cell_cache::experiment_key) /
-//! [`run_key`](crate::cell_cache::run_key) the render's lookups use, or
-//! the render recomputes it (correct but slow). The enumeration
-//! therefore calls the *same* helpers the renderers call —
-//! [`mix_cell_inputs`](crate::mix_cell_inputs),
-//! [`fig09_cases`](super::case_study::fig09_cases),
-//! [`fig17_mix`](super::scaling::fig17_mix),
-//! [`sensitivity_jobs`](super::studies::sensitivity_jobs) — instead of
-//! transcribing their logic. `tests/plan_coverage.rs` pins the contract:
-//! after executing a figure's plan, its render computes zero new cells.
+//! [`of`] produces, for a resolved [`ExperimentSpec`], every cell the
+//! figure's render folds — same mixes, same option derivation, same
+//! designs — in the order the render reads them. It is the *only*
+//! enumeration of a figure's cells: the suite executor unions the plans
+//! of many figures into one deduplicated work graph, runs it, and hands
+//! each render its cells' results in plan order
+//! ([`FigureResults`](super::FigureResults)).
 //!
 //! The detailed-simulator studies (fig02, validate) plan *detailed*
 //! cells ([`DetailPlan`]) instead of analytic ones: the full input of
-//! [`run_detailed`](jumanji::sim::detail::run_detailed), enumerated
-//! with the same helpers the renders use, so scheduled detailed cells
-//! are pure cache hits at render time too. Figures with nothing to
-//! pre-compute (the closed-form fig08, the attack demos, the config
-//! tables) return an empty plan; the suite renders them directly.
+//! [`run_detailed`](jumanji::sim::detail::run_detailed). Figures with
+//! nothing to compute (the closed-form fig08, the attack demos, the
+//! config tables) return an empty plan.
 //!
 //! Cost priors ([`experiment_cost`], [`run_cost`], [`detail_cost`]) feed
 //! the scheduler's long-pole-first ordering. They are *relative* weights
@@ -48,15 +35,15 @@ use jumanji::sim::perf::Profile;
 use jumanji::types::{CoreId, Error, Seconds, VmId};
 use jumanji::workloads::WorkloadMix;
 
-/// One experiment cell a figure's render will look up: the experiment's
+/// One experiment cell a figure's render folds: the experiment's
 /// construction inputs plus every design the figure runs on it.
 #[derive(Debug, Clone)]
 pub struct CellPlan {
-    /// The workload mix, exactly as the render constructs it.
+    /// The workload mix.
     pub mix: WorkloadMix,
     /// Latency-critical load level.
     pub load: LcLoad,
-    /// Simulation options, after the render's seed derivation.
+    /// Simulation options, after the figure's seed derivation.
     pub opts: SimOptions,
     /// Designs the figure runs on this experiment (duplicates allowed;
     /// the graph dedups).
@@ -70,17 +57,16 @@ impl CellPlan {
     }
 }
 
-/// One detailed-simulator cell a figure's render will look up: the full
-/// input of [`run_detailed`](jumanji::sim::detail::run_detailed),
-/// including the allocation under test (allocations are cheap and
-/// memoized through the cell cache, so the plan pass resolves them
-/// up front — the render's own `allocate` call is then a pure hit).
+/// One detailed-simulator cell a figure's render folds: the full input
+/// of [`run_detailed`](jumanji::sim::detail::run_detailed), including
+/// the allocation under test (allocations are cheap and memoized through
+/// the cell cache, so the plan pass resolves them up front).
 #[derive(Debug, Clone)]
 pub struct DetailPlan {
     /// The design whose allocation is simulated (labeling only — the
     /// cell's identity is carried by `alloc` and the other inputs).
     pub design: DesignKind,
-    /// Detailed-run options, after the render's seed derivation.
+    /// Detailed-run options, after the figure's seed derivation.
     pub opts: DetailOptions,
     /// Per-app profiles in app order.
     pub profiles: Vec<Profile>,
@@ -110,9 +96,9 @@ impl DetailPlan {
 pub struct FigurePlan {
     /// The figure this plan describes.
     pub kind: FigureKind,
-    /// Its analytic cells, in the render's lookup order.
+    /// Its analytic cells, in the render's fold order.
     pub cells: Vec<CellPlan>,
-    /// Its detailed-simulator cells, in the render's lookup order.
+    /// Its detailed-simulator cells, in the render's fold order.
     pub details: Vec<DetailPlan>,
 }
 
@@ -123,8 +109,7 @@ impl FigurePlan {
         self.cells.iter().map(|c| c.designs.len()).sum()
     }
 
-    /// True when the figure pre-computes nothing through the cell cache
-    /// (no analytic and no detailed cells).
+    /// True when the figure has no cells (analytic or detailed).
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty() && self.details.is_empty()
     }
@@ -298,8 +283,8 @@ impl CostModel {
     }
 }
 
-/// `designs` with the Static baseline prepended (the matrix engine
-/// always runs it for normalization) and duplicates dropped.
+/// `designs` with the Static baseline prepended (the renders normalize
+/// by it) and duplicates dropped.
 fn with_baseline(designs: &[DesignKind]) -> Vec<DesignKind> {
     let mut out = vec![DesignKind::Static];
     for &d in designs {
@@ -310,9 +295,8 @@ fn with_baseline(designs: &[DesignKind]) -> Vec<DesignKind> {
     out
 }
 
-/// The plan of every figure built on the [`run_mix`](crate::run_mix)
-/// matrix engine: one cell per `(group, load, seed)`, Static baseline
-/// plus the spec's designs.
+/// The plan of the matrix figures (13–16): one cell per
+/// `(group, load, seed)`, Static baseline plus the spec's designs.
 fn matrix_cells(
     matrices: &[(LcGroup, LcLoad)],
     spec: &ExperimentSpec,
@@ -334,15 +318,20 @@ fn matrix_cells(
     Ok(cells)
 }
 
-/// Enumerates the cells `spec`'s render pass will look up, without
-/// computing any of them. Figures that pre-compute nothing through the
-/// cell cache return an empty plan.
+/// Enumerates the cells `spec`'s render folds, without computing any of
+/// them; detailed cells' allocations resolve through the process-wide
+/// cell cache. Figures with no cells return an empty plan.
 ///
 /// # Errors
 ///
-/// Returns [`Error::UnknownWorkload`] for specs naming unknown servers —
-/// the same error the render would hit, surfaced before any compute.
+/// Returns [`Error::UnknownWorkload`] for specs naming unknown servers,
+/// before any compute.
 pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
+    of_in(spec, CellCache::global())
+}
+
+/// [`of`], resolving detailed cells' allocations through `cache`.
+pub(crate) fn of_in(spec: &ExperimentSpec, cache: &CellCache) -> Result<FigurePlan, Error> {
     use FigureKind::*;
     let cells = match spec.kind {
         Fig04 => {
@@ -406,7 +395,7 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
         }
         Fig18 => {
             let mut cells = Vec::new();
-            for router in [1u64, 2, 3] {
+            for router in super::scaling::FIG18_ROUTER_CYCLES {
                 let mut cfg = SystemConfig::micro2020();
                 cfg.noc.router_cycles = router;
                 let opts = SimOptions {
@@ -466,9 +455,9 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
                 ],
             })
             .collect(),
-        // No analytic cells to pre-compute: Fig. 2 and validate run the
-        // detailed simulator (enumerated below), the rest are the
-        // closed-form queueing curve, the attack demos, and the tables.
+        // No analytic cells: Fig. 2 and validate run the detailed
+        // simulator (enumerated below), the rest are the closed-form
+        // queueing curve, the attack demos, and the tables.
         Fig02 | Fig08 | Fig11 | Fig12 | Table2 | Table3 | Validate => Vec::new(),
     };
     let details = match spec.kind {
@@ -487,7 +476,7 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
                     profiles: profiles.clone(),
                     cores: cores.clone(),
                     vms: vms.clone(),
-                    alloc: CellCache::global().allocate(design, &input),
+                    alloc: cache.allocate(design, &input),
                 })
                 .collect()
         }
@@ -500,7 +489,7 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
             // Render order: design outer, mix inner (cell index is
             // `design * mixes + mix`).
             for &design in &super::validate::DESIGNS {
-                let alloc = CellCache::global().allocate(design, &input);
+                let alloc = cache.allocate(design, &input);
                 for mix in 0..spec.mixes {
                     details.push(DetailPlan {
                         design,

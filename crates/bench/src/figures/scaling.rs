@@ -1,9 +1,7 @@
 //! Scaling and sensitivity figures: VM-count scaling (Fig. 17) and NoC
 //! router-delay sensitivity (Fig. 18).
 
-use super::sim_opts;
-use crate::cell_cache::CellCache;
-use crate::exec::parallel_map_traced;
+use super::FigureResults;
 use crate::spec::ExperimentSpec;
 use jumanji::prelude::*;
 use jumanji::sim::metrics::gmean;
@@ -16,8 +14,7 @@ use std::io::Write;
 
 /// The workload mix one Fig. 17 `(config, seed)` cell simulates: four
 /// distinct LC servers (as in the Mixed group) drawn with the fig17 seed
-/// salt, grouped per the VM config spec. Shared by the renderer and the
-/// suite's plan pass ([`super::plan`]) so both name identical cells.
+/// salt, grouped per the VM config spec (see [`super::plan`]).
 pub(crate) fn fig17_mix(cfg_spec: &[(usize, usize)], seed: u64) -> WorkloadMix {
     let mut pool = tailbench();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF17);
@@ -26,32 +23,32 @@ pub(crate) fn fig17_mix(cfg_spec: &[(usize, usize)], seed: u64) -> WorkloadMix {
     WorkloadMix::from_spec(cfg_spec, &pool, seed)
 }
 
+/// The router delays Fig. 18 sweeps, in row order.
+pub(crate) const FIG18_ROUTER_CYCLES: [u64; 3] = [1, 2, 3];
+
 /// Fig. 17: Jumanji's batch speedup as the 20 applications are grouped
 /// into 1 to 12 VMs (mixed latency-critical apps, high load).
-pub fn fig17(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig17(
+    spec: &ExperimentSpec,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 17: Jumanji batch speedup vs number of VMs ({mixes} mixes, mixed LC, high load)"
     )?;
     writeln!(out, "config\tgmean_speedup_pct\tworst_norm_tail")?;
-    let configs = fig17_configs();
-    // One (config, seed) cell per job; seeds derive everything, so the
-    // fan-out reproduces the serial per-seed results exactly.
-    let jobs = parallel_map_traced(configs.len() * mixes, spec.threads, tel, |i| {
-        let (_, cfg_spec) = &configs[i / mixes];
-        let seed = (i % mixes) as u64;
-        let mix = fig17_mix(cfg_spec, seed);
-        let cache = CellCache::global();
-        let exp = cache.experiment(mix, LcLoad::High, opts.clone());
-        let baseline = cache.run(&exp, DesignKind::Static, tel);
-        let r = cache.run(&exp, DesignKind::Jumanji, tel);
-        (r.weighted_speedup_vs(&baseline), r.max_norm_tail())
-    });
-    for ((label, _), chunk) in configs.iter().zip(jobs.chunks(mixes)) {
-        let speedups: Vec<f64> = chunk.iter().map(|(s, _)| *s).collect();
-        let worst_tail = chunk.iter().map(|(_, t)| *t).fold(0.0f64, f64::max);
+    // Each config's cells run [Static, Jumanji] over `mixes` seeds.
+    for ((label, _), runs) in fig17_configs().iter().zip(results.runs.chunks(mixes)) {
+        let speedups: Vec<f64> = runs
+            .iter()
+            .map(|r| r[1].weighted_speedup_vs(&r[0]))
+            .collect();
+        let worst_tail = runs
+            .iter()
+            .map(|r| r[1].max_norm_tail())
+            .fold(0.0f64, f64::max);
         writeln!(
             out,
             "{label}\t{:.2}\t{:.3}",
@@ -68,28 +65,23 @@ pub fn fig17(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 
 /// Fig. 18: NoC sensitivity — Jumanji's batch speedup on random mixes as
 /// router delay varies from 1 to 3 cycles.
-pub fn fig18(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig18(
+    spec: &ExperimentSpec,
+    results: &FigureResults,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     writeln!(
         out,
         "# Fig. 18: Jumanji speedup vs router delay ({mixes} mixed-LC mixes, high load)"
     )?;
     writeln!(out, "router_cycles\tgmean_speedup_pct")?;
-    for router in [1u64, 2, 3] {
-        let mut cfg = SystemConfig::micro2020();
-        cfg.noc.router_cycles = router;
-        let opts = SimOptions {
-            cfg,
-            ..sim_opts(spec)
-        };
-        let mut speedups = Vec::new();
-        for seed in 0..mixes as u64 {
-            let cache = CellCache::global();
-            let exp = cache.experiment(WorkloadMix::mixed_lc(seed), LcLoad::High, opts.clone());
-            let baseline = cache.run(&exp, DesignKind::Static, tel);
-            let r = cache.run(&exp, DesignKind::Jumanji, tel);
-            speedups.push(r.weighted_speedup_vs(&baseline));
-        }
+    // Each router delay's cells run [Static, Jumanji] over `mixes` seeds.
+    for (router, runs) in FIG18_ROUTER_CYCLES.iter().zip(results.runs.chunks(mixes)) {
+        let speedups: Vec<f64> = runs
+            .iter()
+            .map(|r| r[1].weighted_speedup_vs(&r[0]))
+            .collect();
         writeln!(out, "{router}\t{:.2}", (gmean(&speedups) - 1.0) * 100.0)?;
     }
     writeln!(

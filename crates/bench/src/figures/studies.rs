@@ -1,9 +1,7 @@
 //! Reproduction studies beyond the paper's figures: the design-choice
 //! ablation and the modeling-constant sensitivity sweep.
 
-use super::sim_opts;
-use crate::cell_cache::CellCache;
-use crate::exec::parallel_map_traced;
+use super::FigureResults;
 use crate::spec::ExperimentSpec;
 use jumanji::core::jumanji_with_trades;
 use jumanji::prelude::*;
@@ -11,6 +9,7 @@ use jumanji::sim::metrics::gmean;
 use jumanji::types::{Error, Seconds};
 use jumanji::workloads::WorkloadMix;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Ablation study of Jumanji's design choices (DESIGN.md §"ablations"):
 ///
@@ -25,17 +24,15 @@ use std::io::Write;
 ///    panic disabled — why the boost matters for tails.
 pub fn ablation(
     spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
+    results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let opts = sim_opts(spec);
-    let threads = spec.threads;
 
     // 1. Trade refinement on static placement problems.
     let cfg = SystemConfig::micro2020();
     let input = PlacementInput::example(&cfg);
-    let base = CellCache::global().allocate(DesignKind::Jumanji, &input);
+    let base = DesignKind::Jumanji.allocate(&input);
     let (traded, stats) = jumanji_with_trades(&input);
     let avg_batch_dist = |alloc: &jumanji::core::Allocation| -> f64 {
         let batch: Vec<_> = input
@@ -66,27 +63,16 @@ pub fn ablation(
         "# expected: few accepts, marginal distance change (the paper omitted trades).\n"
     )?;
 
-    // 2-3. Isolation and ideality costs over random mixes, one seed per
-    // worker-pool job.
-    let per_seed = parallel_map_traced(mixes, threads, tel, |seed| {
-        let cache = CellCache::global();
-        let exp = cache.experiment(case_study_mix(seed as u64), LcLoad::High, opts.clone());
-        let stat = cache.run(&exp, DesignKind::Static, tel);
-        (
-            cache
-                .run(&exp, DesignKind::Jumanji, tel)
-                .weighted_speedup_vs(&stat),
-            cache
-                .run(&exp, DesignKind::JumanjiInsecure, tel)
-                .weighted_speedup_vs(&stat),
-            cache
-                .run(&exp, DesignKind::JumanjiIdealBatch, tel)
-                .weighted_speedup_vs(&stat),
-        )
-    });
-    let jumanji_s: Vec<f64> = per_seed.iter().map(|r| r.0).collect();
-    let insecure_s: Vec<f64> = per_seed.iter().map(|r| r.1).collect();
-    let ideal_s: Vec<f64> = per_seed.iter().map(|r| r.2).collect();
+    // 2-3. Isolation and ideality costs over random mixes. Each seed
+    // plans two cells: [Static, Jumanji, Insecure, Ideal Batch] under the
+    // paper controller, then [Jumanji] with the panic disabled.
+    let per_seed = || results.runs.chunks(2);
+    let speedups = |d: usize| -> Vec<f64> {
+        per_seed()
+            .map(|cells| cells[0][d].weighted_speedup_vs(&cells[0][0]))
+            .collect()
+    };
+    let (jumanji_s, insecure_s, ideal_s) = (speedups(1), speedups(2), speedups(3));
     writeln!(
         out,
         "# Ablation 2-3: isolation and greedy-placement costs ({mixes} mixes)"
@@ -110,25 +96,13 @@ pub fn ablation(
         "# expected: isolation cost < ~3 pp, ideality gap < ~2 pp (Fig. 16).\n"
     )?;
 
-    // 4. Panic ablation: raise the threshold out of reach.
-    let no_panic = no_panic_params();
-    let tails = parallel_map_traced(mixes, threads, tel, |seed| {
-        let cache = CellCache::global();
-        let exp = cache.experiment(case_study_mix(seed as u64), LcLoad::High, opts.clone());
-        let with_t = cache.run(&exp, DesignKind::Jumanji, tel).max_norm_tail();
-        let exp2 = cache.experiment(
-            case_study_mix(seed as u64),
-            LcLoad::High,
-            SimOptions {
-                controller: Some(no_panic),
-                ..opts.clone()
-            },
-        );
-        let without_t = cache.run(&exp2, DesignKind::Jumanji, tel).max_norm_tail();
-        (with_t, without_t)
-    });
-    let with_t = tails.iter().map(|t| t.0).fold(0.0f64, f64::max);
-    let without_t = tails.iter().map(|t| t.1).fold(0.0f64, f64::max);
+    // 4. Panic ablation: the threshold raised out of reach.
+    let with_t = per_seed()
+        .map(|cells| cells[0][1].max_norm_tail())
+        .fold(0.0f64, f64::max);
+    let without_t = per_seed()
+        .map(|cells| cells[1][0].max_norm_tail())
+        .fold(0.0f64, f64::max);
     writeln!(out, "# Ablation 4: controller panic boost")?;
     writeln!(
         out,
@@ -143,9 +117,8 @@ pub fn ablation(
 }
 
 /// The panic-disabled controller of ablation part 4: the paper's
-/// parameters with the panic threshold raised out of reach. Shared by
-/// the renderer and the suite's plan pass ([`super::plan`]) so both
-/// name the panic-ablation cells identically.
+/// parameters with the panic threshold raised out of reach (see
+/// [`super::plan`]).
 pub(crate) fn no_panic_params() -> ControllerParams {
     let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
     ControllerParams {
@@ -155,7 +128,6 @@ pub(crate) fn no_panic_params() -> ControllerParams {
 }
 
 struct Row {
-    label: String,
     jumanji_speedup: f64,
     jigsaw_speedup: f64,
     adaptive_speedup: f64,
@@ -163,34 +135,24 @@ struct Row {
     jigsaw_tail: f64,
 }
 
-// lint:allow(plan-bypass): the mix/opts arrive as parameters — every caller
-// builds them via sensitivity_jobs(), the shared plan helper for this sweep.
-fn sensitivity_run_one(
-    mix: WorkloadMix,
-    opts: SimOptions,
-    label: String,
-    tel: &dyn Telemetry,
-) -> Row {
-    let cache = CellCache::global();
-    let exp = cache.experiment(mix, LcLoad::High, opts);
-    let stat = cache.run(&exp, DesignKind::Static, tel);
-    let jumanji = cache.run(&exp, DesignKind::Jumanji, tel);
-    let jigsaw = cache.run(&exp, DesignKind::Jigsaw, tel);
-    let adaptive = cache.run(&exp, DesignKind::Adaptive, tel);
-    Row {
-        label,
-        jumanji_speedup: (jumanji.weighted_speedup_vs(&stat) - 1.0) * 100.0,
-        jigsaw_speedup: (jigsaw.weighted_speedup_vs(&stat) - 1.0) * 100.0,
-        adaptive_speedup: (adaptive.weighted_speedup_vs(&stat) - 1.0) * 100.0,
-        jumanji_tail: jumanji.max_norm_tail(),
-        jigsaw_tail: jigsaw.max_norm_tail(),
+impl Row {
+    /// One sweep job's row from its [Static, Jumanji, Jigsaw, Adaptive]
+    /// runs.
+    fn of(runs: &[Arc<ExperimentResult>]) -> Row {
+        let (stat, jumanji, jigsaw, adaptive) = (&runs[0], &runs[1], &runs[2], &runs[3]);
+        Row {
+            jumanji_speedup: (jumanji.weighted_speedup_vs(stat) - 1.0) * 100.0,
+            jigsaw_speedup: (jigsaw.weighted_speedup_vs(stat) - 1.0) * 100.0,
+            adaptive_speedup: (adaptive.weighted_speedup_vs(stat) - 1.0) * 100.0,
+            jumanji_tail: jumanji.max_norm_tail(),
+            jigsaw_tail: jigsaw.max_norm_tail(),
+        }
     }
 }
 
 /// The sensitivity sweep's job list for `n` seeds per knob:
-/// `(mix, options, label)` rows in sweep order. Shared by the renderer
-/// and the suite's plan pass ([`super::plan`]) so both enumerate
-/// identical cells. Construction is cheap and deterministic.
+/// `(mix, options, label)` rows in sweep order: the plan's cells and the
+/// render's row labels. Construction is cheap and deterministic.
 pub(crate) fn sensitivity_jobs(n: usize) -> Vec<(WorkloadMix, SimOptions, String)> {
     let mut jobs: Vec<(WorkloadMix, SimOptions, String)> = Vec::new();
 
@@ -258,7 +220,7 @@ pub(crate) fn sensitivity_jobs(n: usize) -> Vec<(WorkloadMix, SimOptions, String
 /// gain nothing — hold across those choices.
 pub fn sensitivity(
     spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
+    results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let n = spec.mixes;
@@ -270,28 +232,19 @@ pub fn sensitivity(
         out,
         "knob\tvariant\tjumanji%\tjigsaw%\tadaptive%\tjumanji_tail\tjigsaw_tail"
     )?;
-    // The expensive part (the four simulation runs per job) fans out
-    // across the thread pool, with results landing back in list order.
-    let jobs = sensitivity_jobs(n);
-
-    let rows: Vec<Row> = parallel_map_traced(jobs.len(), spec.threads, tel, |i| {
-        let (mix, opts, label) = &jobs[i];
-        sensitivity_run_one(mix.clone(), opts.clone(), label.clone(), tel)
-    });
-
-    // Aggregate rows by label.
-    let mut agg: Vec<(String, Vec<&Row>)> = Vec::new();
-    for r in &rows {
-        match agg.iter_mut().find(|(l, _)| *l == r.label) {
-            Some((_, v)) => v.push(r),
-            None => agg.push((r.label.clone(), vec![r])),
+    // Aggregate the jobs' rows by label.
+    let mut agg: Vec<(String, Vec<Row>)> = Vec::new();
+    for ((_, _, label), runs) in sensitivity_jobs(n).into_iter().zip(&results.runs) {
+        let row = Row::of(runs);
+        match agg.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, v)) => v.push(row),
+            None => agg.push((label, vec![row])),
         }
     }
     let mut ok = true;
     for (label, group) in &agg {
-        let mean = |f: fn(&Row) -> f64| -> f64 {
-            group.iter().map(|r| f(r)).sum::<f64>() / group.len() as f64
-        };
+        let mean =
+            |f: fn(&Row) -> f64| -> f64 { group.iter().map(f).sum::<f64>() / group.len() as f64 };
         let (ju, ji, ad) = (
             mean(|r| r.jumanji_speedup),
             mean(|r| r.jigsaw_speedup),

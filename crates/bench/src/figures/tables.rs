@@ -1,18 +1,13 @@
 //! Configuration tables: the simulated system (Table II) and the
 //! latency-critical workload roster (Table III).
 
-use crate::spec::ExperimentSpec;
 use jumanji::prelude::*;
 use jumanji::sim::deadline::deadline_cycles;
 use jumanji::types::Error;
 use std::io::Write;
 
 /// Table II: system parameters of the simulated multicore.
-pub fn table2(
-    _spec: &ExperimentSpec,
-    _tel: &dyn Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
+pub fn table2(out: &mut dyn Write) -> Result<(), Error> {
     let cfg = SystemConfig::micro2020();
     cfg.validate().map_err(jumanji::types::Error::from)?;
     writeln!(out, "# Table II: system parameters (paper Sec. VII)")?;
@@ -69,11 +64,7 @@ pub fn table2(
 
 /// Table III: workload configuration for latency-critical applications,
 /// plus the derived deadlines used throughout the evaluation.
-pub fn table3(
-    _spec: &ExperimentSpec,
-    _tel: &dyn Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
+pub fn table3(out: &mut dyn Write) -> Result<(), Error> {
     let cfg = SystemConfig::micro2020();
     writeln!(out, "# Table III: latency-critical workload configuration")?;
     writeln!(out, "app\tqps_low\tqps_high\tnum_queries\tdeadline_ms")?;

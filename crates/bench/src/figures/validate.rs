@@ -2,23 +2,21 @@
 //! the analytic epoch model's miss ratio and hop distance vs. the
 //! detailed execution-driven simulation of the same allocation.
 
-use crate::cell_cache::CellCache;
-use crate::exec::parallel_map_traced;
+use super::plan::FigurePlan;
+use super::FigureResults;
 use crate::spec::ExperimentSpec;
 use jumanji::core::AppKind;
 use jumanji::prelude::*;
-use jumanji::sim::detail::{DetailOptions, DetailReport};
-use jumanji::sim::perf::{evaluate, AppPerf, Profile};
-use jumanji::types::{CoreId, Error, VmId};
+use jumanji::sim::detail::DetailOptions;
+use jumanji::sim::perf::{evaluate, Profile};
+use jumanji::types::Error;
 use std::io::Write;
-use std::sync::Arc;
 
-/// The two designs validate cross-checks (shared with the plan pass).
+/// The two designs validate cross-checks (see [`super::plan`]).
 pub(crate) const DESIGNS: [DesignKind; 2] = [DesignKind::Adaptive, DesignKind::Jumanji];
 
 /// Builds the profile list for one mix by rotating the LC and batch
 /// rosters; mix 0 is the canonical assignment the seed tree used.
-/// Shared with the plan pass, which must name the exact same cells.
 pub(crate) fn profiles_for_mix(input: &PlacementInput, mix: usize) -> Vec<Profile> {
     let lc = tailbench();
     let batch = spec2006();
@@ -35,7 +33,7 @@ pub(crate) fn profiles_for_mix(input: &PlacementInput, mix: usize) -> Vec<Profil
 
 /// The detailed-run options for one validate mix: per-cell seeds derive
 /// from the mix index alone, so output is byte-identical at any thread
-/// count. Shared with the plan pass.
+/// count.
 pub(crate) fn detail_opts(cfg: &SystemConfig, accesses: usize, mix: usize) -> DetailOptions {
     DetailOptions {
         cfg: cfg.clone(),
@@ -45,61 +43,16 @@ pub(crate) fn detail_opts(cfg: &SystemConfig, accesses: usize, mix: usize) -> De
     }
 }
 
-struct Cell {
-    design: DesignKind,
-    mix: usize,
-    profiles: Vec<Profile>,
-    analytic: Vec<AppPerf>,
-    detail: Arc<DetailReport>,
-    isolated: bool,
-}
-
-/// Analytic-vs-detailed cross-validation over `(design, mix)` cells.
-///
-/// Cells are independent, so they fan out across the worker pool;
-/// per-cell seeds derive from the mix index alone, so output is
-/// byte-identical at any thread count.
+/// Analytic-vs-detailed cross-validation over `(design, mix)` cells:
+/// each planned detailed cell's report beside the analytic model's
+/// evaluation of the same allocation.
 pub fn validate(
     spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
+    plan: &FigurePlan,
+    results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let accesses = spec.accesses;
-    let threads = spec.threads;
-
-    let cfg = SystemConfig::micro2020();
-    let input = PlacementInput::example(&cfg);
-    let cores: Vec<CoreId> = input.apps.iter().map(|a| a.core).collect();
-    let vms: Vec<VmId> = input.apps.iter().map(|a| a.vm).collect();
-
-    // One cell per (design, mix); index = design * mixes + mix.
-    let cells = parallel_map_traced(DESIGNS.len() * mixes, threads, tel, |idx| {
-        let design = DESIGNS[idx / mixes];
-        let mix = idx % mixes;
-        let profiles = profiles_for_mix(&input, mix);
-        let rates: Vec<f64> = profiles
-            .iter()
-            .map(|p| match p {
-                Profile::Batch(b) => 1.5e9 * b.llc_apki / 1000.0,
-                Profile::Lc(l, load) => l.qps(*load) * l.accesses_per_req,
-            })
-            .collect();
-        let alloc = CellCache::global().allocate(design, &input);
-        let analytic = evaluate(&cfg, &profiles, &cores, &alloc, &rates);
-        let opts = detail_opts(&cfg, accesses, mix);
-        let detail = CellCache::global().run_detail(&opts, &profiles, &cores, &vms, &alloc, tel);
-        let isolated = detail.vm_isolated(&vms);
-        Cell {
-            design,
-            mix,
-            profiles,
-            analytic,
-            detail,
-            isolated,
-        }
-    });
-
     writeln!(
         out,
         "# Analytic vs detailed simulation, per app, {mixes} mixes, two designs"
@@ -108,25 +61,44 @@ pub fn validate(
         out,
         "design\tmix\tapp\tcap_mb\tmr_analytic\tmr_detailed\thops_analytic\thops_detailed"
     )?;
-    for cell in &cells {
-        for i in 0..cell.profiles.len() {
+    // Cells are design-major: index = design * mixes + mix.
+    for (idx, (cell, detail)) in plan.details.iter().zip(&results.details).enumerate() {
+        let mix = idx % mixes;
+        let rates: Vec<f64> = cell
+            .profiles
+            .iter()
+            .map(|p| match p {
+                Profile::Batch(b) => 1.5e9 * b.llc_apki / 1000.0,
+                Profile::Lc(l, load) => l.qps(*load) * l.accesses_per_req,
+            })
+            .collect();
+        let analytic = evaluate(
+            &cell.opts.cfg,
+            &cell.profiles,
+            &cell.cores,
+            &cell.alloc,
+            &rates,
+        );
+        for (i, profile) in cell.profiles.iter().enumerate() {
             writeln!(
                 out,
                 "{}\t{}\t{}\t{:.2}\t{:.3}\t{:.3}\t{:.2}\t{:.2}",
                 cell.design,
-                cell.mix,
-                cell.profiles[i].name(),
-                cell.analytic[i].capacity_bytes / 1048576.0,
-                cell.analytic[i].miss_ratio,
-                cell.detail.apps[i].miss_ratio(),
-                cell.analytic[i].avg_hops,
-                cell.detail.apps[i].avg_hops(),
+                mix,
+                profile.name(),
+                analytic[i].capacity_bytes / 1048576.0,
+                analytic[i].miss_ratio,
+                detail.apps[i].miss_ratio(),
+                analytic[i].avg_hops,
+                detail.apps[i].avg_hops(),
             )?;
         }
         writeln!(
             out,
             "# {} mix {}: VM-isolated in real cache state: {}",
-            cell.design, cell.mix, cell.isolated
+            cell.design,
+            mix,
+            detail.vm_isolated(&cell.vms)
         )?;
     }
     writeln!(

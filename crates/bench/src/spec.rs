@@ -1,53 +1,46 @@
-//! One declarative description of a figure run, shared by every binary.
+//! One declarative description of a figure run.
 //!
-//! [`ExperimentSpec`] collects the knobs the 18 figure/table binaries
-//! used to resolve by hand — mix count, worker threads, RNG seed,
-//! detailed-sim accesses, design list, output, telemetry — behind one
-//! builder, with one resolution order everywhere:
+//! [`ExperimentSpec`] collects every knob of a figure run — mix count,
+//! worker threads, RNG seed, detailed-sim accesses, design list, cache
+//! controls, trace output — behind one builder, with one resolution order
+//! everywhere:
 //!
 //! 1. CLI flag (`--mixes`, `--threads`, `--seed`, `--accesses`,
-//!    `--trace`, `--cache-dir`, `--no-cache`) — strict: a missing or
-//!    unparseable value is a usage error.
-//! 2. Environment (`JUMANJI_MIXES`, `JUMANJI_THREADS`, `JUMANJI_TRACE`,
-//!    `JUMANJI_CACHE_DIR`, `JUMANJI_NO_CACHE`) — lenient: an
-//!    unparseable value falls through, so a stale export degrades to
-//!    the default instead of silently meaning something else.
+//!    `--trace`, `--cache-dir`, `--no-cache`, `--cache-cap-bytes`) —
+//!    strict: a missing or unparseable value is a usage error.
+//! 2. Environment — lenient: an unparseable value falls through, so a
+//!    stale export degrades to the default instead of silently meaning
+//!    something else:
+//!    - `JUMANJI_MIXES`, `JUMANJI_THREADS` — counts;
+//!    - `JUMANJI_TRACE` — JSONL trace path;
+//!    - `JUMANJI_CACHE_DIR` — persistent store directory;
+//!    - `JUMANJI_NO_CACHE` — any value but empty or `0` disables caching;
+//!    - `JUMANJI_CACHE_CAP` — store size cap in bytes (`0` = unbounded).
 //! 3. The spec's builder value ([`ExperimentSpec::cache_dir`] /
 //!    [`ExperimentSpec::no_cache`] for the cache controls), then the
 //!    figure's own default ([`FigureKind::default_mixes`] etc.).
 //!
-//! A binary is then a one-liner:
+//! The suite executor ([`crate::suite::run_suite`]) honours the cache
+//! controls. Library callers build specs directly and render through
+//! [`figures::emit`](crate::figures::emit):
 //!
 //! ```no_run
-//! use jumanji_bench::{figure_main, FigureKind};
-//!
-//! fn main() -> std::process::ExitCode {
-//!     figure_main(FigureKind::Fig13)
-//! }
-//! ```
-//!
-//! and library callers build specs directly:
-//!
-//! ```no_run
-//! use jumanji_bench::{run_spec, ExperimentSpec, FigureKind};
+//! use jumanji::telemetry::NoopSink;
+//! use jumanji_bench::{figures, ExperimentSpec, FigureKind};
 //!
 //! let spec = ExperimentSpec::new(FigureKind::Fig14).mixes(2).threads(4);
-//! run_spec(&spec).expect("figure renders");
+//! figures::emit(&spec, &NoopSink, &mut std::io::stdout()).expect("figure renders");
 //! ```
 
 // spec.rs IS the centralized JUMANJI_* config surface (lint.toml
 // [paths].env_allow), so the env-read ban does not apply here.
 #![allow(clippy::disallowed_methods)]
 
-use crate::figures;
 use jumanji::prelude::*;
 use jumanji::types::Error;
-use std::io::Write;
 use std::path::PathBuf;
-use std::process::ExitCode;
-use std::sync::Arc;
 
-/// Every figure, table, and study binary in the evaluation.
+/// Every figure, table, and study in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variants mirror the paper's figure numbers
 pub enum FigureKind {
@@ -97,7 +90,8 @@ impl FigureKind {
         ]
     }
 
-    /// Binary name (`fig13`, `table2`, …).
+    /// Figure name (`fig13`, `table2`, …): the `suite --figures` token
+    /// and the TSV's file stem.
     pub fn name(self) -> &'static str {
         use FigureKind::*;
         match self {
@@ -186,9 +180,9 @@ impl FigureKind {
 /// Declarative description of one figure run.
 ///
 /// Build with [`ExperimentSpec::new`] (per-figure defaults) or
-/// [`ExperimentSpec::from_args_env`] (the binaries' CLI/env resolution),
-/// then refine with the builder methods and hand to [`run_spec`].
-#[derive(Clone)]
+/// [`ExperimentSpec::from_args_env`] (the `suite` binary's CLI/env
+/// resolution), then refine with the builder methods.
+#[derive(Debug, Clone)]
 pub struct ExperimentSpec {
     /// Which figure to render.
     pub kind: FigureKind,
@@ -204,34 +198,16 @@ pub struct ExperimentSpec {
     /// Designs to evaluate, for figures that iterate over a design list.
     pub designs: Vec<DesignKind>,
     /// Back the shared cell cache with a persistent store at this
-    /// directory (applied by [`run_spec_to`]; ignored when `no_cache`
-    /// is set).
+    /// directory (ignored when `no_cache` is set).
     pub cache_dir: Option<PathBuf>,
-    /// Disable the shared cell cache entirely: every cell computes
-    /// fresh (beats `cache_dir`).
+    /// Size cap of the persistent store in bytes; `0` is unbounded.
+    pub cache_cap_bytes: u64,
+    /// Run against a throwaway memory-only cache: nothing is read from
+    /// or written to the shared cache or any store (beats `cache_dir`).
     pub no_cache: bool,
-    /// Write telemetry as JSONL to this path (ignored when `telemetry`
-    /// is set).
+    /// Write telemetry as JSONL to this path (the `suite` binary opens
+    /// it).
     pub trace: Option<PathBuf>,
-    /// Explicit telemetry sink; takes precedence over `trace`.
-    pub telemetry: Option<Arc<dyn Telemetry>>,
-}
-
-impl std::fmt::Debug for ExperimentSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExperimentSpec")
-            .field("kind", &self.kind)
-            .field("mixes", &self.mixes)
-            .field("threads", &self.threads)
-            .field("seed", &self.seed)
-            .field("accesses", &self.accesses)
-            .field("designs", &self.designs)
-            .field("cache_dir", &self.cache_dir)
-            .field("no_cache", &self.no_cache)
-            .field("trace", &self.trace)
-            .field("telemetry", &self.telemetry.as_ref().map(|_| ".."))
-            .finish()
-    }
 }
 
 impl ExperimentSpec {
@@ -246,9 +222,9 @@ impl ExperimentSpec {
             accesses: kind.default_accesses(),
             designs: kind.default_designs(),
             cache_dir: None,
+            cache_cap_bytes: 0,
             no_cache: false,
             trace: None,
-            telemetry: None,
         }
     }
 
@@ -283,17 +259,16 @@ impl ExperimentSpec {
     }
 
     /// Backs the shared cell cache with a persistent store at `dir`
-    /// when the spec runs (same semantics as the binaries'
-    /// `--cache-dir`; overridden by `JUMANJI_CACHE_DIR` and the CLI
-    /// flag under [`Self::from_args_env`]).
+    /// when the spec runs (same semantics as `--cache-dir`; overridden
+    /// by `JUMANJI_CACHE_DIR` and the CLI flag under
+    /// [`Self::from_args_env`]).
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> ExperimentSpec {
         self.cache_dir = Some(dir.into());
         self
     }
 
-    /// Disables the shared cell cache for this spec's run (same
-    /// semantics as the binaries' `--no-cache`; beats
-    /// [`Self::cache_dir`]).
+    /// Runs this spec against a throwaway cache (same semantics as
+    /// `--no-cache`; beats [`Self::cache_dir`]).
     pub fn no_cache(mut self) -> ExperimentSpec {
         self.no_cache = true;
         self
@@ -305,97 +280,86 @@ impl ExperimentSpec {
         self
     }
 
-    /// Installs an explicit telemetry sink (beats [`Self::trace`]).
-    pub fn telemetry(mut self, sink: Arc<dyn Telemetry>) -> ExperimentSpec {
-        self.telemetry = Some(sink);
-        self
-    }
-
     /// Parses an argv-style slice (program name first or not — only
     /// `--flag value` pairs are inspected).
     ///
     /// # Errors
     ///
     /// Returns a usage [`Error::Flag`] for a recognized flag with a
-    /// missing or unparseable value. Unrecognized arguments are ignored,
-    /// as the original binaries did.
+    /// missing or unparseable value. Unrecognized arguments are ignored.
     pub fn from_args(kind: FigureKind, args: &[String]) -> Result<ExperimentSpec, Error> {
-        let mut spec = ExperimentSpec::new(kind);
-        if let Some(v) = parse_flag(args, "--mixes")? {
-            spec.mixes = v;
-        }
-        if let Some(v) = parse_flag(args, "--threads")? {
-            spec.threads = v;
-        }
-        if let Some(v) = parse_flag(args, "--seed")? {
-            spec.seed = v;
-        }
-        if let Some(v) = parse_flag(args, "--accesses")? {
-            spec.accesses = v;
-        }
-        if let Some(p) = flag_text(args, "--trace")? {
-            spec.trace = Some(PathBuf::from(p));
-        }
-        resolve_cache_controls(&mut spec, args, None, None)?;
-        spec.mixes = spec.mixes.max(1);
-        spec.threads = spec.threads.max(1);
-        spec.accesses = spec.accesses.max(1);
-        Ok(spec)
+        ExperimentSpec::new(kind).apply_flags(args)
     }
 
-    /// [`Self::from_args`] on the process's own argv, with the
-    /// environment filled in underneath: CLI beats `JUMANJI_MIXES` /
-    /// `JUMANJI_THREADS` / `JUMANJI_TRACE` beats the figure's default.
+    /// [`Self::from_args`] on the process's own argv over the
+    /// environment layer: CLI beats `JUMANJI_*` beats the figure's
+    /// default (see the module docs for the variables).
     ///
     /// # Errors
     ///
     /// Usage errors from CLI flags only — environment values that fail
     /// to parse fall through to the default.
     pub fn from_args_env(kind: FigureKind) -> Result<ExperimentSpec, Error> {
-        let args: Vec<String> = std::env::args().collect();
         let mut spec = ExperimentSpec::new(kind);
-        // Environment first (lenient), so CLI overwrites it.
         if let Some(v) = env_count("JUMANJI_MIXES") {
-            spec.mixes = v.max(1);
+            spec.mixes = v;
         }
         if let Some(v) = env_count("JUMANJI_THREADS") {
-            spec.threads = v.max(1);
+            spec.threads = v;
         }
         if let Some(p) = std::env::var_os("JUMANJI_TRACE") {
             if !p.is_empty() {
                 spec.trace = Some(PathBuf::from(p));
             }
         }
-        if let Some(v) = parse_flag::<usize>(&args, "--mixes")? {
-            spec.mixes = v.max(1);
-        }
-        if let Some(v) = parse_flag::<usize>(&args, "--threads")? {
-            spec.threads = v.max(1);
-        }
-        if let Some(v) = parse_flag::<u64>(&args, "--seed")? {
-            spec.seed = v;
-        }
-        if let Some(v) = parse_flag::<usize>(&args, "--accesses")? {
-            spec.accesses = v.max(1);
-        }
-        if let Some(p) = flag_text(&args, "--trace")? {
-            spec.trace = Some(PathBuf::from(p));
+        if let Some(cap) = env_count("JUMANJI_CACHE_CAP") {
+            spec.cache_cap_bytes = cap as u64;
         }
         resolve_cache_controls(
             &mut spec,
-            &args,
+            &[],
             std::env::var("JUMANJI_NO_CACHE").ok(),
             std::env::var("JUMANJI_CACHE_DIR").ok(),
         )?;
-        Ok(spec)
+        let args: Vec<String> = std::env::args().collect();
+        spec.apply_flags(&args)
+    }
+
+    /// The CLI layer: every recognized flag in `args` overrides the
+    /// spec's value (strictly parsed), then the counts are clamped.
+    fn apply_flags(mut self, args: &[String]) -> Result<ExperimentSpec, Error> {
+        if let Some(v) = parse_flag(args, "--mixes")? {
+            self.mixes = v;
+        }
+        if let Some(v) = parse_flag(args, "--threads")? {
+            self.threads = v;
+        }
+        if let Some(v) = parse_flag(args, "--seed")? {
+            self.seed = v;
+        }
+        if let Some(v) = parse_flag(args, "--accesses")? {
+            self.accesses = v;
+        }
+        if let Some(p) = flag_text(args, "--trace")? {
+            self.trace = Some(PathBuf::from(p));
+        }
+        if let Some(v) = parse_flag(args, "--cache-cap-bytes")? {
+            self.cache_cap_bytes = v;
+        }
+        resolve_cache_controls(&mut self, args, None, None)?;
+        self.mixes = self.mixes.max(1);
+        self.threads = self.threads.max(1);
+        self.accesses = self.accesses.max(1);
+        Ok(self)
     }
 }
 
-/// Resolves the spec's cache controls with the binaries' precedence:
-/// CLI flag beats environment beats whatever the builder set. The
-/// environment is lenient (empty or `0` means unset), the CLI strict —
-/// factored over explicit `env_*` values so tests need not mutate
-/// process environment.
+/// Resolves the spec's `no_cache` / `cache_dir` controls: CLI flag
+/// beats environment beats whatever the builder set. The environment is
+/// lenient (empty or `0` means unset), the CLI strict — factored over
+/// explicit `env_*` values so tests need not mutate process environment.
+/// The environment layer calls it with no arguments, the CLI layer with
+/// no environment.
 fn resolve_cache_controls(
     spec: &mut ExperimentSpec,
     args: &[String],
@@ -457,78 +421,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 /// A `VAR=n` environment count; unset or unparseable yields `None`.
 fn env_count(var: &str) -> Option<usize> {
     std::env::var(var).ok()?.parse().ok()
-}
-
-/// Renders the spec's figure to stdout (locked for the duration).
-///
-/// # Errors
-///
-/// Propagates figure errors ([`run_spec_to`]).
-pub fn run_spec(spec: &ExperimentSpec) -> Result<(), Error> {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    run_spec_to(spec, &mut out)
-}
-
-/// Renders the spec's figure to any writer, resolving the telemetry sink
-/// (explicit sink, then `trace` path as a [`JsonlSink`], then the no-op
-/// sink) and flushing both on the way out.
-///
-/// # Errors
-///
-/// Returns usage errors for bad spec inputs (unknown workload names),
-/// and runtime errors for I/O failures on `out` or the trace file.
-pub fn run_spec_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Error> {
-    let cache = crate::cell_cache::CellCache::global();
-    if spec.no_cache {
-        cache.set_enabled(false);
-    } else if let Some(dir) = &spec.cache_dir {
-        // The binaries attach the store in `apply_cache_flags` before
-        // the spec exists; re-attaching the same root would reset its
-        // counters mid-run, so only attach when the root differs.
-        let attached = cache.disk().is_some_and(|d| d.root() == dir.as_path());
-        if !attached {
-            crate::cell_cache::attach_global_disk(&dir.to_string_lossy());
-        }
-    }
-    let jsonl;
-    let tel: &dyn Telemetry = match (&spec.telemetry, &spec.trace) {
-        (Some(sink), _) => sink.as_ref(),
-        (None, Some(path)) => {
-            jsonl = JsonlSink::create(path)?;
-            &jsonl
-        }
-        (None, None) => &NoopSink,
-    };
-    figures::emit(spec, tel, out)?;
-    out.flush()?;
-    Ok(())
-}
-
-/// The whole `main` of a figure binary: parse argv/env (including the
-/// process-level `--no-cache` / `--cache-dir DIR` cache controls), run,
-/// persist the model memos to the disk store on success, and map errors
-/// to exit codes (usage → 2, runtime → 1).
-pub fn figure_main(kind: FigureKind) -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    crate::cell_cache::apply_cache_flags(&args);
-    let spec = match ExperimentSpec::from_args_env(kind) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("{}: {e}", kind.name());
-            return ExitCode::from(2);
-        }
-    };
-    match run_spec(&spec) {
-        Ok(()) => {
-            crate::cell_cache::persist_global_disk();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{}: {e}", kind.name());
-            ExitCode::from(if e.is_usage() { 2 } else { 1 })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -677,6 +569,33 @@ mod tests {
     }
 
     #[test]
+    fn cache_flags_are_recognised() {
+        let spec = ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--mixes", "2"]))
+            .expect("valid argv");
+        assert!(!spec.no_cache && spec.cache_dir.is_none() && spec.cache_cap_bytes == 0);
+        let args = argv(&[
+            "fig13",
+            "--no-cache",
+            "--cache-dir=/tmp/y",
+            "--cache-cap-bytes",
+            "4096",
+        ]);
+        let spec = ExperimentSpec::from_args(FigureKind::Fig13, &args).expect("valid argv");
+        assert!(spec.no_cache);
+        assert_eq!(
+            spec.cache_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/y"))
+        );
+        assert_eq!(spec.cache_cap_bytes, 4096);
+        let err = ExperimentSpec::from_args(
+            FigureKind::Fig13,
+            &argv(&["fig13", "--cache-cap-bytes", "lots"]),
+        )
+        .expect_err("unparseable cap");
+        assert!(err.is_usage());
+    }
+
+    #[test]
     fn builder_cache_controls_set_fields() {
         let spec = ExperimentSpec::new(FigureKind::Fig14)
             .cache_dir("/tmp/cells")
@@ -713,6 +632,6 @@ mod tests {
         assert_eq!(names.len(), 18);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 18, "duplicate binary name");
+        assert_eq!(names.len(), 18, "duplicate figure name");
     }
 }

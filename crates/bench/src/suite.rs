@@ -1,10 +1,10 @@
-//! The cross-figure suite engine: plan → union → schedule → stream.
+//! The one executor every figure run goes through: plan → union →
+//! schedule → render.
 //!
-//! [`run_suite`] turns a list of figure specs into TSVs through four
-//! phases:
+//! [`run_suite`] turns a list of figure specs into TSVs in four phases:
 //!
-//! 1. **Plan.** Each figure enumerates its experiment cells without
-//!    computing them ([`figures::plan`]).
+//! 1. **Plan.** Each figure enumerates its cells without computing them
+//!    ([`figures::plan`]) — the only enumeration of a figure's cells.
 //! 2. **Union.** The plans merge into one deduplicated work graph: one
 //!    node per unique experiment construction, one per unique
 //!    `(experiment, design)` run, and one per unique detailed-simulator
@@ -13,26 +13,27 @@
 //!    matter how many figures want it — and at equal `--accesses`, a
 //!    validate mix-0 detailed cell is fig02's cell for that design.
 //! 3. **Schedule.** The graph executes on the work-stealing pool
-//!    ([`exec::sched`]), long poles first, writing every result through
-//!    the process-wide cache — exactly where the render pass (and the
-//!    standalone binaries) will look.
-//! 4. **Stream.** Figures render in requested order, each the moment its
-//!    last cell completes — a figure whose cells finished early emits
-//!    while the pool is still chewing on later figures' work. Renders
-//!    are pure cache hits, so output is byte-identical to the
-//!    sequential path at every thread count.
+//!    ([`exec::sched`]), long poles first. Each node reads through the
+//!    cell cache (and its disk store), so cells an earlier run computed
+//!    are served, and its result lands in the node's own slot.
+//! 4. **Render.** Figures render in requested order, each the moment its
+//!    last node completes, as a pure fold of its nodes' results in plan
+//!    order ([`figures::render`]) — a figure whose cells finished early
+//!    emits while the pool still works on later figures. Output is
+//!    byte-identical at every thread count; `--threads 1` is the serial
+//!    reference.
 //!
-//! The plan is an *optimization contract*, not a correctness one: a cell
-//! the plan missed is computed by the render as before (slow but right),
-//! and `tests/plan_coverage.rs` keeps the plans exact. With tracing on,
-//! the scheduler emits each unique cell's event stream exactly once (the
-//! cache bypasses reads under tracing, so planned figures then render
-//! against a no-op sink to avoid recomputing); with the cache disabled
-//! (`--no-cache`) scheduling would be pure waste, so the suite falls
-//! back to the sequential per-figure path.
+//! The specs' cache controls pick the cache: `no_cache` runs against a
+//! throwaway [`CellCache::new`] with no store (leaving the process-wide
+//! cache untouched); otherwise the process-wide cache serves, with the
+//! store at `cache_dir` attached. With tracing on, the cache bypasses
+//! reads, so every unique cell's event stream is emitted exactly once.
+//! A node that panics fails only the figures that need it: they are
+//! never rendered, and the call returns an error after emitting the
+//! figures requested before the first of them.
 //!
 //! [`figures::plan`]: crate::figures::plan
-//! [`CellCache`]: crate::cell_cache::CellCache
+//! [`figures::render`]: crate::figures::render
 //! [`exec::sched`]: crate::exec::sched
 
 // Wall-clock here feeds the suite's *stats* section only (lint.toml
@@ -40,19 +41,22 @@
 // cannot see hasher parameters, jumanji-lint checks them precisely.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
-use crate::cell_cache::{run_key, CellCache, ExperimentHandle, RunSource};
+use crate::cell_cache::{
+    attach_global_disk, run_key, CellCache, CellCacheStats, ExperimentHandle, RunSource,
+};
 use crate::disk_cache::MeasuredCosts;
 use crate::exec::sched::{self, Graph, GraphReport};
-use crate::figures::{self, plan};
+use crate::figures::{self, plan, FigureResults};
 use crate::spec::{ExperimentSpec, FigureKind};
 use jumanji::prelude::*;
-use jumanji::telemetry::NoopSink;
+use jumanji::sim::detail::DetailReport;
 use jumanji::types::hash::Mix64Build;
 use jumanji::types::Error;
 use jumanji::workloads::WorkloadMix;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One rendered figure, handed to [`run_suite`]'s emit callback in
@@ -61,16 +65,14 @@ use std::time::Instant;
 pub struct SuiteFigure {
     /// Which figure this is.
     pub kind: FigureKind,
-    /// The rendered TSV, byte-identical to the standalone binary.
+    /// The rendered TSV.
     pub bytes: Vec<u8>,
-    /// Wall-clock of the render pass alone (under the scheduler this is
-    /// cache-hit time; sequentially it includes the compute).
+    /// Wall-clock of the render alone.
     pub seconds: f64,
-    /// Run cells this figure's render computed (cache misses during the
-    /// render — zero when the plan covered the figure).
-    pub computed: u64,
-    /// Run cells served from cache during the render.
-    pub reused: u64,
+    /// The figure's plan.
+    pub plan: plan::FigurePlan,
+    /// The results the render folded, in plan order.
+    pub results: FigureResults,
 }
 
 /// What the scheduler did for one [`run_suite`] call.
@@ -78,12 +80,17 @@ pub struct SuiteFigure {
 pub struct SchedReport {
     /// Design-run lookups the figures planned, before deduplication.
     pub planned_runs: usize,
-    /// Unique work-graph nodes (experiment constructions + design runs).
+    /// Unique design-run nodes those lookups deduplicated to.
+    pub run_nodes: usize,
+    /// Unique work-graph nodes (experiment constructions, design runs,
+    /// detailed cells).
     pub nodes: usize,
     /// Dependency edges in the graph.
     pub edges: usize,
     /// Detailed-cell lookups the figures planned, before deduplication.
     pub planned_details: usize,
+    /// Unique detailed-cell nodes those lookups deduplicated to.
+    pub detail_nodes: usize,
     /// Run nodes served straight from the persistent disk store.
     pub disk_run_hits: u64,
     /// Run nodes the scheduler actually simulated this call.
@@ -108,8 +115,10 @@ pub struct SchedReport {
 pub struct SuiteReport {
     /// Wall-clock of the whole call: plan + schedule + render + emit.
     pub total_seconds: f64,
-    /// Scheduler measurements; `None` on the sequential path.
-    pub sched: Option<SchedReport>,
+    /// Scheduler measurements.
+    pub sched: SchedReport,
+    /// Counters of the cache the call ran against, at its end.
+    pub cache: CellCacheStats,
 }
 
 /// A work-graph node: construct an experiment, run a design on one, or
@@ -148,6 +157,12 @@ struct Union {
     planned_runs: usize,
     /// Total planned detailed cells before deduplication.
     planned_details: usize,
+    /// Per figure, per planned cell: the run node of each of the cell's
+    /// designs, in plan order.
+    figure_cells: Vec<Vec<Vec<u32>>>,
+    /// Per figure: the node of each planned detailed cell, in plan
+    /// order.
+    figure_details: Vec<Vec<u32>>,
 }
 
 /// Unions figure plans into one deduplicated graph, costed by `model`
@@ -167,13 +182,17 @@ fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
         run_keys: Vec::new(),
         planned_runs: 0,
         planned_details: 0,
+        figure_cells: Vec::with_capacity(plans.len()),
+        figure_details: Vec::with_capacity(plans.len()),
     };
     let mut exp_ids: HashMap<u128, u32, Mix64Build> = HashMap::default();
     let mut run_ids: HashMap<u128, u32, Mix64Build> = HashMap::default();
     let mut detail_ids: HashMap<u128, u32, Mix64Build> = HashMap::default();
     for (f, plan) in plans.iter().enumerate() {
         let f32u = f as u32;
+        let mut cells = Vec::with_capacity(plan.cells.len());
         for cell in &plan.cells {
+            let mut runs = Vec::with_capacity(cell.designs.len());
             u.planned_runs += cell.designs.len();
             let intervals = plan::intervals_of(&cell.opts).round() as u64;
             let ekey = cell.experiment_key();
@@ -218,8 +237,12 @@ fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
                     u.node_figures[run_id as usize].push(f32u);
                     u.figure_nodes[f] += 1;
                 }
+                runs.push(run_id);
             }
+            cells.push(runs);
         }
+        u.figure_cells.push(cells);
+        let mut details = Vec::with_capacity(plan.details.len());
         // Detailed cells are root nodes: the allocation they simulate is
         // embedded in the plan, so they depend on no experiment node.
         for detail in &plan.details {
@@ -240,9 +263,43 @@ fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
                 u.node_figures[detail_id as usize].push(f32u);
                 u.figure_nodes[f] += 1;
             }
+            details.push(detail_id);
         }
+        u.figure_details.push(details);
     }
     u
+}
+
+/// A completed node's result.
+enum Output {
+    Exp(ExperimentHandle),
+    Run(Arc<ExperimentResult>),
+    Detail(Arc<DetailReport>),
+}
+
+impl Union {
+    /// Figure `f`'s results in plan order, or `None` when a node it
+    /// needs has no result (it failed, or a dependency did).
+    fn results(&self, f: usize, outputs: &[OnceLock<Output>]) -> Option<FigureResults> {
+        let run = |&id: &u32| match outputs[id as usize].get() {
+            Some(Output::Run(r)) => Some(Arc::clone(r)),
+            _ => None,
+        };
+        let detail = |&id: &u32| match outputs[id as usize].get() {
+            Some(Output::Detail(d)) => Some(Arc::clone(d)),
+            _ => None,
+        };
+        Some(FigureResults {
+            runs: self.figure_cells[f]
+                .iter()
+                .map(|ids| ids.iter().map(run).collect())
+                .collect::<Option<_>>()?,
+            details: self.figure_details[f]
+                .iter()
+                .map(detail)
+                .collect::<Option<_>>()?,
+        })
+    }
 }
 
 /// The streaming countdown the scheduler decrements and the renderer
@@ -256,8 +313,7 @@ struct ProgressState {
     /// Unfinished nodes per figure.
     remaining: Vec<usize>,
     /// Set when the scheduler thread exits (normally or by panic), so
-    /// waiters never hang — any still-missing cells are computed by the
-    /// render itself.
+    /// waiters never hang.
     finished: bool,
 }
 
@@ -266,6 +322,20 @@ impl Progress {
         let mut st = self.state.lock().expect("progress lock");
         while st.remaining[figure] > 0 && !st.finished {
             st = self.ready.wait(st).expect("progress lock");
+        }
+    }
+
+    /// Counts one finished node against every figure in `figures`.
+    fn done(&self, figures: &[u32]) {
+        let mut st = self.state.lock().expect("progress lock");
+        let mut completed_a_figure = false;
+        for &f in figures {
+            st.remaining[f as usize] -= 1;
+            completed_a_figure |= st.remaining[f as usize] == 0;
+        }
+        drop(st);
+        if completed_a_figure {
+            self.ready.notify_all();
         }
     }
 }
@@ -281,66 +351,46 @@ impl Drop for FinishGuard<'_> {
     }
 }
 
-/// Renders `spec` into a buffer with run-cell accounting, emitting
-/// through `tel`.
-fn render_figure(
-    spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
-    cache: &CellCache,
-) -> Result<SuiteFigure, Error> {
-    let before = cache.stats();
-    let start = Instant::now();
-    let mut bytes = Vec::new();
-    figures::emit(spec, tel, &mut bytes)?;
-    let after = cache.stats();
-    Ok(SuiteFigure {
-        kind: spec.kind,
-        bytes,
-        seconds: start.elapsed().as_secs_f64(),
-        computed: (after.runs.misses - before.runs.misses)
-            + (after.details.misses - before.details.misses),
-        reused: (after.runs.hits - before.runs.hits) + (after.details.hits - before.details.hits),
-    })
+/// The runtime error for a figure whose cells did not all compute.
+fn cells_failed(kind: FigureKind) -> Error {
+    Error::Io(std::io::Error::other(format!(
+        "{}: a cell it needs failed to compute",
+        kind.name()
+    )))
 }
 
-/// Runs the suite over `specs`, calling `emit` once per figure in
-/// `specs` order, each as soon as it is ready.
-///
-/// With `sequential` false and the cache enabled, the cross-figure work
-/// graph executes on `threads` workers and figures stream as their cells
-/// complete; otherwise figures render one at a time (today's behavior —
-/// also used as the A/B baseline by the `timings` binary). Telemetry
-/// goes to `tel` in both modes; the specs' own `trace`/`telemetry`
-/// fields are ignored.
-///
-/// Output bytes are identical in both modes at every thread count: the
-/// renders read through the same [`CellCache`], which is value-
-/// transparent.
+/// Runs the suite over `specs` on `threads` workers, calling `emit` once
+/// per figure in `specs` order, each as soon as it is ready. Cell
+/// telemetry goes to `tel`; the specs' `trace` fields are ignored.
 ///
 /// # Errors
 ///
-/// Propagates plan errors (unknown workloads), figure render errors, and
-/// `emit` errors.
+/// Propagates plan errors (unknown workloads), render errors, and
+/// `emit` errors; a figure with a failed cell is a runtime error.
 pub fn run_suite(
     specs: &[ExperimentSpec],
     threads: usize,
-    sequential: bool,
     tel: &dyn Telemetry,
     emit: &mut dyn FnMut(SuiteFigure) -> Result<(), Error>,
 ) -> Result<SuiteReport, Error> {
-    let cache = CellCache::global();
     let start = Instant::now();
-    if sequential || !cache.enabled() {
-        for spec in specs {
-            emit(render_figure(spec, tel, cache)?)?;
+    let throwaway = specs.iter().any(|s| s.no_cache).then(CellCache::new);
+    let cache = match &throwaway {
+        Some(cache) => cache,
+        None => {
+            for spec in specs {
+                if let Some(dir) = &spec.cache_dir {
+                    attach_global_disk(dir, spec.cache_cap_bytes);
+                }
+            }
+            CellCache::global()
         }
-        return Ok(SuiteReport {
-            total_seconds: start.elapsed().as_secs_f64(),
-            sched: None,
-        });
-    }
+    };
 
-    let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
+    let plans: Vec<plan::FigurePlan> = specs
+        .iter()
+        .map(|spec| plan::of_in(spec, cache))
+        .collect::<Result<_, _>>()?;
     // Cost the graph with measured durations from the persistent store
     // when it has seen real runs; the static priors otherwise.
     let loaded_costs = cache.disk().map(|d| d.load_costs()).unwrap_or_default();
@@ -358,15 +408,7 @@ pub fn run_suite(
         }),
         ready: Condvar::new(),
     };
-    // Experiment handles flow from Exp nodes to their Run dependents.
-    let slots: Vec<OnceLock<ExperimentHandle>> =
-        (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
-    // Run-cell lookups the scheduler issued; the streaming renders
-    // subtract the overlap so their cache-delta accounting isn't
-    // polluted by later figures' cells computing concurrently.
-    // Incremented *before* the lookup so a straddling node can only
-    // under-count a render's misses, never invent one.
-    let sched_lookups = AtomicU64::new(0);
+    let outputs: Vec<OnceLock<Output>> = (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
     // What each node actually did, written by the workers and read
     // after the pool drains: only COMPUTED nodes feed their measured
     // duration back into the persistent cost table (warm nodes finish
@@ -374,12 +416,19 @@ pub fn run_suite(
     const WARM: u8 = 0;
     const COMPUTED: u8 = 1;
     const FROM_DISK: u8 = 2;
+    const FAILED: u8 = 3;
     let node_state: Vec<AtomicU8> = (0..union.nodes.len())
         .map(|_| AtomicU8::new(WARM))
         .collect();
+    let state_of = |source: RunSource| match source {
+        RunSource::Computed => COMPUTED,
+        RunSource::Disk => FROM_DISK,
+        RunSource::Memory => WARM,
+    };
 
-    let run_node = |i: usize| {
-        match &union.nodes[i] {
+    // One node's work: `None` when a dependency has no result.
+    let execute = |i: usize| -> Option<(Output, u8)> {
+        Some(match &union.nodes[i] {
             Node::Exp(cell) => {
                 let handle = cache.experiment(cell.mix.clone(), cell.load, cell.opts.clone());
                 // Warm start: when every dependent run cell is already
@@ -391,152 +440,130 @@ pub fn run_suite(
                     tel.enabled() || union.run_keys[i].iter().any(|&rk| !cache.probe_run(rk));
                 if cold {
                     cache.force_experiment(&handle);
-                    node_state[i].store(COMPUTED, Ordering::Relaxed);
                 }
-                slots[i].set(handle).expect("each node runs once");
+                (Output::Exp(handle), if cold { COMPUTED } else { WARM })
             }
             Node::Run { exp, design } => {
-                let handle = slots[*exp as usize]
-                    .get()
-                    .expect("dependency completed first");
-                sched_lookups.fetch_add(1, Ordering::SeqCst);
-                let (_, source) = cache.run_sourced(handle, *design, tel);
-                let state = match source {
-                    RunSource::Computed => COMPUTED,
-                    RunSource::Disk => FROM_DISK,
-                    RunSource::Memory => WARM,
+                let Some(Output::Exp(handle)) = outputs[*exp as usize].get() else {
+                    return None;
                 };
-                node_state[i].store(state, Ordering::Relaxed);
+                let (result, source) = cache.run_sourced(handle, *design, tel);
+                (Output::Run(result), state_of(source))
             }
             Node::Detail(d) => {
-                sched_lookups.fetch_add(1, Ordering::SeqCst);
-                let (_, source) =
+                let (report, source) =
                     cache.run_detail_sourced(&d.opts, &d.profiles, &d.cores, &d.vms, &d.alloc, tel);
-                let state = match source {
-                    RunSource::Computed => COMPUTED,
-                    RunSource::Disk => FROM_DISK,
-                    RunSource::Memory => WARM,
-                };
-                node_state[i].store(state, Ordering::Relaxed);
+                (Output::Detail(report), state_of(source))
             }
+        })
+    };
+    let run_node = |i: usize| {
+        // A panicking cell fails its node (and its dependents) instead
+        // of the pool; the figures that need it then report an error.
+        match catch_unwind(AssertUnwindSafe(|| execute(i))).ok().flatten() {
+            Some((output, state)) => {
+                node_state[i].store(state, Ordering::Relaxed);
+                let _ = outputs[i].set(output);
+            }
+            None => node_state[i].store(FAILED, Ordering::Relaxed),
         }
-        let mut st = progress.state.lock().expect("progress lock");
-        let mut completed_a_figure = false;
-        for &f in &union.node_figures[i] {
-            st.remaining[f as usize] -= 1;
-            completed_a_figure |= st.remaining[f as usize] == 0;
-        }
-        drop(st);
-        if completed_a_figure {
-            progress.ready.notify_all();
-        }
+        progress.done(&union.node_figures[i]);
     };
 
-    let mut report = SuiteReport::default();
-    let mut emit_err: Option<Error> = None;
-    let graph_report: Mutex<GraphReport> = Mutex::new(GraphReport::default());
-    std::thread::scope(|scope| {
-        let (progress, run_node, graph, graph_report) =
-            (&progress, &run_node, &graph, &graph_report);
-        scope.spawn(move || {
-            let _finish = FinishGuard(progress);
-            let r = sched::run_graph(graph, threads, tel, run_node);
-            *graph_report.lock().expect("report lock") = r;
+    let (pool, rendered) = std::thread::scope(|scope| {
+        let pool = scope.spawn(|| {
+            let _finish = FinishGuard(&progress);
+            sched::run_graph(&graph, threads, tel, run_node)
         });
-        for (f, spec) in specs.iter().enumerate() {
+        let mut rendered = Ok(());
+        for (f, (spec, plan)) in specs.iter().zip(plans).enumerate() {
             progress.wait_for(f);
-            // Planned figures re-read their cells from the cache; under
-            // tracing their event streams were already emitted (exactly
-            // once per unique cell) by the scheduler, so the render uses
-            // a no-op sink. Unplanned figures compute here and trace
-            // normally.
-            let render_tel: &dyn Telemetry = if tel.enabled() && !plans[f].is_empty() {
-                &NoopSink
-            } else {
-                tel
-            };
-            let overlap_before = sched_lookups.load(Ordering::SeqCst);
-            let result = render_figure(spec, render_tel, cache).map(|mut fig| {
-                // Later figures' cells may compute concurrently during
-                // this render; their lookups are not this figure's.
-                let overlap = sched_lookups.load(Ordering::SeqCst) - overlap_before;
-                fig.computed = fig.computed.saturating_sub(overlap);
-                fig
-            });
-            let result = result.and_then(&mut *emit);
-            if let Err(e) = result {
-                emit_err = Some(e);
+            rendered = union
+                .results(f, &outputs)
+                .ok_or_else(|| cells_failed(spec.kind))
+                .and_then(|results| {
+                    let start = Instant::now();
+                    let mut bytes = Vec::new();
+                    figures::render(spec, &plan, &results, &mut bytes)?;
+                    Ok(SuiteFigure {
+                        kind: spec.kind,
+                        bytes,
+                        seconds: start.elapsed().as_secs_f64(),
+                        plan,
+                        results,
+                    })
+                })
+                .and_then(&mut *emit);
+            if rendered.is_err() {
                 break;
             }
         }
+        (pool.join(), rendered)
     });
-    if let Some(e) = emit_err {
-        return Err(e);
-    }
-    let graph_report = graph_report.into_inner().expect("report lock");
+    rendered?;
+    let graph_report =
+        pool.map_err(|_| Error::Io(std::io::Error::other("the work-graph scheduler panicked")))?;
 
     // Feed the durations of genuinely computed nodes back into the
     // persistent cost table, so the *next* run's long-pole priorities
     // come from measurement instead of the static guesses.
     let mut measured = MeasuredCosts::default();
-    let mut disk_run_hits = 0u64;
-    let mut computed_runs = 0u64;
-    let mut warm_skipped_exps = 0u64;
-    let mut detail_disk_hits = 0u64;
-    let mut detail_computed = 0u64;
-    if graph_report.node_us.len() == union.nodes.len() {
-        for (i, node) in union.nodes.iter().enumerate() {
-            let state = node_state[i].load(Ordering::Relaxed);
-            match node {
-                Node::Exp(_) => {
-                    if state == COMPUTED {
-                        measured.record_exp(union.intervals[i], graph_report.node_us[i]);
-                    } else {
-                        warm_skipped_exps += 1;
-                    }
+    let mut report = SchedReport {
+        planned_runs: union.planned_runs,
+        planned_details: union.planned_details,
+        nodes: graph.len(),
+        edges: graph.edges(),
+        ..SchedReport::default()
+    };
+    for (i, node) in union.nodes.iter().enumerate() {
+        let state = node_state[i].load(Ordering::Relaxed);
+        let us = graph_report.node_us[i];
+        match node {
+            Node::Exp(_) => {
+                if state == COMPUTED {
+                    measured.record_exp(union.intervals[i], us);
+                } else if state == WARM {
+                    report.warm_skipped_exps += 1;
                 }
-                Node::Run { design, .. } => match state {
+            }
+            Node::Run { design, .. } => {
+                report.run_nodes += 1;
+                match state {
                     COMPUTED => {
-                        computed_runs += 1;
-                        measured.record_run(*design, union.intervals[i], graph_report.node_us[i]);
+                        report.computed_runs += 1;
+                        measured.record_run(*design, union.intervals[i], us);
                     }
-                    FROM_DISK => disk_run_hits += 1,
+                    FROM_DISK => report.disk_run_hits += 1,
                     _ => {}
-                },
-                Node::Detail(_) => match state {
+                }
+            }
+            Node::Detail(_) => {
+                report.detail_nodes += 1;
+                match state {
                     COMPUTED => {
-                        detail_computed += 1;
-                        measured.record_detail(union.intervals[i] as f64, graph_report.node_us[i]);
+                        report.detail_computed += 1;
+                        measured.record_detail(union.intervals[i] as f64, us);
                     }
-                    FROM_DISK => detail_disk_hits += 1,
+                    FROM_DISK => report.detail_disk_hits += 1,
                     _ => {}
-                },
+                }
             }
         }
     }
-    let mut combined = loaded_costs;
-    combined.merge(&measured);
     if let Some(disk) = cache.disk() {
         if !measured.is_empty() {
             disk.merge_costs(&measured);
         }
     }
-
-    report.total_seconds = start.elapsed().as_secs_f64();
-    report.sched = Some(SchedReport {
-        planned_runs: union.planned_runs,
-        planned_details: union.planned_details,
-        nodes: graph.len(),
-        edges: graph.edges(),
-        disk_run_hits,
-        computed_runs,
-        detail_disk_hits,
-        detail_computed,
-        warm_skipped_exps,
-        drift: plan::CostModel::from_measured(combined).drift(),
-        graph: graph_report,
-    });
-    Ok(report)
+    let mut combined = loaded_costs;
+    combined.merge(&measured);
+    report.drift = plan::CostModel::from_measured(combined).drift();
+    report.graph = graph_report;
+    Ok(SuiteReport {
+        total_seconds: start.elapsed().as_secs_f64(),
+        sched: report,
+        cache: cache.stats(),
+    })
 }
 
 #[cfg(test)]
@@ -633,5 +660,39 @@ mod tests {
             .position(|fs| fs.contains(&1))
             .expect("fig18 has nodes");
         assert!(u.node_figures[..first_fig18].iter().all(|fs| fs == &[0]));
+    }
+
+    /// A fault-injecting sink: panics inside every Jigsaw run (breaking
+    /// the sink contract on purpose, to make one kind of cell fail).
+    struct JigsawFails;
+
+    impl Telemetry for JigsawFails {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn emit(&self, event: &jumanji::telemetry::Event) {
+            if let jumanji::telemetry::Event::RunSummary { design, .. } = event {
+                assert_ne!(*design, "Jigsaw", "injected cell failure");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_cell_fails_only_the_figures_that_need_it() {
+        // fig08 needs no cell; fig04 runs Jigsaw; table2 comes after it.
+        let specs: Vec<ExperimentSpec> = [FigureKind::Fig08, FigureKind::Fig04, FigureKind::Table2]
+            .iter()
+            .map(|&k| ExperimentSpec::new(k).threads(2).no_cache())
+            .collect();
+        let mut emitted = Vec::new();
+        let err = run_suite(&specs, 2, &JigsawFails, &mut |fig| {
+            emitted.push(fig.kind);
+            Ok(())
+        })
+        .expect_err("fig04's Jigsaw cell fails");
+        assert!(!err.is_usage(), "a failed cell is a runtime error: {err}");
+        assert!(err.to_string().contains("fig04"), "{err}");
+        assert_eq!(emitted, vec![FigureKind::Fig08]);
     }
 }

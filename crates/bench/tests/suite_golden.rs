@@ -1,20 +1,22 @@
-//! Golden byte-identity tests for the one-process `suite` runner.
+//! Golden byte-identity tests for the `suite` binary.
 //!
-//! The whole point of the shared [`CellCache`] is that it must be
-//! invisible in the output: a figure rendered by `suite` — possibly
-//! entirely from cells another figure already computed — must be
-//! byte-identical to the standalone binary's TSV. These tests spawn the
-//! real binaries (via `CARGO_BIN_EXE_*`) and `cmp` their bytes.
+//! Cross-figure dedup must be invisible in the output: a figure the
+//! `suite` binary renders among others — possibly entirely from cells
+//! another figure's plan also named — must be byte-identical to the same
+//! figure rendered alone in-process ([`figures::emit`]). These tests
+//! spawn the real binary (via `CARGO_BIN_EXE_suite`) and compare bytes.
 //!
 //! The cheap checks always run. The full fig13/fig14 matrix at two
 //! thread counts takes a couple of seconds per invocation, so it is
 //! gated behind `JUMANJI_SUITE_GOLDEN=1` — `scripts/verify.sh` sets it.
 //!
-//! [`CellCache`]: jumanji_bench::cell_cache::CellCache
+//! [`figures::emit`]: jumanji_bench::figures::emit
 
 // Test gates read their own opt-in env switches; never fingerprinted output.
 #![allow(clippy::disallowed_methods)]
 
+use jumanji::telemetry::NoopSink;
+use jumanji_bench::{figures, ExperimentSpec, FigureKind};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -64,35 +66,33 @@ fn read(path: &Path) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// `suite --figures fig05` must reproduce the standalone `fig05` binary
-/// byte for byte, and repeating the figure in one invocation must serve
-/// the second rendering from the cache.
+/// `kind` rendered alone, in this process.
+fn standalone(kind: FigureKind, mixes: usize) -> Vec<u8> {
+    let spec = ExperimentSpec::new(kind).mixes(mixes).threads(2);
+    let mut out = Vec::new();
+    figures::emit(&spec, &NoopSink, &mut out).expect("figure renders");
+    out
+}
+
+/// `suite --figures fig05` must reproduce fig05 rendered alone byte for
+/// byte, and fig04 + fig05 must share cells in the work graph.
 #[test]
 fn suite_matches_standalone_and_reuses_cells() {
     let tmp = TempDir::new("cheap");
-    let stats = tmp.path().join("stats.json");
-
-    let standalone = run_clean(env!("CARGO_BIN_EXE_fig05"), &["--threads", "2"]);
     let suite = run_clean(
         env!("CARGO_BIN_EXE_suite"),
-        &[
-            "--figures",
-            "fig05",
-            "--threads",
-            "2",
-            "--stats",
-            stats.to_str().unwrap(),
-        ],
+        &["--figures", "fig05", "--threads", "2"],
     );
     assert_eq!(
-        suite.stdout, standalone.stdout,
-        "suite fig05 differs from the standalone binary"
+        suite.stdout,
+        standalone(FigureKind::Fig05, 1),
+        "suite fig05 differs from fig05 rendered alone"
     );
 
-    // fig04 and fig05 share the case-study experiment matrix, so running
-    // both must reuse cells (fig05's Static/Jumanji/Jigsaw runs at high
-    // load repeat fig04's).
-    let stats2 = tmp.path().join("stats2.json");
+    // fig04 and fig05 share the case-study experiment, so the union must
+    // fold their planned runs (fig05's Static/Jumanji/Jigsaw/… runs at
+    // high load repeat fig04's) into fewer unique run nodes.
+    let stats = tmp.path().join("stats.json");
     run_clean(
         env!("CARGO_BIN_EXE_suite"),
         &[
@@ -101,14 +101,15 @@ fn suite_matches_standalone_and_reuses_cells() {
             "--threads",
             "2",
             "--stats",
-            stats2.to_str().unwrap(),
+            stats.to_str().unwrap(),
         ],
     );
-    let text = String::from_utf8(read(&stats2)).expect("stats JSON is UTF-8");
-    let reused = read_number(&text, "\"cells_reused\":").expect("cells_reused in stats");
+    let text = String::from_utf8(read(&stats)).expect("stats JSON is UTF-8");
+    let planned = read_number(&text, "\"planned_runs\":").expect("planned_runs in stats");
+    let unique = read_number(&text, "\"run_nodes\":").expect("run_nodes in stats");
     assert!(
-        reused > 0.0,
-        "expected fig04+fig05 to reuse cells, stats: {text}"
+        unique < planned,
+        "expected fig04+fig05 to share run nodes, stats: {text}"
     );
 }
 
@@ -141,9 +142,9 @@ fn unknown_figure_is_a_usage_error() {
 }
 
 /// The full gated matrix: fig13 + fig14 through the suite at 1 and 4
-/// threads, byte-identical to the standalone binaries. fig14 renders
-/// entirely from fig13's cells, so this exercises the
-/// all-hits-no-computation path against real golden output.
+/// threads, byte-identical to each figure rendered alone. The two plan
+/// identical cells, so fig14 renders entirely from nodes fig13's plan
+/// also named.
 #[test]
 fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
     if std::env::var("JUMANJI_SUITE_GOLDEN").ok().as_deref() != Some("1") {
@@ -151,10 +152,9 @@ fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
         return;
     }
     let tmp = TempDir::new("full");
-    let mixes = "2";
-
-    let fig13 = run_clean(env!("CARGO_BIN_EXE_fig13"), &["--mixes", mixes]);
-    let fig14 = run_clean(env!("CARGO_BIN_EXE_fig14"), &["--mixes", mixes]);
+    let mixes = 2;
+    let fig13 = standalone(FigureKind::Fig13, mixes);
+    let fig14 = standalone(FigureKind::Fig14, mixes);
 
     for threads in ["1", "4"] {
         let dir = tmp.path().join(format!("t{threads}"));
@@ -164,7 +164,7 @@ fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
                 "--figures",
                 "fig13,fig14",
                 "--mixes",
-                mixes,
+                &mixes.to_string(),
                 "--threads",
                 threads,
                 "--out",
@@ -173,12 +173,12 @@ fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
         );
         assert_eq!(
             read(&dir.join("fig13.tsv")),
-            fig13.stdout,
+            fig13,
             "suite fig13 differs at --threads {threads}"
         );
         assert_eq!(
             read(&dir.join("fig14.tsv")),
-            fig14.stdout,
+            fig14,
             "suite fig14 differs at --threads {threads}"
         );
     }

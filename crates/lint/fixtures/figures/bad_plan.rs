@@ -1,12 +1,9 @@
-// Fixture: plan-bypass — a renderer that builds its own cell key (not compiled).
+// Fixture: plan-bypass — a render that reaches for the cell cache (not compiled).
 pub fn fig_bad(cache: &CellCache) {
-    let mix = WorkloadMix::lc_only(7);
-    let cell = cache.run(&mix, &opts());
+    let cell = cache.run(&mix_cell_inputs(7));
     draw(cell);
 }
 
-pub fn fig_good(cache: &CellCache) {
-    let (mix, opts) = mix_cell_inputs(7);
-    let cell = cache.run_detail(&mix, &opts);
-    draw(cell);
+pub fn fig_good(results: &FigureResults) {
+    draw(&results.runs[0]);
 }

@@ -18,9 +18,6 @@
 //! env_allow = ["crates/bench/src/spec.rs"]    # JUMANJI_* env reads OK here
 //! figures = ["crates/bench/src/figures/"]     # plan-bypass applies here
 //!
-//! [plan_helpers]
-//! names = ["mix_cell_inputs", "fig09_cases"]  # sanctioned cell constructors
-//!
 //! [unsafe_budget]
 //! default = 0       # per-crate ceiling on `unsafe` occurrences
 //! cache = 0         # override per crates/<dir>
@@ -56,10 +53,9 @@ pub struct LintConfig {
     pub timing_allow: Vec<String>,
     /// Paths allowed to read `JUMANJI_*` environment variables.
     pub env_allow: Vec<String>,
-    /// Path prefixes holding figure renderers (`plan-bypass` scope).
+    /// Path prefixes holding figure renderers (`plan-bypass` scope; the
+    /// plan pass, `plan.rs`, is exempt).
     pub figures: Vec<String>,
-    /// Sanctioned cell-input constructors for `plan-bypass`.
-    pub plan_helpers: Vec<String>,
     /// Per-crate `unsafe` ceiling when not overridden.
     pub unsafe_default: u64,
     /// Per-crate overrides, keyed by `crates/<dir>` name.
@@ -76,7 +72,6 @@ impl Default for LintConfig {
             timing_allow: Vec::new(),
             env_allow: Vec::new(),
             figures: Vec::new(),
-            plan_helpers: Vec::new(),
             unsafe_default: 0,
             unsafe_budget: BTreeMap::new(),
             allows: Vec::new(),
@@ -241,7 +236,7 @@ pub fn parse(text: &str) -> Result<LintConfig, String> {
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             let name = name.trim();
             match name {
-                "paths" | "plan_helpers" | "unsafe_budget" => section = name.to_string(),
+                "paths" | "unsafe_budget" => section = name.to_string(),
                 _ => return Err(format!("line {line_no}: unknown section [{name}]")),
             }
             continue;
@@ -263,14 +258,6 @@ pub fn parse(text: &str) -> Result<LintConfig, String> {
                     _ => return Err(format!("line {line_no}: unknown [paths] key `{key}`")),
                 }
             }
-            "plan_helpers" => match key {
-                "names" => cfg.plan_helpers = expect_list(value, key, line_no)?,
-                _ => {
-                    return Err(format!(
-                        "line {line_no}: unknown [plan_helpers] key `{key}`"
-                    ))
-                }
-            },
             "unsafe_budget" => {
                 let n = expect_int(value, key, line_no)?;
                 if key == "default" {
@@ -339,9 +326,6 @@ determinism_exempt = [
 timing_allow = ["crates/bench/src/exec/"]
 env_allow = ["crates/bench/src/spec.rs"]
 figures = ["crates/bench/src/figures/"]
-
-[plan_helpers]
-names = ["mix_cell_inputs", "fig09_cases"]
 
 [unsafe_budget]
 default = 0

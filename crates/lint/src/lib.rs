@@ -3,8 +3,8 @@
 //! A hermetic, dependency-free static-analysis pass that mechanically
 //! enforces the invariants the scheduler/cache stack rests on:
 //! determinism (no `RandomState` maps, no wall-clock reads, no
-//! thread-local memos in output paths), cache-key hygiene (figure
-//! renderers obtain cell inputs via shared plan helpers), unsafe
+//! thread-local memos in output paths), render purity (figure code
+//! outside the plan pass never names the cell cache), unsafe
 //! discipline (`// SAFETY:` comments plus per-crate budgets), and a
 //! centralized `JUMANJI_*` config surface.
 //!

@@ -11,7 +11,7 @@
 //! | `default-hasher` | no `RandomState` maps/sets in determinism-critical crates  |
 //! | `wall-clock`     | no `Instant::now`/`SystemTime::now` outside the allowlist  |
 //! | `thread-local`   | no `thread_local!` (PR 5 removed the per-thread memos)     |
-//! | `plan-bypass`    | figure renderers get cell inputs via shared plan helpers   |
+//! | `plan-bypass`    | render code (figures outside `plan.rs`) names no `CellCache` |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment              |
 //! | `unsafe-budget`  | per-crate `unsafe` counts stay within `lint.toml` budgets  |
 //! | `env-var`        | `JUMANJI_*` env reads only in the config surface           |
@@ -40,9 +40,6 @@ pub const RULES: &[&str] = &[
     "allow-syntax",
 ];
 
-/// `CellCache` run methods covered by `plan-bypass`.
-const RUN_METHODS: &[&str] = &["run", "run_sourced", "run_detail", "run_detail_sourced"];
-
 /// `HashMap`/`HashSet` constructors that only exist for the default
 /// `RandomState` hasher (`with_hasher` / `with_capacity_and_hasher`
 /// deliberately absent).
@@ -68,10 +65,9 @@ struct InlineAllow {
     to_line: u32,
 }
 
-/// A `fn` item: name token plus its body's code-index span.
+/// A `fn` item: name token plus the code index closing its body.
 struct FnSpan {
     name: usize,
-    open: usize,
     close: usize,
 }
 
@@ -181,14 +177,6 @@ impl<'a> Ctx<'a> {
         None
     }
 
-    /// Innermost `fn` whose body spans code index `ci`.
-    fn enclosing_fn(&self, ci: usize) -> Option<&FnSpan> {
-        self.fns
-            .iter()
-            .filter(|f| f.open < ci && ci < f.close)
-            .min_by_key(|f| f.close - f.open)
-    }
-
     fn in_test(&self, byte: usize) -> bool {
         self.file_is_test || self.test_ranges.iter().any(|&(s, e)| s <= byte && byte < e)
     }
@@ -198,7 +186,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Collects `fn` item spans (name + body code-index range).
+/// Collects `fn` item spans (name + body end).
 fn scan_fns(ctx: &mut Ctx) {
     let mut spans = Vec::new();
     for ci in 0..ctx.code.len() {
@@ -212,7 +200,6 @@ fn scan_fns(ctx: &mut Ctx) {
             if let Some(close) = ctx.matching(open, '{', '}') {
                 spans.push(FnSpan {
                     name: ci + 1,
-                    open,
                     close,
                 });
             }
@@ -543,43 +530,22 @@ fn rule_env_var(ctx: &mut Ctx) {
     }
 }
 
-/// `plan-bypass`: in figure renderers, `CellCache` run calls whose
-/// enclosing function never touches a shared plan helper.
+/// `plan-bypass`: render code — the figure paths, except the plan pass
+/// (`plan.rs`) — naming `CellCache`. A render folds the results the
+/// executor hands it; a cache in reach would let it compute or look up
+/// cells its plan never listed.
 fn rule_plan_bypass(ctx: &mut Ctx) {
-    if !in_paths(ctx.rel, &ctx.cfg.figures) || ctx.cfg.plan_helpers.is_empty() {
+    if !in_paths(ctx.rel, &ctx.cfg.figures) || ctx.rel.ends_with("/plan.rs") {
         return;
     }
     for ci in 0..ctx.code.len() {
-        let is_path_call = (ctx.is_punct(ci, '.')
-            || (ctx.is_punct(ci, ':') && ci > 0 && ctx.is_punct(ci - 1, ':')))
-            && ci + 2 < ctx.code.len()
-            && RUN_METHODS.iter().any(|m| ctx.is_ident(ci + 1, m))
-            && ctx.is_punct(ci + 2, '(');
-        if !is_path_call || ctx.token_in_test(ci + 1) {
-            continue;
-        }
-        let method = ctx.text(ci + 1).to_string();
-        let ok = match ctx.enclosing_fn(ci) {
-            Some(f) => {
-                let fname = ctx.text(f.name);
-                ctx.cfg.plan_helpers.iter().any(|h| h == fname)
-                    || (f.open..=f.close).any(|i| {
-                        ctx.tok(i).kind == TokenKind::Ident
-                            && ctx.cfg.plan_helpers.iter().any(|h| h == ctx.text(i))
-                    })
-            }
-            None => false,
-        };
-        if !ok {
+        if ctx.is_ident(ci, "CellCache") && !ctx.token_in_test(ci) {
             ctx.push(
-                ci + 1,
+                ci,
                 "plan-bypass",
-                format!(
-                    "`{method}` call whose enclosing function builds cell inputs without \
-                     any shared plan helper"
-                ),
-                "construct the cell's mix/opts via a plan helper (mix_cell_inputs, \
-                 fig09_cases, fig17_mix, …) so plan and render fingerprints cannot drift",
+                "render code names `CellCache`".to_string(),
+                "list the cell in the figure's plan (`figures/plan.rs`) and fold its result \
+                 from the `FigureResults` the executor passes the render",
             );
         }
     }
@@ -683,7 +649,6 @@ mod tests {
             timing_allow: vec!["crates/bench/src/exec/".into()],
             env_allow: vec!["crates/bench/src/spec.rs".into()],
             figures: vec!["crates/bench/src/figures/".into()],
-            plan_helpers: vec!["mix_cell_inputs".into(), "fig17_mix".into()],
             ..LintConfig::default()
         }
     }
@@ -766,27 +731,29 @@ mod tests {
     }
 
     #[test]
-    fn plan_bypass_checks_enclosing_fn_for_helpers() {
-        let good = "fn fig(cache: &CellCache) {\n\
-                    let (mix, opts) = mix_cell_inputs(7);\n\
-                    cache.run(&mix, &opts);\n}\n";
-        assert!(rules_hit("crates/bench/src/figures/f.rs", good).is_empty());
+    fn plan_bypass_flags_cell_cache_in_render_code() {
+        let pure = "fn fig(results: &FigureResults) {\n\
+                    draw(&results.runs[0]);\n}\n";
+        assert!(rules_hit("crates/bench/src/figures/f.rs", pure).is_empty());
         let bad = "fn fig(cache: &CellCache) {\n\
                    let mix = WorkloadMix::lc_only(7);\n\
-                   cache.run_detail(&mix, &opts);\n}\n";
+                   CellCache::global().run(&mix);\n}\n";
         assert_eq!(
             rules_hit("crates/bench/src/figures/f.rs", bad),
-            vec![("plan-bypass", 3)]
+            vec![("plan-bypass", 1), ("plan-bypass", 3)]
         );
         // Outside figure paths the rule is silent.
         assert!(rules_hit("crates/bench/src/suite.rs", bad).is_empty());
     }
 
     #[test]
-    fn helper_definitions_do_not_flag_themselves() {
-        let src = "pub(crate) fn fig17_mix(seed: u64) -> Mix {\n\
-                   CellCache::global().run(&x, &y)\n}\n";
-        assert!(rules_hit("crates/bench/src/figures/f.rs", src).is_empty());
+    fn the_plan_pass_may_name_the_cache() {
+        let src = "pub fn of(spec: &Spec) -> Plan {\n\
+                   of_in(spec, CellCache::global())\n}\n";
+        assert!(rules_hit("crates/bench/src/figures/plan.rs", src).is_empty());
+        // Tests in render files may build caches of their own.
+        let test = "#[cfg(test)]\nmod tests {\n fn t() { let c = CellCache::new(); }\n}\n";
+        assert!(rules_hit("crates/bench/src/figures/f.rs", test).is_empty());
     }
 
     #[test]

@@ -146,7 +146,6 @@ pub fn fixture_config() -> LintConfig {
         timing_allow: Vec::new(),
         env_allow: Vec::new(),
         figures: vec![format!("{FIXTURE_DIR}figures/")],
-        plan_helpers: vec!["mix_cell_inputs".to_string(), "fig17_mix".to_string()],
         unsafe_default: 0,
         unsafe_budget: BTreeMap::new(),
         allows: Vec::new(),

@@ -43,7 +43,7 @@ fn fixture_diagnostics_have_exact_rules_and_lines() {
         "crates/lint/fixtures/bad_allow.rs:2:allow-syntax",
         "crates/lint/fixtures/bad_allow.rs:3:allow-syntax",
         "crates/lint/fixtures/bad_allow.rs:4:allow-syntax",
-        "crates/lint/fixtures/figures/bad_plan.rs:4:plan-bypass",
+        "crates/lint/fixtures/figures/bad_plan.rs:2:plan-bypass",
     ]
     .into_iter()
     .map(String::from)

@@ -44,7 +44,6 @@ fn strict() -> LintConfig {
         timing_allow: Vec::new(),
         env_allow: Vec::new(),
         figures: vec!["crates/".into()],
-        plan_helpers: vec!["mix_cell_inputs".into()],
         ..LintConfig::default()
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo verification: formatting, lints, the full test suite, and a quick
-# end-to-end pass of the experiment engine (including the parallel-vs-
-# serial byte-identity guarantee). Run from the repo root:
+# end-to-end pass of the `suite` executor (including the thread-count
+# byte-identity guarantee). Run from the repo root:
 #
 #   sh scripts/verify.sh
 #
@@ -38,63 +38,54 @@ cargo test --offline --release -p jumanji --test golden_analytic
 echo "== suite golden regression (full fig13/fig14 matrix, gated tests on)"
 JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test suite_golden
 
-echo "== plan coverage (every plannable figure, full-matrix figures on)"
-JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test plan_coverage
+echo "== render purity (every figure folded from executor results, full-matrix figures on)"
+JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test render_purity
 
 echo "== cargo bench smoke (one iteration per benchmark, no statistics)"
 JUMANJI_BENCH_SMOKE=1 cargo bench --offline
 
-echo "== quick suite: timings (runs every heavy binary at --mixes 4)"
+echo "== quick suite: timings (runs every heavy figure at --mixes 4)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 ./target/release/timings --out "$tmp"
 cat "$tmp/BENCH_suite.json"
 
-echo "== parallel output is byte-identical to serial"
-./target/release/fig13 --mixes 2 --threads 1 >"$tmp/t1.tsv"
-./target/release/fig13 --mixes 2 --threads 4 >"$tmp/t4.tsv"
-cmp "$tmp/t1.tsv" "$tmp/t4.tsv"
-./target/release/validate --threads 1 >"$tmp/v1.tsv"
-./target/release/validate --threads 4 >"$tmp/v4.tsv"
-cmp "$tmp/v1.tsv" "$tmp/v4.tsv"
-./target/release/fig02 --threads 1 >"$tmp/f1.tsv"
-./target/release/fig02 --threads 4 >"$tmp/f4.tsv"
-cmp "$tmp/f1.tsv" "$tmp/f4.tsv"
+echo "== output is byte-identical at --threads 1 (the serial reference) and 4"
+for t in 1 4; do
+    ./target/release/suite --figures fig13 --mixes 2 --threads "$t" \
+        --out "$tmp/t$t" 2>/dev/null
+    ./target/release/suite --figures validate,fig02 --threads "$t" \
+        --out "$tmp/t$t" 2>/dev/null
+done
+for f in fig13 validate fig02; do
+    cmp "$tmp/t1/$f.tsv" "$tmp/t4/$f.tsv"
+done
 
-echo "== suite output is byte-identical to the standalone binaries"
-./target/release/fig13 --mixes 2 --threads 1 >"$tmp/s13.tsv"
-./target/release/fig14 --mixes 2 --threads 1 >"$tmp/s14.tsv"
+echo "== suite dedups cells across figures (fig14 plans fig13's runs)"
 ./target/release/suite --figures fig13,fig14 --mixes 2 --threads 1 \
     --out "$tmp/suite_t1" 2>"$tmp/suite_t1.log"
-cmp "$tmp/suite_t1/fig13.tsv" "$tmp/s13.tsv"
-cmp "$tmp/suite_t1/fig14.tsv" "$tmp/s14.tsv"
-./target/release/suite --figures fig13,fig14 --mixes 2 --threads 4 \
-    --out "$tmp/suite_t4" 2>/dev/null
-cmp "$tmp/suite_t4/fig13.tsv" "$tmp/s13.tsv"
-cmp "$tmp/suite_t4/fig14.tsv" "$tmp/s14.tsv"
+# `[suite] sched: N nodes (P planned runs -> U unique, …)`: U < P.
+set -- $(sed -n 's/^\[suite\] sched: .*(\([0-9]*\) planned runs -> \([0-9]*\) unique.*/\1 \2/p' \
+    "$tmp/suite_t1.log")
+[ "$#" -eq 2 ]
+[ "$2" -lt "$1" ]
 
-echo "== suite dedups cells across figures (fig14 reuses fig13's runs)"
-grep -Eq 'cells: [0-9]+ computed, [1-9][0-9]* reused' "$tmp/suite_t1.log"
-
-echo "== scheduled suite is thread-count- and mode-invariant"
+echo "== scheduled suite is thread-count-invariant"
 sched_figs=fig05,fig13,fig15,fig17,ablation
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 1 \
     --out "$tmp/sched_t1" 2>/dev/null
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 4 \
     --out "$tmp/sched_t4" 2>"$tmp/sched_t4.log"
-./target/release/suite --figures "$sched_figs" --mixes 2 --threads 4 \
-    --sequential --out "$tmp/sched_seq" 2>/dev/null
 for f in fig05 fig13 fig15 fig17 ablation; do
     cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_t4/$f.tsv"
-    cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_seq/$f.tsv"
 done
 grep -q '\[suite\] sched:' "$tmp/sched_t4.log"
 
 echo "== --no-cache output is byte-identical to the cached suite"
 ./target/release/suite --figures fig13,fig14 --mixes 2 --threads 1 \
     --no-cache --out "$tmp/suite_nc" 2>/dev/null
-cmp "$tmp/suite_nc/fig13.tsv" "$tmp/s13.tsv"
-cmp "$tmp/suite_nc/fig14.tsv" "$tmp/s14.tsv"
+cmp "$tmp/suite_nc/fig13.tsv" "$tmp/suite_t1/fig13.tsv"
+cmp "$tmp/suite_nc/fig14.tsv" "$tmp/suite_t1/fig14.tsv"
 
 echo "== warm disk cache is byte-identical to cold (five figures)"
 disk_figs=fig05,fig09,fig13,fig14,fig16
@@ -133,34 +124,27 @@ for f in fig02 validate; do
     cmp "$tmp/detail_cold/$f.tsv" "$tmp/detail_nc/$f.tsv"
 done
 
-echo "== suite detailed figures match the standalone binaries"
-./target/release/fig02 --accesses "$detail_acc" >"$tmp/s02.tsv"
-./target/release/validate --mixes 2 --accesses "$detail_acc" >"$tmp/sval.tsv"
-cmp "$tmp/detail_cold/fig02.tsv" "$tmp/s02.tsv"
-cmp "$tmp/detail_cold/validate.tsv" "$tmp/sval.tsv"
-
 echo "== warm run serves every detail cell from disk, cold computes them"
 grep -Eq '\[suite\] sched: [1-9][0-9]* detail cells computed, 0 served from disk' \
     "$tmp/detail_cold.log"
 grep -Eq '\[suite\] sched: 0 detail cells computed, [1-9][0-9]* served from disk' \
     "$tmp/detail_warm.log"
 
-echo "== every figure binary runs at --mixes 1 (spec-wrapper smoke test)"
+echo "== every figure renders at --mixes 1 (one suite run, a header per TSV)"
+./target/release/suite --figures all --mixes 1 --accesses 2000 \
+    --out "$tmp/smoke" 2>/dev/null
 for fig in fig02 fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 \
            fig16 fig17 fig18 table2 table3 ablation sensitivity validate; do
-    printf '   %s\n' "$fig"
-    ./target/release/"$fig" --mixes 1 --accesses 2000 >"$tmp/smoke_$fig.tsv"
-    head -c 1 "$tmp/smoke_$fig.tsv" | grep -q '#'
+    head -c 1 "$tmp/smoke/$fig.tsv" | grep -q '#'
 done
 
 echo "== telemetry off is byte-identical to the pinned golden TSVs"
-./target/release/fig13 --mixes 12 >"$tmp/fig13.tsv"
-cmp "$tmp/fig13.tsv" results/fig13.tsv
-./target/release/fig14 --mixes 12 >"$tmp/fig14.tsv"
-cmp "$tmp/fig14.tsv" results/fig14.tsv
+./target/release/suite --figures fig13,fig14 --mixes 12 --out "$tmp/golden" 2>/dev/null
+cmp "$tmp/golden/fig13.tsv" results/fig13.tsv
+cmp "$tmp/golden/fig14.tsv" results/fig14.tsv
 
 echo "== --trace emits controller events as JSONL"
-./target/release/fig05 --trace "$tmp/trace.jsonl" >/dev/null
+./target/release/suite --figures fig05 --trace "$tmp/trace.jsonl" >/dev/null 2>&1
 grep -q '"event":"controller"' "$tmp/trace.jsonl"
 grep -q '"event":"run_summary"' "$tmp/trace.jsonl"
 
