@@ -1,7 +1,7 @@
 //! The evaluation's one entry point: plans every requested figure,
-//! unions the plans into one deduplicated work graph, executes it on a
-//! work-stealing pool, and streams each figure's TSV the moment its last
-//! cell completes (see [`jumanji_bench::suite`]).
+//! unions the plans into one deduplicated work graph, executes it on
+//! one long-pole-first ready queue, and streams each figure's TSV the
+//! moment its last cell completes (see [`jumanji_bench::suite`]).
 //!
 //! fig13 and fig14 run the *same* experiment matrix and differ only in
 //! rendering; the sensitivity study's default rows duplicate the
@@ -26,8 +26,8 @@
 //! - `--stats PATH` — write a JSON cache/scheduler statistics report.
 //! - `--mixes` / `--threads` / `--seed` / `--accesses` — forwarded to
 //!   every figure (CLI beats `JUMANJI_*` env beats the per-figure
-//!   default; see [`jumanji_bench::spec`]). `--threads` also sizes the
-//!   work-stealing pool; `--threads 1` is the serial reference.
+//!   default; see [`jumanji_bench::spec`]). `--threads` also sets the
+//!   scheduler's worker count; `--threads 1` is the serial reference.
 //! - `--trace PATH` — one shared JSONL sink for the whole suite (also
 //!   honours `JUMANJI_TRACE`); each unique cell's event stream is
 //!   emitted exactly once.
@@ -165,7 +165,6 @@ fn write_stats(
     writeln!(f, "    \"nodes\": {},", s.nodes)?;
     writeln!(f, "    \"edges\": {},", s.edges)?;
     writeln!(f, "    \"workers\": {},", s.graph.workers)?;
-    writeln!(f, "    \"steals\": {},", s.graph.steals)?;
     writeln!(f, "    \"critical_path_us\": {},", s.graph.critical_path_us)?;
     writeln!(f, "    \"elapsed_us\": {},", s.graph.elapsed_us)?;
     writeln!(f, "    \"computed_runs\": {},", s.computed_runs)?;
@@ -262,7 +261,7 @@ fn run(args: &[String]) -> Result<(), Error> {
     );
     eprintln!(
         "[suite] sched: {} nodes ({} planned runs -> {} unique, {} planned detail cells -> \
-         {} unique), {} edges, {} workers, {} steals, critical path {:.2}s of {:.2}s",
+         {} unique), {} edges, {} workers, critical path {:.2}s of {:.2}s",
         s.nodes,
         s.planned_runs,
         s.run_nodes,
@@ -270,7 +269,6 @@ fn run(args: &[String]) -> Result<(), Error> {
         s.detail_nodes,
         s.edges,
         s.graph.workers,
-        s.graph.steals,
         s.graph.critical_path_us as f64 / 1e6,
         s.graph.elapsed_us as f64 / 1e6
     );

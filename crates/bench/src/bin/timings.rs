@@ -12,8 +12,9 @@
 //! `suite` process; the report's `"suite"` section pins its wall-clock,
 //! speedup over the summed per-figure times, and the dedup counts.
 //!
-//! Usage: `timings [--out DIR] [--threads N]` (`--threads` is forwarded to
-//! the per-figure runs).
+//! Usage: `timings [--out DIR] [--threads N]` (`--threads`, or
+//! `JUMANJI_THREADS`, resolves as for `suite` and is forwarded to the
+//! per-figure runs; an invalid `--threads` exits 2).
 
 // Wall-clock measurement is this binary's entire purpose; lint.toml's
 // [paths].timing_allow sanctions it, and this mirrors that for clippy.
@@ -30,7 +31,8 @@ use jumanji::sim::detail::{run_detailed, DetailOptions};
 use jumanji::sim::perf::Profile;
 use jumanji::types::{CoreId, VmId};
 use jumanji::workloads::LcLoad;
-use jumanji_bench::exec::{flag_value, thread_count};
+use jumanji_bench::exec::flag_value;
+use jumanji_bench::{ExperimentSpec, FigureKind};
 
 /// The figures whose wall-clock the suite tracks, in run order.
 const SUITE: &[&str] = &[
@@ -159,7 +161,6 @@ struct SchedTiming {
     planned_runs: u64,
     nodes: u64,
     edges: u64,
-    steals: u64,
     critical_path_us: u64,
     elapsed_us: u64,
 }
@@ -204,7 +205,6 @@ fn sched_timing(bin_dir: &Path, out_dir: &Path) -> SchedTiming {
         planned_runs: field("\"planned_runs\":") as u64,
         nodes: field("\"nodes\":") as u64,
         edges: field("\"edges\":") as u64,
-        steals: field("\"steals\":") as u64,
         critical_path_us: field("\"critical_path_us\":") as u64,
         elapsed_us: field("\"elapsed_us\":") as u64,
     };
@@ -288,7 +288,15 @@ fn store_timing(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_dir = flag_value(&args, "--out").map_or_else(|| PathBuf::from("."), PathBuf::from);
-    let threads = thread_count();
+    // `--threads` / `JUMANJI_THREADS` resolve as for `suite`; only the
+    // spec's thread count is read, so the figure is immaterial.
+    let threads = match ExperimentSpec::from_args_env(FigureKind::Fig13) {
+        Ok(spec) => spec.threads,
+        Err(e) => {
+            eprintln!("timings: {e}");
+            std::process::exit(2);
+        }
+    };
 
     let bin_dir = std::env::current_exe()
         .expect("own path")
@@ -325,13 +333,12 @@ fn main() {
     let sched = sched_timing(&bin_dir, &out_dir);
     eprintln!(
         "sched: {:.2}s at {} threads vs {:.2}s at 1 thread \
-         ({:.2}x; {} nodes, {} steals, critical path {:.2}s)",
+         ({:.2}x; {} nodes, critical path {:.2}s)",
         sched.seconds,
         sched.threads,
         sched.sequential_seconds,
         sched.sequential_seconds / sched.seconds,
         sched.nodes,
-        sched.steals,
         sched.critical_path_us as f64 / 1e6
     );
 
@@ -448,7 +455,7 @@ fn main() {
         "    \"threads\": {},\n    \"seconds\": {:.3},\n    \
          \"sequential_seconds\": {:.3},\n    \"speedup_vs_sequential\": {:.2},\n    \
          \"planned_runs\": {},\n    \"nodes\": {},\n    \"edges\": {},\n    \
-         \"steals\": {},\n    \"critical_path_us\": {},\n    \"elapsed_us\": {}\n",
+         \"critical_path_us\": {},\n    \"elapsed_us\": {}\n",
         sched.threads,
         sched.seconds,
         sched.sequential_seconds,
@@ -456,7 +463,6 @@ fn main() {
         sched.planned_runs,
         sched.nodes,
         sched.edges,
-        sched.steals,
         sched.critical_path_us,
         sched.elapsed_us
     ));

@@ -1,19 +1,16 @@
-//! Execution support: knob resolution and the work-graph scheduler.
+//! Execution support: flag lookup and the work-graph scheduler.
 //!
-//! - [`thread_count`] / [`resolve_count`] / [`flag_value`] — worker-count
-//!   and knob resolution (`--flag N` beats the env var beats the default).
+//! - [`flag_value`] / [`available_threads`] — argv lookup and the
+//!   default worker count. `--threads` / `JUMANJI_THREADS` resolve in
+//!   [`crate::spec`], the one config surface.
 //! - [`sched`] — the dependency-aware work-graph scheduler the suite
-//!   executor runs every figure's deduplicated cells on: per-worker
-//!   deques, steal-half work stealing, long-pole-first ordering.
+//!   executor runs every figure's deduplicated cells on: one shared
+//!   ready queue, long-pole-first, with dependency counts.
 //!
 //! Determinism: every cell derives its RNG streams from its own inputs,
 //! and results land in slots addressed by node id, so output is
 //! byte-identical no matter how many workers run or how the scheduler
 //! interleaves them. `--threads 1` is the reference serial order.
-
-// exec/ is the sanctioned timing layer and (with spec.rs) the JUMANJI_*
-// config surface — lint.toml [paths] sanctions both; mirrored for clippy.
-#![allow(clippy::disallowed_methods)]
 
 pub mod sched;
 
@@ -38,33 +35,11 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     None
 }
 
-/// Resolves a count knob with CLI-beats-env-beats-default precedence.
-///
-/// A present-but-unparseable source falls through to the next one, so a
-/// typo degrades gracefully instead of silently meaning something else.
-pub fn resolve_count(flag: Option<&str>, env: Option<&str>, default: usize) -> usize {
-    flag.and_then(|v| v.parse().ok())
-        .or_else(|| env.and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
-}
-
 /// The machine's available parallelism, at least 1.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Number of worker threads: `--threads N`, then `JUMANJI_THREADS`, then
-/// the machine's available parallelism.
-pub fn thread_count() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    resolve_count(
-        flag_value(&args, "--threads").as_deref(),
-        std::env::var("JUMANJI_THREADS").ok().as_deref(),
-        available_threads(),
-    )
-    .max(1)
 }
 
 #[cfg(test)]
@@ -108,15 +83,5 @@ mod tests {
         assert_eq!(flag_value(&args, "--mixes").as_deref(), Some("5"));
         let args = argv(&["prog", "--mixes", "9", "--mixes=5"]);
         assert_eq!(flag_value(&args, "--mixes").as_deref(), Some("9"));
-    }
-
-    #[test]
-    fn resolve_count_precedence_flag_env_default() {
-        assert_eq!(resolve_count(Some("4"), Some("9"), 2), 4);
-        assert_eq!(resolve_count(None, Some("9"), 2), 9);
-        assert_eq!(resolve_count(None, None, 2), 2);
-        // Unparseable sources fall through.
-        assert_eq!(resolve_count(Some("x"), Some("9"), 2), 9);
-        assert_eq!(resolve_count(Some("x"), Some("y"), 2), 2);
     }
 }

@@ -2,42 +2,43 @@
 //!
 //! The suite's cross-figure plan is a *graph* of heterogeneous nodes
 //! (experiment constructions feeding design runs, detailed-simulator
-//! cells) whose costs span two orders of magnitude, where finishing a
-//! figure's last node should unblock rendering immediately. This module
-//! executes such graphs:
+//! cells) whose costs span two orders of magnitude. This module runs
+//! such graphs on one ready queue that every worker shares:
 //!
-//! - **Per-worker deques.** Each worker owns a deque of ready nodes and
-//!   pops from the front. Nodes a completion enables go to the front of
-//!   the completing worker's own deque (the experiment it just built is
-//!   hot; its runs should follow), giving depth-first descent along
-//!   dependency chains.
-//! - **Steal-half.** A worker whose deque runs dry takes roughly half of
-//!   a victim's deque from the *back* — the victim keeps the
-//!   high-priority front it is about to pop, the thief gets a batch big
-//!   enough to amortize the next several claims.
 //! - **Long-pole-first.** Every node gets a priority = its cost prior
 //!   plus the heaviest chain of dependent work hanging off it
-//!   (critical-path-to-leaf over the [`plan`](crate::plan) cost priors).
-//!   Seeds are dealt round-robin in descending priority, so the longest
-//!   poles start first and stragglers can't ambush the tail of the run.
+//!   (critical-path-to-leaf over the [`plan`](crate::figures::plan) cost
+//!   priors). The ready queue is a binary heap on that priority, ties
+//!   broken by the lower node id, so the longest poles start first and
+//!   earlier-requested figures drain first.
+//! - **Dependency counts.** A node enters the queue the moment its last
+//!   prerequisite completes.
+//! - **Blocking workers.** A worker locks the queue, pops a node, runs
+//!   it unlocked, then locks again to complete it. With nothing ready it
+//!   waits on a condvar until a completion enables work or ends the run.
+//!
+//! The queue itself ([`Ready`]) is a state machine with no threads or
+//! clocks in it, so the tests replay the real policy in virtual time.
 //!
 //! The scheduler runs *effects*, not values: the caller's closure stores
 //! each node's result (the suite executor keeps one slot per node), so
 //! execution order can never change what a render folds — only
-//! wall-clock. Telemetry ([`Event::SchedSteal`],
-//! [`Event::SchedQueue`], [`Event::SchedWorker`], [`Event::SchedSummary`])
-//! records how the pool behaved, including the measured critical path —
-//! the wall-clock floor no worker count can beat.
+//! wall-clock. Telemetry ([`Event::SchedQueue`], [`Event::SchedWorker`],
+//! [`Event::SchedSummary`]) records how the workers behaved, including
+//! the measured critical path — the wall-clock floor no worker count can
+//! beat.
 
 // exec/ is the sanctioned timing layer (lint.toml [paths].timing_allow);
 // the scheduler's epoch stamps feed telemetry, never fingerprinted output.
 #![allow(clippy::disallowed_methods)]
 
 use jumanji::telemetry::{Event, Telemetry};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 /// A static work graph: per-node cost priors plus dependency edges.
 ///
@@ -50,6 +51,9 @@ pub struct Graph {
     dependents: Vec<Vec<u32>>,
     topo: Vec<u32>,
     priority: Vec<f64>,
+    /// Each node's position in descending-priority order (ties by lower
+    /// id): the ready queue's key.
+    rank: Vec<u32>,
 }
 
 impl Graph {
@@ -98,11 +102,22 @@ impl Graph {
                 .fold(0.0f64, f64::max);
             priority[i as usize] += heaviest;
         }
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            priority[b as usize]
+                .total_cmp(&priority[a as usize])
+                .then(a.cmp(&b))
+        });
+        let mut rank = vec![0u32; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
         Graph {
             deps,
             dependents,
             topo,
             priority,
+            rank,
         }
     }
 
@@ -131,10 +146,8 @@ impl Graph {
 /// What one [`run_graph`] execution measured.
 #[derive(Debug, Clone, Default)]
 pub struct GraphReport {
-    /// Worker threads the pool ran.
+    /// Worker threads that ran.
     pub workers: usize,
-    /// Total steals across all workers.
-    pub steals: u64,
     /// Wall-clock of the execution, µs.
     pub elapsed_us: u64,
     /// Measured critical path: the longest dependency-ordered chain of
@@ -150,49 +163,65 @@ pub struct GraphReport {
     pub node_us: Vec<u64>,
 }
 
-/// One worker's deque of ready node ids, front = highest priority.
-///
-/// Only the owner pushes (newly enabled dependents) and pops; thieves
-/// take batches from the back via [`WorkDeque::steal_back_half`]. A
-/// mutex'd `VecDeque` is plenty here: nodes are milliseconds of
-/// simulation, so queue operations are noise (and the crate forbids the
-/// unsafe code a lock-free Chase-Lev deque would need).
-#[derive(Debug, Default)]
-struct WorkDeque {
-    q: Mutex<VecDeque<u32>>,
+/// The ready queue as a pure state machine: [`run_graph`] drives it
+/// from real workers under one mutex, the tests from virtual ones.
+struct Ready<'g> {
+    graph: &'g Graph,
+    /// Ready nodes as `(rank, id)`, smallest rank on top.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Unfinished prerequisites per node.
+    pending: Vec<u32>,
+    /// Nodes not yet completed.
+    unfinished: usize,
+    /// Set when a node panicked: every worker stops.
+    aborted: bool,
 }
 
-impl WorkDeque {
-    /// Appends `items` (already in descending priority) to the back.
-    fn push_back_batch(&self, items: &[u32]) {
-        let mut q = self.q.lock().expect("deque lock");
-        q.extend(items.iter().copied());
-    }
-
-    /// Pushes `items` (descending priority) so `items[0]` ends up at the
-    /// front of the deque.
-    fn push_front_batch(&self, items: &[u32]) {
-        let mut q = self.q.lock().expect("deque lock");
-        for &i in items.iter().rev() {
-            q.push_front(i);
+impl<'g> Ready<'g> {
+    fn new(graph: &'g Graph) -> Ready<'g> {
+        let mut ready = Ready {
+            graph,
+            heap: BinaryHeap::new(),
+            pending: graph.deps.iter().map(|d| d.len() as u32).collect(),
+            unfinished: graph.len(),
+            aborted: false,
+        };
+        for i in 0..graph.len() {
+            if ready.pending[i] == 0 {
+                ready.push(i);
+            }
         }
+        ready
     }
 
-    /// The owner's claim: pop the highest-priority ready node.
-    fn pop_front(&self) -> Option<u32> {
-        self.q.lock().expect("deque lock").pop_front()
+    fn push(&mut self, i: usize) {
+        self.heap.push(Reverse((self.graph.rank[i], i as u32)));
     }
 
-    /// Takes the back `ceil(len/2)` nodes, preserving their relative
-    /// order. Returns an empty vec when there is nothing to steal.
-    fn steal_back_half(&self) -> Vec<u32> {
-        let mut q = self.q.lock().expect("deque lock");
-        let keep = q.len() / 2;
-        q.split_off(keep).into()
+    /// Claims the highest-priority ready node.
+    fn pop(&mut self) -> Option<usize> {
+        self.heap.pop().map(|Reverse((_, i))| i as usize)
     }
 
-    fn len(&self) -> usize {
-        self.q.lock().expect("deque lock").len()
+    /// Marks node `i` finished and queues the dependents whose last
+    /// prerequisite it was; returns how many it queued.
+    fn complete(&mut self, i: usize) -> usize {
+        self.unfinished -= 1;
+        let graph = self.graph;
+        let mut enabled = 0;
+        for &j in &graph.dependents[i] {
+            self.pending[j as usize] -= 1;
+            if self.pending[j as usize] == 0 {
+                self.push(j as usize);
+                enabled += 1;
+            }
+        }
+        enabled
+    }
+
+    /// True once no worker has anything left to do.
+    fn done(&self) -> bool {
+        self.aborted || self.unfinished == 0
     }
 }
 
@@ -202,12 +231,13 @@ impl WorkDeque {
 /// `run` performs effects (storing each node's result); the
 /// scheduler guarantees the dependency order and measures the execution,
 /// it does not collect values. With an enabled sink it emits one
-/// [`Event::SchedQueue`] sample per node start, one [`Event::SchedSteal`]
-/// per steal, and per-worker/summary events when the pool drains.
+/// [`Event::SchedQueue`] sample and one [`Event::WorkerSpan`] per node,
+/// and per-worker/summary events when the graph drains.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any node after the scope unwinds.
+/// When a node panics, the workers stop claiming nodes and, once the
+/// ones in flight return, the first panic resumes on the caller.
 pub fn run_graph<F>(graph: &Graph, threads: usize, tel: &dyn Telemetry, run: F) -> GraphReport
 where
     F: Fn(usize) + Sync,
@@ -219,128 +249,82 @@ where
     let workers = threads.min(n).max(1);
     let tracing = tel.enabled();
     let epoch = Instant::now();
+    let queue = Mutex::new(Ready::new(graph));
+    let wake = Condvar::new();
 
-    let pending: Vec<AtomicU32> = graph
-        .deps
-        .iter()
-        .map(|d| AtomicU32::new(d.len() as u32))
-        .collect();
-    let remaining = AtomicUsize::new(n);
-    let durations: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let deques: Vec<WorkDeque> = (0..workers).map(|_| WorkDeque::default()).collect();
-    let steal_counts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let jobs: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-
-    // Deal the seeds round-robin in descending long-pole priority: each
-    // deque starts sorted, and the heaviest chains start first.
-    let mut seeds: Vec<u32> = (0..n as u32)
-        .filter(|&i| graph.deps[i as usize].is_empty())
-        .collect();
-    sort_by_priority(&mut seeds, graph);
-    for (j, &s) in seeds.iter().enumerate() {
-        deques[j % workers].push_back_batch(&[s]);
-    }
-
-    std::thread::scope(|scope| {
-        let (pending, remaining, durations, deques) = (&pending, &remaining, &durations, &deques);
-        let (steal_counts, busy, jobs, run) = (&steal_counts, &busy, &jobs, &run);
+    // Each worker returns the `(node, µs)` pairs it ran, or the panic
+    // of the node that stopped it.
+    let worker = |w: usize| -> Result<Vec<(u32, u64)>, Box<dyn Any + Send>> {
+        let mut ran = Vec::new();
+        let mut ready = queue.lock().expect("ready queue");
+        while !ready.done() {
+            let Some(i) = ready.pop() else {
+                ready = wake.wait(ready).expect("ready queue");
+                continue;
+            };
+            let depth = ready.heap.len() as u64;
+            drop(ready);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if tracing {
+                    tel.emit(&Event::SchedQueue {
+                        at_us: epoch.elapsed().as_micros() as u64,
+                        depth,
+                    });
+                }
+                let start = epoch.elapsed();
+                run(i);
+                let dur_us = (epoch.elapsed() - start).as_micros() as u64;
+                if tracing {
+                    tel.emit(&Event::WorkerSpan {
+                        worker: w,
+                        job: i,
+                        start_us: start.as_micros() as u64,
+                        dur_us,
+                    });
+                }
+                dur_us
+            }));
+            ready = queue.lock().expect("ready queue");
+            match outcome {
+                Ok(dur_us) => {
+                    ran.push((i as u32, dur_us));
+                    // This worker claims one enabled node itself; wake
+                    // the others for the rest, or to exit.
+                    if ready.complete(i) > 1 || ready.done() {
+                        wake.notify_all();
+                    }
+                }
+                Err(payload) => {
+                    ready.aborted = true;
+                    wake.notify_all();
+                    return Err(payload);
+                }
+            }
+        }
+        Ok(ran)
+    };
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                scope.spawn(move || {
-                    let mut idle_sweeps = 0u32;
-                    loop {
-                        if let Some(i) = deques[w].pop_front() {
-                            idle_sweeps = 0;
-                            let i = i as usize;
-                            if tracing {
-                                let depth: usize = deques.iter().map(WorkDeque::len).sum();
-                                tel.emit(&Event::SchedQueue {
-                                    at_us: epoch.elapsed().as_micros() as u64,
-                                    depth: depth as u64,
-                                });
-                            }
-                            let start = epoch.elapsed();
-                            run(i);
-                            let dur = epoch.elapsed() - start;
-                            durations[i].store(dur.as_micros() as u64, Ordering::Relaxed);
-                            busy[w].fetch_add(dur.as_micros() as u64, Ordering::Relaxed);
-                            jobs[w].fetch_add(1, Ordering::Relaxed);
-                            if tracing {
-                                tel.emit(&Event::WorkerSpan {
-                                    worker: w,
-                                    job: i,
-                                    start_us: start.as_micros() as u64,
-                                    dur_us: dur.as_micros() as u64,
-                                });
-                            }
-                            // Enable dependents whose last prerequisite
-                            // this was; they go to our own front,
-                            // highest priority first.
-                            let mut enabled: Vec<u32> = graph.dependents[i]
-                                .iter()
-                                .copied()
-                                .filter(|&j| {
-                                    pending[j as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                                })
-                                .collect();
-                            if !enabled.is_empty() {
-                                sort_by_priority(&mut enabled, graph);
-                                deques[w].push_front_batch(&enabled);
-                            }
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                            continue;
-                        }
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        // Deque dry: sweep the other workers, stealing
-                        // half of the first non-empty victim's backlog.
-                        let mut stolen = 0usize;
-                        for off in 1..workers {
-                            let v = (w + off) % workers;
-                            let batch = deques[v].steal_back_half();
-                            if !batch.is_empty() {
-                                stolen = batch.len();
-                                deques[w].push_back_batch(&batch);
-                                steal_counts[w].fetch_add(1, Ordering::Relaxed);
-                                if tracing {
-                                    tel.emit(&Event::SchedSteal {
-                                        thief: w,
-                                        victim: v,
-                                        taken: stolen as u64,
-                                        at_us: epoch.elapsed().as_micros() as u64,
-                                    });
-                                }
-                                break;
-                            }
-                        }
-                        if stolen == 0 {
-                            // Everything ready is in flight elsewhere.
-                            // Yield a few times, then sleep: on a
-                            // time-sliced core a spinning sibling would
-                            // steal cycles from the worker doing work.
-                            idle_sweeps += 1;
-                            if idle_sweeps <= 3 {
-                                std::thread::yield_now();
-                            } else {
-                                std::thread::sleep(Duration::from_micros(100));
-                            }
-                        }
-                    }
-                })
+                let worker = &worker;
+                scope.spawn(move || worker(w))
             })
             .collect();
-        for h in handles {
-            h.join().expect("scheduler worker panicked");
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scheduler worker"))
+            .collect()
     });
+    let logs: Vec<Vec<(u32, u64)>> = outcomes
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|payload| resume_unwind(payload));
 
     let elapsed_us = epoch.elapsed().as_micros() as u64;
-    let node_us: Vec<u64> = durations
-        .iter()
-        .map(|d| d.load(Ordering::Relaxed))
-        .collect();
+    let mut node_us = vec![0u64; n];
+    for &(i, us) in logs.iter().flatten() {
+        node_us[i as usize] = us;
+    }
     // Measured critical path: longest chain of durations along
     // dependency edges, in topological order.
     let mut chain: Vec<u64> = node_us.clone();
@@ -354,19 +338,20 @@ where
     }
     let report = GraphReport {
         workers,
-        steals: steal_counts.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
         elapsed_us,
         critical_path_us: chain.iter().copied().max().unwrap_or(0),
-        busy_us: busy.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        jobs: jobs.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+        busy_us: logs
+            .iter()
+            .map(|ran| ran.iter().map(|&(_, us)| us).sum())
+            .collect(),
+        jobs: logs.iter().map(|ran| ran.len() as u64).collect(),
         node_us,
     };
     if tracing {
-        for (w, count) in steal_counts.iter().enumerate() {
+        for w in 0..workers {
             tel.emit(&Event::SchedWorker {
                 worker: w,
                 jobs: report.jobs[w],
-                steals: count.load(Ordering::Relaxed),
                 busy_us: report.busy_us[w],
                 span_us: elapsed_us,
             });
@@ -375,7 +360,6 @@ where
             nodes: n as u64,
             edges: graph.edges() as u64,
             workers: workers as u64,
-            steals: report.steals,
             critical_path_us: report.critical_path_us,
             elapsed_us,
         });
@@ -383,23 +367,47 @@ where
     report
 }
 
-/// Sorts node ids by descending long-pole priority (ties broken by id,
-/// so the order is deterministic).
-fn sort_by_priority(ids: &mut [u32], graph: &Graph) {
-    ids.sort_unstable_by(|&a, &b| {
-        graph
-            .priority(b as usize)
-            .partial_cmp(&graph.priority(a as usize))
-            .expect("finite priorities")
-            .then(a.cmp(&b))
-    });
+/// A virtual-time replay of [`run_graph`]'s policy: the same [`Ready`]
+/// queue drained by `workers` virtual workers, node `i` taking
+/// `costs[i]`. Idle workers claim ready nodes at once; simultaneous
+/// completions resolve in node-id order, so the replay is deterministic.
+/// Returns `(node, start time)` in claim order, and the makespan.
+#[cfg(test)]
+pub(crate) fn replay(graph: &Graph, costs: &[f64], workers: usize) -> (Vec<(usize, f64)>, f64) {
+    let mut ready = Ready::new(graph);
+    let mut claims = Vec::with_capacity(graph.len());
+    // In flight: (finish time, node).
+    let mut running: Vec<(f64, usize)> = Vec::with_capacity(workers);
+    let mut now = 0.0;
+    while !ready.done() {
+        while running.len() < workers {
+            let Some(i) = ready.pop() else { break };
+            claims.push((i, now));
+            running.push((now + costs[i], i));
+        }
+        let next = (0..running.len())
+            .min_by(|&a, &b| {
+                let (a, b) = (running[a], running[b]);
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+            })
+            .expect("an unfinished graph has a node in flight");
+        let (finish, i) = running.swap_remove(next);
+        now = finish;
+        ready.complete(i);
+    }
+    (claims, now)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jumanji::telemetry::{NoopSink, RecordingSink};
-    use std::sync::atomic::AtomicUsize;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// A diamond: 0 -> {1, 2} -> 3.
     fn diamond() -> Graph {
@@ -409,65 +417,37 @@ mod tests {
         )
     }
 
-    #[test]
-    fn deque_claims_front_and_steals_back_half() {
-        let d = WorkDeque::default();
-        d.push_back_batch(&[5, 4, 3, 2, 1]);
-        assert_eq!(d.pop_front(), Some(5));
-        // 4 left; steal takes the back ceil(4/2) = 2 in order.
-        assert_eq!(d.steal_back_half(), vec![2, 1]);
-        assert_eq!(d.len(), 2);
-        // Enabled nodes go to the front, highest first.
-        d.push_front_batch(&[9, 8]);
-        assert_eq!(d.pop_front(), Some(9));
-        assert_eq!(d.pop_front(), Some(8));
-        assert_eq!(d.pop_front(), Some(4));
-        assert_eq!(d.pop_front(), Some(3));
-        assert_eq!(d.pop_front(), None);
-        assert_eq!(d.steal_back_half(), Vec::<u32>::new());
-        // Stealing from a single-item deque takes that item: the victim
-        // keeps floor(1/2) = 0.
-        d.push_back_batch(&[7]);
-        assert_eq!(d.steal_back_half(), vec![7]);
+    /// A random DAG from one `(cost, pick)` pair per node: node `i > 0`
+    /// depends on up to three earlier nodes chosen by `pick`'s bits.
+    fn dag(nodes: &[(f64, u64)]) -> (Vec<f64>, Vec<Vec<u32>>) {
+        let costs = nodes.iter().map(|&(c, _)| c).collect();
+        let deps = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, pick))| {
+                let mut ds: Vec<u32> = match i {
+                    0 => Vec::new(),
+                    _ => (0..pick % 4)
+                        .map(|k| ((pick >> (2 + 16 * k)) % i as u64) as u32)
+                        .collect(),
+                };
+                ds.sort_unstable();
+                ds.dedup();
+                ds
+            })
+            .collect();
+        (costs, deps)
     }
 
-    #[test]
-    fn deque_concurrent_claims_and_steals_lose_nothing() {
-        // One owner popping, three thieves stealing halves: every item
-        // is claimed exactly once.
-        const N: u32 = 10_000;
-        let owner = WorkDeque::default();
-        let items: Vec<u32> = (0..N).collect();
-        owner.push_back_batch(&items);
-        let seen: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        let claimed = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let (owner, seen, claimed) = (&owner, &seen, &claimed);
-            s.spawn(move || {
-                while claimed.load(Ordering::Relaxed) < N as usize {
-                    if let Some(i) = owner.pop_front() {
-                        seen[i as usize].fetch_add(1, Ordering::Relaxed);
-                        claimed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-            for _ in 0..3 {
-                s.spawn(move || {
-                    let mine = WorkDeque::default();
-                    while claimed.load(Ordering::Relaxed) < N as usize {
-                        let batch = owner.steal_back_half();
-                        mine.push_back_batch(&batch);
-                        while let Some(i) = mine.pop_front() {
-                            seen[i as usize].fetch_add(1, Ordering::Relaxed);
-                            claimed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
+    /// Runs `f` on a helper thread and waits at most a minute for it, so
+    /// a scheduler that hangs fails the test instead of hanging the run.
+    fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
         });
-        for (i, c) in seen.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "item {i} claimed wrongly");
-        }
+        rx.recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("run_graph did not return: {e}"))
     }
 
     #[test]
@@ -516,22 +496,59 @@ mod tests {
 
     #[test]
     fn run_graph_runs_every_node_exactly_once() {
-        // A two-layer fan: 8 seeds each feeding 4 dependents.
-        let mut costs = vec![1.0; 8];
-        let mut deps: Vec<Vec<u32>> = vec![vec![]; 8];
+        // A two-layer fan (8 seeds each feeding 4 dependents), then a
+        // large zero-cost random DAG whose nodes finish as fast as the
+        // workers can claim them — the regime where a lost wakeup would
+        // strand a worker. Widths above the core count oversubscribe.
+        let mut fan_costs = vec![1.0; 8];
+        let mut fan_deps: Vec<Vec<u32>> = vec![vec![]; 8];
         for s in 0..8u32 {
             for _ in 0..4 {
-                costs.push(1.0);
-                deps.push(vec![s]);
+                fan_costs.push(1.0);
+                fan_deps.push(vec![s]);
             }
         }
-        let g = Graph::new(&costs, deps);
-        let counts: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
-        run_graph(&g, 4, &NoopSink, |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
+        let mut rng = SmallRng::seed_from_u64(13);
+        let nodes: Vec<(f64, u64)> = (0..2_000).map(|_| (0.0, rng.gen())).collect();
+        let (costs, deps) = dag(&nodes);
+        let mut graphs = vec![Graph::new(&fan_costs, fan_deps)];
+        graphs.extend((0..8).map(|_| Graph::new(&costs, deps.clone())));
+        within_timeout(move || {
+            for threads in [1usize, 2, 4, 16] {
+                for g in &graphs {
+                    let counts: Vec<AtomicUsize> =
+                        (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
+                    let report = run_graph(g, threads, &NoopSink, |i| {
+                        counts[i].fetch_add(1, Ordering::Relaxed);
+                    });
+                    for (i, c) in counts.iter().enumerate() {
+                        assert_eq!(c.load(Ordering::Relaxed), 1, "node {i} at {threads}");
+                    }
+                    assert_eq!(report.jobs.iter().sum::<u64>(), g.len() as u64);
+                }
+            }
         });
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "node {i}");
+    }
+
+    #[test]
+    fn a_panicking_node_propagates_at_every_width() {
+        for threads in [1usize, 2, 4] {
+            let payload = within_timeout(move || {
+                let g = Graph::new(&[1.0; 8], vec![vec![]; 8]);
+                catch_unwind(AssertUnwindSafe(|| {
+                    run_graph(&g, threads, &NoopSink, |i| {
+                        if i == 0 {
+                            panic!("node 0 fails");
+                        }
+                    })
+                }))
+                .expect_err("the node's panic propagates")
+            });
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"node 0 fails"),
+                "at {threads} threads"
+            );
         }
     }
 
@@ -548,9 +565,53 @@ mod tests {
         run_graph(&g, 1, &NoopSink, |i| {
             order.lock().unwrap().push(i);
         });
-        // Depth-first down the heavy chain, then the light chain, then
-        // the isolated leaf.
+        // Descending priority: 20, 10, 2, 1, 0.5.
         assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn long_pole_order_beats_id_order() {
+        // Two short roots, then an experiment (2) whose run (3) is the
+        // long pole. By id, two workers start the short roots and the
+        // chain finishes at 4; long-pole-first starts the chain at once
+        // and finishes at 3.
+        let costs = [1.0, 1.0, 1.0, 2.0];
+        let deps = vec![vec![], vec![], vec![], vec![2]];
+        let long_pole = Graph::new(&costs, deps.clone());
+        // Equal priorities leave the id tie-break: FIFO order.
+        let by_id = Graph::new(&[0.0; 4], deps);
+        assert_eq!(replay(&long_pole, &costs, 2).1, 3.0);
+        assert_eq!(replay(&by_id, &costs, 2).1, 4.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn replay_runs_each_node_once_in_order_within_grahams_bound(
+            nodes in proptest::collection::vec((0.0f64..10.0, 0u64..u64::MAX), 1..80),
+            workers in 1usize..17,
+        ) {
+            let (costs, deps) = dag(&nodes);
+            let g = Graph::new(&costs, deps.clone());
+            let (claims, makespan) = replay(&g, &costs, workers);
+            let mut start = vec![None; g.len()];
+            for &(i, at) in &claims {
+                prop_assert!(start[i].is_none(), "node {} claimed twice", i);
+                start[i] = Some(at);
+            }
+            let start: Vec<f64> = start.into_iter().map(|s| s.expect("every node runs")).collect();
+            for (j, ds) in deps.iter().enumerate() {
+                for &d in ds {
+                    prop_assert!(start[j] >= start[d as usize] + costs[d as usize]);
+                }
+            }
+            // Graham: any list schedule that never idles while work is
+            // ready finishes within (W - CP)/m + CP.
+            let work: f64 = costs.iter().sum();
+            let cp = (0..g.len()).map(|i| g.priority(i)).fold(0.0, f64::max);
+            prop_assert!(makespan <= (work - cp) / workers as f64 + cp + 1e-9 * work);
+        }
     }
 
     #[test]
@@ -586,7 +647,7 @@ mod tests {
         let g = Graph::new(&[], vec![]);
         let report = run_graph(&g, 4, &NoopSink, |_| panic!("no nodes to run"));
         assert_eq!(report.elapsed_us, 0);
-        assert_eq!(report.steals, 0);
+        assert!(report.jobs.is_empty());
     }
 
     #[test]
@@ -595,7 +656,10 @@ mod tests {
         // and the critical path must cover every node's duration.
         let g = Graph::new(&[1.0; 3], vec![vec![], vec![0], vec![1]]);
         let report = run_graph(&g, 4, &NoopSink, |_| {
-            std::thread::sleep(Duration::from_millis(2));
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_millis(2) {
+                std::hint::spin_loop();
+            }
         });
         assert!(report.critical_path_us >= 3 * 2_000 - 1_000);
         assert!(report.elapsed_us >= report.critical_path_us);

@@ -12,7 +12,7 @@
 //!    uses. A cell shared by fig13/fig14/fig15 becomes a single node, no
 //!    matter how many figures want it — and at equal `--accesses`, a
 //!    validate mix-0 detailed cell is fig02's cell for that design.
-//! 3. **Schedule.** The graph executes on the work-stealing pool
+//! 3. **Schedule.** The graph executes on one shared ready queue
 //!    ([`exec::sched`]), long poles first. Each node reads through the
 //!    cell cache (and its disk store), so cells an earlier run computed
 //!    are served, and its result lands in the node's own slot.
@@ -660,6 +660,61 @@ mod tests {
             .position(|fs| fs.contains(&1))
             .expect("fig18 has nodes");
         assert!(u.node_figures[..first_fig18].iter().all(|fs| fs == &[0]));
+    }
+
+    #[test]
+    fn modeled_replay_of_the_benchmark_graphs_meets_grahams_bound() {
+        // The benchmark's three figure sets, unioned and costed by the
+        // static priors, replayed in virtual time at each width: the
+        // schedule stays within Graham's list-scheduling bound.
+        use FigureKind::*;
+        let analytic: Vec<FigureKind> = FigureKind::all()
+            .into_iter()
+            .filter(|k| !matches!(k, Fig02 | Validate))
+            .collect();
+        let warm = vec![
+            Fig02,
+            Fig04,
+            Fig05,
+            Fig09,
+            Fig13,
+            Fig14,
+            Fig15,
+            Fig16,
+            Fig17,
+            Fig18,
+            Sensitivity,
+            Ablation,
+            Validate,
+        ];
+        let sets = [
+            ("analytic-cold", analytic, 12),
+            ("detail-cold", vec![Fig02, Validate], 4),
+            ("warm", warm, 12),
+        ];
+        for (name, kinds, mixes) in sets {
+            let plans: Vec<_> = specs_of(&kinds, mixes)
+                .iter()
+                .map(|s| plan::of(s).unwrap())
+                .collect();
+            let u = union_plans(&plans, &plan::CostModel::priors());
+            let g = Graph::new(&u.costs, u.deps.clone());
+            let work: f64 = u.costs.iter().sum();
+            let cp = (0..g.len()).map(|i| g.priority(i)).fold(0.0, f64::max);
+            for m in [1usize, 2, 4, 8, 16, 64] {
+                let (_, makespan) = sched::replay(&g, &u.costs, m);
+                let m = m as f64;
+                assert!(
+                    makespan <= (work - cp) / m + cp + 1e-9 * work,
+                    "{name} at {m} workers: {makespan} over Graham's bound"
+                );
+                eprintln!(
+                    "{name}: {} nodes, {m} workers: makespan / max(CP, W/m) = {:.3}",
+                    g.len(),
+                    makespan / cp.max(work / m)
+                );
+            }
+        }
     }
 
     /// A fault-injecting sink: panics inside every Jigsaw run (breaking

@@ -524,8 +524,8 @@ fn rule_env_var(ctx: &mut Ctx) {
                 "`JUMANJI_*` environment read ({}) outside the config surface",
                 ctx.text(ci + 5)
             ),
-            "route ambient configuration through `spec.rs`/`exec/mod.rs` so every knob \
-             is visible in one place",
+            "route ambient configuration through `spec.rs` so every knob is visible in \
+             one place",
         );
     }
 }

@@ -77,11 +77,11 @@ pub enum Event {
         /// Intervals that re-ran allocate → evaluate.
         memo_misses: u64,
     },
-    /// One job's timing span on the experiment engine's worker pool.
+    /// One node's timing span on the work-graph scheduler.
     WorkerSpan {
         /// Worker index within the pool.
         worker: usize,
-        /// Job index (the `parallel_map` element).
+        /// Job index: the scheduler's node id.
         job: usize,
         /// Job start, µs since the fan-out began.
         start_us: u64,
@@ -132,8 +132,10 @@ pub enum Event {
         /// Total cycles spent waiting on this bank's ports.
         port_wait_cycles: u64,
     },
-    /// One steal on the work-graph scheduler: a worker whose deque ran
-    /// dry took jobs from another worker's deque.
+    /// One steal on a work-stealing scheduler: a worker whose deque ran
+    /// dry took jobs from another worker's deque. The work-graph
+    /// scheduler runs one shared ready queue and never emits it; the
+    /// variant stays because trace consumers still name it.
     SchedSteal {
         /// Worker that stole.
         thief: usize,
@@ -149,7 +151,7 @@ pub enum Event {
     SchedQueue {
         /// Sample time, µs since the graph execution began.
         at_us: u64,
-        /// Ready (claimable) nodes across every worker deque.
+        /// Ready (claimable) nodes in the ready queue.
         depth: u64,
     },
     /// Per-worker utilization over one graph execution, emitted when the
@@ -159,15 +161,13 @@ pub enum Event {
         worker: usize,
         /// Nodes this worker executed.
         jobs: u64,
-        /// Steals this worker performed.
-        steals: u64,
         /// Time spent executing nodes, µs.
         busy_us: u64,
         /// Worker lifetime from pool start to drain, µs.
         span_us: u64,
     },
-    /// Whole-graph summary of one work-graph execution: shape, steal
-    /// totals, and the measured critical path (the longest
+    /// Whole-graph summary of one work-graph execution: shape, worker
+    /// count, and the measured critical path (the longest
     /// dependency-ordered chain of node durations — the wall-clock floor
     /// no worker count can beat).
     SchedSummary {
@@ -177,8 +177,6 @@ pub enum Event {
         edges: u64,
         /// Worker threads.
         workers: u64,
-        /// Total steals across workers.
-        steals: u64,
         /// Measured critical-path length, µs.
         critical_path_us: u64,
         /// Wall-clock of the whole execution, µs.
@@ -335,13 +333,11 @@ impl Event {
             Event::SchedWorker {
                 worker,
                 jobs,
-                steals,
                 busy_us,
                 span_us,
             } => {
                 uint(&mut s, "worker", *worker as u64);
                 uint(&mut s, "jobs", *jobs);
-                uint(&mut s, "steals", *steals);
                 uint(&mut s, "busy_us", *busy_us);
                 uint(&mut s, "span_us", *span_us);
             }
@@ -349,14 +345,12 @@ impl Event {
                 nodes,
                 edges,
                 workers,
-                steals,
                 critical_path_us,
                 elapsed_us,
             } => {
                 uint(&mut s, "nodes", *nodes);
                 uint(&mut s, "edges", *edges);
                 uint(&mut s, "workers", *workers);
-                uint(&mut s, "steals", *steals);
                 uint(&mut s, "critical_path_us", *critical_path_us);
                 uint(&mut s, "elapsed_us", *elapsed_us);
             }
@@ -556,7 +550,6 @@ mod tests {
         let w = Event::SchedWorker {
             worker: 1,
             jobs: 40,
-            steals: 3,
             busy_us: 900,
             span_us: 1000,
         };
@@ -568,7 +561,6 @@ mod tests {
             nodes: 100,
             edges: 80,
             workers: 4,
-            steals: 9,
             critical_path_us: 5000,
             elapsed_us: 6000,
         };

@@ -143,9 +143,11 @@ echo "== telemetry off is byte-identical to the pinned golden TSVs"
 cmp "$tmp/golden/fig13.tsv" results/fig13.tsv
 cmp "$tmp/golden/fig14.tsv" results/fig14.tsv
 
-echo "== --trace emits controller events as JSONL"
+echo "== --trace emits controller and scheduler events as JSONL"
 ./target/release/suite --figures fig05 --trace "$tmp/trace.jsonl" >/dev/null 2>&1
 grep -q '"event":"controller"' "$tmp/trace.jsonl"
 grep -q '"event":"run_summary"' "$tmp/trace.jsonl"
+grep -q '"event":"sched_summary"' "$tmp/trace.jsonl"
+grep -q '"event":"worker_span"' "$tmp/trace.jsonl"
 
 echo "verify: OK"
