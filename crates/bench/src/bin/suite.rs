@@ -143,11 +143,6 @@ fn write_stats(
     )?;
     writeln!(
         f,
-        "  \"allocs\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
-        stats.allocs.hits, stats.allocs.misses, stats.allocs.entries
-    )?;
-    writeln!(
-        f,
         "  \"details\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
         stats.details.hits, stats.details.misses, stats.details.entries
     )?;
@@ -302,7 +297,6 @@ fn run(args: &[String]) -> Result<(), Error> {
             ("runs", stats.runs),
             ("details", stats.details),
             ("experiments", stats.experiments),
-            ("allocs", stats.allocs),
             ("hulls", stats.hulls),
         ] {
             sink.emit(&Event::CacheStats {

@@ -14,9 +14,12 @@
 //!   content key plus the design;
 //! - **details** — completed detailed-simulator [`DetailReport`]s (by far
 //!   the heaviest cells in the repo — fig02 and validate), keyed by the
-//!   full input of [`run_detailed`];
-//! - **allocs** — one-shot [`DesignKind::allocate`] placements, keyed by
-//!   [`PlacementInput::content_key`] plus the design.
+//!   full input of [`run_detailed`].
+//!
+//! One-shot placements are not cached: a [`DesignKind::allocate`] call
+//! costs well under a millisecond, less than fingerprinting its input,
+//! so the plan pass computes the allocations detailed cells simulate
+//! directly.
 //!
 //! Keys are 128-bit content fingerprints
 //! ([`fingerprint128`](jumanji::types::hash::fingerprint128)) of the
@@ -32,7 +35,7 @@
 //! deadline isolation runs.
 //!
 //! **The cache can be disk-backed.** [`CellCache::attach_disk`] plugs in
-//! a [`DiskCache`] (see [`crate::disk_cache`]); run and allocation
+//! a [`DiskCache`] (see [`crate::disk_cache`]); run and detail
 //! lookups then read through the in-memory maps to disk and write newly
 //! computed cells back, so the dedup survives the process — a warm
 //! `suite` run renders almost entirely from disk. A spec's `cache_dir`
@@ -51,7 +54,7 @@
 //! cache or the disk.
 
 use crate::disk_cache::{DiskCache, DiskCacheStats};
-use jumanji::core::{Allocation, DesignKind, PlacementInput};
+use jumanji::core::{Allocation, DesignKind};
 use jumanji::sim::detail::{run_detailed, DetailOptions, DetailReport};
 use jumanji::sim::perf::Profile;
 use jumanji::sim::{ratio_hull_cache_stats, Experiment, ExperimentResult, SimOptions};
@@ -127,18 +130,6 @@ pub struct ExperimentHandle {
     key: u128,
 }
 
-impl ExperimentHandle {
-    /// The underlying experiment, constructing it on first use.
-    ///
-    /// This standalone accessor does not consult any cache map (it has
-    /// no cache reference); handles obtained from the same
-    /// [`CellCache`] share constructions through [`CellCache::run_sourced`]
-    /// instead.
-    pub fn experiment(&self) -> &Experiment {
-        self.cell.exp.get_or_init(|| self.cell.construct())
-    }
-}
-
 /// Where [`CellCache::run_sourced`] found (or had to put) a run cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunSource {
@@ -162,8 +153,6 @@ pub struct CellCacheStats {
     /// Constructed experiments (lazy: only cells that were actually
     /// forced appear here — a fully warm run constructs none).
     pub experiments: MapStats,
-    /// One-shot placement allocations.
-    pub allocs: MapStats,
     /// The simulator's shared ratio-hull memo.
     pub hulls: MapStats,
     /// The attached disk store's counters (`None` when memory-only).
@@ -180,7 +169,6 @@ pub struct CellCache {
     experiments: ShardedMap<u128, Arc<Experiment>>,
     runs: ShardedMap<u128, Arc<ExperimentResult>>,
     details: ShardedMap<u128, Arc<DetailReport>>,
-    allocs: ShardedMap<u128, Allocation>,
     disk: RwLock<Option<Arc<DiskCache>>>,
 }
 
@@ -197,7 +185,6 @@ impl CellCache {
             experiments: ShardedMap::new(),
             runs: ShardedMap::new(),
             details: ShardedMap::new(),
-            allocs: ShardedMap::new(),
             disk: RwLock::new(None),
         }
     }
@@ -209,17 +196,11 @@ impl CellCache {
         GLOBAL.get_or_init(CellCache::new)
     }
 
-    /// Backs this cache with a persistent store: run and allocation
+    /// Backs this cache with a persistent store: run and detail
     /// lookups read through to it and write computed cells back.
     /// Replaces any previously attached store.
     pub fn attach_disk(&self, disk: Arc<DiskCache>) {
         *self.disk.write().expect("disk slot lock") = Some(disk);
-    }
-
-    /// Detaches the persistent store (memory-only from here on) and
-    /// returns it, e.g. to read its final counters.
-    pub fn detach_disk(&self) -> Option<Arc<DiskCache>> {
-        self.disk.write().expect("disk slot lock").take()
     }
 
     /// The attached persistent store, if any.
@@ -353,31 +334,6 @@ impl CellCache {
         self.runs.get(&key).is_some() || self.disk().is_some_and(|d| d.has_run(key))
     }
 
-    /// [`CellCache::probe_run`] for a detailed-simulator cell.
-    pub fn probe_detail(&self, key: u128) -> bool {
-        self.details.get(&key).is_some() || self.disk().is_some_and(|d| d.has_detail(key))
-    }
-
-    /// The allocation `design` produces for `input`, computed at most once
-    /// per cache per distinct input (and at most once across processes
-    /// with a disk store attached).
-    pub fn allocate(&self, design: DesignKind, input: &PlacementInput) -> Allocation {
-        let key =
-            fingerprint128(format!("alloc|{design:?}|{:032x}", input.content_key()).as_bytes());
-        self.allocs.get_or_compute(key, || {
-            if let Some(disk) = self.disk() {
-                if let Some(a) = disk.load_alloc(key) {
-                    return a;
-                }
-            }
-            let a = design.allocate(input);
-            if let Some(disk) = self.disk() {
-                disk.store_alloc(key, &a);
-            }
-            a
-        })
-    }
-
     /// A snapshot of every memo's counters (including the simulator's
     /// shared hull memo and the attached disk store, when any).
     pub fn stats(&self) -> CellCacheStats {
@@ -385,7 +341,6 @@ impl CellCache {
             runs: self.runs.stats(),
             details: self.details.stats(),
             experiments: self.experiments.stats(),
-            allocs: self.allocs.stats(),
             hulls: ratio_hull_cache_stats(),
             disk: self
                 .disk
@@ -443,7 +398,7 @@ pub fn persist_global_disk() {
 mod tests {
     use super::*;
     use jumanji::telemetry::{Event, NoopSink, RecordingSink};
-    use jumanji::types::{Seconds, SystemConfig};
+    use jumanji::types::Seconds;
     use jumanji::workloads::case_study_mix;
 
     fn quick_opts() -> SimOptions {
@@ -518,23 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn allocations_are_memoized_by_content() {
-        let cache = CellCache::new();
-        let cfg = SystemConfig::micro2020();
-        let input = PlacementInput::example(&cfg);
-        let a = cache.allocate(DesignKind::Jumanji, &input);
-        let b = cache.allocate(DesignKind::Jumanji, &input.clone());
-        assert_eq!(a, b);
-        let direct = DesignKind::Jumanji.allocate(&input);
-        assert_eq!(a, direct);
-        let s = cache.stats();
-        assert_eq!((s.allocs.hits, s.allocs.misses), (1, 1));
-        // A different design is a different cell.
-        let _ = cache.allocate(DesignKind::Jigsaw, &input);
-        assert_eq!(cache.stats().allocs.entries, 2);
-    }
-
-    #[test]
     fn disk_store_serves_a_fresh_cache_without_constructing() {
         let dir = temp_dir("warm");
         // Cold process: compute one run cell and persist it.
@@ -576,22 +514,6 @@ mod tests {
             "--no-cache must ignore the store"
         );
         assert!(!throwaway.probe_run(key));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_alloc_round_trip() {
-        let dir = temp_dir("alloc");
-        let cfg = SystemConfig::micro2020();
-        let input = PlacementInput::example(&cfg);
-        let cold = CellCache::new();
-        cold.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
-        let a = cold.allocate(DesignKind::Jumanji, &input);
-        let warm = CellCache::new();
-        warm.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
-        let b = warm.allocate(DesignKind::Jumanji, &input);
-        assert_eq!(a, b);
-        assert_eq!(warm.stats().disk.expect("disk attached").hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

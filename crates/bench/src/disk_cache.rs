@@ -12,7 +12,6 @@
 //! - `details/<key>.bin` — completed detailed-simulator
 //!   [`DetailReport`]s (the heaviest cells in the repo: fig02 and
 //!   validate);
-//! - `allocs/<key>.bin` — one-shot [`Allocation`]s;
 //! - `model.bin` — the simulator's expensive construction memos (ratio
 //!   hulls and deadline isolation runs), so even a *cold* run cell
 //!   constructs its experiment from warm models;
@@ -37,6 +36,10 @@
 //! store fits. `model.bin` and `costs.bin` are small shared memos and
 //! are never evicted for space.
 //!
+//! Stores written by older versions may also hold an `allocs/`
+//! directory of memoized placements. Nothing reads, writes or evicts it
+//! any more; it is inert and may be deleted by hand.
+//!
 //! The codec is hand-rolled (no serde — the workspace builds offline):
 //! each domain type gets an explicit field-order encode/decode pair
 //! below, and any layout change must bump
@@ -47,13 +50,13 @@
 #![allow(clippy::disallowed_types)]
 
 use jumanji::cache::MissCurve;
-use jumanji::core::{Allocation, AppAlloc, DesignKind, Pool};
+use jumanji::core::DesignKind;
 use jumanji::sim::detail::{DetailAppStats, DetailReport};
 use jumanji::sim::energy::EnergyBreakdown;
 use jumanji::sim::{export_ratio_hulls, seed_ratio_hull, ExperimentResult, IntervalRecord};
 use jumanji::types::codec::{decode_entry, encode_entry, ByteReader, ByteWriter, CodecError};
 use jumanji::types::hash::Mix64Build;
-use jumanji::types::{AppId, BankId};
+use jumanji::types::AppId;
 use jumanji::workloads::{spec2006, tailbench};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -63,8 +66,6 @@ use std::{fs, io};
 
 /// Envelope kind tag for run-cell entries.
 const KIND_RUN: u16 = 1;
-/// Envelope kind tag for allocation entries.
-const KIND_ALLOC: u16 = 2;
 /// Envelope kind tag for the model-memo file (hulls + deadlines).
 const KIND_MODEL: u16 = 3;
 /// Envelope kind tag for the measured-cost table.
@@ -344,97 +345,6 @@ fn decode_result(bytes: &[u8]) -> Result<ExperimentResult, CodecError> {
     })
 }
 
-fn encode_placement(w: &mut ByteWriter, placement: &[(BankId, f64)]) {
-    w.u32(placement.len() as u32);
-    for (bank, bytes) in placement {
-        w.usize(bank.0);
-        w.f64(*bytes);
-    }
-}
-
-fn decode_placement(r: &mut ByteReader<'_>) -> Result<Vec<(BankId, f64)>, CodecError> {
-    let n = r.count(16)?;
-    (0..n).map(|_| Ok((BankId(r.usize()?), r.f64()?))).collect()
-}
-
-fn encode_alloc(alloc: &Allocation) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(alloc.ideal_batch as u8);
-    w.u32(alloc.apps.len() as u32);
-    for a in &alloc.apps {
-        w.usize(a.app.0);
-        encode_placement(&mut w, &a.placement);
-        match a.pool {
-            Some(p) => {
-                w.u8(1);
-                w.usize(p);
-            }
-            None => w.u8(0),
-        }
-        w.u8(a.copy);
-    }
-    w.u32(alloc.pools.len() as u32);
-    for p in &alloc.pools {
-        w.u32(p.members.len() as u32);
-        for m in &p.members {
-            w.usize(m.0);
-        }
-        encode_placement(&mut w, &p.placement);
-    }
-    encode_entry(KIND_ALLOC, w.into_bytes())
-}
-
-fn decode_alloc(bytes: &[u8]) -> Result<Allocation, CodecError> {
-    let payload = decode_entry(KIND_ALLOC, bytes)?;
-    let mut r = ByteReader::new(payload);
-    let ideal_batch = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(CodecError::Malformed("bad bool tag")),
-    };
-    let napps = r.count(1)?;
-    let mut apps = Vec::with_capacity(napps);
-    for _ in 0..napps {
-        let app = AppId(r.usize()?);
-        let placement = decode_placement(&mut r)?;
-        let pool = match r.u8()? {
-            0 => None,
-            1 => Some(r.usize()?),
-            _ => return Err(CodecError::Malformed("bad option tag")),
-        };
-        let copy = r.u8()?;
-        apps.push(AppAlloc {
-            app,
-            placement,
-            pool,
-            copy,
-        });
-    }
-    let npools = r.count(1)?;
-    let mut pools = Vec::with_capacity(npools);
-    for _ in 0..npools {
-        let nm = r.count(8)?;
-        let members = (0..nm)
-            .map(|_| Ok(AppId(r.usize()?)))
-            .collect::<Result<Vec<_>, CodecError>>()?;
-        let placement = decode_placement(&mut r)?;
-        pools.push(Pool { members, placement });
-    }
-    r.finish()?;
-    for a in &apps {
-        if let Some(p) = a.pool {
-            if p >= pools.len() {
-                return Err(CodecError::Malformed("pool index out of range"));
-            }
-        }
-    }
-    Ok(Allocation {
-        apps,
-        pools,
-        ideal_batch,
-    })
-}
-
 fn encode_detail(report: &DetailReport) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(report.apps.len() as u32);
@@ -628,7 +538,6 @@ impl DiskCache {
         let root = dir.into();
         fs::create_dir_all(root.join("runs"))?;
         fs::create_dir_all(root.join("details"))?;
-        fs::create_dir_all(root.join("allocs"))?;
         Ok(DiskCache {
             root,
             cap_bytes: AtomicU64::new(0),
@@ -662,10 +571,6 @@ impl DiskCache {
 
     fn detail_path(&self, key: u128) -> PathBuf {
         self.root.join("details").join(format!("{key:032x}.bin"))
-    }
-
-    fn alloc_path(&self, key: u128) -> PathBuf {
-        self.root.join("allocs").join(format!("{key:032x}.bin"))
     }
 
     /// Writes `bytes` to `path` via a uniquely named temp file in the
@@ -764,22 +669,6 @@ impl DiskCache {
         self.store_entry(&self.detail_path(key), &encode_detail(report));
     }
 
-    /// Cheap existence probe for a detailed-cell entry (see
-    /// [`DiskCache::has_run`]).
-    pub fn has_detail(&self, key: u128) -> bool {
-        self.detail_path(key).exists()
-    }
-
-    /// The persisted allocation for a key, if a valid entry exists.
-    pub fn load_alloc(&self, key: u128) -> Option<Allocation> {
-        self.load_entry(&self.alloc_path(key), decode_alloc)
-    }
-
-    /// Persists a one-shot allocation.
-    pub fn store_alloc(&self, key: u128, alloc: &Allocation) {
-        self.store_entry(&self.alloc_path(key), &encode_alloc(alloc));
-    }
-
     /// Warm-starts the simulator's construction memos (ratio hulls,
     /// deadline isolation runs) from `model.bin`. Returns the number of
     /// entries seeded; a corrupt file is dropped and seeds nothing.
@@ -867,7 +756,7 @@ impl DiskCache {
     }
 
     /// Caps the total size of the store's entry files (`runs/`,
-    /// `details/`, `allocs/`). `0` means unbounded (the default). The
+    /// `details/`). `0` means unbounded (the default). The
     /// cap takes effect at the next [`DiskCache::enforce_cap`] call —
     /// the `suite` binary enforces it at attach time and again at exit.
     pub fn set_cap_bytes(&self, cap: u64) {
@@ -892,7 +781,7 @@ impl DiskCache {
         }
         let mut entries: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
         let mut total: u64 = 0;
-        for sub in ["runs", "details", "allocs"] {
+        for sub in ["runs", "details"] {
             let Ok(dir) = fs::read_dir(self.root.join(sub)) else {
                 continue;
             };
@@ -977,30 +866,6 @@ mod tests {
         }
     }
 
-    fn sample_alloc() -> Allocation {
-        Allocation {
-            apps: vec![
-                AppAlloc {
-                    app: AppId(0),
-                    placement: vec![(BankId(0), 65536.0), (BankId(3), 0.5)],
-                    pool: None,
-                    copy: 0,
-                },
-                AppAlloc {
-                    app: AppId(1),
-                    placement: vec![],
-                    pool: Some(0),
-                    copy: 1,
-                },
-            ],
-            pools: vec![Pool {
-                members: vec![AppId(1)],
-                placement: vec![(BankId(7), 123.0)],
-            }],
-            ideal_batch: true,
-        }
-    }
-
     #[test]
     fn result_codec_round_trips_bit_exactly() {
         let original = sample_result();
@@ -1022,22 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn alloc_codec_round_trips() {
-        let original = sample_alloc();
-        let decoded = decode_alloc(&encode_alloc(&original)).expect("valid entry");
-        assert_eq!(original, decoded);
-    }
-
-    #[test]
-    fn alloc_decoder_rejects_dangling_pool_index() {
-        let mut alloc = sample_alloc();
-        alloc.pools.clear();
-        let err = decode_alloc(&encode_alloc(&alloc)).expect_err("dangling pool");
-        assert_eq!(err, CodecError::Malformed("pool index out of range"));
-    }
-
-    #[test]
-    fn store_round_trips_runs_and_allocs() {
+    fn store_round_trips_runs() {
         let store = temp_store("roundtrip");
         let result = sample_result();
         assert!(store.load_run(7).is_none());
@@ -1047,14 +897,10 @@ mod tests {
         let loaded = store.load_run(7).expect("stored entry");
         assert_eq!(format!("{result:?}"), format!("{loaded:?}"));
 
-        let alloc = sample_alloc();
-        store.store_alloc(9, &alloc);
-        assert_eq!(store.load_alloc(9), Some(alloc));
-
         let s = store.stats();
-        assert_eq!(s.hits, 2);
+        assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
-        assert_eq!(s.writes, 2);
+        assert_eq!(s.writes, 1);
         assert_eq!(s.corrupt_dropped, 0);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -1117,9 +963,9 @@ mod tests {
         let store = temp_store("detail-roundtrip");
         let report = sample_detail();
         assert!(store.load_detail(11).is_none());
-        assert!(!store.has_detail(11));
+        assert!(!store.detail_path(11).exists());
         store.store_detail(11, &report);
-        assert!(store.has_detail(11));
+        assert!(store.detail_path(11).exists());
         let loaded = store.load_detail(11).expect("stored entry");
         assert_eq!(format!("{report:?}"), format!("{loaded:?}"));
         let _ = fs::remove_dir_all(store.root());
@@ -1156,7 +1002,7 @@ mod tests {
         let evicted = store.enforce_cap();
         assert!(evicted >= 2, "cap must evict, got {evicted}");
         assert!(!store.has_run(0), "oldest entry must be evicted first");
-        assert!(store.has_detail(9), "newest entry must survive");
+        assert!(store.detail_path(9).exists(), "newest entry must survive");
         assert_eq!(store.stats().evictions, evicted);
 
         // Within cap now: a second enforcement is a no-op, and evicted

@@ -25,7 +25,6 @@
 //! predictions — only their ordering matters.
 
 use super::{groups_by_load, sim_opts};
-use crate::cell_cache::CellCache;
 use crate::disk_cache::MeasuredCosts;
 use crate::spec::{ExperimentSpec, FigureKind};
 use crate::{mix_cell_inputs, LcGroup};
@@ -59,8 +58,8 @@ impl CellPlan {
 
 /// One detailed-simulator cell a figure's render folds: the full input
 /// of [`run_detailed`](jumanji::sim::detail::run_detailed), including
-/// the allocation under test (allocations are cheap and memoized through
-/// the cell cache, so the plan pass resolves them up front).
+/// the allocation under test (a placement takes well under a
+/// millisecond, so the plan pass computes it up front).
 #[derive(Debug, Clone)]
 pub struct DetailPlan {
     /// The design whose allocation is simulated (labeling only — the
@@ -319,19 +318,15 @@ fn matrix_cells(
 }
 
 /// Enumerates the cells `spec`'s render folds, without computing any of
-/// them; detailed cells' allocations resolve through the process-wide
-/// cell cache. Figures with no cells return an empty plan.
+/// them; detailed cells' allocations are computed directly, so the plan
+/// is a pure function of `spec`. Figures with no cells return an empty
+/// plan.
 ///
 /// # Errors
 ///
 /// Returns [`Error::UnknownWorkload`] for specs naming unknown servers,
 /// before any compute.
 pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
-    of_in(spec, CellCache::global())
-}
-
-/// [`of`], resolving detailed cells' allocations through `cache`.
-pub(crate) fn of_in(spec: &ExperimentSpec, cache: &CellCache) -> Result<FigurePlan, Error> {
     use FigureKind::*;
     let cells = match spec.kind {
         Fig04 => {
@@ -476,7 +471,7 @@ pub(crate) fn of_in(spec: &ExperimentSpec, cache: &CellCache) -> Result<FigurePl
                     profiles: profiles.clone(),
                     cores: cores.clone(),
                     vms: vms.clone(),
-                    alloc: cache.allocate(design, &input),
+                    alloc: design.allocate(&input),
                 })
                 .collect()
         }
@@ -489,7 +484,7 @@ pub(crate) fn of_in(spec: &ExperimentSpec, cache: &CellCache) -> Result<FigurePl
             // Render order: design outer, mix inner (cell index is
             // `design * mixes + mix`).
             for &design in &super::validate::DESIGNS {
-                let alloc = cache.allocate(design, &input);
+                let alloc = design.allocate(&input);
                 for mix in 0..spec.mixes {
                     details.push(DetailPlan {
                         design,

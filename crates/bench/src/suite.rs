@@ -387,10 +387,7 @@ pub fn run_suite(
         }
     };
 
-    let plans: Vec<plan::FigurePlan> = specs
-        .iter()
-        .map(|spec| plan::of_in(spec, cache))
-        .collect::<Result<_, _>>()?;
+    let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
     // Cost the graph with measured durations from the persistent store
     // when it has seen real runs; the static priors otherwise.
     let loaded_costs = cache.disk().map(|d| d.load_costs()).unwrap_or_default();

@@ -100,8 +100,7 @@ fn no_cache_specs_leave_the_global_cache_and_store_untouched() {
     let _lock = exclusive();
     let store = std::env::temp_dir().join(format!("jumanji-no-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
-    // fig02 resolves its allocations while planning; fig05 runs analytic
-    // cells.
+    // fig02 runs detailed cells; fig05 runs analytic cells.
     let kinds = [FigureKind::Fig02, FigureKind::Fig05];
     let specs: Vec<ExperimentSpec> = kinds
         .iter()
@@ -109,7 +108,7 @@ fn no_cache_specs_leave_the_global_cache_and_store_untouched() {
         .collect();
     let own_maps = || {
         let s = CellCache::global().stats();
-        (s.runs, s.details, s.experiments, s.allocs, s.disk)
+        (s.runs, s.details, s.experiments, s.disk)
     };
     let before = own_maps();
     let mut fresh = Vec::new();

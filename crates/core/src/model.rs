@@ -88,19 +88,6 @@ impl PlacementInput {
         (0..self.cfg.llc.num_banks).map(BankId)
     }
 
-    /// A 128-bit content fingerprint of the whole placement problem —
-    /// config, every app model (ids, cores, curves bit-for-bit), and the
-    /// controller-assigned LC sizes.
-    ///
-    /// Two inputs share a key exactly when a placement algorithm would see
-    /// the same problem, which is what makes memoizing `allocate` results
-    /// across figures sound. Debug formatting is the serialization: it
-    /// prints every field (including each `f64` with full precision via
-    /// `{:?}`), so any change to the input changes the key.
-    pub fn content_key(&self) -> u128 {
-        nuca_types::hash::fingerprint128(format!("{self:?}").as_bytes())
-    }
-
     /// A small synthetic 4-VM input for documentation examples and tests:
     /// one latency-critical and four batch applications per VM, on the
     /// paper's quadrant layout.
@@ -190,22 +177,6 @@ mod tests {
             }
         }
         assert_eq!(input.lc_size(AppId(999)), 0.0);
-    }
-
-    #[test]
-    fn content_key_is_stable_and_input_sensitive() {
-        let cfg = SystemConfig::micro2020();
-        let input = PlacementInput::example(&cfg);
-        assert_eq!(input.content_key(), input.content_key());
-        assert_eq!(input.clone().content_key(), input.content_key());
-
-        let mut moved = input.clone();
-        moved.apps[3].core = CoreId(19);
-        assert_ne!(moved.content_key(), input.content_key());
-
-        let mut resized = input.clone();
-        resized.lc_sizes[0] += 1.0;
-        assert_ne!(resized.content_key(), input.content_key());
     }
 
     #[test]

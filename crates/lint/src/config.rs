@@ -53,8 +53,8 @@ pub struct LintConfig {
     pub timing_allow: Vec<String>,
     /// Paths allowed to read `JUMANJI_*` environment variables.
     pub env_allow: Vec<String>,
-    /// Path prefixes holding figure renderers (`plan-bypass` scope; the
-    /// plan pass, `plan.rs`, is exempt).
+    /// Path prefixes holding figure code, renders and the plan pass
+    /// (`plan-bypass` scope).
     pub figures: Vec<String>,
     /// Per-crate `unsafe` ceiling when not overridden.
     pub unsafe_default: u64,

@@ -11,7 +11,7 @@
 //! | `default-hasher` | no `RandomState` maps/sets in determinism-critical crates  |
 //! | `wall-clock`     | no `Instant::now`/`SystemTime::now` outside the allowlist  |
 //! | `thread-local`   | no `thread_local!` (PR 5 removed the per-thread memos)     |
-//! | `plan-bypass`    | render code (figures outside `plan.rs`) names no `CellCache` |
+//! | `plan-bypass`    | figure code, the plan pass included, names no `CellCache`  |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment              |
 //! | `unsafe-budget`  | per-crate `unsafe` counts stay within `lint.toml` budgets  |
 //! | `env-var`        | `JUMANJI_*` env reads only in the config surface           |
@@ -530,12 +530,12 @@ fn rule_env_var(ctx: &mut Ctx) {
     }
 }
 
-/// `plan-bypass`: render code — the figure paths, except the plan pass
-/// (`plan.rs`) — naming `CellCache`. A render folds the results the
-/// executor hands it; a cache in reach would let it compute or look up
-/// cells its plan never listed.
+/// `plan-bypass`: figure code — renders and the plan pass alike —
+/// naming `CellCache`. A render folds the results the executor hands
+/// it, and the plan is a pure function of the spec; a cache in reach
+/// would let either compute or look up cells the plan never listed.
 fn rule_plan_bypass(ctx: &mut Ctx) {
-    if !in_paths(ctx.rel, &ctx.cfg.figures) || ctx.rel.ends_with("/plan.rs") {
+    if !in_paths(ctx.rel, &ctx.cfg.figures) {
         return;
     }
     for ci in 0..ctx.code.len() {
@@ -543,7 +543,7 @@ fn rule_plan_bypass(ctx: &mut Ctx) {
             ctx.push(
                 ci,
                 "plan-bypass",
-                "render code names `CellCache`".to_string(),
+                "figure code names `CellCache`".to_string(),
                 "list the cell in the figure's plan (`figures/plan.rs`) and fold its result \
                  from the `FigureResults` the executor passes the render",
             );
@@ -747,11 +747,14 @@ mod tests {
     }
 
     #[test]
-    fn the_plan_pass_may_name_the_cache() {
+    fn the_plan_pass_is_flagged_like_any_figure_file() {
         let src = "pub fn of(spec: &Spec) -> Plan {\n\
-                   of_in(spec, CellCache::global())\n}\n";
-        assert!(rules_hit("crates/bench/src/figures/plan.rs", src).is_empty());
-        // Tests in render files may build caches of their own.
+                   resolve(spec, CellCache::global())\n}\n";
+        assert_eq!(
+            rules_hit("crates/bench/src/figures/plan.rs", src),
+            vec![("plan-bypass", 2)]
+        );
+        // Tests in figure files may build caches of their own.
         let test = "#[cfg(test)]\nmod tests {\n fn t() { let c = CellCache::new(); }\n}\n";
         assert!(rules_hit("crates/bench/src/figures/f.rs", test).is_empty());
     }

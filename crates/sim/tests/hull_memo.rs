@@ -102,13 +102,26 @@ proptest! {
 
 #[test]
 fn real_profile_hulls_match_and_cache_counts_hits() {
+    // The memo is process-wide and this file's proptests fill it
+    // concurrently, so assert on growth from a snapshot: other tests can
+    // only add to either counter.
+    let before = nuca_sim::ratio_hull_cache_stats();
+    let mut profiles = 0;
     for p in nuca_workloads::spec2006() {
         assert_hull_matches_uncached(&Profile::Batch(p), 32 * 1024, 40);
+        profiles += 1;
     }
     for p in nuca_workloads::tailbench() {
         assert_hull_matches_uncached(&Profile::Lc(p, LcLoad::High), 32 * 1024, 40);
+        profiles += 1;
     }
-    let stats = nuca_sim::ratio_hull_cache_stats();
-    assert!(stats.misses > 0, "fresh hulls must be computed");
-    assert!(stats.hits >= stats.misses, "repeat lookups must hit");
+    let after = nuca_sim::ratio_hull_cache_stats();
+    assert!(
+        after.misses - before.misses >= profiles,
+        "each real profile's hull must be computed once"
+    );
+    assert!(
+        after.hits - before.hits >= profiles,
+        "each repeat lookup must hit"
+    );
 }

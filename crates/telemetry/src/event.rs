@@ -93,8 +93,7 @@ pub enum Event {
     /// deduplication saved.
     CacheStats {
         /// Which cache the counters describe (`"runs"`, `"details"` —
-        /// the detailed-simulator cells — `"experiments"`, `"allocs"`,
-        /// `"hulls"`).
+        /// the detailed-simulator cells — `"experiments"`, `"hulls"`).
         scope: &'static str,
         /// Lookups served from an already-computed entry.
         hits: u64,

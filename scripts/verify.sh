@@ -26,6 +26,11 @@ cargo run --offline --release -p jumanji-lint
 echo "== cargo build --release"
 cargo build --offline --release
 
+echo "== benchmark probe still compiles against the crates' API"
+# Reads perfbench/ only; --locked fails rather than rewrite its Cargo.lock.
+cargo check --offline --locked --manifest-path perfbench/probe/Cargo.toml \
+    --target-dir target/probe
+
 echo "== cargo test --release"
 cargo test --offline --release --workspace
 
@@ -129,6 +134,9 @@ grep -Eq '\[suite\] sched: [1-9][0-9]* detail cells computed, 0 served from disk
     "$tmp/detail_cold.log"
 grep -Eq '\[suite\] sched: 0 detail cells computed, [1-9][0-9]* served from disk' \
     "$tmp/detail_warm.log"
+
+echo "== the store holds no memoized placements"
+[ ! -e "$tmp/dstore/allocs" ]
 
 echo "== every figure renders at --mixes 1 (one suite run, a header per TSV)"
 ./target/release/suite --figures all --mixes 1 --accesses 2000 \
