@@ -43,8 +43,8 @@
 //! global cache ([`attach_global_disk`]).
 //!
 //! **Tracing bypasses cache reads.** A traced run must emit its complete
-//! per-interval event stream, so when the sink is enabled the cache
-//! re-runs the experiment (writing the result through for later untraced
+//! event stream, so when the sink is enabled the cache recomputes the
+//! run or detailed cell (writing the result through for later untraced
 //! readers). Telemetry's bit-identical contract makes the written-through
 //! result indistinguishable from an untraced computation.
 //!
@@ -237,58 +237,31 @@ impl CellCache {
     }
 
     /// The result of running `design` on `handle`'s experiment, computed
-    /// at most once per cache while `tel` is disabled, plus where it
-    /// came from, so callers measuring node durations (the suite
-    /// scheduler) can tell real simulations from cache hits.
-    ///
-    /// An enabled sink forces a full re-run (the event stream must be
-    /// complete) whose result is written through for later untraced
-    /// readers — sound because traced runs are bit-identical to untraced
-    /// ones by the telemetry contract.
+    /// at most once per cache while `tel` is disabled (an enabled sink
+    /// re-runs and writes through; see the module docs), plus where it
+    /// came from, so the suite scheduler can tell real simulations from
+    /// cache hits.
     pub fn run_sourced(
         &self,
         handle: &ExperimentHandle,
         design: DesignKind,
         tel: &dyn Telemetry,
     ) -> (Arc<ExperimentResult>, RunSource) {
-        let key = run_key(handle.key, design);
-        if tel.enabled() {
-            let result = Arc::new(self.force_experiment(handle).run(design, tel));
-            self.runs.insert(key, Arc::clone(&result));
-            if let Some(disk) = self.disk() {
-                disk.store_run(key, &result);
-            }
-            return (result, RunSource::Computed);
-        }
-        let source = Cell::new(RunSource::Memory);
-        let result = self.runs.get_or_compute(key, || {
-            if let Some(disk) = self.disk() {
-                if let Some(r) = disk.load_run(key) {
-                    source.set(RunSource::Disk);
-                    return Arc::new(r);
-                }
-            }
-            source.set(RunSource::Computed);
-            let r = Arc::new(self.force_experiment(handle).run(design, &NoopSink));
-            if let Some(disk) = self.disk() {
-                disk.store_run(key, &r);
-            }
-            r
-        });
-        (result, source.get())
+        self.sourced(
+            &self.runs,
+            run_key(handle.key, design),
+            DiskCache::load_run,
+            DiskCache::store_run,
+            tel.enabled()
+                .then_some(|| self.force_experiment(handle).run(design, tel)),
+            || self.force_experiment(handle).run(design, &NoopSink),
+        )
     }
 
     /// The detailed-simulator report for `(opts, profiles, cores, vms,
-    /// alloc)`, computed at most once per cache while `tel` is disabled,
-    /// with read-through to the disk store's `details/` namespace, plus
-    /// where it came from.
-    ///
-    /// Detailed cells follow exactly the run-cell contract: an enabled
-    /// sink forces a full re-simulation (the [`Event::DetailBank`] stream
-    /// must be complete) whose report is written through for later
-    /// untraced readers.
-    ///
-    /// [`Event::DetailBank`]: jumanji::telemetry::Event::DetailBank
+    /// alloc)`, plus where it came from: exactly the
+    /// [`Self::run_sourced`] contract, over the store's `details/`
+    /// namespace.
     #[allow(clippy::too_many_arguments)]
     pub fn run_detail_sourced(
         &self,
@@ -299,31 +272,53 @@ impl CellCache {
         alloc: &Allocation,
         tel: &dyn Telemetry,
     ) -> (Arc<DetailReport>, RunSource) {
-        let key = detail_key(opts, profiles, cores, vms, alloc);
-        if tel.enabled() {
-            let report = Arc::new(run_detailed(opts, profiles, cores, vms, alloc, tel));
-            self.details.insert(key, Arc::clone(&report));
+        self.sourced(
+            &self.details,
+            detail_key(opts, profiles, cores, vms, alloc),
+            DiskCache::load_detail,
+            DiskCache::store_detail,
+            tel.enabled()
+                .then_some(|| run_detailed(opts, profiles, cores, vms, alloc, tel)),
+            || run_detailed(opts, profiles, cores, vms, alloc, &NoopSink),
+        )
+    }
+
+    /// The read-through body of both `*_sourced` lookups: a `traced`
+    /// computation (the sink is enabled) runs and writes through;
+    /// otherwise memory `map`, then the store's `load`, then `compute`
+    /// with write-back (`store`). `compute` passes the concrete
+    /// `NoopSink`, so the simulators' telemetry calls compile out.
+    fn sourced<T>(
+        &self,
+        map: &ShardedMap<u128, Arc<T>>,
+        key: u128,
+        load: fn(&DiskCache, u128) -> Option<T>,
+        store: fn(&DiskCache, u128, &T),
+        traced: Option<impl FnOnce() -> T>,
+        compute: impl FnOnce() -> T,
+    ) -> (Arc<T>, RunSource) {
+        if let Some(traced) = traced {
+            let value = Arc::new(traced());
+            map.insert(key, Arc::clone(&value));
             if let Some(disk) = self.disk() {
-                disk.store_detail(key, &report);
+                store(&disk, key, &value);
             }
-            return (report, RunSource::Computed);
+            return (value, RunSource::Computed);
         }
         let source = Cell::new(RunSource::Memory);
-        let report = self.details.get_or_compute(key, || {
-            if let Some(disk) = self.disk() {
-                if let Some(r) = disk.load_detail(key) {
-                    source.set(RunSource::Disk);
-                    return Arc::new(r);
-                }
+        let value = map.get_or_compute(key, || {
+            if let Some(v) = self.disk().and_then(|disk| load(&disk, key)) {
+                source.set(RunSource::Disk);
+                return Arc::new(v);
             }
             source.set(RunSource::Computed);
-            let r = Arc::new(run_detailed(opts, profiles, cores, vms, alloc, &NoopSink));
+            let v = Arc::new(compute());
             if let Some(disk) = self.disk() {
-                disk.store_detail(key, &r);
+                store(&disk, key, &v);
             }
-            r
+            v
         });
-        (report, source.get())
+        (value, source.get())
     }
 
     /// True when the run cell for `key` is already available without
@@ -355,14 +350,15 @@ impl CellCache {
 /// Attaches the persistent store at `dir` to the global cache, seeding
 /// the simulator's model memos from it, and bounds it to `cap` bytes
 /// (`0` = unbounded; the least-recently-written entries are evicted on
-/// overflow). A store
-/// already attached at `dir` is kept as is, so its counters survive
-/// repeated suite runs in one process. An unopenable directory warns and
-/// leaves the cache memory-only — a bad flag costs the warm start, never
-/// the run.
+/// overflow). A store already attached at `dir` is kept, so its counters
+/// survive repeated suite runs in one process, but takes the new `cap`.
+/// An unopenable directory warns and leaves the cache memory-only — a bad
+/// flag costs the warm start, never the run.
 pub fn attach_global_disk(dir: &Path, cap: u64) {
     let cache = CellCache::global();
-    if cache.disk().is_some_and(|d| d.root() == dir) {
+    if let Some(disk) = cache.disk().filter(|d| d.root() == dir) {
+        disk.set_cap_bytes(cap);
+        disk.enforce_cap();
         return;
     }
     match DiskCache::open(dir) {

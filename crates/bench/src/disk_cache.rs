@@ -73,6 +73,14 @@ const KIND_COSTS: u16 = 4;
 /// Envelope kind tag for detailed-simulator report entries.
 const KIND_DETAIL: u16 = 5;
 
+/// The run-cell entry directory.
+const RUNS: &str = "runs";
+/// The detailed-cell entry directory.
+const DETAILS: &str = "details";
+/// Every entry directory: created by [`DiskCache::open`], bounded by
+/// [`DiskCache::enforce_cap`].
+const ENTRY_DIRS: [&str; 2] = [RUNS, DETAILS];
+
 /// Number of [`DesignKind`] variants (size of the per-design cost rows).
 pub const NUM_DESIGNS: usize = 7;
 
@@ -536,8 +544,9 @@ impl DiskCache {
     /// Returns the I/O error if the directory tree cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let root = dir.into();
-        fs::create_dir_all(root.join("runs"))?;
-        fs::create_dir_all(root.join("details"))?;
+        for dir in ENTRY_DIRS {
+            fs::create_dir_all(root.join(dir))?;
+        }
         Ok(DiskCache {
             root,
             cap_bytes: AtomicU64::new(0),
@@ -565,12 +574,9 @@ impl DiskCache {
         }
     }
 
-    fn run_path(&self, key: u128) -> PathBuf {
-        self.root.join("runs").join(format!("{key:032x}.bin"))
-    }
-
-    fn detail_path(&self, key: u128) -> PathBuf {
-        self.root.join("details").join(format!("{key:032x}.bin"))
+    /// The file of entry `key` in entry directory `dir`.
+    fn entry_path(&self, dir: &str, key: u128) -> PathBuf {
+        self.root.join(dir).join(format!("{key:032x}.bin"))
     }
 
     /// Writes `bytes` to `path` via a uniquely named temp file in the
@@ -642,12 +648,12 @@ impl DiskCache {
 
     /// The persisted result for a run-cell key, if a valid entry exists.
     pub fn load_run(&self, key: u128) -> Option<ExperimentResult> {
-        self.load_entry(&self.run_path(key), decode_result)
+        self.load_entry(&self.entry_path(RUNS, key), decode_result)
     }
 
     /// Persists a completed run cell.
     pub fn store_run(&self, key: u128, result: &ExperimentResult) {
-        self.store_entry(&self.run_path(key), &encode_result(result));
+        self.store_entry(&self.entry_path(RUNS, key), &encode_result(result));
     }
 
     /// Cheap existence probe for a run-cell entry (no validation, no
@@ -655,18 +661,18 @@ impl DiskCache {
     /// experiment construction can be skipped entirely. A file that
     /// later fails validation just falls back to lazy construction.
     pub fn has_run(&self, key: u128) -> bool {
-        self.run_path(key).exists()
+        self.entry_path(RUNS, key).exists()
     }
 
     /// The persisted detailed-simulator report for a key, if a valid
     /// entry exists.
     pub fn load_detail(&self, key: u128) -> Option<DetailReport> {
-        self.load_entry(&self.detail_path(key), decode_detail)
+        self.load_entry(&self.entry_path(DETAILS, key), decode_detail)
     }
 
     /// Persists a completed detailed-simulator cell.
     pub fn store_detail(&self, key: u128, report: &DetailReport) {
-        self.store_entry(&self.detail_path(key), &encode_detail(report));
+        self.store_entry(&self.entry_path(DETAILS, key), &encode_detail(report));
     }
 
     /// Warm-starts the simulator's construction memos (ratio hulls,
@@ -781,7 +787,7 @@ impl DiskCache {
         }
         let mut entries: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
         let mut total: u64 = 0;
-        for sub in ["runs", "details"] {
+        for sub in ENTRY_DIRS {
             let Ok(dir) = fs::read_dir(self.root.join(sub)) else {
                 continue;
             };
@@ -909,7 +915,7 @@ mod tests {
     fn corrupt_entries_are_dropped_and_recomputable() {
         let store = temp_store("corrupt");
         store.store_run(1, &sample_result());
-        let path = store.run_path(1);
+        let path = store.entry_path(RUNS, 1);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -963,9 +969,9 @@ mod tests {
         let store = temp_store("detail-roundtrip");
         let report = sample_detail();
         assert!(store.load_detail(11).is_none());
-        assert!(!store.detail_path(11).exists());
+        assert!(!store.entry_path(DETAILS, 11).exists());
         store.store_detail(11, &report);
-        assert!(store.detail_path(11).exists());
+        assert!(store.entry_path(DETAILS, 11).exists());
         let loaded = store.load_detail(11).expect("stored entry");
         assert_eq!(format!("{report:?}"), format!("{loaded:?}"));
         let _ = fs::remove_dir_all(store.root());
@@ -979,13 +985,13 @@ mod tests {
             store.store_run(key, &sample_result());
         }
         store.store_detail(9, &sample_detail());
-        let entry_len = fs::metadata(store.run_path(0)).unwrap().len();
+        let entry_len = fs::metadata(store.entry_path(RUNS, 0)).unwrap().len();
         // Spread mtimes so the write order is unambiguous regardless of
         // filesystem timestamp granularity: key 0 oldest … detail newest.
         let base = std::time::SystemTime::now() - std::time::Duration::from_secs(100);
         for (i, path) in (0..4u128)
-            .map(|k| store.run_path(k))
-            .chain([store.detail_path(9)])
+            .map(|k| store.entry_path(RUNS, k))
+            .chain([store.entry_path(DETAILS, 9)])
             .enumerate()
         {
             let f = fs::File::options().write(true).open(&path).unwrap();
@@ -1002,7 +1008,10 @@ mod tests {
         let evicted = store.enforce_cap();
         assert!(evicted >= 2, "cap must evict, got {evicted}");
         assert!(!store.has_run(0), "oldest entry must be evicted first");
-        assert!(store.detail_path(9).exists(), "newest entry must survive");
+        assert!(
+            store.entry_path(DETAILS, 9).exists(),
+            "newest entry must survive"
+        );
         assert_eq!(store.stats().evictions, evicted);
 
         // Within cap now: a second enforcement is a no-op, and evicted

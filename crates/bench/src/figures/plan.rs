@@ -16,13 +16,14 @@
 //! config tables) return an empty plan.
 //!
 //! Cost priors ([`experiment_cost`], [`run_cost`], [`detail_cost`]) feed
-//! the scheduler's long-pole-first ordering. They are *relative* weights
-//! calibrated from the `timings` probes (an analytic run costs about one
-//! interval-unit per reconfiguration interval; placement-solving designs
-//! cost more per interval; experiment construction about half a Static
-//! run; a detailed cell about two interval-units per
-//! [`DETAIL_UNIT_ACCESSES`] simulated accesses), not wall-clock
-//! predictions — only their ordering matters.
+//! the scheduler's long-pole-first ordering. They are *relative* guesses
+//! (an analytic run costs about one interval-unit per reconfiguration
+//! interval; placement-solving designs cost more per interval;
+//! experiment construction about half a Static run; a detailed cell
+//! about two interval-units per [`DETAIL_UNIT_ACCESSES`] simulated
+//! accesses), not wall-clock predictions — only their ordering matters.
+//! The benchmark's per-design `sim.run.<design>.us_per_interval` metrics
+//! (`perfbench/run.py --trace 1`) are the way to check them.
 
 use super::{groups_by_load, sim_opts};
 use crate::disk_cache::MeasuredCosts;
@@ -115,8 +116,8 @@ impl FigurePlan {
 }
 
 /// Relative cost prior of constructing an experiment (profile hulls,
-/// deadline isolation runs, stream generators): about half a Static run
-/// of the same horizon in the `timings` probes.
+/// deadline isolation runs, stream generators): a relative guess of
+/// about half a Static run of the same horizon.
 pub fn experiment_cost(opts: &SimOptions) -> f64 {
     0.5 * run_cost(opts, DesignKind::Static)
 }
@@ -128,8 +129,9 @@ pub fn intervals_of(opts: &SimOptions) -> f64 {
 }
 
 /// The static prior for a design's per-interval cost relative to a
-/// Static run, calibrated once from the `timings` probes. Used whenever
-/// no measured data exists for the design.
+/// Static run: a relative guess, checked against the benchmark's
+/// `sim.run.<design>.us_per_interval`. Used whenever no measured data
+/// exists for the design.
 fn static_factor(design: DesignKind) -> f64 {
     match design {
         DesignKind::Static => 1.0,
@@ -159,9 +161,9 @@ pub fn detail_units(opts: &DetailOptions, napps: usize) -> f64 {
 }
 
 /// The static prior for a detailed cell's per-work-unit cost relative
-/// to a Static analytic interval, calibrated once from the `timings`
-/// probes (execution-driven simulation of one unit of accesses costs
-/// about two analytic intervals).
+/// to a Static analytic interval: a relative guess that
+/// execution-driven simulation of one unit of accesses costs about two
+/// analytic intervals.
 const DETAIL_STATIC_FACTOR: f64 = 2.0;
 
 /// Relative cost prior of a detailed-simulator cell (same unit as
@@ -208,11 +210,6 @@ impl CostModel {
     /// A model that prefers `measured` data where it exists.
     pub fn from_measured(measured: MeasuredCosts) -> CostModel {
         CostModel { measured }
-    }
-
-    /// True when at least one design's cost comes from measurement.
-    pub fn is_measured(&self) -> bool {
-        self.run_factor_measured(DesignKind::Static).is_some()
     }
 
     fn run_factor_measured(&self, design: DesignKind) -> Option<f64> {

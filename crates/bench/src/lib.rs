@@ -171,11 +171,6 @@ impl DesignCell {
     pub fn gmean_speedup(&self) -> f64 {
         gmean(&self.speedups)
     }
-
-    /// Mean vulnerability over mixes.
-    pub fn mean_vulnerability(&self) -> f64 {
-        self.vulnerability.iter().sum::<f64>() / self.vulnerability.len() as f64
-    }
 }
 
 /// Metrics of one design on one mix (one column entry of a [`DesignCell`]).

@@ -184,8 +184,9 @@ fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
     }
 }
 
-/// Pulls one numeric field out of the suite's stats report (same
-/// minimal scan the `timings` binary uses — the schema is our own).
+/// Pulls one numeric field out of the suite's stats report: scan for
+/// the key and parse the number after it (the schema is our own, and
+/// the workspace bakes in no JSON crate).
 fn read_number(text: &str, key: &str) -> Option<f64> {
     let at = text.find(key)? + key.len();
     let rest = &text[at..];

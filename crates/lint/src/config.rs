@@ -6,7 +6,9 @@
 //! more: `[section]` tables, `[[allow]]` array-of-tables, `key =
 //! value` with string, integer, and (possibly multi-line) string-array
 //! values, and `#` comments. Unknown sections or keys are *errors*:
-//! a typo in a policy file must not silently disable a rule.
+//! a typo in a policy file must not silently disable a rule. The
+//! workspace scan ([`crate::runner::run`]) also rejects a path entry,
+//! other than `determinism`, that matches no scanned file.
 //!
 //! Schema (see the checked-in `lint.toml` for the live policy):
 //!
@@ -40,6 +42,14 @@ pub struct AllowEntry {
     pub path: String,
     /// Why the site is exempt. Required and non-empty.
     pub reason: String,
+}
+
+impl AllowEntry {
+    /// True when `rel` (repo-relative, `/`-separated) is `path` or lies
+    /// under it.
+    pub fn covers(&self, rel: &str) -> bool {
+        rel.starts_with(self.path.as_str())
+    }
 }
 
 /// Parsed policy.
@@ -84,9 +94,7 @@ impl LintConfig {
     /// `rule` by an `[[allow]]` entry (exact file match or directory
     /// prefix).
     pub fn allows_site(&self, rule: &str, rel: &str) -> bool {
-        self.allows
-            .iter()
-            .any(|a| a.rule == rule && (rel == a.path || rel.starts_with(a.path.as_str())))
+        self.allows.iter().any(|a| a.rule == rule && a.covers(rel))
     }
 
     /// The `unsafe` budget of crate directory `name`.

@@ -75,6 +75,11 @@ fn sort_diags(diags: &mut [Diagnostic]) {
 
 /// Scans the source trees under `root` (skipping the fixture corpus)
 /// and applies every rule plus the per-crate unsafe budgets.
+///
+/// # Errors
+///
+/// Unreadable files, and `cfg` path entries that match no scanned file
+/// (one line per stale entry).
 pub fn run(root: &Path, cfg: &LintConfig) -> Result<RunOutcome, String> {
     let mut files = Vec::new();
     for top in ["crates", "src", "tests", "examples", "benches"] {
@@ -83,22 +88,22 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<RunOutcome, String> {
             collect_rs(&dir, &mut files)?;
         }
     }
+    files.retain(|path| !rel_of(root, path).starts_with(FIXTURE_DIR));
+    let rels: Vec<String> = files.iter().map(|path| rel_of(root, path)).collect();
+    let stale = stale_entries(cfg, &rels);
+    if !stale.is_empty() {
+        return Err(stale.join("\n"));
+    }
     let mut diags = Vec::new();
     let mut unsafe_sites: BTreeMap<String, Vec<(String, u32, u32)>> = BTreeMap::new();
-    let mut scanned = 0usize;
-    for path in &files {
-        let rel = rel_of(root, path);
-        if rel.starts_with(FIXTURE_DIR) {
-            continue;
-        }
+    for (path, rel) in files.iter().zip(&rels) {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let check = check_file(&rel, &src, cfg);
+        let check = check_file(rel, &src, cfg);
         diags.extend(check.diags);
-        let per_crate = unsafe_sites.entry(crate_of(&rel)).or_default();
+        let per_crate = unsafe_sites.entry(crate_of(rel)).or_default();
         for (line, col) in check.unsafe_sites {
             per_crate.push((rel.clone(), line, col));
         }
-        scanned += 1;
     }
     let mut unsafe_counts = BTreeMap::new();
     for (krate, sites) in &unsafe_sites {
@@ -131,9 +136,45 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<RunOutcome, String> {
     sort_diags(&mut diags);
     Ok(RunOutcome {
         diags,
-        files: scanned,
+        files: files.len(),
         unsafe_counts,
     })
+}
+
+/// One message per `lint.toml` path entry that matches none of the
+/// scanned files `rels`, so a deleted file cannot leave a live
+/// exemption behind.
+fn stale_entries(cfg: &LintConfig, rels: &[String]) -> Vec<String> {
+    let lists = [
+        ("[paths].determinism_exempt", &cfg.determinism_exempt),
+        ("[paths].timing_allow", &cfg.timing_allow),
+        ("[paths].env_allow", &cfg.env_allow),
+        ("[paths].figures", &cfg.figures),
+    ];
+    let mut stale: Vec<String> = lists
+        .into_iter()
+        .flat_map(|(key, list)| {
+            list.iter()
+                .filter(|p| {
+                    !rels
+                        .iter()
+                        .any(|rel| in_paths(rel, std::slice::from_ref(*p)))
+                })
+                .map(move |p| format!("{key} entry `{p}` matches no scanned .rs file"))
+        })
+        .collect();
+    stale.extend(
+        cfg.allows
+            .iter()
+            .filter(|a| !rels.iter().any(|rel| a.covers(rel)))
+            .map(|a| {
+                format!(
+                    "[[allow]] `{}` entry `{}` matches no scanned .rs file",
+                    a.rule, a.path
+                )
+            }),
+    );
+    stale
 }
 
 /// The fixed policy the fixture corpus is linted under — independent
@@ -237,4 +278,59 @@ pub fn self_test(root: &Path) -> Result<usize, String> {
 /// for reporting).
 pub fn is_fixture(rel: &str) -> bool {
     in_paths(rel, &[FIXTURE_DIR.to_string()])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AllowEntry;
+
+    /// A throwaway tree holding `crates/a/src/lib.rs` and
+    /// `crates/a/src/bin/tool.rs`.
+    fn temp_tree(tag: &str) -> PathBuf {
+        let root =
+            std::env::temp_dir().join(format!("jumanji-lint-runner-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("crates/a/src/bin")).expect("create tree");
+        std::fs::write(root.join("crates/a/src/lib.rs"), "pub fn f() {}\n").expect("write");
+        std::fs::write(root.join("crates/a/src/bin/tool.rs"), "fn main() {}\n").expect("write");
+        root
+    }
+
+    fn live_config() -> LintConfig {
+        LintConfig {
+            determinism_exempt: vec!["crates/a/src/bin/".into()],
+            timing_allow: vec!["crates/a/src/bin/tool.rs".into()],
+            env_allow: vec!["crates/a/src/lib.rs".into()],
+            figures: vec!["crates/a/".into()],
+            allows: vec![AllowEntry {
+                rule: "env-var".into(),
+                path: "crates/a/src/lib.rs".into(),
+                reason: "demo".into(),
+            }],
+            ..LintConfig::default()
+        }
+    }
+
+    #[test]
+    fn entries_matching_no_scanned_file_fail_the_scan() {
+        let root = temp_tree("stale");
+        let outcome = run(&root, &live_config()).expect("every entry matches a file");
+        assert_eq!(outcome.files, 2);
+
+        let mut cfg = live_config();
+        cfg.timing_allow.push("crates/a/src/bin/gone.rs".into());
+        cfg.figures.push("crates/b/".into());
+        cfg.allows[0].path = "crates/a/src/old.rs".into();
+        let err = match run(&root, &cfg) {
+            Ok(_) => panic!("stale entries must fail the scan"),
+            Err(e) => e,
+        };
+        let lines: Vec<&str> = err.lines().collect();
+        assert_eq!(lines.len(), 3, "{err}");
+        assert!(lines[0].contains("[paths].timing_allow entry `crates/a/src/bin/gone.rs`"));
+        assert!(lines[1].contains("[paths].figures entry `crates/b/`"));
+        assert!(lines[2].contains("[[allow]] `env-var` entry `crates/a/src/old.rs`"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

@@ -49,11 +49,8 @@ JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test re
 echo "== cargo bench smoke (one iteration per benchmark, no statistics)"
 JUMANJI_BENCH_SMOKE=1 cargo bench --offline
 
-echo "== quick suite: timings (runs every heavy figure at --mixes 4)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-./target/release/timings --out "$tmp"
-cat "$tmp/BENCH_suite.json"
 
 echo "== output is byte-identical at --threads 1 (the serial reference) and 4"
 for t in 1 4; do
@@ -76,12 +73,12 @@ set -- $(sed -n 's/^\[suite\] sched: .*(\([0-9]*\) planned runs -> \([0-9]*\) un
 [ "$2" -lt "$1" ]
 
 echo "== scheduled suite is thread-count-invariant"
-sched_figs=fig05,fig13,fig15,fig17,ablation
+sched_figs=fig05,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 1 \
     --out "$tmp/sched_t1" 2>/dev/null
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 4 \
     --out "$tmp/sched_t4" 2>"$tmp/sched_t4.log"
-for f in fig05 fig13 fig15 fig17 ablation; do
+for f in fig05 fig13 fig14 fig15 fig16 fig17 sensitivity ablation; do
     cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_t4/$f.tsv"
 done
 grep -q '\[suite\] sched:' "$tmp/sched_t4.log"
@@ -92,15 +89,15 @@ echo "== --no-cache output is byte-identical to the cached suite"
 cmp "$tmp/suite_nc/fig13.tsv" "$tmp/suite_t1/fig13.tsv"
 cmp "$tmp/suite_nc/fig14.tsv" "$tmp/suite_t1/fig14.tsv"
 
-echo "== warm disk cache is byte-identical to cold (five figures)"
-disk_figs=fig05,fig09,fig13,fig14,fig16
+echo "== warm disk cache is byte-identical to cold (nine figures)"
+disk_figs=fig05,fig09,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_cold" 2>"$tmp/disk_cold.log"
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_warm" 2>"$tmp/disk_warm.log"
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --no-cache --out "$tmp/disk_nc" 2>/dev/null
-for f in fig05 fig09 fig13 fig14 fig16; do
+for f in fig05 fig09 fig13 fig14 fig15 fig16 fig17 sensitivity ablation; do
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_warm/$f.tsv"
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_nc/$f.tsv"
 done
