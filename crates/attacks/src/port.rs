@@ -81,7 +81,8 @@ pub struct TimingSample {
 pub struct PortAttackTrace {
     /// Timing samples in wall-clock order.
     pub samples: Vec<TimingSample>,
-    cfg: PortAttackConfig,
+    /// The bank the attacker probes ([`PortAttackConfig::attacker_bank`]).
+    pub attacker_bank: usize,
 }
 
 impl PortAttackTrace {
@@ -108,14 +109,14 @@ impl PortAttackTrace {
     /// Mean access time while the victim floods a *different* bank (NoC
     /// contention only).
     pub fn other_bank_level(&self) -> f64 {
-        let ab = self.cfg.attacker_bank;
+        let ab = self.attacker_bank;
         self.mean_where(|b| b.is_some() && b != Some(ab))
     }
 
     /// Mean access time while the victim floods the attacker's bank (NoC
     /// plus port contention).
     pub fn same_bank_level(&self) -> f64 {
-        let ab = self.cfg.attacker_bank;
+        let ab = self.attacker_bank;
         self.mean_where(|b| b == Some(ab))
     }
 
@@ -208,7 +209,10 @@ pub fn run_port_attack(cfg: PortAttackConfig) -> PortAttackTrace {
             window_start = t;
         }
     }
-    PortAttackTrace { samples, cfg }
+    PortAttackTrace {
+        samples,
+        attacker_bank: cfg.attacker_bank,
+    }
 }
 
 #[cfg(test)]

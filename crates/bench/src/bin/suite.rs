@@ -34,9 +34,9 @@
 //! - `--no-cache` — run against a throwaway memory-only cache: no store
 //!   is read or written (also honours `JUMANJI_NO_CACHE`).
 //! - `--cache-dir DIR` — back the cache with a persistent store (also
-//!   honours `JUMANJI_CACHE_DIR`): completed cells — analytic runs *and*
-//!   detailed-simulator reports — are read from and written to `DIR`, so
-//!   a second run starts warm.
+//!   honours `JUMANJI_CACHE_DIR`): completed cells of every kind —
+//!   analytic runs, detailed-simulator reports and fixed scenarios — are
+//!   read from and written to `DIR`, so a second run starts warm.
 //! - `--cache-cap-bytes N` — bound the persistent store (also honours
 //!   `JUMANJI_CACHE_CAP`): oldest cells are evicted first once the
 //!   store exceeds `N` bytes (0 = unbounded, the default).
@@ -46,8 +46,8 @@
 //! figure needing a failed cell is written.
 
 use jumanji::telemetry::{Event, JsonlSink, NoopSink, Telemetry};
-use jumanji::types::Error;
-use jumanji_bench::cell_cache::{persist_global_disk, CellCacheStats};
+use jumanji::types::{Error, MapStats};
+use jumanji_bench::cell_cache::{persist_global_disk, CellCacheStats, CellKind};
 use jumanji_bench::exec::flag_value;
 use jumanji_bench::suite::{run_suite, SchedReport, SuiteFigure};
 use jumanji_bench::{ExperimentSpec, FigureKind};
@@ -97,12 +97,25 @@ fn parse_figures(args: &[String]) -> Result<Vec<FigureKind>, Error> {
 /// (simulated or read from the store), and planned cells served by a
 /// node another lookup already needed or by the cache's memory.
 fn cells_of(stats: &CellCacheStats, sched: &SchedReport) -> (u64, u64) {
-    let deduped =
-        (sched.planned_runs - sched.run_nodes) + (sched.planned_details - sched.detail_nodes);
-    (
-        stats.runs.misses + stats.details.misses,
-        deduped as u64 + stats.runs.hits + stats.details.hits,
-    )
+    let deduped: usize = sched.kinds.iter().map(|c| c.planned - c.nodes).sum();
+    (stats.cells.misses, deduped as u64 + stats.cells.hits)
+}
+
+/// Each cell kind's `--stats` fields, in `CellKind` order: planned
+/// lookups, unique nodes, nodes computed, nodes served from disk.
+const KIND_FIELDS: [&str; 3] = [
+    "planned_runs run_nodes computed_runs disk_run_hits",
+    "planned_details detail_nodes detail_computed detail_disk_hits",
+    "planned_scenarios scenario_nodes scenario_computed scenario_disk_hits",
+];
+
+/// The cache's maps, under the names `--stats` and the trace use.
+fn maps(stats: &CellCacheStats) -> [(&'static str, MapStats); 3] {
+    [
+        ("cells", stats.cells),
+        ("experiments", stats.experiments),
+        ("hulls", stats.hulls),
+    ]
 }
 
 fn write_stats(
@@ -136,36 +149,26 @@ fn write_stats(
     writeln!(f, "  \"cells_computed\": {computed},")?;
     writeln!(f, "  \"cells_reused\": {reused},")?;
     writeln!(f, "  \"cell_reuse_rate\": {reuse_rate:.4},")?;
-    writeln!(
-        f,
-        "  \"experiments\": {{\"hits\": {}, \"misses\": {}}},",
-        stats.experiments.hits, stats.experiments.misses
-    )?;
-    writeln!(
-        f,
-        "  \"details\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
-        stats.details.hits, stats.details.misses, stats.details.entries
-    )?;
-    writeln!(
-        f,
-        "  \"hulls\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}},",
-        stats.hulls.hits, stats.hulls.misses, stats.hulls.entries,
-    )?;
+    for (name, m) in maps(stats) {
+        let (hits, misses, entries) = (m.hits, m.misses, m.entries);
+        writeln!(
+            f,
+            "  \"{name}\": {{\"hits\": {hits}, \"misses\": {misses}, \"entries\": {entries}}},"
+        )?;
+    }
     let comma = if stats.disk.is_some() { "," } else { "" };
     writeln!(f, "  \"sched\": {{")?;
-    writeln!(f, "    \"planned_runs\": {},", s.planned_runs)?;
-    writeln!(f, "    \"run_nodes\": {},", s.run_nodes)?;
-    writeln!(f, "    \"planned_details\": {},", s.planned_details)?;
-    writeln!(f, "    \"detail_nodes\": {},", s.detail_nodes)?;
+    for (names, c) in KIND_FIELDS.iter().zip(&s.kinds) {
+        let values = [c.planned as u64, c.nodes as u64, c.computed, c.disk_hits];
+        for (name, value) in names.split(' ').zip(values) {
+            writeln!(f, "    \"{name}\": {value},")?;
+        }
+    }
     writeln!(f, "    \"nodes\": {},", s.nodes)?;
     writeln!(f, "    \"edges\": {},", s.edges)?;
     writeln!(f, "    \"workers\": {},", s.graph.workers)?;
     writeln!(f, "    \"critical_path_us\": {},", s.graph.critical_path_us)?;
     writeln!(f, "    \"elapsed_us\": {},", s.graph.elapsed_us)?;
-    writeln!(f, "    \"computed_runs\": {},", s.computed_runs)?;
-    writeln!(f, "    \"disk_run_hits\": {},", s.disk_run_hits)?;
-    writeln!(f, "    \"detail_computed\": {},", s.detail_computed)?;
-    writeln!(f, "    \"detail_disk_hits\": {},", s.detail_disk_hits)?;
     writeln!(f, "    \"warm_skipped_exps\": {},", s.warm_skipped_exps)?;
     writeln!(f, "    \"cost_drift\": [")?;
     for (i, d) in s.drift.iter().enumerate() {
@@ -254,14 +257,20 @@ fn run(args: &[String]) -> Result<(), Error> {
          hulls: {} computed, {} reused",
         total_seconds, computed, reused, reuse_pct, stats.hulls.misses, stats.hulls.hits
     );
+    let (runs, details, scenarios) = (
+        s.cells(CellKind::Run),
+        s.cells(CellKind::Detail),
+        s.cells(CellKind::Scenario),
+    );
     eprintln!(
         "[suite] sched: {} nodes ({} planned runs -> {} unique, {} planned detail cells -> \
-         {} unique), {} edges, {} workers, critical path {:.2}s of {:.2}s",
+         {} unique, {} scenarios), {} edges, {} workers, critical path {:.2}s of {:.2}s",
         s.nodes,
-        s.planned_runs,
-        s.run_nodes,
-        s.planned_details,
-        s.detail_nodes,
+        runs.planned,
+        runs.nodes,
+        details.planned,
+        details.nodes,
+        scenarios.nodes,
         s.edges,
         s.graph.workers,
         s.graph.critical_path_us as f64 / 1e6,
@@ -271,11 +280,15 @@ fn run(args: &[String]) -> Result<(), Error> {
         eprintln!(
             "[suite] sched: {} runs computed, {} served from disk, \
              {} experiment constructions skipped warm",
-            s.computed_runs, s.disk_run_hits, s.warm_skipped_exps
+            runs.computed, runs.disk_hits, s.warm_skipped_exps
         );
         eprintln!(
             "[suite] sched: {} detail cells computed, {} served from disk",
-            s.detail_computed, s.detail_disk_hits
+            details.computed, details.disk_hits
+        );
+        eprintln!(
+            "[suite] sched: {} scenario cells computed, {} served from disk",
+            scenarios.computed, scenarios.disk_hits
         );
     }
     for d in &s.drift {
@@ -293,12 +306,7 @@ fn run(args: &[String]) -> Result<(), Error> {
     }
 
     if let Some(sink) = &sink {
-        for (scope, m) in [
-            ("runs", stats.runs),
-            ("details", stats.details),
-            ("experiments", stats.experiments),
-            ("hulls", stats.hulls),
-        ] {
+        for (scope, m) in maps(&stats) {
             sink.emit(&Event::CacheStats {
                 scope,
                 hits: m.hits,

@@ -1,92 +1,77 @@
-//! The process-wide experiment-cell cache.
+//! The process-wide cell cache, and the one cell kind every simulation
+//! is.
 //!
-//! The paper's evaluation is one big matrix of `(mix, load, design, seed)`
-//! cells rendered eighteen different ways — fig13 and fig14 run the *same*
-//! experiments and differ only in rendering, the sensitivity study's
-//! default rows duplicate the main-results cells, and so on. [`CellCache`]
-//! memoizes the three expensive pure computations behind a cell, shared by
-//! every worker thread and every figure in the process:
+//! The paper's evaluation is one big matrix of cells rendered eighteen
+//! ways — fig13 and fig14 run the *same* experiments, the sensitivity
+//! study's default rows duplicate the main-results cells, and so on.
+//! Every simulation a figure needs is a [`Cell`]: a keyed, pure
+//! computation with one encode/decode pair, of one of three kinds
+//! ([`CellKind`]): an `(experiment, design)` run ([`RunCell`]), a
+//! detailed-simulator cell ([`DetailPlan`]; fig02, validate) or a fixed
+//! scenario ([`Scenario`](crate::scenario::Scenario); fig08, fig11,
+//! fig12).
 //!
-//! - **experiments** — constructed [`Experiment`]s (profile hulls,
-//!   deadline isolation runs, stream generators), keyed by the content of
-//!   `(mix, load, options)`;
-//! - **runs** — completed [`ExperimentResult`]s, keyed by the experiment's
-//!   content key plus the design;
-//! - **details** — completed detailed-simulator [`DetailReport`]s (by far
-//!   the heaviest cells in the repo — fig02 and validate), keyed by the
-//!   full input of [`run_detailed`].
+//! [`CellCache::get`] is the one read-through for every kind, over one
+//! map: memory, then the attached [`DiskCache`], then `compute` with
+//! write-back to both. Keys are 128-bit content fingerprints of a
+//! kind-prefixed `Debug` form of the cell's full input, so two cells
+//! share an entry exactly when the simulation would do identical work,
+//! and two kinds never share a key. One-shot placements are not cells: a
+//! [`DesignKind::allocate`] call costs less than fingerprinting its
+//! input, so the plan pass computes them directly.
 //!
-//! One-shot placements are not cached: a [`DesignKind::allocate`] call
-//! costs well under a millisecond, less than fingerprinting its input,
-//! so the plan pass computes the allocations detailed cells simulate
-//! directly.
-//!
-//! Keys are 128-bit content fingerprints
-//! ([`fingerprint128`](jumanji::types::hash::fingerprint128)) of the
-//! `Debug` form of the full input, so two cells share an entry exactly
-//! when the simulation would do identical work.
-//!
-//! **Experiment handles are lazy.** [`CellCache::experiment`] returns a
-//! handle that *names* the experiment (inputs + content key) without
-//! constructing it; construction happens at most once per handle, on
-//! first use inside [`CellCache::run_sourced`] — and only when the run cell
-//! itself has to be computed. With a warm disk cache that means a run
-//! can serve every figure without ever paying for hull sampling or
-//! deadline isolation runs.
-//!
-//! **The cache can be disk-backed.** [`CellCache::attach_disk`] plugs in
-//! a [`DiskCache`] (see [`crate::disk_cache`]); run and detail
-//! lookups then read through the in-memory maps to disk and write newly
-//! computed cells back, so the dedup survives the process — a warm
-//! `suite` run renders almost entirely from disk. A spec's `cache_dir`
-//! (`--cache-dir` / `JUMANJI_CACHE_DIR`) attaches the store to the
-//! global cache ([`attach_global_disk`]).
+//! **Experiment handles are lazy.** An [`ExperimentHandle`] names an
+//! experiment (inputs + key) without constructing it; its run cells
+//! construct it at most once, and only when a run must be simulated —
+//! so a warm store serves every figure without hull sampling or deadline
+//! isolation runs. [`CellCache::force_experiment`] shares one
+//! construction between handles with one key.
 //!
 //! **Tracing bypasses cache reads.** A traced run must emit its complete
-//! event stream, so when the sink is enabled the cache recomputes the
-//! run or detailed cell (writing the result through for later untraced
-//! readers). Telemetry's bit-identical contract makes the written-through
-//! result indistinguishable from an untraced computation.
+//! event stream, so with the sink enabled a lookup recomputes the cell
+//! and writes it through; telemetry's bit-identical contract makes that
+//! result indistinguishable from an untraced one.
 //!
-//! `--no-cache` (`JUMANJI_NO_CACHE=1`) runs the suite executor against a
-//! throwaway [`CellCache::new`] with no store: cells are still computed
-//! once per call, and nothing is read from or written to the global
-//! cache or the disk.
+//! A spec's `cache_dir` attaches a store to the global cache
+//! ([`attach_global_disk`]); `no_cache` runs the executor against a
+//! throwaway [`CellCache::new`] with no store.
 
-use crate::disk_cache::{DiskCache, DiskCacheStats};
+use crate::disk_cache::{self, DiskCache, DiskCacheStats, MeasuredCosts};
+use crate::figures::plan::{detail_units, intervals_of, CostModel, DetailPlan};
 use jumanji::core::{Allocation, DesignKind};
 use jumanji::sim::detail::{run_detailed, DetailOptions, DetailReport};
 use jumanji::sim::perf::Profile;
 use jumanji::sim::{ratio_hull_cache_stats, Experiment, ExperimentResult, SimOptions};
 use jumanji::telemetry::{NoopSink, Telemetry};
+use jumanji::types::codec::{ByteReader, ByteWriter, CodecError};
 use jumanji::types::hash::fingerprint128;
 use jumanji::types::{CoreId, MapStats, ShardedMap, VmId};
 use jumanji::workloads::{LcLoad, WorkloadMix};
-use std::cell::Cell;
+use std::any::Any;
+use std::fmt::{Arguments, Debug};
 use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
+/// Every cache key: the fingerprint of a kind-prefixed `Debug` rendering
+/// of a cell's inputs.
+pub(crate) fn content_key(inputs: Arguments<'_>) -> u128 {
+    fingerprint128(inputs.to_string().as_bytes())
+}
+
 /// The cache identity of an experiment: a 128-bit content fingerprint of
-/// `(mix, load, opts)`. This is the key [`CellCache::experiment`] files
-/// entries under, exposed so the suite's plan pass ([`crate::plan`]) can
-/// name a cell without constructing it.
+/// `(mix, load, opts)`, exposed so the plan pass ([`crate::figures::plan`])
+/// can name a cell without constructing it.
 pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u128 {
-    fingerprint128(format!("exp|{load:?}|{opts:?}|{mix:?}").as_bytes())
+    content_key(format_args!("exp|{load:?}|{opts:?}|{mix:?}"))
 }
 
-/// The cache identity of a completed `(experiment, design)` run cell —
-/// the key [`CellCache::run_sourced`] files results under.
+/// The cache identity of a completed `(experiment, design)` run cell.
 pub fn run_key(experiment_key: u128, design: DesignKind) -> u128 {
-    fingerprint128(format!("run|{experiment_key:032x}|{design:?}").as_bytes())
+    content_key(format_args!("run|{experiment_key:032x}|{design:?}"))
 }
 
-/// The cache identity of a detailed-simulator cell: a 128-bit content
-/// fingerprint of every input [`run_detailed`] consumes — the full
-/// [`DetailOptions`] (which carry the machine config, access budget, and
-/// stream seed), the per-app profiles, core pinning, VM membership, and
-/// the allocation under test. This is the key [`CellCache::run_detail_sourced`]
-/// files reports under, exposed so the plan pass can name a detailed
-/// cell without simulating it.
+/// The cache identity of a detailed-simulator cell: a fingerprint of
+/// every input [`run_detailed`] consumes.
 pub fn detail_key(
     opts: &DetailOptions,
     profiles: &[Profile],
@@ -94,7 +79,100 @@ pub fn detail_key(
     vms: &[VmId],
     alloc: &Allocation,
 ) -> u128 {
-    fingerprint128(format!("detail|{opts:?}|{profiles:?}|{cores:?}|{vms:?}|{alloc:?}").as_bytes())
+    content_key(format_args!(
+        "detail|{opts:?}|{profiles:?}|{cores:?}|{vms:?}|{alloc:?}"
+    ))
+}
+
+/// The kinds of [`Cell`]: each names its store directory and its codec
+/// envelope tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellKind {
+    /// `(experiment, design)` analytic runs ([`RunCell`]).
+    Run,
+    /// Detailed-simulator cells ([`DetailPlan`]).
+    Detail,
+    /// Fixed scenarios ([`Scenario`](crate::scenario::Scenario)).
+    Scenario,
+}
+
+impl CellKind {
+    /// Every kind, in index order (`kind as usize`).
+    pub const ALL: [CellKind; 3] = [CellKind::Run, CellKind::Detail, CellKind::Scenario];
+
+    /// The store directory holding this kind's `<key>.bin` entries.
+    pub fn dir(self) -> &'static str {
+        ["runs", "details", "scenarios"][self as usize]
+    }
+
+    /// The codec envelope tag of this kind's entries. Never renumber:
+    /// stores written by older binaries carry these tags.
+    pub fn tag(self) -> u16 {
+        [1, 5, 6][self as usize]
+    }
+}
+
+/// One keyed, pure unit of simulation: everything the executor computes
+/// is a cell (see the module docs).
+pub trait Cell: Send + Sync {
+    /// What computing the cell yields.
+    type Output: Debug + Send + Sync + 'static;
+    /// The cell's kind: its store directory and envelope tag.
+    const KIND: CellKind;
+
+    /// The cell's cache identity (a kind-prefixed content fingerprint).
+    fn key(&self) -> u128;
+
+    /// Computes the cell. Untraced lookups pass the concrete `NoopSink`,
+    /// so telemetry compiles out.
+    fn compute<T: Telemetry + ?Sized>(&self, tel: &T) -> Self::Output;
+
+    /// Writes `out` as a store payload.
+    fn encode(out: &Self::Output, w: &mut ByteWriter);
+
+    /// Reads a payload [`Cell::encode`] wrote; malformed input is an
+    /// error, never a panic.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] the payload raises.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self::Output, CodecError>;
+
+    /// The scheduler's relative cost estimate for computing the cell.
+    fn cost(&self, model: &CostModel) -> f64;
+
+    /// Files a measured compute of `us` µs in the cost table (a no-op
+    /// for kinds without a cost row).
+    fn record(&self, _measured: &mut MeasuredCosts, _us: u64) {}
+}
+
+/// A cell's output with its type erased: the cell map's value.
+pub(crate) type Shared = Arc<dyn Any + Send + Sync>;
+
+/// A [`Cell`] with its output type erased, so one work graph holds every
+/// kind.
+pub(crate) trait AnyCell: Send + Sync {
+    /// The cell's kind.
+    fn kind(&self) -> CellKind;
+    /// See [`Cell::record`].
+    fn record(&self, measured: &mut MeasuredCosts, us: u64);
+    /// [`CellCache::get`], output erased.
+    fn get_in(&self, cache: &CellCache, tel: &dyn Telemetry) -> (Shared, RunSource);
+}
+
+impl<C: Cell> AnyCell for C {
+    fn kind(&self) -> CellKind {
+        C::KIND
+    }
+
+    fn record(&self, measured: &mut MeasuredCosts, us: u64) {
+        Cell::record(self, measured, us);
+    }
+
+    fn get_in(&self, cache: &CellCache, tel: &dyn Telemetry) -> (Shared, RunSource) {
+        let (value, source) = cache.get(self, tel);
+        (value, source)
+    }
 }
 
 /// The deferred inputs of an experiment plus its at-most-once
@@ -107,33 +185,123 @@ struct ExpCell {
     exp: OnceLock<Arc<Experiment>>,
 }
 
-impl ExpCell {
-    fn construct(&self) -> Arc<Experiment> {
-        Arc::new(Experiment::new(
-            self.mix.clone(),
-            self.load,
-            self.opts.clone(),
-        ))
-    }
-}
-
-/// A lazily constructed experiment plus the cache identity it is filed
-/// under.
-///
-/// Cloning a handle shares the construction slot: however many clones
-/// exist, the experiment is built at most once per handle family — and
-/// at most once per cache, whose `experiments` map dedups construction
-/// across handles with the same key.
+/// A lazily constructed experiment plus its cache identity. Clones share
+/// the construction slot.
 #[derive(Debug, Clone)]
 pub struct ExperimentHandle {
     cell: Arc<ExpCell>,
     key: u128,
 }
 
-/// Where [`CellCache::run_sourced`] found (or had to put) a run cell.
+impl ExperimentHandle {
+    /// A handle on `(mix, load, opts)`, whose [`experiment_key`] the
+    /// caller already computed as `key`.
+    pub(crate) fn keyed(mix: WorkloadMix, load: LcLoad, opts: SimOptions, key: u128) -> Self {
+        let exp = OnceLock::new();
+        let cell = Arc::new(ExpCell {
+            mix,
+            load,
+            opts,
+            exp,
+        });
+        ExperimentHandle { cell, key }
+    }
+
+    /// The experiment's simulation options.
+    pub(crate) fn opts(&self) -> &SimOptions {
+        &self.cell.opts
+    }
+
+    /// The experiment, constructed on first use.
+    fn get(&self) -> Arc<Experiment> {
+        let c = &self.cell;
+        Arc::clone(
+            c.exp
+                .get_or_init(|| Arc::new(Experiment::new(c.mix.clone(), c.load, c.opts.clone()))),
+        )
+    }
+}
+
+/// Running one design on one experiment: the [`CellKind::Run`] cell.
+#[derive(Debug, Clone)]
+pub struct RunCell {
+    exp: ExperimentHandle,
+    design: DesignKind,
+    key: u128,
+}
+
+impl RunCell {
+    /// The run of `design` on `exp`'s experiment.
+    pub(crate) fn new(exp: ExperimentHandle, design: DesignKind) -> RunCell {
+        let key = run_key(exp.key, design);
+        RunCell { exp, design, key }
+    }
+}
+
+impl Cell for RunCell {
+    type Output = ExperimentResult;
+    const KIND: CellKind = CellKind::Run;
+
+    fn key(&self) -> u128 {
+        self.key
+    }
+
+    fn compute<T: Telemetry + ?Sized>(&self, tel: &T) -> ExperimentResult {
+        self.exp.get().run(self.design, tel)
+    }
+
+    fn encode(out: &ExperimentResult, w: &mut ByteWriter) {
+        disk_cache::encode_result(w, out);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<ExperimentResult, CodecError> {
+        disk_cache::decode_result(r)
+    }
+
+    fn cost(&self, model: &CostModel) -> f64 {
+        model.run_cost(self.exp.opts(), self.design)
+    }
+
+    fn record(&self, measured: &mut MeasuredCosts, us: u64) {
+        let intervals = intervals_of(self.exp.opts()).round() as u64;
+        measured.record_run(self.design, intervals, us);
+    }
+}
+
+impl Cell for DetailPlan {
+    type Output = DetailReport;
+    const KIND: CellKind = CellKind::Detail;
+
+    fn key(&self) -> u128 {
+        DetailPlan::key(self)
+    }
+
+    fn compute<T: Telemetry + ?Sized>(&self, tel: &T) -> DetailReport {
+        let DetailPlan { opts, profiles, .. } = self;
+        run_detailed(opts, profiles, &self.cores, &self.vms, &self.alloc, tel)
+    }
+
+    fn encode(out: &DetailReport, w: &mut ByteWriter) {
+        disk_cache::encode_detail(w, out);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<DetailReport, CodecError> {
+        disk_cache::decode_detail(r)
+    }
+
+    fn cost(&self, model: &CostModel) -> f64 {
+        model.detail_cost(&self.opts, self.profiles.len())
+    }
+
+    fn record(&self, measured: &mut MeasuredCosts, us: u64) {
+        measured.record_detail(detail_units(&self.opts, self.profiles.len()).round(), us);
+    }
+}
+
+/// Where [`CellCache::get`] found (or had to put) a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunSource {
-    /// Simulated in this call (and written through to every layer).
+    /// Computed in this call (and written through to every layer).
     Computed,
     /// Served from the in-memory map.
     Memory,
@@ -142,16 +310,14 @@ pub enum RunSource {
 }
 
 /// Counter snapshot of every memo a [`CellCache`] reports on: its own
-/// three maps, the simulator's process-wide ratio-hull memo, and the
+/// two maps, the simulator's process-wide ratio-hull memo, and the
 /// attached disk store (when any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CellCacheStats {
-    /// Completed experiment results.
-    pub runs: MapStats,
-    /// Completed detailed-simulator reports.
-    pub details: MapStats,
-    /// Constructed experiments (lazy: only cells that were actually
-    /// forced appear here — a fully warm run constructs none).
+    /// Completed cells of every kind.
+    pub cells: MapStats,
+    /// Constructed experiments (only forced ones appear here — a fully
+    /// warm run constructs none).
     pub experiments: MapStats,
     /// The simulator's shared ratio-hull memo.
     pub hulls: MapStats,
@@ -159,7 +325,7 @@ pub struct CellCacheStats {
     pub disk: Option<DiskCacheStats>,
 }
 
-/// A shared concurrent cache of experiment cells (see the module docs).
+/// A shared concurrent cache of cells (see the module docs).
 ///
 /// All methods are `&self` and thread-safe; suite runs share one
 /// instance via [`CellCache::global`], while tests that need isolated
@@ -167,8 +333,7 @@ pub struct CellCacheStats {
 #[derive(Debug)]
 pub struct CellCache {
     experiments: ShardedMap<u128, Arc<Experiment>>,
-    runs: ShardedMap<u128, Arc<ExperimentResult>>,
-    details: ShardedMap<u128, Arc<DetailReport>>,
+    cells: ShardedMap<u128, Shared>,
     disk: RwLock<Option<Arc<DiskCache>>>,
 }
 
@@ -183,8 +348,7 @@ impl CellCache {
     pub fn new() -> CellCache {
         CellCache {
             experiments: ShardedMap::new(),
-            runs: ShardedMap::new(),
-            details: ShardedMap::new(),
+            cells: ShardedMap::new(),
             disk: RwLock::new(None),
         }
     }
@@ -196,9 +360,9 @@ impl CellCache {
         GLOBAL.get_or_init(CellCache::new)
     }
 
-    /// Backs this cache with a persistent store: run and detail
-    /// lookups read through to it and write computed cells back.
-    /// Replaces any previously attached store.
+    /// Backs this cache with a persistent store: lookups read through to
+    /// it and write computed cells back. Replaces any previously
+    /// attached store.
     pub fn attach_disk(&self, disk: Arc<DiskCache>) {
         *self.disk.write().expect("disk slot lock") = Some(disk);
     }
@@ -208,60 +372,65 @@ impl CellCache {
         self.disk.read().expect("disk slot lock").clone()
     }
 
-    /// A lazy handle naming the experiment for `(mix, load, opts)`.
-    ///
-    /// No construction happens here: the handle carries the inputs and
-    /// the content key, and [`CellCache::run_sourced`] forces construction only
-    /// when a run cell actually has to be simulated. Forced
-    /// constructions are deduplicated through the `experiments` map.
+    /// A lazy handle naming the experiment for `(mix, load, opts)`: no
+    /// construction happens here.
     pub fn experiment(&self, mix: WorkloadMix, load: LcLoad, opts: SimOptions) -> ExperimentHandle {
         let key = experiment_key(&mix, load, &opts);
-        ExperimentHandle {
-            cell: Arc::new(ExpCell {
-                mix,
-                load,
-                opts,
-                exp: OnceLock::new(),
-            }),
-            key,
-        }
+        ExperimentHandle::keyed(mix, load, opts, key)
     }
 
-    /// Forces `handle`'s experiment, deduplicating the construction
-    /// through the cache's `experiments` map.
+    /// Forces `handle`'s experiment, sharing one construction between
+    /// every handle with its key through the `experiments` map.
     pub fn force_experiment(&self, handle: &ExperimentHandle) -> Arc<Experiment> {
-        Arc::clone(handle.cell.exp.get_or_init(|| {
-            self.experiments
-                .get_or_compute(handle.key, || handle.cell.construct())
-        }))
+        let exp = self.experiments.get_or_compute(handle.key, || handle.get());
+        Arc::clone(handle.cell.exp.get_or_init(|| exp))
     }
 
-    /// The result of running `design` on `handle`'s experiment, computed
-    /// at most once per cache while `tel` is disabled (an enabled sink
-    /// re-runs and writes through; see the module docs), plus where it
-    /// came from, so the suite scheduler can tell real simulations from
-    /// cache hits.
+    /// `cell`'s output, computed at most once per cache while `tel` is
+    /// disabled (an enabled sink recomputes and writes through; see the
+    /// module docs), plus where it came from, so the suite scheduler can
+    /// tell real simulations from cache hits.
+    pub fn get<C: Cell>(&self, cell: &C, tel: &dyn Telemetry) -> (Arc<C::Output>, RunSource) {
+        let key = cell.key();
+        let store = |value: &C::Output| {
+            if let Some(disk) = self.disk() {
+                disk.store::<C>(key, value);
+            }
+        };
+        if tel.enabled() {
+            let value = Arc::new(cell.compute(tel));
+            self.cells.insert(key, value.clone());
+            store(&value);
+            return (value, RunSource::Computed);
+        }
+        let mut source = RunSource::Memory;
+        let value = self.cells.get_or_compute(key, || -> Shared {
+            if let Some(value) = self.disk().and_then(|disk| disk.load::<C>(key)) {
+                source = RunSource::Disk;
+                return Arc::new(value);
+            }
+            source = RunSource::Computed;
+            let value = Arc::new(cell.compute(&NoopSink));
+            store(&value);
+            value
+        });
+        let value = value.downcast().expect("a key names one kind of cell");
+        (value, source)
+    }
+
+    /// [`CellCache::get`] for the run of `design` on `handle`'s
+    /// experiment.
     pub fn run_sourced(
         &self,
         handle: &ExperimentHandle,
         design: DesignKind,
         tel: &dyn Telemetry,
     ) -> (Arc<ExperimentResult>, RunSource) {
-        self.sourced(
-            &self.runs,
-            run_key(handle.key, design),
-            DiskCache::load_run,
-            DiskCache::store_run,
-            tel.enabled()
-                .then_some(|| self.force_experiment(handle).run(design, tel)),
-            || self.force_experiment(handle).run(design, &NoopSink),
-        )
+        self.get(&RunCell::new(handle.clone(), design), tel)
     }
 
-    /// The detailed-simulator report for `(opts, profiles, cores, vms,
-    /// alloc)`, plus where it came from: exactly the
-    /// [`Self::run_sourced`] contract, over the store's `details/`
-    /// namespace.
+    /// [`CellCache::get`] for the detailed cell `(opts, profiles, cores,
+    /// vms, alloc)`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_detail_sourced(
         &self,
@@ -272,53 +441,16 @@ impl CellCache {
         alloc: &Allocation,
         tel: &dyn Telemetry,
     ) -> (Arc<DetailReport>, RunSource) {
-        self.sourced(
-            &self.details,
-            detail_key(opts, profiles, cores, vms, alloc),
-            DiskCache::load_detail,
-            DiskCache::store_detail,
-            tel.enabled()
-                .then_some(|| run_detailed(opts, profiles, cores, vms, alloc, tel)),
-            || run_detailed(opts, profiles, cores, vms, alloc, &NoopSink),
-        )
-    }
-
-    /// The read-through body of both `*_sourced` lookups: a `traced`
-    /// computation (the sink is enabled) runs and writes through;
-    /// otherwise memory `map`, then the store's `load`, then `compute`
-    /// with write-back (`store`). `compute` passes the concrete
-    /// `NoopSink`, so the simulators' telemetry calls compile out.
-    fn sourced<T>(
-        &self,
-        map: &ShardedMap<u128, Arc<T>>,
-        key: u128,
-        load: fn(&DiskCache, u128) -> Option<T>,
-        store: fn(&DiskCache, u128, &T),
-        traced: Option<impl FnOnce() -> T>,
-        compute: impl FnOnce() -> T,
-    ) -> (Arc<T>, RunSource) {
-        if let Some(traced) = traced {
-            let value = Arc::new(traced());
-            map.insert(key, Arc::clone(&value));
-            if let Some(disk) = self.disk() {
-                store(&disk, key, &value);
-            }
-            return (value, RunSource::Computed);
-        }
-        let source = Cell::new(RunSource::Memory);
-        let value = map.get_or_compute(key, || {
-            if let Some(v) = self.disk().and_then(|disk| load(&disk, key)) {
-                source.set(RunSource::Disk);
-                return Arc::new(v);
-            }
-            source.set(RunSource::Computed);
-            let v = Arc::new(compute());
-            if let Some(disk) = self.disk() {
-                store(&disk, key, &v);
-            }
-            v
-        });
-        (value, source.get())
+        let cell = DetailPlan {
+            // A label only: the key covers the other fields.
+            design: DesignKind::Static,
+            opts: opts.clone(),
+            profiles: profiles.to_vec(),
+            cores: cores.to_vec(),
+            vms: vms.to_vec(),
+            alloc: alloc.clone(),
+        };
+        self.get(&cell, tel)
     }
 
     /// True when the run cell for `key` is already available without
@@ -326,23 +458,17 @@ impl CellCache {
     /// no counters, no decode (a file that later fails validation just
     /// falls back to recompute).
     pub fn probe_run(&self, key: u128) -> bool {
-        self.runs.get(&key).is_some() || self.disk().is_some_and(|d| d.has_run(key))
+        self.cells.get(&key).is_some() || self.disk().is_some_and(|d| d.has_run(key))
     }
 
     /// A snapshot of every memo's counters (including the simulator's
     /// shared hull memo and the attached disk store, when any).
     pub fn stats(&self) -> CellCacheStats {
         CellCacheStats {
-            runs: self.runs.stats(),
-            details: self.details.stats(),
+            cells: self.cells.stats(),
             experiments: self.experiments.stats(),
             hulls: ratio_hull_cache_stats(),
-            disk: self
-                .disk
-                .read()
-                .expect("disk slot lock")
-                .as_ref()
-                .map(|d| d.stats()),
+            disk: self.disk().map(|d| d.stats()),
         }
     }
 }
@@ -441,8 +567,8 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.experiments.misses, 1);
         assert_eq!(s.experiments.entries, 1);
-        assert_eq!(s.runs.hits, 1);
-        assert_eq!(s.runs.misses, 1);
+        assert_eq!(s.cells.hits, 1);
+        assert_eq!(s.cells.misses, 1);
     }
 
     #[test]
@@ -464,8 +590,8 @@ mod tests {
         assert_eq!(format!("{traced:?}"), format!("{warm:?}"));
         // The traced result replaced the entry (write-through, counted as
         // a miss) — never served from cache.
-        assert_eq!(cache.stats().runs.hits, 0);
-        assert_eq!(cache.stats().runs.misses, 2);
+        assert_eq!(cache.stats().cells.hits, 0);
+        assert_eq!(cache.stats().cells.misses, 2);
     }
 
     #[test]

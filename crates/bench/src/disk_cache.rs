@@ -3,15 +3,19 @@
 //! [`CellCache`](crate::cell_cache::CellCache) deduplicates cells inside
 //! one process; this module makes the dedup survive the process. A
 //! [`DiskCache`] roots a directory (`--cache-dir` /
-//! `JUMANJI_CACHE_DIR`) holding one file per completed cell, named by
-//! the cell's 128-bit content fingerprint — the *same* keys the
-//! in-memory maps use, so a cell computed by any process is warm for
-//! every later one:
+//! `JUMANJI_CACHE_DIR`) holding one file per completed cell,
+//! `<kind>/<key>.bin`: the [`CellKind`]'s directory and the cell's
+//! 128-bit content fingerprint — the *same* key the in-memory map uses,
+//! so a cell computed by any process is warm for every later one. One
+//! generic [`DiskCache::load`] / [`DiskCache::store`] pair serves every
+//! kind, framing the [`Cell`]'s own payload codec:
 //!
 //! - `runs/<key>.bin` — completed [`ExperimentResult`]s;
 //! - `details/<key>.bin` — completed detailed-simulator
 //!   [`DetailReport`]s (the heaviest cells in the repo: fig02 and
 //!   validate);
+//! - `scenarios/<key>.bin` — completed fixed scenarios (fig08's sweep,
+//!   fig11's port attack, fig12's leakage run);
 //! - `model.bin` — the simulator's expensive construction memos (ratio
 //!   hulls and deadline isolation runs), so even a *cold* run cell
 //!   constructs its experiment from warm models;
@@ -42,13 +46,15 @@
 //!
 //! The codec is hand-rolled (no serde — the workspace builds offline):
 //! each domain type gets an explicit field-order encode/decode pair
-//! below, and any layout change must bump
+//! (below, or beside its [`Cell`] impl), and any layout change must bump
 //! [`codec::FORMAT_VERSION`](jumanji::types::codec::FORMAT_VERSION).
 
 // Every map in this module is Mix64Build-hashed (or iterated only after
 // sorting); clippy's type ban cannot see hasher parameters.
 #![allow(clippy::disallowed_types)]
 
+use crate::cell_cache::{Cell, CellKind, RunCell};
+use crate::figures::plan::DetailPlan;
 use jumanji::cache::MissCurve;
 use jumanji::core::DesignKind;
 use jumanji::sim::detail::{DetailAppStats, DetailReport};
@@ -64,22 +70,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::{fs, io};
 
-/// Envelope kind tag for run-cell entries.
-const KIND_RUN: u16 = 1;
 /// Envelope kind tag for the model-memo file (hulls + deadlines).
 const KIND_MODEL: u16 = 3;
 /// Envelope kind tag for the measured-cost table.
 const KIND_COSTS: u16 = 4;
-/// Envelope kind tag for detailed-simulator report entries.
-const KIND_DETAIL: u16 = 5;
-
-/// The run-cell entry directory.
-const RUNS: &str = "runs";
-/// The detailed-cell entry directory.
-const DETAILS: &str = "details";
-/// Every entry directory: created by [`DiskCache::open`], bounded by
-/// [`DiskCache::enforce_cap`].
-const ENTRY_DIRS: [&str; 2] = [RUNS, DETAILS];
 
 /// Number of [`DesignKind`] variants (size of the per-design cost rows).
 pub const NUM_DESIGNS: usize = 7;
@@ -300,44 +294,39 @@ fn decode_interval(r: &mut ByteReader<'_>) -> Result<IntervalRecord, CodecError>
     })
 }
 
-fn encode_result(result: &ExperimentResult) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+pub(crate) fn encode_result(w: &mut ByteWriter, result: &ExperimentResult) {
     w.u8(design_tag(result.design));
-    encode_names(&mut w, &result.lc_names);
+    encode_names(w, &result.lc_names);
     w.f64s(&result.lc_tail_latency_ms);
     w.f64s(&result.lc_deadline_ms);
-    encode_names(&mut w, &result.batch_names);
+    encode_names(w, &result.batch_names);
     w.f64s(&result.batch_work);
     w.f64(result.vulnerability);
-    encode_energy(&mut w, &result.energy);
+    encode_energy(w, &result.energy);
     w.f64(result.total_instructions);
     w.f64(result.coherence_refetches);
     w.u32(result.timeline.len() as u32);
     for iv in &result.timeline {
-        encode_interval(&mut w, iv);
+        encode_interval(w, iv);
     }
-    encode_entry(KIND_RUN, w.into_bytes())
 }
 
-fn decode_result(bytes: &[u8]) -> Result<ExperimentResult, CodecError> {
-    let payload = decode_entry(KIND_RUN, bytes)?;
-    let mut r = ByteReader::new(payload);
+pub(crate) fn decode_result(r: &mut ByteReader<'_>) -> Result<ExperimentResult, CodecError> {
     let design = design_from_tag(r.u8()?)?;
-    let lc_names = decode_names(&mut r)?;
+    let lc_names = decode_names(r)?;
     let lc_tail_latency_ms = r.f64s()?;
     let lc_deadline_ms = r.f64s()?;
-    let batch_names = decode_names(&mut r)?;
+    let batch_names = decode_names(r)?;
     let batch_work = r.f64s()?;
     let vulnerability = r.f64()?;
-    let energy = decode_energy(&mut r)?;
+    let energy = decode_energy(r)?;
     let total_instructions = r.f64()?;
     let coherence_refetches = r.f64()?;
     let n = r.count(1)?;
     let mut timeline = Vec::with_capacity(n);
     for _ in 0..n {
-        timeline.push(decode_interval(&mut r)?);
+        timeline.push(decode_interval(r)?);
     }
-    r.finish()?;
     Ok(ExperimentResult {
         design,
         lc_names,
@@ -353,8 +342,7 @@ fn decode_result(bytes: &[u8]) -> Result<ExperimentResult, CodecError> {
     })
 }
 
-fn encode_detail(report: &DetailReport) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+pub(crate) fn encode_detail(w: &mut ByteWriter, report: &DetailReport) {
     w.u32(report.apps.len() as u32);
     for a in &report.apps {
         w.u64(a.accesses);
@@ -372,12 +360,9 @@ fn encode_detail(report: &DetailReport) -> Vec<u8> {
             w.usize(app.0);
         }
     }
-    encode_entry(KIND_DETAIL, w.into_bytes())
 }
 
-fn decode_detail(bytes: &[u8]) -> Result<DetailReport, CodecError> {
-    let payload = decode_entry(KIND_DETAIL, bytes)?;
-    let mut r = ByteReader::new(payload);
+pub(crate) fn decode_detail(r: &mut ByteReader<'_>) -> Result<DetailReport, CodecError> {
     let napps = r.count(56)?;
     let mut apps = Vec::with_capacity(napps);
     for _ in 0..napps {
@@ -413,7 +398,6 @@ fn decode_detail(bytes: &[u8]) -> Result<DetailReport, CodecError> {
             .collect::<Result<Vec<_>, CodecError>>()?;
         bank_occupants.push(occ);
     }
-    r.finish()?;
     Ok(DetailReport {
         apps,
         bank_occupants,
@@ -544,8 +528,8 @@ impl DiskCache {
     /// Returns the I/O error if the directory tree cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let root = dir.into();
-        for dir in ENTRY_DIRS {
-            fs::create_dir_all(root.join(dir))?;
+        for kind in CellKind::ALL {
+            fs::create_dir_all(root.join(kind.dir()))?;
         }
         Ok(DiskCache {
             root,
@@ -574,9 +558,9 @@ impl DiskCache {
         }
     }
 
-    /// The file of entry `key` in entry directory `dir`.
-    fn entry_path(&self, dir: &str, key: u128) -> PathBuf {
-        self.root.join(dir).join(format!("{key:032x}.bin"))
+    /// The file of `kind`'s entry `key`.
+    fn entry_path(&self, kind: CellKind, key: u128) -> PathBuf {
+        self.root.join(kind.dir()).join(format!("{key:032x}.bin"))
     }
 
     /// Writes `bytes` to `path` via a uniquely named temp file in the
@@ -603,32 +587,31 @@ impl DiskCache {
         }
     }
 
-    /// Loads, validates, and decodes the entry at `path`. A missing
-    /// file is a plain miss; an invalid one is dropped from disk and
-    /// then counted as a miss.
+    /// Reads, validates, and decodes the file at `path`: `None` when it
+    /// is missing, or invalid — an invalid file is dropped from disk.
+    fn read<T>(
+        &self,
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+    ) -> Option<T> {
+        let bytes = fs::read(path).ok()?;
+        decode(&bytes).map_err(|_| self.drop_corrupt(path)).ok()
+    }
+
+    /// [`Self::read`], counted as a hit or a miss.
     fn load_entry<T>(
         &self,
         path: &Path,
         decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
     ) -> Option<T> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let value = self.read(path, decode);
+        let counter = if value.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
-        match decode(&bytes) {
-            Ok(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            Err(_) => {
-                self.drop_corrupt(path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     fn drop_corrupt(&self, path: &Path) {
@@ -646,33 +629,46 @@ impl DiskCache {
         }
     }
 
-    /// The persisted result for a run-cell key, if a valid entry exists.
-    pub fn load_run(&self, key: u128) -> Option<ExperimentResult> {
-        self.load_entry(&self.entry_path(RUNS, key), decode_result)
+    /// The persisted output of the `C` cell filed under `key`, if a
+    /// valid entry exists.
+    pub fn load<C: Cell>(&self, key: u128) -> Option<C::Output> {
+        self.load_entry(&self.entry_path(C::KIND, key), |bytes| {
+            let mut r = ByteReader::new(decode_entry(C::KIND.tag(), bytes)?);
+            let value = C::decode(&mut r)?;
+            r.finish()?;
+            Ok(value)
+        })
     }
 
-    /// Persists a completed run cell.
-    pub fn store_run(&self, key: u128, result: &ExperimentResult) {
-        self.store_entry(&self.entry_path(RUNS, key), &encode_result(result));
+    /// Persists `value`, the output of the `C` cell filed under `key`.
+    pub fn store<C: Cell>(&self, key: u128, value: &C::Output) {
+        let mut w = ByteWriter::new();
+        C::encode(value, &mut w);
+        let bytes = encode_entry(C::KIND.tag(), w.into_bytes());
+        self.store_entry(&self.entry_path(C::KIND, key), &bytes);
     }
 
-    /// Cheap existence probe for a run-cell entry (no validation, no
-    /// hit/miss accounting): used by the scheduler to decide whether an
-    /// experiment construction can be skipped entirely. A file that
-    /// later fails validation just falls back to lazy construction.
+    /// Cheap existence probe for an entry (no validation, no hit/miss
+    /// accounting). A file that later fails validation just falls back
+    /// to a recompute.
+    pub fn exists(&self, kind: CellKind, key: u128) -> bool {
+        self.entry_path(kind, key).exists()
+    }
+
+    /// [`DiskCache::exists`] for a run cell: the scheduler skips an
+    /// experiment construction when every run on it is present.
     pub fn has_run(&self, key: u128) -> bool {
-        self.entry_path(RUNS, key).exists()
+        self.exists(CellKind::Run, key)
     }
 
-    /// The persisted detailed-simulator report for a key, if a valid
-    /// entry exists.
-    pub fn load_detail(&self, key: u128) -> Option<DetailReport> {
-        self.load_entry(&self.entry_path(DETAILS, key), decode_detail)
+    /// [`DiskCache::store`] for a run cell.
+    pub fn store_run(&self, key: u128, result: &ExperimentResult) {
+        self.store::<RunCell>(key, result);
     }
 
-    /// Persists a completed detailed-simulator cell.
+    /// [`DiskCache::store`] for a detailed cell.
     pub fn store_detail(&self, key: u128, report: &DetailReport) {
-        self.store_entry(&self.entry_path(DETAILS, key), &encode_detail(report));
+        self.store::<DetailPlan>(key, report);
     }
 
     /// Warm-starts the simulator's construction memos (ratio hulls,
@@ -707,17 +703,12 @@ impl DiskCache {
             jumanji::sim::deadline::export_deadlines()
                 .into_iter()
                 .collect();
-        if let Ok(bytes) = fs::read(&path) {
-            match decode_model(&bytes) {
-                Ok((old_hulls, old_deadlines)) => {
-                    for (k, v) in old_hulls {
-                        hulls.entry(k).or_insert(v);
-                    }
-                    for (k, v) in old_deadlines {
-                        deadlines.entry(k).or_insert(v);
-                    }
-                }
-                Err(_) => self.drop_corrupt(&path),
+        if let Some((old_hulls, old_deadlines)) = self.read(&path, decode_model) {
+            for (k, v) in old_hulls {
+                hulls.entry(k).or_insert(v);
+            }
+            for (k, v) in old_deadlines {
+                deadlines.entry(k).or_insert(v);
             }
         }
         if hulls.is_empty() && deadlines.is_empty() {
@@ -736,17 +727,7 @@ impl DiskCache {
     /// invalid (a corrupt file is dropped).
     pub fn load_costs(&self) -> MeasuredCosts {
         let path = self.root.join("costs.bin");
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return MeasuredCosts::default(),
-        };
-        match decode_costs(&bytes) {
-            Ok(c) => c,
-            Err(_) => {
-                self.drop_corrupt(&path);
-                MeasuredCosts::default()
-            }
-        }
+        self.read(&path, decode_costs).unwrap_or_default()
     }
 
     /// Folds freshly measured costs into `costs.bin` (read-merge-write;
@@ -761,8 +742,8 @@ impl DiskCache {
         self.store_entry(&self.root.join("costs.bin"), &encode_costs(&merged));
     }
 
-    /// Caps the total size of the store's entry files (`runs/`,
-    /// `details/`). `0` means unbounded (the default). The
+    /// Caps the total size of the store's entry files (every
+    /// [`CellKind`] directory). `0` means unbounded (the default). The
     /// cap takes effect at the next [`DiskCache::enforce_cap`] call —
     /// the `suite` binary enforces it at attach time and again at exit.
     pub fn set_cap_bytes(&self, cap: u64) {
@@ -787,8 +768,8 @@ impl DiskCache {
         }
         let mut entries: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
         let mut total: u64 = 0;
-        for sub in ENTRY_DIRS {
-            let Ok(dir) = fs::read_dir(self.root.join(sub)) else {
+        for kind in CellKind::ALL {
+            let Ok(dir) = fs::read_dir(self.root.join(kind.dir())) else {
                 continue;
             };
             for entry in dir.flatten() {
@@ -827,6 +808,9 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, ScenarioResult};
+    use jumanji::attacks::leakage::LeakageResult;
+    use jumanji::attacks::port::{PortAttackTrace, TimingSample};
 
     fn temp_store(tag: &str) -> DiskCache {
         let dir = std::env::temp_dir().join(format!(
@@ -873,61 +857,25 @@ mod tests {
     }
 
     #[test]
-    fn result_codec_round_trips_bit_exactly() {
-        let original = sample_result();
-        let decoded = decode_result(&encode_result(&original)).expect("valid entry");
-        // Debug formatting covers every field, and floats round-trip by
-        // bits — so the debug forms (and any TSV formatted from the
-        // decoded result) are byte-identical.
-        assert_eq!(format!("{original:?}"), format!("{decoded:?}"));
-        // Catalog names resolve to the catalog's own static string.
-        assert_eq!(
-            original.lc_names[0].as_ptr(),
-            decoded.lc_names[0].as_ptr(),
-            "catalog names must be interned to the same static"
-        );
-        assert_eq!(
-            decoded.timeline[1].lc_mean_latency_ms[1].unwrap().to_bits(),
-            (-0.0f64).to_bits()
-        );
-    }
-
-    #[test]
-    fn store_round_trips_runs() {
-        let store = temp_store("roundtrip");
-        let result = sample_result();
-        assert!(store.load_run(7).is_none());
-        assert!(!store.has_run(7));
-        store.store_run(7, &result);
-        assert!(store.has_run(7));
-        let loaded = store.load_run(7).expect("stored entry");
-        assert_eq!(format!("{result:?}"), format!("{loaded:?}"));
-
-        let s = store.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.corrupt_dropped, 0);
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
     fn corrupt_entries_are_dropped_and_recomputable() {
         let store = temp_store("corrupt");
         store.store_run(1, &sample_result());
-        let path = store.entry_path(RUNS, 1);
+        let path = store.entry_path(CellKind::Run, 1);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        assert!(store.load_run(1).is_none(), "corrupt entry must miss");
+        assert!(
+            store.load::<RunCell>(1).is_none(),
+            "corrupt entry must miss"
+        );
         assert!(!path.exists(), "corrupt entry must be deleted");
         let s = store.stats();
         assert_eq!(s.corrupt_dropped, 1);
         assert_eq!(s.evictions, 1);
         // The slot is clean again: a recompute can repopulate it.
         store.store_run(1, &sample_result());
-        assert!(store.load_run(1).is_some());
+        assert!(store.load::<RunCell>(1).is_some());
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -949,32 +897,134 @@ mod tests {
         }
     }
 
-    #[test]
-    fn detail_codec_round_trips_bit_exactly() {
-        let original = sample_detail();
-        let decoded = decode_detail(&encode_detail(&original)).expect("valid entry");
-        assert_eq!(format!("{original:?}"), format!("{decoded:?}"));
+    fn sample_scenarios() -> Vec<ScenarioResult> {
+        let sample = |at, cycles_per_access, victim_bank| TimingSample {
+            at,
+            cycles_per_access,
+            victim_bank,
+        };
+        vec![
+            ScenarioResult::TailSweep(vec![[0.25, 12.5, 1.125], [8.0, 0.5, -0.0]]),
+            ScenarioResult::PortAttack(PortAttackTrace {
+                samples: vec![
+                    sample(100, 20.25, None),
+                    sample(200, 33.5, Some(0)),
+                    sample(300, 21.0, Some(11)),
+                ],
+                attacker_bank: 3,
+            }),
+            ScenarioResult::Leakage(LeakageResult {
+                snuca_norm_tails: vec![1.0, 1.0625, 1.25],
+                dnuca_norm_tails: vec![0.75; 3],
+            }),
+        ]
+    }
+
+    /// `C::encode` then `C::decode`, without the store.
+    fn recode<C: Cell>(value: &C::Output) -> Result<C::Output, CodecError> {
+        let mut w = ByteWriter::new();
+        C::encode(value, &mut w);
+        C::decode(&mut ByteReader::new(&w.into_bytes()))
+    }
+
+    /// `value` round-trips through the store bit-exactly as a `C` cell
+    /// filed under `key`, and a corrupted copy is dropped.
+    fn round_trip<C: Cell>(store: &DiskCache, key: u128, value: &C::Output) {
+        assert!(store.load::<C>(key).is_none());
+        assert!(!store.exists(C::KIND, key));
+        store.store::<C>(key, value);
+        assert!(store.exists(C::KIND, key));
+        let loaded = store.load::<C>(key).expect("stored entry");
+        // Debug formatting covers every field, and floats round-trip by
+        // bits — so the debug forms (and any TSV formatted from the
+        // decoded value) are byte-identical.
+        assert_eq!(format!("{value:?}"), format!("{loaded:?}"));
+        let path = store.entry_path(C::KIND, key);
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.load::<C>(key).is_none(), "corrupt entry must miss");
+        assert!(!path.exists(), "corrupt entry must be deleted");
     }
 
     #[test]
-    fn detail_decoder_rejects_dangling_occupant() {
-        let mut report = sample_detail();
-        report.bank_occupants[0].push(AppId(9));
-        let err = decode_detail(&encode_detail(&report)).expect_err("dangling occupant");
-        assert_eq!(err, CodecError::Malformed("occupant app out of range"));
+    fn every_cell_kind_round_trips_through_the_store() {
+        let store = temp_store("kinds");
+        // One key, two kinds: each kind files under its own directory.
+        round_trip::<RunCell>(&store, 7, &sample_result());
+        round_trip::<DetailPlan>(&store, 7, &sample_detail());
+        for (key, scenario) in sample_scenarios().iter().enumerate() {
+            round_trip::<Scenario>(&store, key as u128, scenario);
+        }
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.writes), (5, 10, 5));
+        assert_eq!((s.corrupt_dropped, s.evictions), (5, 5));
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn result_codec_round_trips_bit_exactly() {
+        let original = sample_result();
+        let decoded = recode::<RunCell>(&original).expect("valid payload");
+        assert_eq!(format!("{original:?}"), format!("{decoded:?}"));
+        // Catalog names resolve to the catalog's own static string.
+        assert_eq!(
+            original.lc_names[0].as_ptr(),
+            decoded.lc_names[0].as_ptr(),
+            "catalog names must be interned to the same static"
+        );
+        assert_eq!(
+            decoded.timeline[1].lc_mean_latency_ms[1].unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn store_round_trips_runs() {
+        let store = temp_store("roundtrip");
+        let result = sample_result();
+        assert!(store.load::<RunCell>(7).is_none());
+        assert!(!store.has_run(7));
+        store.store_run(7, &result);
+        assert!(store.has_run(7));
+        let loaded = store.load::<RunCell>(7).expect("stored entry");
+        assert_eq!(format!("{result:?}"), format!("{loaded:?}"));
+
+        let s = store.stats();
+        assert_eq!(s.hits, 1);
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.writes, 1);
+        assert_eq!(s.corrupt_dropped, 0);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn detail_codec_round_trips_bit_exactly() {
+        let original = sample_detail();
+        let decoded = recode::<DetailPlan>(&original).expect("valid payload");
+        assert_eq!(format!("{original:?}"), format!("{decoded:?}"));
     }
 
     #[test]
     fn store_round_trips_details() {
         let store = temp_store("detail-roundtrip");
         let report = sample_detail();
-        assert!(store.load_detail(11).is_none());
-        assert!(!store.entry_path(DETAILS, 11).exists());
+        assert!(store.load::<DetailPlan>(11).is_none());
+        assert!(!store.exists(CellKind::Detail, 11));
         store.store_detail(11, &report);
-        assert!(store.entry_path(DETAILS, 11).exists());
-        let loaded = store.load_detail(11).expect("stored entry");
+        assert!(store.exists(CellKind::Detail, 11));
+        let loaded = store.load::<DetailPlan>(11).expect("stored entry");
         assert_eq!(format!("{report:?}"), format!("{loaded:?}"));
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn detail_decoder_rejects_dangling_occupant() {
+        let mut report = sample_detail();
+        report.bank_occupants[0].push(AppId(9));
+        let err = recode::<DetailPlan>(&report).expect_err("dangling occupant");
+        assert_eq!(err, CodecError::Malformed("occupant app out of range"));
     }
 
     #[test]
@@ -985,13 +1035,15 @@ mod tests {
             store.store_run(key, &sample_result());
         }
         store.store_detail(9, &sample_detail());
-        let entry_len = fs::metadata(store.entry_path(RUNS, 0)).unwrap().len();
+        let entry_len = fs::metadata(store.entry_path(CellKind::Run, 0))
+            .unwrap()
+            .len();
         // Spread mtimes so the write order is unambiguous regardless of
         // filesystem timestamp granularity: key 0 oldest … detail newest.
         let base = std::time::SystemTime::now() - std::time::Duration::from_secs(100);
         for (i, path) in (0..4u128)
-            .map(|k| store.entry_path(RUNS, k))
-            .chain([store.entry_path(DETAILS, 9)])
+            .map(|k| store.entry_path(CellKind::Run, k))
+            .chain([store.entry_path(CellKind::Detail, 9)])
             .enumerate()
         {
             let f = fs::File::options().write(true).open(&path).unwrap();
@@ -1009,7 +1061,7 @@ mod tests {
         assert!(evicted >= 2, "cap must evict, got {evicted}");
         assert!(!store.has_run(0), "oldest entry must be evicted first");
         assert!(
-            store.entry_path(DETAILS, 9).exists(),
+            store.exists(CellKind::Detail, 9),
             "newest entry must survive"
         );
         assert_eq!(store.stats().evictions, evicted);
@@ -1017,7 +1069,7 @@ mod tests {
         // Within cap now: a second enforcement is a no-op, and evicted
         // cells are plain recomputable misses.
         assert_eq!(store.enforce_cap(), 0);
-        assert!(store.load_run(0).is_none());
+        assert!(store.load::<RunCell>(0).is_none());
         assert_eq!(store.stats().corrupt_dropped, 0);
         let _ = fs::remove_dir_all(store.root());
     }
@@ -1097,13 +1149,13 @@ mod tests {
                 }
             });
             for _ in 0..200 {
-                if let Some(loaded) = store_a.load_run(5) {
+                if let Some(loaded) = store_a.load::<RunCell>(5) {
                     assert_eq!(format!("{loaded:?}"), format!("{result:?}"));
                 }
             }
         });
         assert_eq!(store_a.stats().corrupt_dropped, 0, "no torn entries");
-        let loaded = store_b.load_run(5).expect("final entry valid");
+        let loaded = store_b.load::<RunCell>(5).expect("final entry valid");
         assert_eq!(format!("{loaded:?}"), format!("{result:?}"));
         let _ = fs::remove_dir_all(store_a.root());
     }

@@ -1,18 +1,19 @@
 //! Attack demonstrations: the LLC port attack (Fig. 11) and DRRIP
-//! set-dueling performance leakage (Fig. 12). Both run fixed scenarios;
-//! the spec's knobs don't apply.
+//! set-dueling performance leakage (Fig. 12). Both fold one fixed
+//! scenario; the spec's knobs don't apply.
 
-use jumanji::attacks::leakage::{leakage_experiment, LeakageConfig};
-use jumanji::attacks::port::{run_port_attack, PortAttackConfig};
+use super::FigureResults;
+use crate::scenario::ScenarioResult;
 use jumanji::types::Error;
 use std::io::Write;
 
 /// Fig. 11: LLC port attack demonstration — attacker access times vs.
 /// wall-clock time while a 3-thread victim rotates through flooding each
 /// of the 12 LLC banks.
-pub fn fig11(out: &mut dyn Write) -> Result<(), Error> {
-    let cfg = PortAttackConfig::default();
-    let trace = run_port_attack(cfg);
+pub fn fig11(results: &FigureResults, out: &mut dyn Write) -> Result<(), Error> {
+    let ScenarioResult::PortAttack(trace) = &*results.scenarios[0] else {
+        unreachable!("fig11 plans the port attack");
+    };
     writeln!(
         out,
         "# Fig. 11: attacker timing (cycles per access, sampled every 100 accesses)"
@@ -65,8 +66,10 @@ pub fn fig11(out: &mut dyn Write) -> Result<(), Error> {
 /// tail latency across 40 batch mixes with a fixed S-NUCA partition
 /// (red) vs. a fixed D-NUCA allocation in its own banks (blue),
 /// normalized to img-dnn running alone.
-pub fn fig12(out: &mut dyn Write) -> Result<(), Error> {
-    let r = leakage_experiment(LeakageConfig::default());
+pub fn fig12(results: &FigureResults, out: &mut dyn Write) -> Result<(), Error> {
+    let ScenarioResult::Leakage(r) = &*results.scenarios[0] else {
+        unreachable!("fig12 plans the leakage run");
+    };
     writeln!(
         out,
         "# Fig. 12: img-dnn normalized tail latency, 40 mixes sorted best to worst"

@@ -5,16 +5,14 @@
 
 use super::plan::FigurePlan;
 use super::FigureResults;
+use crate::scenario::ScenarioResult;
 use crate::spec::ExperimentSpec;
-use jumanji::cache::analytic::assoc_penalty;
 use jumanji::core::AppKind;
-use jumanji::noc::MeshNoc;
 use jumanji::prelude::*;
 use jumanji::sim::detail::DetailOptions;
-use jumanji::sim::metrics::{gmean, percentile};
+use jumanji::sim::metrics::gmean;
 use jumanji::sim::perf::Profile;
-use jumanji::sim::queueing::LcQueue;
-use jumanji::types::{AppId, BankId, CoreId, Error};
+use jumanji::types::{AppId, BankId, Error};
 use std::io::Write;
 
 const MB: f64 = 1048576.0;
@@ -215,73 +213,21 @@ pub fn fig05(
     Ok(())
 }
 
-fn tail_ms(service: f64, interarrival: f64, freq: f64) -> f64 {
-    let mut q = LcQueue::new(interarrival, 42);
-    let horizon = (interarrival * 30_000.0) as u64;
-    let lat: Vec<f64> = q
-        .advance(horizon, service)
-        .iter()
-        .map(|c| c.latency as f64)
-        .collect();
-    percentile(&lat, 0.95) / freq * 1e3
-}
-
 /// Fig. 8: xapian's tail (95th-percentile) latency vs. its LLC
 /// allocation, with way-partitioning (S-NUCA) and with the allocation
 /// reserved in the closest banks (D-NUCA). Run in isolation at high
 /// load.
-pub fn fig08(out: &mut dyn Write) -> Result<(), Error> {
-    let cfg = SystemConfig::micro2020();
-    let noc = MeshNoc::new(&cfg);
-    let xapian = tailbench()
-        .into_iter()
-        .find(|p| p.name == "xapian")
-        .ok_or_else(|| Error::unknown_workload("xapian"))?;
-    let freq = cfg.freq_hz;
-    let interarrival = xapian.interarrival_cycles(LcLoad::High, freq);
-    let miss_pen = noc.avg_miss_penalty();
-    let mesh = cfg.mesh();
-    let core = CoreId(0);
-
+pub fn fig08(results: &FigureResults, out: &mut dyn Write) -> Result<(), Error> {
+    let ScenarioResult::TailSweep(rows) = &*results.scenarios[0] else {
+        unreachable!("fig08 plans the tail sweep");
+    };
     writeln!(
         out,
         "# Fig. 8: xapian p95 latency vs LLC allocation (isolation, high load)"
     )?;
     writeln!(out, "alloc_mb\tsnuca_p95_ms\tdnuca_p95_ms")?;
-    let mut steps = vec![0.25, 0.5, 0.75];
-    steps.extend((2..=16).map(|i| i as f64 * 0.5));
-    for alloc_mb in steps {
-        let bytes = alloc_mb * MB;
-        // S-NUCA: striped over all banks with way-partitioning.
-        let ways_per_bank = bytes / cfg.llc.num_banks as f64 / cfg.llc.way_bytes() as f64;
-        let mr_s = (xapian.shape.ratio(bytes as u64) * assoc_penalty(ways_per_bank, cfg.llc.ways))
-            .min(1.0);
-        let lat_s = cfg.llc.bank_latency.as_u64() as f64
-            + noc.round_trip_for_hops(mesh.snuca_avg_distance(core));
-        let s_snuca = xapian.service_cycles(lat_s, mr_s, miss_pen);
-        // D-NUCA: nearest banks, whole banks first (full associativity).
-        let mut remaining = bytes;
-        let mut placement: Vec<(BankId, f64)> = Vec::new();
-        for b in mesh.banks_by_distance(core) {
-            if remaining <= 0.0 {
-                break;
-            }
-            let take = remaining.min(cfg.llc.bank_bytes as f64);
-            placement.push((b, take));
-            remaining -= take;
-        }
-        let hops = mesh.weighted_distance(core, placement.iter().copied());
-        let mr_d = xapian.shape.ratio(bytes as u64);
-        let lat_d = cfg.llc.bank_latency.as_u64() as f64 + noc.round_trip_for_hops(hops);
-        let s_dnuca = xapian.service_cycles(lat_d, mr_d, miss_pen);
-
-        writeln!(
-            out,
-            "{:.2}\t{:.3}\t{:.3}",
-            alloc_mb,
-            tail_ms(s_snuca, interarrival, freq),
-            tail_ms(s_dnuca, interarrival, freq)
-        )?;
+    for [alloc_mb, snuca, dnuca] in rows {
+        writeln!(out, "{alloc_mb:.2}\t{snuca:.3}\t{dnuca:.3}")?;
     }
     writeln!(
         out,

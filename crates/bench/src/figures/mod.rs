@@ -4,16 +4,19 @@
 //! Each figure is two functions. [`plan::of`] enumerates the cells it
 //! needs without computing them; its render folds the results of those
 //! cells — handed over in plan order as a [`FigureResults`] — into
-//! bytes. A render never looks anything up and never computes a cell:
-//! the closed-form pieces (fig08's curve, the attack demos, the tables,
-//! ablation's trade pass, validate's analytic model) are not cells, so
-//! they stay inline. The executor ([`crate::suite::run_suite`]) is the
-//! only code that runs cells.
+//! bytes. A render never looks anything up and never simulates: fig08's
+//! sweep and the attack demos are fixed-scenario cells like any other,
+//! and the `plan-bypass` lint keeps the cache and the simulators' entry
+//! points out of this directory. Only closed-form arithmetic stays inline
+//! (the tables, ablation's trade pass, validate's analytic model). The
+//! executor ([`crate::suite::run_suite`]) is the only code that runs
+//! cells.
 //!
 //! Output contract: at a figure's default spec the bytes are those of
 //! the golden TSVs under `results/` (CI enforces this). Human-facing
 //! summaries stay on stderr.
 
+use crate::scenario::ScenarioResult;
 use crate::spec::{ExperimentSpec, FigureKind};
 use crate::{DesignCell, MixMetrics};
 use jumanji::prelude::*;
@@ -42,6 +45,8 @@ pub struct FigureResults {
     pub runs: Vec<Vec<Arc<ExperimentResult>>>,
     /// One report per [`FigurePlan::details`] entry.
     pub details: Vec<Arc<DetailReport>>,
+    /// One result per [`FigurePlan::scenarios`] entry.
+    pub scenarios: Vec<Arc<ScenarioResult>>,
 }
 
 impl FigureResults {
@@ -89,10 +94,10 @@ pub fn render(
         FigureKind::Fig02 => case_study::fig02(plan, results, out),
         FigureKind::Fig04 => case_study::fig04(spec, results, out),
         FigureKind::Fig05 => case_study::fig05(spec, plan, results, out),
-        FigureKind::Fig08 => case_study::fig08(out),
+        FigureKind::Fig08 => case_study::fig08(results, out),
         FigureKind::Fig09 => case_study::fig09(spec, results, out),
-        FigureKind::Fig11 => attacks::fig11(out),
-        FigureKind::Fig12 => attacks::fig12(out),
+        FigureKind::Fig11 => attacks::fig11(results, out),
+        FigureKind::Fig12 => attacks::fig12(results, out),
         FigureKind::Fig13 => main_results::fig13(spec, plan, results, out),
         FigureKind::Fig14 => main_results::fig14(spec, plan, results, out),
         FigureKind::Fig15 => main_results::fig15(spec, plan, results, out),

@@ -11,12 +11,13 @@
 //!
 //! The detailed-simulator studies (fig02, validate) plan *detailed*
 //! cells ([`DetailPlan`]) instead of analytic ones: the full input of
-//! [`run_detailed`](jumanji::sim::detail::run_detailed). Figures with
-//! nothing to compute (the closed-form fig08, the attack demos, the
-//! config tables) return an empty plan.
+//! [`run_detailed`](jumanji::sim::detail::run_detailed). fig08 and the
+//! attack demos (fig11, fig12) each plan one fixed [`Scenario`]. Only
+//! the config tables compute nothing and return an empty plan.
 //!
-//! Cost priors ([`experiment_cost`], [`run_cost`], [`detail_cost`]) feed
-//! the scheduler's long-pole-first ordering. They are *relative* guesses
+//! Cost priors ([`experiment_cost`], [`run_cost`], [`detail_cost`], and
+//! each [`Scenario`]'s own) feed the scheduler's long-pole-first
+//! ordering. They are *relative* guesses
 //! (an analytic run costs about one interval-unit per reconfiguration
 //! interval; placement-solving designs cost more per interval;
 //! experiment construction about half a Static run; a detailed cell
@@ -27,8 +28,11 @@
 
 use super::{groups_by_load, sim_opts};
 use crate::disk_cache::MeasuredCosts;
+use crate::scenario::Scenario;
 use crate::spec::{ExperimentSpec, FigureKind};
 use crate::{mix_cell_inputs, LcGroup};
+use jumanji::attacks::leakage::LeakageConfig;
+use jumanji::attacks::port::PortAttackConfig;
 use jumanji::prelude::*;
 use jumanji::sim::detail::DetailOptions;
 use jumanji::sim::perf::Profile;
@@ -100,18 +104,14 @@ pub struct FigurePlan {
     pub cells: Vec<CellPlan>,
     /// Its detailed-simulator cells, in the render's fold order.
     pub details: Vec<DetailPlan>,
+    /// Its fixed scenarios, in the render's fold order.
+    pub scenarios: Vec<Scenario>,
 }
 
 impl FigurePlan {
-    /// Total design runs across analytic cells (before any
-    /// deduplication).
-    pub fn runs(&self) -> usize {
-        self.cells.iter().map(|c| c.designs.len()).sum()
-    }
-
-    /// True when the figure has no cells (analytic or detailed).
+    /// True when the figure has no cells of any kind.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty() && self.details.is_empty()
+        self.cells.is_empty() && self.details.is_empty() && self.scenarios.is_empty()
     }
 }
 
@@ -212,52 +212,31 @@ impl CostModel {
         CostModel { measured }
     }
 
-    fn run_factor_measured(&self, design: DesignKind) -> Option<f64> {
+    /// A measured mean relative to the measured Static run mean — the
+    /// unit of every prior.
+    fn relative(&self, mean: Option<f64>) -> Option<f64> {
         let base = self.measured.mean_run_us(DesignKind::Static)?;
-        if base <= 0.0 {
-            return None;
-        }
-        Some(self.measured.mean_run_us(design)? / base)
-    }
-
-    fn run_factor(&self, design: DesignKind) -> f64 {
-        self.run_factor_measured(design)
-            .unwrap_or_else(|| static_factor(design))
+        (base > 0.0).then_some(mean? / base)
     }
 
     /// Cost estimate for running `design` with `opts` (same unit as
     /// [`run_cost`]; equal to it when nothing is measured).
     pub fn run_cost(&self, opts: &SimOptions, design: DesignKind) -> f64 {
-        intervals_of(opts) * self.run_factor(design)
+        let measured = self.relative(self.measured.mean_run_us(design));
+        intervals_of(opts) * measured.unwrap_or_else(|| static_factor(design))
     }
 
     /// Cost estimate for constructing an experiment with `opts`.
     pub fn experiment_cost(&self, opts: &SimOptions) -> f64 {
-        let factor = self
-            .measured
-            .mean_exp_us()
-            .and_then(|exp| {
-                let base = self.measured.mean_run_us(DesignKind::Static)?;
-                (base > 0.0).then(|| exp / base)
-            })
-            .unwrap_or(0.5);
-        intervals_of(opts) * factor
+        intervals_of(opts) * self.relative(self.measured.mean_exp_us()).unwrap_or(0.5)
     }
 
     /// Cost estimate for a detailed-simulator cell (same unit as
     /// [`run_cost`](CostModel::run_cost); equal to [`detail_cost`] when
-    /// nothing is measured). Measured means are kept relative to the
-    /// measured Static analytic mean, like every other row.
+    /// nothing is measured).
     pub fn detail_cost(&self, opts: &DetailOptions, napps: usize) -> f64 {
-        let factor = self
-            .measured
-            .mean_detail_us()
-            .and_then(|detail| {
-                let base = self.measured.mean_run_us(DesignKind::Static)?;
-                (base > 0.0).then(|| detail / base)
-            })
-            .unwrap_or(DETAIL_STATIC_FACTOR);
-        detail_units(opts, napps) * factor
+        let measured = self.relative(self.measured.mean_detail_us());
+        detail_units(opts, napps) * measured.unwrap_or(DETAIL_STATIC_FACTOR)
     }
 
     /// Prior-vs-measured drift, one row per design with measured data.
@@ -266,7 +245,7 @@ impl CostModel {
         DesignKind::all()
             .into_iter()
             .filter_map(|design| {
-                let measured = self.run_factor_measured(design)?;
+                let measured = self.relative(self.measured.mean_run_us(design))?;
                 let samples = self.measured.runs[crate::disk_cache::design_tag(design) as usize].0;
                 Some(CostDrift {
                     design,
@@ -448,8 +427,8 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
             })
             .collect(),
         // No analytic cells: Fig. 2 and validate run the detailed
-        // simulator (enumerated below), the rest are the closed-form
-        // queueing curve, the attack demos, and the tables.
+        // simulator, fig08/11/12 fixed scenarios (both enumerated
+        // below), and the tables compute nothing.
         Fig02 | Fig08 | Fig11 | Fig12 | Table2 | Table3 | Validate => Vec::new(),
     };
     let details = match spec.kind {
@@ -497,10 +476,24 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
         }
         _ => Vec::new(),
     };
+    let scenarios = match spec.kind {
+        Fig08 => {
+            let xapian = tailbench().into_iter().find(|p| p.name == "xapian");
+            let xapian = xapian.ok_or_else(|| Error::unknown_workload("xapian"))?;
+            vec![Scenario::TailSweep(Box::new((
+                xapian,
+                SystemConfig::micro2020(),
+            )))]
+        }
+        Fig11 => vec![Scenario::PortAttack(PortAttackConfig::default())],
+        Fig12 => vec![Scenario::Leakage(LeakageConfig::default())],
+        _ => Vec::new(),
+    };
     Ok(FigurePlan {
         kind: spec.kind,
         cells,
         details,
+        scenarios,
     })
 }
 
@@ -516,7 +509,8 @@ mod tests {
         assert_eq!(plan.cells.len(), 36);
         // Static baseline + the four main designs per cell.
         assert!(plan.cells.iter().all(|c| c.designs.len() == 5));
-        assert_eq!(plan.runs(), 180);
+        let runs: usize = plan.cells.iter().map(|c| c.designs.len()).sum();
+        assert_eq!(runs, 180);
         // Fig. 15 runs high load only, and its design list already
         // includes Static — no double-count.
         let spec15 = ExperimentSpec::new(FigureKind::Fig15).mixes(3);
@@ -563,15 +557,15 @@ mod tests {
 
     #[test]
     fn unplannable_figures_return_empty_plans() {
-        for kind in [
-            FigureKind::Fig08,
-            FigureKind::Fig11,
-            FigureKind::Fig12,
-            FigureKind::Table2,
-            FigureKind::Table3,
-        ] {
+        for kind in [FigureKind::Table2, FigureKind::Table3] {
             let plan = of(&ExperimentSpec::new(kind)).expect("plan never fails here");
             assert!(plan.is_empty(), "{}", kind.name());
+        }
+        // The fixed scenarios plan exactly one scenario cell each.
+        for kind in [FigureKind::Fig08, FigureKind::Fig11, FigureKind::Fig12] {
+            let plan = of(&ExperimentSpec::new(kind)).expect("plan never fails here");
+            assert!(plan.cells.is_empty() && plan.details.is_empty());
+            assert_eq!(plan.scenarios.len(), 1, "{}", kind.name());
         }
     }
 

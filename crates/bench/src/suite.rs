@@ -6,12 +6,13 @@
 //! 1. **Plan.** Each figure enumerates its cells without computing them
 //!    ([`figures::plan`]) — the only enumeration of a figure's cells.
 //! 2. **Union.** The plans merge into one deduplicated work graph: one
-//!    node per unique experiment construction, one per unique
-//!    `(experiment, design)` run, and one per unique detailed-simulator
-//!    cell, keyed by the same content fingerprints the [`CellCache`]
-//!    uses. A cell shared by fig13/fig14/fig15 becomes a single node, no
-//!    matter how many figures want it — and at equal `--accesses`, a
-//!    validate mix-0 detailed cell is fig02's cell for that design.
+//!    node per unique experiment construction and one per unique
+//!    [`Cell`] of any kind — `(experiment, design)` run, detailed cell
+//!    or fixed scenario — keyed by the same content fingerprints the
+//!    [`CellCache`] uses. A cell shared by
+//!    fig13/fig14/fig15 becomes a single node, no matter how many figures
+//!    want it — and at equal `--accesses`, a validate mix-0 detailed cell
+//!    is fig02's cell for that design.
 //! 3. **Schedule.** The graph executes on one shared ready queue
 //!    ([`exec::sched`]), long poles first. Each node reads through the
 //!    cell cache (and its disk store), so cells an earlier run computed
@@ -42,17 +43,17 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use crate::cell_cache::{
-    attach_global_disk, run_key, CellCache, CellCacheStats, ExperimentHandle, RunSource,
+    attach_global_disk, AnyCell, Cell, CellCache, CellCacheStats, CellKind, ExperimentHandle,
+    RunCell, RunSource, Shared,
 };
 use crate::disk_cache::MeasuredCosts;
 use crate::exec::sched::{self, Graph, GraphReport};
 use crate::figures::{self, plan, FigureResults};
 use crate::spec::{ExperimentSpec, FigureKind};
 use jumanji::prelude::*;
-use jumanji::sim::detail::DetailReport;
 use jumanji::types::hash::Mix64Build;
 use jumanji::types::Error;
-use jumanji::workloads::WorkloadMix;
+use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -75,30 +76,29 @@ pub struct SuiteFigure {
     pub results: FigureResults,
 }
 
+/// What the scheduler did with one kind of cell.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CellCounts {
+    /// Lookups the figures planned, before deduplication.
+    pub planned: usize,
+    /// Unique nodes those lookups deduplicated to.
+    pub nodes: usize,
+    /// Nodes the scheduler actually computed this call.
+    pub computed: u64,
+    /// Nodes served straight from the persistent disk store.
+    pub disk_hits: u64,
+}
+
 /// What the scheduler did for one [`run_suite`] call.
 #[derive(Debug, Clone, Default)]
 pub struct SchedReport {
-    /// Design-run lookups the figures planned, before deduplication.
-    pub planned_runs: usize,
-    /// Unique design-run nodes those lookups deduplicated to.
-    pub run_nodes: usize,
-    /// Unique work-graph nodes (experiment constructions, design runs,
-    /// detailed cells).
+    /// Per cell kind, indexed by `CellKind as usize` (see
+    /// [`SchedReport::cells`]).
+    pub kinds: [CellCounts; 3],
+    /// Unique work-graph nodes (experiment constructions and cells).
     pub nodes: usize,
     /// Dependency edges in the graph.
     pub edges: usize,
-    /// Detailed-cell lookups the figures planned, before deduplication.
-    pub planned_details: usize,
-    /// Unique detailed-cell nodes those lookups deduplicated to.
-    pub detail_nodes: usize,
-    /// Run nodes served straight from the persistent disk store.
-    pub disk_run_hits: u64,
-    /// Run nodes the scheduler actually simulated this call.
-    pub computed_runs: u64,
-    /// Detailed-simulator nodes served from the persistent disk store.
-    pub detail_disk_hits: u64,
-    /// Detailed-simulator nodes the scheduler actually computed.
-    pub detail_computed: u64,
     /// Experiment constructions skipped because every dependent run
     /// cell was already warm (in memory or on disk).
     pub warm_skipped_exps: u64,
@@ -108,6 +108,13 @@ pub struct SchedReport {
     pub drift: Vec<plan::CostDrift>,
     /// Pool execution measurements.
     pub graph: GraphReport,
+}
+
+impl SchedReport {
+    /// What the scheduler did with `kind`'s cells.
+    pub fn cells(&self, kind: CellKind) -> &CellCounts {
+        &self.kinds[kind as usize]
+    }
 }
 
 /// The whole run's summary.
@@ -121,20 +128,16 @@ pub struct SuiteReport {
     pub cache: CellCacheStats,
 }
 
-/// A work-graph node: construct an experiment, run a design on one, or
-/// run one detailed-simulator cell. The large variants are boxed so the
-/// common `Run` variant stays a few bytes.
+/// A work-graph node: force an experiment construction, or compute one
+/// cell of any kind.
 enum Node {
-    Exp(Box<ExpCell>),
-    Run { exp: u32, design: DesignKind },
-    Detail(Box<plan::DetailPlan>),
-}
-
-/// An experiment node's inputs.
-struct ExpCell {
-    mix: WorkloadMix,
-    load: LcLoad,
-    opts: SimOptions,
+    /// Forces `handle`'s experiment, unless every run on it (`runs`, by
+    /// key) is already warm.
+    Exp {
+        handle: ExperimentHandle,
+        runs: Vec<u128>,
+    },
+    Cell(Box<dyn AnyCell>),
 }
 
 /// The unioned work graph plus its figure bookkeeping.
@@ -146,23 +149,82 @@ struct Union {
     node_figures: Vec<Vec<u32>>,
     /// Per-figure node count (the countdown's starting value).
     figure_nodes: Vec<usize>,
-    /// Per-node reconfiguration-interval count — the unit measured node
-    /// durations are normalized by before they feed the cost store.
-    intervals: Vec<u64>,
-    /// For each `Exp` node: the run keys of its dependent `Run` nodes,
-    /// so the scheduler can probe whether *every* consumer is already
-    /// warm and skip the construction entirely. Empty for `Run` nodes.
-    run_keys: Vec<Vec<u128>>,
-    /// Total planned design runs before deduplication.
-    planned_runs: usize,
-    /// Total planned detailed cells before deduplication.
-    planned_details: usize,
+    /// Planned cell lookups per kind, before deduplication.
+    planned: [usize; 3],
     /// Per figure, per planned cell: the run node of each of the cell's
     /// designs, in plan order.
     figure_cells: Vec<Vec<Vec<u32>>>,
     /// Per figure: the node of each planned detailed cell, in plan
     /// order.
     figure_details: Vec<Vec<u32>>,
+    /// Per figure: the node of each planned scenario, in plan order.
+    figure_scenarios: Vec<Vec<u32>>,
+}
+
+/// Node ids by key. Every key is kind-prefixed, so one map serves every
+/// node.
+type Ids = HashMap<u128, u32, Mix64Build>;
+
+impl Union {
+    /// The node filed under `key` — `make`'s `(node, cost, deps)` on
+    /// first sight — counted against figure `f`.
+    fn node(
+        &mut self,
+        ids: &mut Ids,
+        key: u128,
+        f: usize,
+        make: impl FnOnce() -> (Node, f64, Vec<u32>),
+    ) -> u32 {
+        let id = *ids.entry(key).or_insert_with(|| {
+            let (node, cost, deps) = make();
+            self.nodes.push(node);
+            self.costs.push(cost);
+            self.deps.push(deps);
+            self.node_figures.push(Vec::new());
+            self.nodes.len() as u32 - 1
+        });
+        if self.node_figures[id as usize].last() != Some(&(f as u32)) {
+            self.node_figures[id as usize].push(f as u32);
+            self.figure_nodes[f] += 1;
+        }
+        id
+    }
+
+    /// The node of `cell` (after `deps`), counted as one planned lookup.
+    fn cell<C: Cell + 'static>(
+        &mut self,
+        ids: &mut Ids,
+        f: usize,
+        cell: C,
+        deps: Vec<u32>,
+        model: &plan::CostModel,
+    ) -> u32 {
+        self.planned[C::KIND as usize] += 1;
+        self.node(ids, cell.key(), f, || {
+            let cost = Cell::cost(&cell, model);
+            (Node::Cell(Box::new(cell)), cost, deps)
+        })
+    }
+
+    /// Figure `f`'s results in plan order, or `None` when a node it
+    /// needs has no result (it failed, or a dependency did).
+    fn results(&self, f: usize, outputs: &[OnceLock<Shared>]) -> Option<FigureResults> {
+        fn all<T: Any + Send + Sync>(
+            ids: &[u32],
+            outputs: &[OnceLock<Shared>],
+        ) -> Option<Vec<Arc<T>>> {
+            let output = |&id: &u32| Arc::clone(outputs[id as usize].get()?).downcast().ok();
+            ids.iter().map(output).collect()
+        }
+        Some(FigureResults {
+            runs: self.figure_cells[f]
+                .iter()
+                .map(|ids| all(ids, outputs))
+                .collect::<Option<_>>()?,
+            details: all(&self.figure_details[f], outputs)?,
+            scenarios: all(&self.figure_scenarios[f], outputs)?,
+        })
+    }
 }
 
 /// Unions figure plans into one deduplicated graph, costed by `model`
@@ -170,7 +232,9 @@ struct Union {
 /// Nodes are keyed by the cell cache's content fingerprints, so two
 /// figures (or two cells of one figure) wanting the same work share a
 /// node; node ids grow in figure order, which the scheduler uses as its
-/// priority tie-break so earlier-requested figures drain first.
+/// priority tie-break so earlier-requested figures drain first. Each
+/// unique experiment's handle is built (and keyed) once, here; its run
+/// cells share it.
 fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
     let mut u = Union {
         nodes: Vec::new(),
@@ -178,128 +242,52 @@ fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
         deps: Vec::new(),
         node_figures: Vec::new(),
         figure_nodes: vec![0; plans.len()],
-        intervals: Vec::new(),
-        run_keys: Vec::new(),
-        planned_runs: 0,
-        planned_details: 0,
+        planned: [0; 3],
         figure_cells: Vec::with_capacity(plans.len()),
         figure_details: Vec::with_capacity(plans.len()),
+        figure_scenarios: Vec::with_capacity(plans.len()),
     };
-    let mut exp_ids: HashMap<u128, u32, Mix64Build> = HashMap::default();
-    let mut run_ids: HashMap<u128, u32, Mix64Build> = HashMap::default();
-    let mut detail_ids: HashMap<u128, u32, Mix64Build> = HashMap::default();
+    let mut ids = Ids::default();
     for (f, plan) in plans.iter().enumerate() {
-        let f32u = f as u32;
         let mut cells = Vec::with_capacity(plan.cells.len());
         for cell in &plan.cells {
-            let mut runs = Vec::with_capacity(cell.designs.len());
-            u.planned_runs += cell.designs.len();
-            let intervals = plan::intervals_of(&cell.opts).round() as u64;
             let ekey = cell.experiment_key();
-            let exp_id = *exp_ids.entry(ekey).or_insert_with(|| {
-                let id = u.nodes.len() as u32;
-                u.nodes.push(Node::Exp(Box::new(ExpCell {
-                    mix: cell.mix.clone(),
-                    load: cell.load,
-                    opts: cell.opts.clone(),
-                })));
-                u.costs.push(model.experiment_cost(&cell.opts));
-                u.deps.push(Vec::new());
-                u.node_figures.push(Vec::new());
-                u.intervals.push(intervals);
-                u.run_keys.push(Vec::new());
-                id
+            let exp = u.node(&mut ids, ekey, f, || {
+                let (mix, opts) = (cell.mix.clone(), cell.opts.clone());
+                let handle = ExperimentHandle::keyed(mix, cell.load, opts, ekey);
+                let runs = Vec::new();
+                let cost = model.experiment_cost(&cell.opts);
+                (Node::Exp { handle, runs }, cost, Vec::new())
             });
-            if u.node_figures[exp_id as usize].last() != Some(&f32u) {
-                u.node_figures[exp_id as usize].push(f32u);
-                u.figure_nodes[f] += 1;
-            }
+            let Node::Exp { handle, .. } = &u.nodes[exp as usize] else {
+                unreachable!("experiment keys name experiment nodes");
+            };
+            let handle = handle.clone();
+            let mut run_ids = Vec::with_capacity(cell.designs.len());
             for &design in &cell.designs {
-                let rkey = run_key(ekey, design);
-                let fresh = !run_ids.contains_key(&rkey);
-                let run_id = *run_ids.entry(rkey).or_insert_with(|| {
-                    let id = u.nodes.len() as u32;
-                    u.nodes.push(Node::Run {
-                        exp: exp_id,
-                        design,
-                    });
-                    u.costs.push(model.run_cost(&cell.opts, design));
-                    u.deps.push(vec![exp_id]);
-                    u.node_figures.push(Vec::new());
-                    u.intervals.push(intervals);
-                    u.run_keys.push(Vec::new());
-                    id
-                });
-                if fresh {
-                    u.run_keys[exp_id as usize].push(rkey);
+                let run = RunCell::new(handle.clone(), design);
+                let key = run.key();
+                let fresh = !ids.contains_key(&key);
+                run_ids.push(u.cell(&mut ids, f, run, vec![exp], model));
+                if let (true, Node::Exp { runs, .. }) = (fresh, &mut u.nodes[exp as usize]) {
+                    runs.push(key);
                 }
-                if u.node_figures[run_id as usize].last() != Some(&f32u) {
-                    u.node_figures[run_id as usize].push(f32u);
-                    u.figure_nodes[f] += 1;
-                }
-                runs.push(run_id);
             }
-            cells.push(runs);
+            cells.push(run_ids);
         }
+        // Detailed cells and scenarios are roots: their inputs are all
+        // in the plan, so they depend on no experiment node.
+        let details = plan.details.iter();
+        let details = details.map(|d| u.cell(&mut ids, f, d.clone(), Vec::new(), model));
+        let details = details.collect();
+        let scenarios = plan.scenarios.iter();
+        let scenarios = scenarios.map(|s| u.cell(&mut ids, f, s.clone(), Vec::new(), model));
+        let scenarios = scenarios.collect();
         u.figure_cells.push(cells);
-        let mut details = Vec::with_capacity(plan.details.len());
-        // Detailed cells are root nodes: the allocation they simulate is
-        // embedded in the plan, so they depend on no experiment node.
-        for detail in &plan.details {
-            u.planned_details += 1;
-            let units = plan::detail_units(&detail.opts, detail.profiles.len());
-            let detail_id = *detail_ids.entry(detail.key()).or_insert_with(|| {
-                let id = u.nodes.len() as u32;
-                u.costs
-                    .push(model.detail_cost(&detail.opts, detail.profiles.len()));
-                u.nodes.push(Node::Detail(Box::new(detail.clone())));
-                u.deps.push(Vec::new());
-                u.node_figures.push(Vec::new());
-                u.intervals.push((units.round() as u64).max(1));
-                u.run_keys.push(Vec::new());
-                id
-            });
-            if u.node_figures[detail_id as usize].last() != Some(&f32u) {
-                u.node_figures[detail_id as usize].push(f32u);
-                u.figure_nodes[f] += 1;
-            }
-            details.push(detail_id);
-        }
         u.figure_details.push(details);
+        u.figure_scenarios.push(scenarios);
     }
     u
-}
-
-/// A completed node's result.
-enum Output {
-    Exp(ExperimentHandle),
-    Run(Arc<ExperimentResult>),
-    Detail(Arc<DetailReport>),
-}
-
-impl Union {
-    /// Figure `f`'s results in plan order, or `None` when a node it
-    /// needs has no result (it failed, or a dependency did).
-    fn results(&self, f: usize, outputs: &[OnceLock<Output>]) -> Option<FigureResults> {
-        let run = |&id: &u32| match outputs[id as usize].get() {
-            Some(Output::Run(r)) => Some(Arc::clone(r)),
-            _ => None,
-        };
-        let detail = |&id: &u32| match outputs[id as usize].get() {
-            Some(Output::Detail(d)) => Some(Arc::clone(d)),
-            _ => None,
-        };
-        Some(FigureResults {
-            runs: self.figure_cells[f]
-                .iter()
-                .map(|ids| ids.iter().map(run).collect())
-                .collect::<Option<_>>()?,
-            details: self.figure_details[f]
-                .iter()
-                .map(detail)
-                .collect::<Option<_>>()?,
-        })
-    }
 }
 
 /// The streaming countdown the scheduler decrements and the renderer
@@ -405,7 +393,7 @@ pub fn run_suite(
         }),
         ready: Condvar::new(),
     };
-    let outputs: Vec<OnceLock<Output>> = (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
+    let outputs: Vec<OnceLock<Shared>> = (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
     // What each node actually did, written by the workers and read
     // after the pool drains: only COMPUTED nodes feed their measured
     // duration back into the persistent cost table (warm nodes finish
@@ -423,34 +411,29 @@ pub fn run_suite(
         RunSource::Memory => WARM,
     };
 
-    // One node's work: `None` when a dependency has no result.
-    let execute = |i: usize| -> Option<(Output, u8)> {
+    // One node's work — an output for cells, none for experiments — or
+    // `None` when a dependency failed.
+    let execute = |i: usize| -> Option<(Option<Shared>, u8)> {
+        let failed = |&d: &u32| node_state[d as usize].load(Ordering::Relaxed) == FAILED;
+        if union.deps[i].iter().any(failed) {
+            return None;
+        }
         Some(match &union.nodes[i] {
-            Node::Exp(cell) => {
-                let handle = cache.experiment(cell.mix.clone(), cell.load, cell.opts.clone());
+            Node::Exp { handle, runs } => {
                 // Warm start: when every dependent run cell is already
                 // resident (in memory or on disk), the construction is
                 // pure waste — leave the handle lazy and let the run
                 // nodes serve from cache. Tracing bypasses cache reads,
                 // so a traced suite always constructs.
-                let cold =
-                    tel.enabled() || union.run_keys[i].iter().any(|&rk| !cache.probe_run(rk));
+                let cold = tel.enabled() || runs.iter().any(|&key| !cache.probe_run(key));
                 if cold {
-                    cache.force_experiment(&handle);
+                    cache.force_experiment(handle);
                 }
-                (Output::Exp(handle), if cold { COMPUTED } else { WARM })
+                (None, if cold { COMPUTED } else { WARM })
             }
-            Node::Run { exp, design } => {
-                let Some(Output::Exp(handle)) = outputs[*exp as usize].get() else {
-                    return None;
-                };
-                let (result, source) = cache.run_sourced(handle, *design, tel);
-                (Output::Run(result), state_of(source))
-            }
-            Node::Detail(d) => {
-                let (report, source) =
-                    cache.run_detail_sourced(&d.opts, &d.profiles, &d.cores, &d.vms, &d.alloc, tel);
-                (Output::Detail(report), state_of(source))
+            Node::Cell(cell) => {
+                let (output, source) = cell.get_in(cache, tel);
+                (Some(output), state_of(source))
             }
         })
     };
@@ -460,7 +443,9 @@ pub fn run_suite(
         match catch_unwind(AssertUnwindSafe(|| execute(i))).ok().flatten() {
             Some((output, state)) => {
                 node_state[i].store(state, Ordering::Relaxed);
-                let _ = outputs[i].set(output);
+                if let Some(output) = output {
+                    let _ = outputs[i].set(output);
+                }
             }
             None => node_state[i].store(FAILED, Ordering::Relaxed),
         }
@@ -506,42 +491,34 @@ pub fn run_suite(
     // come from measurement instead of the static guesses.
     let mut measured = MeasuredCosts::default();
     let mut report = SchedReport {
-        planned_runs: union.planned_runs,
-        planned_details: union.planned_details,
         nodes: graph.len(),
         edges: graph.edges(),
         ..SchedReport::default()
     };
+    for (counts, planned) in report.kinds.iter_mut().zip(union.planned) {
+        counts.planned = planned;
+    }
     for (i, node) in union.nodes.iter().enumerate() {
         let state = node_state[i].load(Ordering::Relaxed);
         let us = graph_report.node_us[i];
         match node {
-            Node::Exp(_) => {
+            Node::Exp { handle, .. } => {
                 if state == COMPUTED {
-                    measured.record_exp(union.intervals[i], us);
+                    let intervals = plan::intervals_of(handle.opts()).round() as u64;
+                    measured.record_exp(intervals, us);
                 } else if state == WARM {
                     report.warm_skipped_exps += 1;
                 }
             }
-            Node::Run { design, .. } => {
-                report.run_nodes += 1;
+            Node::Cell(cell) => {
+                let counts = &mut report.kinds[cell.kind() as usize];
+                counts.nodes += 1;
                 match state {
                     COMPUTED => {
-                        report.computed_runs += 1;
-                        measured.record_run(*design, union.intervals[i], us);
+                        counts.computed += 1;
+                        cell.record(&mut measured, us);
                     }
-                    FROM_DISK => report.disk_run_hits += 1,
-                    _ => {}
-                }
-            }
-            Node::Detail(_) => {
-                report.detail_nodes += 1;
-                match state {
-                    COMPUTED => {
-                        report.detail_computed += 1;
-                        measured.record_detail(union.intervals[i] as f64, us);
-                    }
-                    FROM_DISK => report.detail_disk_hits += 1,
+                    FROM_DISK => counts.disk_hits += 1,
                     _ => {}
                 }
             }
@@ -583,7 +560,8 @@ mod tests {
         let both = union_plans(&plans, &plan::CostModel::priors());
         let alone = union_plans(&plans[..1], &plan::CostModel::priors());
         assert_eq!(both.nodes.len(), alone.nodes.len());
-        assert_eq!(both.planned_runs, 2 * alone.planned_runs);
+        let runs = CellKind::Run as usize;
+        assert_eq!(both.planned[runs], 2 * alone.planned[runs]);
         // Every node is needed by both figures.
         assert!(both.node_figures.iter().all(|fs| fs == &[0, 1]));
         assert_eq!(both.figure_nodes, vec![both.nodes.len(); 2]);
@@ -598,9 +576,11 @@ mod tests {
         assert_eq!(u.nodes.len(), 6);
         for (i, node) in u.nodes.iter().enumerate() {
             match node {
-                Node::Exp(_) => assert!(u.deps[i].is_empty()),
-                Node::Run { exp, .. } => assert_eq!(u.deps[i], vec![*exp]),
-                Node::Detail(_) => unreachable!("fig05 plans no detailed cells"),
+                Node::Exp { .. } => assert!(u.deps[i].is_empty()),
+                Node::Cell(cell) => {
+                    assert_eq!(cell.kind(), CellKind::Run, "fig05 plans runs only");
+                    assert_eq!(u.deps[i], vec![0]);
+                }
             }
         }
         // The graph orders the long poles: every run's priority is below
@@ -620,27 +600,18 @@ mod tests {
             .collect();
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
         let u = union_plans(&plans, &plan::CostModel::priors());
-        let detail_nodes = u
-            .nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Detail(_)))
-            .count();
-        assert_eq!(
-            u.planned_details,
-            plans[0].details.len() + plans[1].details.len()
-        );
+        let is_detail = |n: &Node| matches!(n, Node::Cell(c) if c.kind() == CellKind::Detail);
+        let detail_nodes = u.nodes.iter().filter(|n| is_detail(n)).count();
+        let planned = u.planned[CellKind::Detail as usize];
+        assert_eq!(planned, plans[0].details.len() + plans[1].details.len());
         // fig02 plans 4 designs, validate 2 designs × 2 mixes; the two
         // mix-0 validate cells fold into fig02's.
-        assert_eq!(u.planned_details, 8);
+        assert_eq!(planned, 8);
         assert_eq!(detail_nodes, 6);
-        // Detail nodes are roots: no dependencies, and nothing to
-        // warm-skip through run_keys.
-        for (i, node) in u.nodes.iter().enumerate() {
-            if matches!(node, Node::Detail(_)) {
-                assert!(u.deps[i].is_empty());
-                assert!(u.run_keys[i].is_empty());
-            }
-        }
+        // Every node is a detail node, and detail nodes are roots: no
+        // dependencies, and no experiment to warm-skip.
+        assert_eq!(u.nodes.len(), detail_nodes);
+        assert!(u.deps.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -714,6 +685,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fig12s_scenario_is_the_longest_pole_of_analytic_cold() {
+        // The benchmark's analytic-cold set: fig12's leakage run is its
+        // longest single cell, so long-pole-first starts it at once
+        // instead of leaving it for a serial tail.
+        use FigureKind::*;
+        let kinds: Vec<FigureKind> = FigureKind::all()
+            .into_iter()
+            .filter(|k| !matches!(k, Fig02 | Validate))
+            .collect();
+        let plans: Vec<_> = specs_of(&kinds, 12)
+            .iter()
+            .map(|s| plan::of(s).unwrap())
+            .collect();
+        let u = union_plans(&plans, &plan::CostModel::priors());
+        let g = Graph::new(&u.costs, u.deps.clone());
+        let fig12 = kinds.iter().position(|&k| k == Fig12).unwrap();
+        let pole = u.figure_scenarios[fig12][0] as usize;
+        for i in (0..g.len()).filter(|&i| i != pole) {
+            assert!(g.priority(i) < g.priority(pole), "node {i} outranks fig12");
+        }
+    }
+
     /// A fault-injecting sink: panics inside every Jigsaw run (breaking
     /// the sink contract on purpose, to make one kind of cell fail).
     struct JigsawFails;
@@ -732,7 +726,8 @@ mod tests {
 
     #[test]
     fn a_failed_cell_fails_only_the_figures_that_need_it() {
-        // fig08 needs no cell; fig04 runs Jigsaw; table2 comes after it.
+        // fig08's scenario emits no run summary; fig04 runs Jigsaw;
+        // table2 comes after it.
         let specs: Vec<ExperimentSpec> = [FigureKind::Fig08, FigureKind::Fig04, FigureKind::Table2]
             .iter()
             .map(|&k| ExperimentSpec::new(k).threads(2).no_cache())

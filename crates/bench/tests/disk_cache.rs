@@ -16,6 +16,7 @@ use jumanji::telemetry::NoopSink;
 use jumanji::types::{AppId, CoreId, Seconds, VmId};
 use jumanji::workloads::case_study_mix;
 use jumanji_bench::cell_cache::{detail_key, experiment_key, run_key, CellCache, RunSource};
+use jumanji_bench::figures::plan::DetailPlan;
 use jumanji_bench::DiskCache;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -252,7 +253,7 @@ proptest! {
         let dir = temp_dir("detail-prop");
         let disk = DiskCache::open(&dir).expect("open store");
         disk.store_detail(key, &report);
-        let loaded = disk.load_detail(key).expect("entry readable");
+        let loaded = disk.load::<DetailPlan>(key).expect("entry readable");
         prop_assert_eq!(format!("{:?}", loaded), format!("{:?}", report));
         let _ = std::fs::remove_dir_all(&dir);
     }

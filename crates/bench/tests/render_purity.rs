@@ -108,7 +108,7 @@ fn no_cache_specs_leave_the_global_cache_and_store_untouched() {
         .collect();
     let own_maps = || {
         let s = CellCache::global().stats();
-        (s.runs, s.details, s.experiments, s.disk)
+        (s.cells, s.experiments, s.disk)
     };
     let before = own_maps();
     let mut fresh = Vec::new();

@@ -11,7 +11,7 @@
 //! | `default-hasher` | no `RandomState` maps/sets in determinism-critical crates  |
 //! | `wall-clock`     | no `Instant::now`/`SystemTime::now` outside the allowlist  |
 //! | `thread-local`   | no `thread_local!` (PR 5 removed the per-thread memos)     |
-//! | `plan-bypass`    | figure code, the plan pass included, names no `CellCache`  |
+//! | `plan-bypass`    | figure code names no `CellCache` and no simulator entry    |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment              |
 //! | `unsafe-budget`  | per-crate `unsafe` counts stay within `lint.toml` budgets  |
 //! | `env-var`        | `JUMANJI_*` env reads only in the config surface           |
@@ -530,20 +530,36 @@ fn rule_env_var(ctx: &mut Ctx) {
     }
 }
 
+/// What `plan-bypass` keeps out of figure code: the cell cache and the
+/// simulators' entry points.
+const PLAN_BYPASS: &[&str] = &[
+    "CellCache",
+    "Experiment",
+    "run_detailed",
+    "LcQueue",
+    "leakage_experiment",
+    "run_port_attack",
+    "isolation_tail_sweep",
+];
+
 /// `plan-bypass`: figure code — renders and the plan pass alike —
-/// naming `CellCache`. A render folds the results the executor hands
-/// it, and the plan is a pure function of the spec; a cache in reach
-/// would let either compute or look up cells the plan never listed.
+/// naming `CellCache` or a simulator entry point. A render folds the
+/// results the executor hands it, and the plan is a pure function of
+/// the spec; a cache or a simulator in reach would let either compute or
+/// look up cells the plan never listed.
 fn rule_plan_bypass(ctx: &mut Ctx) {
     if !in_paths(ctx.rel, &ctx.cfg.figures) {
         return;
     }
     for ci in 0..ctx.code.len() {
-        if ctx.is_ident(ci, "CellCache") && !ctx.token_in_test(ci) {
+        let Some(name) = PLAN_BYPASS.iter().find(|n| ctx.is_ident(ci, n)) else {
+            continue;
+        };
+        if !ctx.token_in_test(ci) {
             ctx.push(
                 ci,
                 "plan-bypass",
-                "figure code names `CellCache`".to_string(),
+                format!("figure code names `{name}`"),
                 "list the cell in the figure's plan (`figures/plan.rs`) and fold its result \
                  from the `FigureResults` the executor passes the render",
             );
@@ -744,6 +760,18 @@ mod tests {
         );
         // Outside figure paths the rule is silent.
         assert!(rules_hit("crates/bench/src/suite.rs", bad).is_empty());
+        // A render that simulates is flagged at every entry point.
+        let sims = "fn fig() {\n\
+                    leakage_experiment(cfg);\n\
+                    let t = run_port_attack(cfg);\n\
+                    LcQueue::new(1.0, 42);\n\
+                    Experiment::new(m, l, o).run(d, t);\n\
+                    run_detailed(&o, &p, &c, &v, &a, t);\n\
+                    let r: ExperimentResult = fold(t);\n}\n";
+        assert_eq!(
+            rules_hit("crates/bench/src/figures/f.rs", sims),
+            (2..=6).map(|l| ("plan-bypass", l)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn repo_root() -> PathBuf {
 fn self_test_detects_every_seeded_violation() {
     let found = runner::self_test(&repo_root()).expect("fixture self-test must pass");
     assert_eq!(
-        found, 15,
+        found, 16,
         "seeded-violation count drifted from expected.txt"
     );
 }
@@ -44,6 +44,7 @@ fn fixture_diagnostics_have_exact_rules_and_lines() {
         "crates/lint/fixtures/bad_allow.rs:3:allow-syntax",
         "crates/lint/fixtures/bad_allow.rs:4:allow-syntax",
         "crates/lint/fixtures/figures/bad_plan.rs:2:plan-bypass",
+        "crates/lint/fixtures/figures/bad_plan.rs:8:plan-bypass",
     ]
     .into_iter()
     .map(String::from)

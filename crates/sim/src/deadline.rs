@@ -67,6 +67,54 @@ pub fn seed_deadline(key: u128, cycles: f64) {
     DEADLINES.seed(key, cycles);
 }
 
+/// Fig. 8's sweep: `profile`'s p95 latency in isolation at high load vs.
+/// its LLC allocation, way-partitioned over every bank (S-NUCA) and
+/// reserved in the banks closest to its core (D-NUCA). One
+/// `[alloc_mb, snuca_p95_ms, dnuca_p95_ms]` row per allocation step.
+pub fn isolation_tail_sweep(profile: &LcProfile, cfg: &SystemConfig) -> Vec<[f64; 3]> {
+    const MB: f64 = 1048576.0;
+    let noc = MeshNoc::new(cfg);
+    let (mesh, core) = (cfg.mesh(), CoreId(0));
+    let bank_lat = cfg.llc.bank_latency.as_u64() as f64;
+    let interarrival = profile.interarrival_cycles(LcLoad::High, cfg.freq_hz);
+    let tail_ms = |service| {
+        let mut queue = LcQueue::new(interarrival, 42);
+        let completions = queue.advance((interarrival * 30_000.0) as u64, service);
+        let latencies: Vec<f64> = completions.iter().map(|c| c.latency as f64).collect();
+        percentile(&latencies, 0.95) / cfg.freq_hz * 1e3
+    };
+    let mut steps = vec![0.25, 0.5, 0.75];
+    steps.extend((2..=16).map(|i| i as f64 * 0.5));
+    steps
+        .into_iter()
+        .map(|alloc_mb| {
+            let bytes = alloc_mb * MB;
+            // S-NUCA: striped over all banks with way-partitioning.
+            let ways_per_bank = bytes / cfg.llc.num_banks as f64 / cfg.llc.way_bytes() as f64;
+            let penalty = assoc_penalty(ways_per_bank, cfg.llc.ways);
+            let mr_s = (profile.shape.ratio(bytes as u64) * penalty).min(1.0);
+            let lat_s = bank_lat + noc.round_trip_for_hops(mesh.snuca_avg_distance(core));
+            let s_snuca = profile.service_cycles(lat_s, mr_s, noc.avg_miss_penalty());
+            // D-NUCA: nearest banks, whole banks first (full associativity).
+            let mut remaining = bytes;
+            let mut placement = Vec::new();
+            for b in mesh.banks_by_distance(core) {
+                if remaining <= 0.0 {
+                    break;
+                }
+                let take = remaining.min(cfg.llc.bank_bytes as f64);
+                placement.push((b, take));
+                remaining -= take;
+            }
+            let hops = mesh.weighted_distance(core, placement.iter().copied());
+            let mr_d = profile.shape.ratio(bytes as u64);
+            let lat_d = bank_lat + noc.round_trip_for_hops(hops);
+            let s_dnuca = profile.service_cycles(lat_d, mr_d, noc.avg_miss_penalty());
+            [alloc_mb, tail_ms(s_snuca), tail_ms(s_dnuca)]
+        })
+        .collect()
+}
+
 fn deadline_cycles_uncached(profile: &LcProfile, cfg: &SystemConfig) -> f64 {
     let service = isolation_service_cycles(profile, cfg);
     let interarrival = profile.interarrival_cycles(LcLoad::High, cfg.freq_hz);
