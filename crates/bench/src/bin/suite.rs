@@ -48,7 +48,7 @@
 use jumanji::telemetry::{Event, JsonlSink, NoopSink, Telemetry};
 use jumanji::types::{Error, MapStats};
 use jumanji_bench::cell_cache::{persist_global_disk, CellCacheStats, CellKind};
-use jumanji_bench::exec::flag_value;
+use jumanji_bench::spec::flag_text;
 use jumanji_bench::suite::{run_suite, SchedReport, SuiteFigure};
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use std::io::{BufWriter, Write};
@@ -67,12 +67,9 @@ struct FigureReport {
 /// anyway, and rendering the same figure twice in one suite is never
 /// what the caller meant.
 fn parse_figures(args: &[String]) -> Result<Vec<FigureKind>, Error> {
-    let Some(list) = flag_value(args, "--figures") else {
+    let Some(list) = flag_text(args, "--figures")? else {
         return Ok(FigureKind::all().to_vec());
     };
-    if list.is_empty() {
-        return Err(Error::flag("--figures", "expected a value"));
-    }
     let mut out = Vec::new();
     for name in list.split(',') {
         let name = name.trim();
@@ -93,14 +90,6 @@ fn parse_figures(args: &[String]) -> Result<Vec<FigureKind>, Error> {
     Ok(out)
 }
 
-/// `(computed, reused)` cells of a run: cells the cache had to produce
-/// (simulated or read from the store), and planned cells served by a
-/// node another lookup already needed or by the cache's memory.
-fn cells_of(stats: &CellCacheStats, sched: &SchedReport) -> (u64, u64) {
-    let deduped: usize = sched.kinds.iter().map(|c| c.planned - c.nodes).sum();
-    (stats.cells.misses, deduped as u64 + stats.cells.hits)
-}
-
 /// Each cell kind's `--stats` fields, in `CellKind` order: planned
 /// lookups, unique nodes, nodes computed, nodes served from disk.
 const KIND_FIELDS: [&str; 3] = [
@@ -110,12 +99,8 @@ const KIND_FIELDS: [&str; 3] = [
 ];
 
 /// The cache's maps, under the names `--stats` and the trace use.
-fn maps(stats: &CellCacheStats) -> [(&'static str, MapStats); 3] {
-    [
-        ("cells", stats.cells),
-        ("experiments", stats.experiments),
-        ("hulls", stats.hulls),
-    ]
+fn maps(stats: &CellCacheStats) -> [(&'static str, MapStats); 2] {
+    [("cells", stats.cells), ("hulls", stats.hulls)]
 }
 
 fn write_stats(
@@ -126,13 +111,6 @@ fn write_stats(
     s: &SchedReport,
 ) -> std::io::Result<()> {
     let mut f = BufWriter::new(std::fs::File::create(path)?);
-    let (computed, reused) = cells_of(stats, s);
-    let lookups = computed + reused;
-    let reuse_rate = if lookups == 0 {
-        0.0
-    } else {
-        reused as f64 / lookups as f64
-    };
     writeln!(f, "{{")?;
     writeln!(f, "  \"figures\": [")?;
     for (i, r) in reports.iter().enumerate() {
@@ -146,9 +124,9 @@ fn write_stats(
     }
     writeln!(f, "  ],")?;
     writeln!(f, "  \"total_seconds\": {total_seconds:.3},")?;
-    writeln!(f, "  \"cells_computed\": {computed},")?;
-    writeln!(f, "  \"cells_reused\": {reused},")?;
-    writeln!(f, "  \"cell_reuse_rate\": {reuse_rate:.4},")?;
+    writeln!(f, "  \"cells_computed\": {},", s.computed())?;
+    writeln!(f, "  \"cells_reused\": {},", s.reused())?;
+    writeln!(f, "  \"cell_reuse_rate\": {:.4},", s.reuse_rate())?;
     for (name, m) in maps(stats) {
         let (hits, misses, entries) = (m.hits, m.misses, m.entries);
         writeln!(
@@ -165,11 +143,9 @@ fn write_stats(
         }
     }
     writeln!(f, "    \"nodes\": {},", s.nodes)?;
-    writeln!(f, "    \"edges\": {},", s.edges)?;
     writeln!(f, "    \"workers\": {},", s.graph.workers)?;
     writeln!(f, "    \"critical_path_us\": {},", s.graph.critical_path_us)?;
     writeln!(f, "    \"elapsed_us\": {},", s.graph.elapsed_us)?;
-    writeln!(f, "    \"warm_skipped_exps\": {},", s.warm_skipped_exps)?;
     writeln!(f, "    \"cost_drift\": [")?;
     for (i, d) in s.drift.iter().enumerate() {
         writeln!(
@@ -200,8 +176,8 @@ fn write_stats(
 
 fn run(args: &[String]) -> Result<(), Error> {
     let figures = parse_figures(args)?;
-    let out_dir = flag_value(args, "--out").map(PathBuf::from);
-    let stats_path = flag_value(args, "--stats").map(PathBuf::from);
+    let out_dir = flag_text(args, "--out")?.map(PathBuf::from);
+    let stats_path = flag_text(args, "--stats")?.map(PathBuf::from);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir)?;
     }
@@ -245,17 +221,15 @@ fn run(args: &[String]) -> Result<(), Error> {
     let stats = summary.cache;
     let s = &summary.sched;
 
-    let (computed, reused) = cells_of(&stats, s);
-    let lookups = computed + reused;
-    let reuse_pct = if lookups == 0 {
-        0.0
-    } else {
-        100.0 * reused as f64 / lookups as f64
-    };
     eprintln!(
         "[suite] total {:.2}s; cells: {} computed, {} reused ({:.1}% reuse); \
          hulls: {} computed, {} reused",
-        total_seconds, computed, reused, reuse_pct, stats.hulls.misses, stats.hulls.hits
+        total_seconds,
+        s.computed(),
+        s.reused(),
+        100.0 * s.reuse_rate(),
+        stats.hulls.misses,
+        stats.hulls.hits
     );
     let (runs, details, scenarios) = (
         s.cells(CellKind::Run),
@@ -264,32 +238,26 @@ fn run(args: &[String]) -> Result<(), Error> {
     );
     eprintln!(
         "[suite] sched: {} nodes ({} planned runs -> {} unique, {} planned detail cells -> \
-         {} unique, {} scenarios), {} edges, {} workers, critical path {:.2}s of {:.2}s",
+         {} unique, {} scenarios), {} workers, critical path {:.2}s of {:.2}s",
         s.nodes,
         runs.planned,
         runs.nodes,
         details.planned,
         details.nodes,
         scenarios.nodes,
-        s.edges,
         s.graph.workers,
         s.graph.critical_path_us as f64 / 1e6,
         s.graph.elapsed_us as f64 / 1e6
     );
     if stats.disk.is_some() {
-        eprintln!(
-            "[suite] sched: {} runs computed, {} served from disk, \
-             {} experiment constructions skipped warm",
-            runs.computed, runs.disk_hits, s.warm_skipped_exps
-        );
-        eprintln!(
-            "[suite] sched: {} detail cells computed, {} served from disk",
-            details.computed, details.disk_hits
-        );
-        eprintln!(
-            "[suite] sched: {} scenario cells computed, {} served from disk",
-            scenarios.computed, scenarios.disk_hits
-        );
+        for (c, what) in s
+            .kinds
+            .iter()
+            .zip(["runs", "detail cells", "scenario cells"])
+        {
+            let (computed, served) = (c.computed, c.disk_hits);
+            eprintln!("[suite] sched: {computed} {what} computed, {served} served from disk");
+        }
     }
     for d in &s.drift {
         eprintln!(

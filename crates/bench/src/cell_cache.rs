@@ -21,11 +21,11 @@
 //! input, so the plan pass computes them directly.
 //!
 //! **Experiment handles are lazy.** An [`ExperimentHandle`] names an
-//! experiment (inputs + key) without constructing it; its run cells
-//! construct it at most once, and only when a run must be simulated —
-//! so a warm store serves every figure without hull sampling or deadline
-//! isolation runs. [`CellCache::force_experiment`] shares one
-//! construction between handles with one key.
+//! experiment (inputs + key) without constructing it; the run cells that
+//! share it construct it at most once, and only when a run must be
+//! simulated — so a warm store serves every figure without hull sampling
+//! or deadline isolation runs. The suite executor makes one handle per
+//! unique experiment, so its runs share one construction.
 //!
 //! **Tracing bypasses cache reads.** A traced run must emit its complete
 //! event stream, so with the sink enabled a lookup recomputes the cell
@@ -151,7 +151,7 @@ pub(crate) type Shared = Arc<dyn Any + Send + Sync>;
 
 /// A [`Cell`] with its output type erased, so one work graph holds every
 /// kind.
-pub(crate) trait AnyCell: Send + Sync {
+pub(crate) trait AnyCell: Any + Send + Sync {
     /// The cell's kind.
     fn kind(&self) -> CellKind;
     /// See [`Cell::record`].
@@ -160,7 +160,7 @@ pub(crate) trait AnyCell: Send + Sync {
     fn get_in(&self, cache: &CellCache, tel: &dyn Telemetry) -> (Shared, RunSource);
 }
 
-impl<C: Cell> AnyCell for C {
+impl<C: Cell + 'static> AnyCell for C {
     fn kind(&self) -> CellKind {
         C::KIND
     }
@@ -212,6 +212,18 @@ impl ExperimentHandle {
         &self.cell.opts
     }
 
+    /// True once the experiment is constructed.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> bool {
+        self.cell.exp.get().is_some()
+    }
+
+    /// True when `other` shares this handle's construction slot.
+    #[cfg(test)]
+    pub(crate) fn shares(&self, other: &ExperimentHandle) -> bool {
+        Arc::ptr_eq(&self.cell, &other.cell)
+    }
+
     /// The experiment, constructed on first use.
     fn get(&self) -> Arc<Experiment> {
         let c = &self.cell;
@@ -235,6 +247,12 @@ impl RunCell {
     pub(crate) fn new(exp: ExperimentHandle, design: DesignKind) -> RunCell {
         let key = run_key(exp.key, design);
         RunCell { exp, design, key }
+    }
+
+    /// The handle of the experiment this run is of.
+    #[cfg(test)]
+    pub(crate) fn experiment(&self) -> &ExperimentHandle {
+        &self.exp
     }
 }
 
@@ -310,15 +328,12 @@ pub enum RunSource {
 }
 
 /// Counter snapshot of every memo a [`CellCache`] reports on: its own
-/// two maps, the simulator's process-wide ratio-hull memo, and the
+/// cell map, the simulator's process-wide ratio-hull memo, and the
 /// attached disk store (when any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CellCacheStats {
     /// Completed cells of every kind.
     pub cells: MapStats,
-    /// Constructed experiments (only forced ones appear here — a fully
-    /// warm run constructs none).
-    pub experiments: MapStats,
     /// The simulator's shared ratio-hull memo.
     pub hulls: MapStats,
     /// The attached disk store's counters (`None` when memory-only).
@@ -332,7 +347,6 @@ pub struct CellCacheStats {
 /// counters construct their own with [`CellCache::new`].
 #[derive(Debug)]
 pub struct CellCache {
-    experiments: ShardedMap<u128, Arc<Experiment>>,
     cells: ShardedMap<u128, Shared>,
     disk: RwLock<Option<Arc<DiskCache>>>,
 }
@@ -347,7 +361,6 @@ impl CellCache {
     /// An empty, memory-only cache.
     pub fn new() -> CellCache {
         CellCache {
-            experiments: ShardedMap::new(),
             cells: ShardedMap::new(),
             disk: RwLock::new(None),
         }
@@ -379,11 +392,10 @@ impl CellCache {
         ExperimentHandle::keyed(mix, load, opts, key)
     }
 
-    /// Forces `handle`'s experiment, sharing one construction between
-    /// every handle with its key through the `experiments` map.
+    /// Forces `handle`'s experiment: constructs it unless `handle` (or a
+    /// clone of it) already did.
     pub fn force_experiment(&self, handle: &ExperimentHandle) -> Arc<Experiment> {
-        let exp = self.experiments.get_or_compute(handle.key, || handle.get());
-        Arc::clone(handle.cell.exp.get_or_init(|| exp))
+        handle.get()
     }
 
     /// `cell`'s output, computed at most once per cache while `tel` is
@@ -466,7 +478,6 @@ impl CellCache {
     pub fn stats(&self) -> CellCacheStats {
         CellCacheStats {
             cells: self.cells.stats(),
-            experiments: self.experiments.stats(),
             hulls: ratio_hull_cache_stats(),
             disk: self.disk().map(|d| d.stats()),
         }
@@ -553,20 +564,21 @@ mod tests {
         let h1 = cache.experiment(case_study_mix(1), LcLoad::Low, quick_opts());
         let h2 = cache.experiment(case_study_mix(1), LcLoad::Low, quick_opts());
         // Nothing is constructed until a run forces it.
-        assert_eq!(cache.stats().experiments.entries, 0);
+        assert!(!h1.built() && !h2.built());
         let (r1, s1) = cache.run_sourced(&h1, DesignKind::Jigsaw, &NoopSink);
         let (r2, s2) = cache.run_sourced(&h2, DesignKind::Jigsaw, &NoopSink);
         assert_eq!(s1, RunSource::Computed);
         assert_eq!(s2, RunSource::Memory);
         assert!(Arc::ptr_eq(&r1, &r2));
-        // Forcing both handles shares one construction through the map.
+        // The run served from memory constructed nothing.
+        assert!(h1.built() && !h2.built());
+        // Clones share one construction.
+        let h3 = h1.clone();
         assert!(Arc::ptr_eq(
             &cache.force_experiment(&h1),
-            &cache.force_experiment(&h2)
+            &cache.force_experiment(&h3)
         ));
         let s = cache.stats();
-        assert_eq!(s.experiments.misses, 1);
-        assert_eq!(s.experiments.entries, 1);
         assert_eq!(s.cells.hits, 1);
         assert_eq!(s.cells.misses, 1);
     }
@@ -613,9 +625,8 @@ mod tests {
         let (warm_result, src) = warm.run_sourced(&handle, DesignKind::Static, &NoopSink);
         assert_eq!(src, RunSource::Disk);
         assert_eq!(format!("{warm_result:?}"), format!("{cold_result:?}"));
-        let s = warm.stats();
-        assert_eq!(s.experiments.entries, 0, "warm run must construct nothing");
-        assert_eq!(s.disk.expect("disk attached").hits, 1);
+        assert!(!handle.built(), "warm run must construct nothing");
+        assert_eq!(warm.stats().disk.expect("disk attached").hits, 1);
 
         // Second lookup in the same process comes from memory.
         let (_, src) = warm.run_sourced(&handle, DesignKind::Static, &NoopSink);

@@ -655,7 +655,7 @@ impl DiskCache {
         self.entry_path(kind, key).exists()
     }
 
-    /// [`DiskCache::exists`] for a run cell: the scheduler skips an
+    /// [`DiskCache::exists`] for a run cell: the benchmark probe skips an
     /// experiment construction when every run on it is present.
     pub fn has_run(&self, key: u128) -> bool {
         self.exists(CellKind::Run, key)

@@ -1,11 +1,13 @@
 //! Execution support: flag lookup and the work-graph scheduler.
 //!
-//! - [`flag_value`] / [`available_threads`] — argv lookup and the
-//!   default worker count. `--threads` / `JUMANJI_THREADS` resolve in
-//!   [`crate::spec`], the one config surface.
-//! - [`sched`] — the dependency-aware work-graph scheduler the suite
-//!   executor runs every figure's deduplicated cells on: one shared
-//!   ready queue, long-pole-first, with dependency counts.
+//! - [`flag_value`] / [`available_threads`] — lenient argv lookup and
+//!   the default worker count. The `suite` binary's flags resolve through
+//!   the strict [`flag_text`](crate::spec::flag_text) of [`crate::spec`],
+//!   the one config surface; only the benchmark probe still calls
+//!   [`flag_value`].
+//! - [`sched`] — the work-graph scheduler the suite executor runs every
+//!   figure's deduplicated cells on: one shared ready queue,
+//!   long-pole-first, with dependency counts for graphs that have edges.
 //!
 //! Determinism: every cell derives its RNG streams from its own inputs,
 //! and results land in slots addressed by node id, so output is

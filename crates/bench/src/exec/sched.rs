@@ -1,9 +1,10 @@
 //! Dependency-aware work-graph scheduler.
 //!
-//! The suite's cross-figure plan is a *graph* of heterogeneous nodes
-//! (experiment constructions feeding design runs, detailed-simulator
-//! cells) whose costs span two orders of magnitude. This module runs
-//! such graphs on one ready queue that every worker shares:
+//! The suite's cross-figure plan is a set of heterogeneous cells (design
+//! runs, detailed-simulator cells, fixed scenarios) whose costs span two
+//! orders of magnitude; it has no edges. This module runs such graphs,
+//! with or without dependency edges (the benchmark probe's graph has
+//! them), on one ready queue that every worker shares:
 //!
 //! - **Long-pole-first.** Every node gets a priority = its cost prior
 //!   plus the heaviest chain of dependent work hanging off it

@@ -15,9 +15,8 @@
 //! attack demos (fig11, fig12) each plan one fixed [`Scenario`]. Only
 //! the config tables compute nothing and return an empty plan.
 //!
-//! Cost priors ([`experiment_cost`], [`run_cost`], [`detail_cost`], and
-//! each [`Scenario`]'s own) feed the scheduler's long-pole-first
-//! ordering. They are *relative* guesses
+//! Cost priors ([`CostModel::priors`], and each [`Scenario`]'s own) feed
+//! the scheduler's long-pole-first ordering. They are *relative* guesses
 //! (an analytic run costs about one interval-unit per reconfiguration
 //! interval; placement-solving designs cost more per interval;
 //! experiment construction about half a Static run; a detailed cell
@@ -115,13 +114,6 @@ impl FigurePlan {
     }
 }
 
-/// Relative cost prior of constructing an experiment (profile hulls,
-/// deadline isolation runs, stream generators): a relative guess of
-/// about half a Static run of the same horizon.
-pub fn experiment_cost(opts: &SimOptions) -> f64 {
-    0.5 * run_cost(opts, DesignKind::Static)
-}
-
 /// Reconfiguration intervals `opts` simulates — the unit both the
 /// static priors and the persisted measured durations normalize by.
 pub fn intervals_of(opts: &SimOptions) -> f64 {
@@ -141,13 +133,6 @@ fn static_factor(design: DesignKind) -> f64 {
     }
 }
 
-/// Relative cost prior of running `design` on an experiment with
-/// `opts`: one unit per reconfiguration interval, scaled up for designs
-/// that solve a placement every interval.
-pub fn run_cost(opts: &SimOptions, design: DesignKind) -> f64 {
-    intervals_of(opts) * static_factor(design)
-}
-
 /// Total simulated accesses in one detailed-cell work unit — the unit
 /// both the detailed static prior and the persisted measured durations
 /// ([`MeasuredCosts::details`]) normalize by.
@@ -165,12 +150,6 @@ pub fn detail_units(opts: &DetailOptions, napps: usize) -> f64 {
 /// execution-driven simulation of one unit of accesses costs about two
 /// analytic intervals.
 const DETAIL_STATIC_FACTOR: f64 = 2.0;
-
-/// Relative cost prior of a detailed-simulator cell (same unit as
-/// [`run_cost`]).
-pub fn detail_cost(opts: &DetailOptions, napps: usize) -> f64 {
-    detail_units(opts, napps) * DETAIL_STATIC_FACTOR
-}
 
 /// One design's prior-vs-measured cost comparison, for the suite's
 /// drift report.
@@ -219,21 +198,24 @@ impl CostModel {
         (base > 0.0).then_some(mean? / base)
     }
 
-    /// Cost estimate for running `design` with `opts` (same unit as
-    /// [`run_cost`]; equal to it when nothing is measured).
+    /// Cost estimate for running `design` with `opts`: one unit per
+    /// reconfiguration interval, scaled up for designs that solve a
+    /// placement every interval (measured factors replace the static
+    /// ones where they exist).
     pub fn run_cost(&self, opts: &SimOptions, design: DesignKind) -> f64 {
         let measured = self.relative(self.measured.mean_run_us(design));
         intervals_of(opts) * measured.unwrap_or_else(|| static_factor(design))
     }
 
-    /// Cost estimate for constructing an experiment with `opts`.
+    /// Cost estimate for constructing an experiment with `opts` (profile
+    /// hulls, deadline isolation runs, stream generators): about half a
+    /// Static run of the same horizon unless measured.
     pub fn experiment_cost(&self, opts: &SimOptions) -> f64 {
         intervals_of(opts) * self.relative(self.measured.mean_exp_us()).unwrap_or(0.5)
     }
 
     /// Cost estimate for a detailed-simulator cell (same unit as
-    /// [`run_cost`](CostModel::run_cost); equal to [`detail_cost`] when
-    /// nothing is measured).
+    /// [`run_cost`](CostModel::run_cost)).
     pub fn detail_cost(&self, opts: &DetailOptions, napps: usize) -> f64 {
         let measured = self.relative(self.measured.mean_detail_us());
         detail_units(opts, napps) * measured.unwrap_or(DETAIL_STATIC_FACTOR)
@@ -607,15 +589,17 @@ mod tests {
 
     #[test]
     fn cost_priors_order_designs_sensibly() {
+        let m = CostModel::priors();
         let opts = SimOptions::default();
-        assert!(run_cost(&opts, DesignKind::Jumanji) > run_cost(&opts, DesignKind::Jigsaw));
-        assert!(run_cost(&opts, DesignKind::Jigsaw) > run_cost(&opts, DesignKind::Static));
-        assert!(experiment_cost(&opts) < run_cost(&opts, DesignKind::Static));
+        let static_run = m.run_cost(&opts, DesignKind::Static);
+        assert!(m.run_cost(&opts, DesignKind::Jumanji) > m.run_cost(&opts, DesignKind::Jigsaw));
+        assert!(m.run_cost(&opts, DesignKind::Jigsaw) > static_run);
+        assert!(m.experiment_cost(&opts) < static_run);
         // Longer horizons cost proportionally more.
         let long = SimOptions {
             duration: Seconds(8.0),
             ..SimOptions::default()
         };
-        assert!(run_cost(&long, DesignKind::Static) > run_cost(&opts, DesignKind::Static));
+        assert!(m.run_cost(&long, DesignKind::Static) > static_run);
     }
 }

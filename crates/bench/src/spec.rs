@@ -389,7 +389,11 @@ fn resolve_cache_controls(
 /// `--flag=value` form (first occurrence wins). Present-with-no-value —
 /// a bare trailing flag, another `--flag` in value position, or an empty
 /// `--flag=` — is a usage error.
-fn flag_text(args: &[String], flag: &str) -> Result<Option<String>, Error> {
+///
+/// # Errors
+///
+/// A usage error when `flag` is present without a value.
+pub fn flag_text(args: &[String], flag: &str) -> Result<Option<String>, Error> {
     for (i, arg) in args.iter().enumerate() {
         if arg == flag {
             return match args.get(i + 1) {

@@ -5,15 +5,17 @@
 //!
 //! 1. **Plan.** Each figure enumerates its cells without computing them
 //!    ([`figures::plan`]) — the only enumeration of a figure's cells.
-//! 2. **Union.** The plans merge into one deduplicated work graph: one
-//!    node per unique experiment construction and one per unique
-//!    [`Cell`] of any kind — `(experiment, design)` run, detailed cell
-//!    or fixed scenario — keyed by the same content fingerprints the
-//!    [`CellCache`] uses. A cell shared by
+//! 2. **Union.** The plans merge into one deduplicated set of nodes,
+//!    one per unique [`Cell`] of any kind — `(experiment, design)` run,
+//!    detailed cell or fixed scenario — keyed by the same content
+//!    fingerprints the [`CellCache`] uses. A cell shared by
 //!    fig13/fig14/fig15 becomes a single node, no matter how many figures
 //!    want it — and at equal `--accesses`, a validate mix-0 detailed cell
-//!    is fig02's cell for that design.
-//! 3. **Schedule.** The graph executes on one shared ready queue
+//!    is fig02's cell for that design. Each unique experiment gets one
+//!    lazy [`ExperimentHandle`] that all its run cells share: the first
+//!    run that actually computes builds it, and a run served from memory
+//!    or disk never does. The graph has no edges.
+//! 3. **Schedule.** The nodes execute on one shared ready queue
 //!    ([`exec::sched`]), long poles first. Each node reads through the
 //!    cell cache (and its disk store), so cells an earlier run computed
 //!    are served, and its result lands in the node's own slot.
@@ -56,7 +58,6 @@ use jumanji::types::Error;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -95,13 +96,8 @@ pub struct SchedReport {
     /// Per cell kind, indexed by `CellKind as usize` (see
     /// [`SchedReport::cells`]).
     pub kinds: [CellCounts; 3],
-    /// Unique work-graph nodes (experiment constructions and cells).
+    /// Unique work-graph nodes: one per unique cell.
     pub nodes: usize,
-    /// Dependency edges in the graph.
-    pub edges: usize,
-    /// Experiment constructions skipped because every dependent run
-    /// cell was already warm (in memory or on disk).
-    pub warm_skipped_exps: u64,
     /// Prior-vs-measured cost drift, one row per design with measured
     /// data — what the long-pole priorities look like against the
     /// static guesses (empty when nothing was ever measured).
@@ -114,6 +110,24 @@ impl SchedReport {
     /// What the scheduler did with `kind`'s cells.
     pub fn cells(&self, kind: CellKind) -> &CellCounts {
         &self.kinds[kind as usize]
+    }
+
+    /// Cells of every kind the scheduler computed this call.
+    pub fn computed(&self) -> u64 {
+        self.kinds.iter().map(|c| c.computed).sum()
+    }
+
+    /// Planned cell lookups that needed no compute: served by a node
+    /// another lookup shared, from memory or from the disk store.
+    pub fn reused(&self) -> u64 {
+        let planned: usize = self.kinds.iter().map(|c| c.planned).sum();
+        planned as u64 - self.computed()
+    }
+
+    /// The share of planned lookups that were reused (0 with none).
+    pub fn reuse_rate(&self) -> f64 {
+        let lookups = self.computed() + self.reused();
+        self.reused() as f64 / lookups.max(1) as f64
     }
 }
 
@@ -128,23 +142,18 @@ pub struct SuiteReport {
     pub cache: CellCacheStats,
 }
 
-/// A work-graph node: force an experiment construction, or compute one
-/// cell of any kind.
-enum Node {
-    /// Forces `handle`'s experiment, unless every run on it (`runs`, by
-    /// key) is already warm.
-    Exp {
-        handle: ExperimentHandle,
-        runs: Vec<u128>,
-    },
-    Cell(Box<dyn AnyCell>),
-}
+/// A node's output and where it came from; empty when the node failed.
+type Slot = OnceLock<(Shared, RunSource)>;
 
 /// The unioned work graph plus its figure bookkeeping.
+#[derive(Default)]
 struct Union {
-    nodes: Vec<Node>,
+    /// One node per unique cell.
+    nodes: Vec<Box<dyn AnyCell>>,
+    /// Node ids by cell key. Every key is kind-prefixed, so one map
+    /// serves every kind.
+    ids: HashMap<u128, u32, Mix64Build>,
     costs: Vec<f64>,
-    deps: Vec<Vec<u32>>,
     /// Figure indices that need each node (for the streaming countdown).
     node_figures: Vec<Vec<u32>>,
     /// Per-figure node count (the countdown's starting value).
@@ -161,25 +170,14 @@ struct Union {
     figure_scenarios: Vec<Vec<u32>>,
 }
 
-/// Node ids by key. Every key is kind-prefixed, so one map serves every
-/// node.
-type Ids = HashMap<u128, u32, Mix64Build>;
-
 impl Union {
-    /// The node filed under `key` — `make`'s `(node, cost, deps)` on
-    /// first sight — counted against figure `f`.
-    fn node(
-        &mut self,
-        ids: &mut Ids,
-        key: u128,
-        f: usize,
-        make: impl FnOnce() -> (Node, f64, Vec<u32>),
-    ) -> u32 {
-        let id = *ids.entry(key).or_insert_with(|| {
-            let (node, cost, deps) = make();
-            self.nodes.push(node);
-            self.costs.push(cost);
-            self.deps.push(deps);
+    /// The node of `cell` — filed on first sight — counted as one
+    /// planned lookup by figure `f`.
+    fn cell<C: Cell + 'static>(&mut self, f: usize, cell: C, model: &plan::CostModel) -> u32 {
+        self.planned[C::KIND as usize] += 1;
+        let id = *self.ids.entry(cell.key()).or_insert_with(|| {
+            self.costs.push(Cell::cost(&cell, model));
+            self.nodes.push(Box::new(cell));
             self.node_figures.push(Vec::new());
             self.nodes.len() as u32 - 1
         });
@@ -190,30 +188,16 @@ impl Union {
         id
     }
 
-    /// The node of `cell` (after `deps`), counted as one planned lookup.
-    fn cell<C: Cell + 'static>(
-        &mut self,
-        ids: &mut Ids,
-        f: usize,
-        cell: C,
-        deps: Vec<u32>,
-        model: &plan::CostModel,
-    ) -> u32 {
-        self.planned[C::KIND as usize] += 1;
-        self.node(ids, cell.key(), f, || {
-            let cost = Cell::cost(&cell, model);
-            (Node::Cell(Box::new(cell)), cost, deps)
-        })
+    /// The work graph over the nodes: their costs, and no edges.
+    fn graph(&self) -> Graph {
+        Graph::new(&self.costs, vec![Vec::new(); self.nodes.len()])
     }
 
     /// Figure `f`'s results in plan order, or `None` when a node it
-    /// needs has no result (it failed, or a dependency did).
-    fn results(&self, f: usize, outputs: &[OnceLock<Shared>]) -> Option<FigureResults> {
-        fn all<T: Any + Send + Sync>(
-            ids: &[u32],
-            outputs: &[OnceLock<Shared>],
-        ) -> Option<Vec<Arc<T>>> {
-            let output = |&id: &u32| Arc::clone(outputs[id as usize].get()?).downcast().ok();
+    /// needs failed.
+    fn results(&self, f: usize, outputs: &[Slot]) -> Option<FigureResults> {
+        fn all<T: Any + Send + Sync>(ids: &[u32], outputs: &[Slot]) -> Option<Vec<Arc<T>>> {
+            let output = |&id: &u32| Arc::clone(&outputs[id as usize].get()?.0).downcast().ok();
             ids.iter().map(output).collect()
         }
         Some(FigureResults {
@@ -227,61 +211,35 @@ impl Union {
     }
 }
 
-/// Unions figure plans into one deduplicated graph, costed by `model`
-/// (static priors, or measured per-design durations on warm runs).
-/// Nodes are keyed by the cell cache's content fingerprints, so two
-/// figures (or two cells of one figure) wanting the same work share a
-/// node; node ids grow in figure order, which the scheduler uses as its
-/// priority tie-break so earlier-requested figures drain first. Each
-/// unique experiment's handle is built (and keyed) once, here; its run
-/// cells share it.
+/// Unions figure plans into one deduplicated set of nodes, costed by
+/// `model` (static priors, or measured per-design durations on warm
+/// runs). Nodes are keyed by the cell cache's content fingerprints, so
+/// two figures (or two cells of one figure) wanting the same work share
+/// a node; node ids grow in figure order, which the scheduler uses as
+/// its priority tie-break so earlier-requested figures drain first. Each
+/// unique experiment's handle is made (and keyed) once, here; its run
+/// cells share it, and the first of them to compute builds it.
 fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
     let mut u = Union {
-        nodes: Vec::new(),
-        costs: Vec::new(),
-        deps: Vec::new(),
-        node_figures: Vec::new(),
         figure_nodes: vec![0; plans.len()],
-        planned: [0; 3],
-        figure_cells: Vec::with_capacity(plans.len()),
-        figure_details: Vec::with_capacity(plans.len()),
-        figure_scenarios: Vec::with_capacity(plans.len()),
+        ..Union::default()
     };
-    let mut ids = Ids::default();
+    let mut handles: HashMap<u128, ExperimentHandle, Mix64Build> = HashMap::default();
     for (f, plan) in plans.iter().enumerate() {
         let mut cells = Vec::with_capacity(plan.cells.len());
         for cell in &plan.cells {
             let ekey = cell.experiment_key();
-            let exp = u.node(&mut ids, ekey, f, || {
+            let handle = handles.entry(ekey).or_insert_with(|| {
                 let (mix, opts) = (cell.mix.clone(), cell.opts.clone());
-                let handle = ExperimentHandle::keyed(mix, cell.load, opts, ekey);
-                let runs = Vec::new();
-                let cost = model.experiment_cost(&cell.opts);
-                (Node::Exp { handle, runs }, cost, Vec::new())
+                ExperimentHandle::keyed(mix, cell.load, opts, ekey)
             });
-            let Node::Exp { handle, .. } = &u.nodes[exp as usize] else {
-                unreachable!("experiment keys name experiment nodes");
-            };
-            let handle = handle.clone();
-            let mut run_ids = Vec::with_capacity(cell.designs.len());
-            for &design in &cell.designs {
-                let run = RunCell::new(handle.clone(), design);
-                let key = run.key();
-                let fresh = !ids.contains_key(&key);
-                run_ids.push(u.cell(&mut ids, f, run, vec![exp], model));
-                if let (true, Node::Exp { runs, .. }) = (fresh, &mut u.nodes[exp as usize]) {
-                    runs.push(key);
-                }
-            }
-            cells.push(run_ids);
+            let runs = cell.designs.iter();
+            let runs = runs.map(|&design| RunCell::new(handle.clone(), design));
+            cells.push(runs.map(|run| u.cell(f, run, model)).collect());
         }
-        // Detailed cells and scenarios are roots: their inputs are all
-        // in the plan, so they depend on no experiment node.
-        let details = plan.details.iter();
-        let details = details.map(|d| u.cell(&mut ids, f, d.clone(), Vec::new(), model));
+        let details = plan.details.iter().map(|d| u.cell(f, d.clone(), model));
         let details = details.collect();
-        let scenarios = plan.scenarios.iter();
-        let scenarios = scenarios.map(|s| u.cell(&mut ids, f, s.clone(), Vec::new(), model));
+        let scenarios = plan.scenarios.iter().map(|s| u.cell(f, s.clone(), model));
         let scenarios = scenarios.collect();
         u.figure_cells.push(cells);
         u.figure_details.push(details);
@@ -361,20 +319,26 @@ pub fn run_suite(
     tel: &dyn Telemetry,
     emit: &mut dyn FnMut(SuiteFigure) -> Result<(), Error>,
 ) -> Result<SuiteReport, Error> {
-    let start = Instant::now();
-    let throwaway = specs.iter().any(|s| s.no_cache).then(CellCache::new);
-    let cache = match &throwaway {
-        Some(cache) => cache,
-        None => {
-            for spec in specs {
-                if let Some(dir) = &spec.cache_dir {
-                    attach_global_disk(dir, spec.cache_cap_bytes);
-                }
-            }
-            CellCache::global()
+    if specs.iter().any(|s| s.no_cache) {
+        return run_in(&CellCache::new(), specs, threads, tel, emit);
+    }
+    for spec in specs {
+        if let Some(dir) = &spec.cache_dir {
+            attach_global_disk(dir, spec.cache_cap_bytes);
         }
-    };
+    }
+    run_in(CellCache::global(), specs, threads, tel, emit)
+}
 
+/// [`run_suite`] against `cache`.
+fn run_in(
+    cache: &CellCache,
+    specs: &[ExperimentSpec],
+    threads: usize,
+    tel: &dyn Telemetry,
+    emit: &mut dyn FnMut(SuiteFigure) -> Result<(), Error>,
+) -> Result<SuiteReport, Error> {
+    let start = Instant::now();
     let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
     // Cost the graph with measured durations from the persistent store
     // when it has seen real runs; the static priors otherwise.
@@ -385,7 +349,7 @@ pub fn run_suite(
         plan::CostModel::from_measured(loaded_costs)
     };
     let union = union_plans(&plans, &model);
-    let graph = Graph::new(&union.costs, union.deps.clone());
+    let graph = union.graph();
     let progress = Progress {
         state: Mutex::new(ProgressState {
             remaining: union.figure_nodes.clone(),
@@ -393,61 +357,12 @@ pub fn run_suite(
         }),
         ready: Condvar::new(),
     };
-    let outputs: Vec<OnceLock<Shared>> = (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
-    // What each node actually did, written by the workers and read
-    // after the pool drains: only COMPUTED nodes feed their measured
-    // duration back into the persistent cost table (warm nodes finish
-    // in microseconds and would poison the priors).
-    const WARM: u8 = 0;
-    const COMPUTED: u8 = 1;
-    const FROM_DISK: u8 = 2;
-    const FAILED: u8 = 3;
-    let node_state: Vec<AtomicU8> = (0..union.nodes.len())
-        .map(|_| AtomicU8::new(WARM))
-        .collect();
-    let state_of = |source: RunSource| match source {
-        RunSource::Computed => COMPUTED,
-        RunSource::Disk => FROM_DISK,
-        RunSource::Memory => WARM,
-    };
-
-    // One node's work — an output for cells, none for experiments — or
-    // `None` when a dependency failed.
-    let execute = |i: usize| -> Option<(Option<Shared>, u8)> {
-        let failed = |&d: &u32| node_state[d as usize].load(Ordering::Relaxed) == FAILED;
-        if union.deps[i].iter().any(failed) {
-            return None;
-        }
-        Some(match &union.nodes[i] {
-            Node::Exp { handle, runs } => {
-                // Warm start: when every dependent run cell is already
-                // resident (in memory or on disk), the construction is
-                // pure waste — leave the handle lazy and let the run
-                // nodes serve from cache. Tracing bypasses cache reads,
-                // so a traced suite always constructs.
-                let cold = tel.enabled() || runs.iter().any(|&key| !cache.probe_run(key));
-                if cold {
-                    cache.force_experiment(handle);
-                }
-                (None, if cold { COMPUTED } else { WARM })
-            }
-            Node::Cell(cell) => {
-                let (output, source) = cell.get_in(cache, tel);
-                (Some(output), state_of(source))
-            }
-        })
-    };
+    let outputs: Vec<Slot> = (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
     let run_node = |i: usize| {
-        // A panicking cell fails its node (and its dependents) instead
-        // of the pool; the figures that need it then report an error.
-        match catch_unwind(AssertUnwindSafe(|| execute(i))).ok().flatten() {
-            Some((output, state)) => {
-                node_state[i].store(state, Ordering::Relaxed);
-                if let Some(output) = output {
-                    let _ = outputs[i].set(output);
-                }
-            }
-            None => node_state[i].store(FAILED, Ordering::Relaxed),
+        // A panicking cell fails its node instead of the pool; the
+        // figures that need it then report an error.
+        if let Ok(output) = catch_unwind(AssertUnwindSafe(|| union.nodes[i].get_in(cache, tel))) {
+            let _ = outputs[i].set(output);
         }
         progress.done(&union.node_figures[i]);
     };
@@ -488,40 +403,26 @@ pub fn run_suite(
 
     // Feed the durations of genuinely computed nodes back into the
     // persistent cost table, so the *next* run's long-pole priorities
-    // come from measurement instead of the static guesses.
+    // come from measurement instead of the static guesses (served nodes
+    // finish in microseconds and would poison the priors).
     let mut measured = MeasuredCosts::default();
     let mut report = SchedReport {
         nodes: graph.len(),
-        edges: graph.edges(),
         ..SchedReport::default()
     };
     for (counts, planned) in report.kinds.iter_mut().zip(union.planned) {
         counts.planned = planned;
     }
-    for (i, node) in union.nodes.iter().enumerate() {
-        let state = node_state[i].load(Ordering::Relaxed);
-        let us = graph_report.node_us[i];
-        match node {
-            Node::Exp { handle, .. } => {
-                if state == COMPUTED {
-                    let intervals = plan::intervals_of(handle.opts()).round() as u64;
-                    measured.record_exp(intervals, us);
-                } else if state == WARM {
-                    report.warm_skipped_exps += 1;
-                }
+    for (i, cell) in union.nodes.iter().enumerate() {
+        let counts = &mut report.kinds[cell.kind() as usize];
+        counts.nodes += 1;
+        match outputs[i].get().map(|&(_, source)| source) {
+            Some(RunSource::Computed) => {
+                counts.computed += 1;
+                cell.record(&mut measured, graph_report.node_us[i]);
             }
-            Node::Cell(cell) => {
-                let counts = &mut report.kinds[cell.kind() as usize];
-                counts.nodes += 1;
-                match state {
-                    COMPUTED => {
-                        counts.computed += 1;
-                        cell.record(&mut measured, us);
-                    }
-                    FROM_DISK => counts.disk_hits += 1,
-                    _ => {}
-                }
-            }
+            Some(RunSource::Disk) => counts.disk_hits += 1,
+            Some(RunSource::Memory) | None => {}
         }
     }
     if let Some(disk) = cache.disk() {
@@ -543,6 +444,9 @@ pub fn run_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell_cache::run_key;
+    use crate::disk_cache::DiskCache;
+    use jumanji::telemetry::NoopSink;
 
     fn specs_of(kinds: &[FigureKind], mixes: usize) -> Vec<ExperimentSpec> {
         kinds
@@ -568,25 +472,32 @@ mod tests {
     }
 
     #[test]
-    fn union_runs_depend_on_their_experiment() {
-        let specs = specs_of(&[FigureKind::Fig05], 1);
+    fn union_runs_of_one_experiment_share_one_handle() {
+        // fig13 and fig14 plan the same experiments: every run of one
+        // experiment, in either figure, holds the one handle the union
+        // made for it, so the first run to compute builds it for all.
+        let specs = specs_of(&[FigureKind::Fig13, FigureKind::Fig14], 2);
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
         let u = union_plans(&plans, &plan::CostModel::priors());
-        // One experiment node + five design runs on it.
-        assert_eq!(u.nodes.len(), 6);
-        for (i, node) in u.nodes.iter().enumerate() {
-            match node {
-                Node::Exp { .. } => assert!(u.deps[i].is_empty()),
-                Node::Cell(cell) => {
-                    assert_eq!(cell.kind(), CellKind::Run, "fig05 plans runs only");
-                    assert_eq!(u.deps[i], vec![0]);
+        let run = |id: u32| -> &RunCell {
+            let any: &dyn Any = &*u.nodes[id as usize];
+            any.downcast_ref().expect("fig13/fig14 plan runs only")
+        };
+        let mut handles: HashMap<u128, &ExperimentHandle> = HashMap::new();
+        for (f, plan) in plans.iter().enumerate() {
+            for (cell, ids) in plan.cells.iter().zip(&u.figure_cells[f]) {
+                assert!(ids.len() > 1, "each cell runs several designs");
+                for &id in ids {
+                    let handle = run(id).experiment();
+                    let first = *handles.entry(cell.experiment_key()).or_insert(handle);
+                    assert!(first.shares(handle), "one handle per experiment");
                 }
             }
         }
-        // The graph orders the long poles: every run's priority is below
-        // its experiment's (the experiment unlocks the whole cell).
-        let g = Graph::new(&u.costs, u.deps.clone());
-        assert!(g.priority(0) > g.priority(1));
+        assert!(
+            handles.values().all(|h| !h.built()),
+            "the union builds nothing"
+        );
     }
 
     #[test]
@@ -600,18 +511,36 @@ mod tests {
             .collect();
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
         let u = union_plans(&plans, &plan::CostModel::priors());
-        let is_detail = |n: &Node| matches!(n, Node::Cell(c) if c.kind() == CellKind::Detail);
-        let detail_nodes = u.nodes.iter().filter(|n| is_detail(n)).count();
         let planned = u.planned[CellKind::Detail as usize];
         assert_eq!(planned, plans[0].details.len() + plans[1].details.len());
         // fig02 plans 4 designs, validate 2 designs × 2 mixes; the two
         // mix-0 validate cells fold into fig02's.
         assert_eq!(planned, 8);
-        assert_eq!(detail_nodes, 6);
-        // Every node is a detail node, and detail nodes are roots: no
-        // dependencies, and no experiment to warm-skip.
-        assert_eq!(u.nodes.len(), detail_nodes);
-        assert!(u.deps.iter().all(Vec::is_empty));
+        assert_eq!(u.nodes.len(), 6);
+        assert!(u.nodes.iter().all(|n| n.kind() == CellKind::Detail));
+    }
+
+    #[test]
+    fn a_warm_store_reports_nothing_computed() {
+        // fig05 runs cells; fig08 is one scenario.
+        let dir = std::env::temp_dir().join(format!("jumanji-suite-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = specs_of(&[FigureKind::Fig05, FigureKind::Fig08], 1);
+        let run = || {
+            let cache = CellCache::new();
+            cache.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
+            let report = run_in(&cache, &specs, 2, &NoopSink, &mut |_| Ok(()));
+            report.expect("suite runs").sched
+        };
+        let (cold, warm) = (run(), run());
+        let _ = std::fs::remove_dir_all(&dir);
+        let planned: usize = cold.kinds.iter().map(|c| c.planned).sum();
+        assert_eq!(cold.computed(), cold.nodes as u64);
+        assert_eq!(cold.reused(), (planned - cold.nodes) as u64);
+        assert_eq!(warm.computed(), 0, "a warm store computes nothing");
+        assert_eq!(warm.reused(), planned as u64);
+        let served: u64 = warm.kinds.iter().map(|c| c.disk_hits).sum();
+        assert_eq!(served, warm.nodes as u64);
     }
 
     #[test]
@@ -630,11 +559,26 @@ mod tests {
         assert!(u.node_figures[..first_fig18].iter().all(|fs| fs == &[0]));
     }
 
+    /// Every unique cell key `plans` name, of any kind.
+    fn unique_cells(plans: &[plan::FigurePlan]) -> usize {
+        let mut keys = std::collections::HashSet::new();
+        for plan in plans {
+            for cell in &plan.cells {
+                let ekey = cell.experiment_key();
+                keys.extend(cell.designs.iter().map(|&d| run_key(ekey, d)));
+            }
+            keys.extend(plan.details.iter().map(Cell::key));
+            keys.extend(plan.scenarios.iter().map(Cell::key));
+        }
+        keys.len()
+    }
+
     #[test]
     fn modeled_replay_of_the_benchmark_graphs_meets_grahams_bound() {
         // The benchmark's three figure sets, unioned and costed by the
-        // static priors, replayed in virtual time at each width: the
-        // schedule stays within Graham's list-scheduling bound.
+        // static priors: one node per unique cell and no edges. Replayed
+        // in virtual time at each width, the schedule stays within
+        // Graham's list-scheduling bound.
         use FigureKind::*;
         let analytic: Vec<FigureKind> = FigureKind::all()
             .into_iter()
@@ -666,7 +610,12 @@ mod tests {
                 .map(|s| plan::of(s).unwrap())
                 .collect();
             let u = union_plans(&plans, &plan::CostModel::priors());
-            let g = Graph::new(&u.costs, u.deps.clone());
+            let g = u.graph();
+            assert_eq!(g.edges(), 0, "{name}");
+            assert_eq!(g.len(), unique_cells(&plans), "{name}");
+            if name == "analytic-cold" {
+                assert_eq!(g.len(), 1902, "1899 runs and 3 scenarios");
+            }
             let work: f64 = u.costs.iter().sum();
             let cp = (0..g.len()).map(|i| g.priority(i)).fold(0.0, f64::max);
             for m in [1usize, 2, 4, 8, 16, 64] {
@@ -700,7 +649,7 @@ mod tests {
             .map(|s| plan::of(s).unwrap())
             .collect();
         let u = union_plans(&plans, &plan::CostModel::priors());
-        let g = Graph::new(&u.costs, u.deps.clone());
+        let g = u.graph();
         let fig12 = kinds.iter().position(|&k| k == Fig12).unwrap();
         let pole = u.figure_scenarios[fig12][0] as usize;
         for i in (0..g.len()).filter(|&i| i != pole) {

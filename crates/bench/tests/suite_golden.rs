@@ -141,6 +141,31 @@ fn unknown_figure_is_a_usage_error() {
     );
 }
 
+/// `--out`, `--stats` and `--figures` need a value: a missing one, or
+/// another `--flag` in its place, is a usage error (exit 2) that writes
+/// nothing.
+#[test]
+fn a_flag_missing_its_value_is_a_usage_error() {
+    let tmp = TempDir::new("flags");
+    let cases: [&[&str]; 4] = [
+        &["--figures", "table2", "--out", "--stats", "s.json"],
+        &["--figures", "table2", "--stats"],
+        &["--figures", "--out", "d"],
+        &["--figures", "table2", "--out="],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+            .args(args)
+            .current_dir(tmp.path())
+            .output()
+            .expect("spawn suite");
+        assert_eq!(out.status.code(), Some(2), "suite {args:?}");
+        assert!(out.stdout.is_empty(), "suite {args:?} rendered a figure");
+        let written: Vec<_> = std::fs::read_dir(tmp.path()).unwrap().collect();
+        assert!(written.is_empty(), "suite {args:?} wrote {written:?}");
+    }
+}
+
 /// The full gated matrix: fig13 + fig14 through the suite at 1 and 4
 /// threads, byte-identical to each figure rendered alone. The two plan
 /// identical cells, so fig14 renders entirely from nodes fig13's plan

@@ -92,8 +92,8 @@ pub enum Event {
     /// when a suite or figure run finishes so traces record how much work
     /// deduplication saved.
     CacheStats {
-        /// Which cache the counters describe (`"runs"`, `"details"` —
-        /// the detailed-simulator cells — `"experiments"`, `"hulls"`).
+        /// Which cache the counters describe (`"cells"` — completed
+        /// cells of every kind — or `"hulls"`).
         scope: &'static str,
         /// Lookups served from an already-computed entry.
         hits: u64,

@@ -103,8 +103,10 @@ for f in fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sensitivity
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_nc/$f.tsv"
 done
 
-echo "== warm suite run reports disk hits and zero computed runs and scenarios"
+echo "== warm suite run reports disk hits, zero computed runs and scenarios, no experiment built"
 grep -Eq '\[suite\] disk cache: [1-9][0-9]* hits' "$tmp/disk_warm.log"
+# Building an experiment reads (or computes) its ratio hulls.
+grep -Eq 'hulls: 0 computed, 0 reused' "$tmp/disk_warm.log"
 grep -Eq '\[suite\] sched: 0 runs computed, [1-9][0-9]* served from disk' \
     "$tmp/disk_warm.log"
 grep -Eq '\[suite\] sched: 0 scenario cells computed, 3 served from disk' \
