@@ -47,7 +47,7 @@
 
 use jumanji::telemetry::{Event, JsonlSink, NoopSink, Telemetry};
 use jumanji::types::{Error, MapStats};
-use jumanji_bench::cell_cache::{persist_global_disk, CellCacheStats, CellKind};
+use jumanji_bench::cell_cache::{CellCacheStats, CellKind};
 use jumanji_bench::spec::flag_text;
 use jumanji_bench::suite::{run_suite, SchedReport, SuiteFigure};
 use jumanji_bench::{ExperimentSpec, FigureKind};
@@ -145,21 +145,7 @@ fn write_stats(
     writeln!(f, "    \"nodes\": {},", s.nodes)?;
     writeln!(f, "    \"workers\": {},", s.graph.workers)?;
     writeln!(f, "    \"critical_path_us\": {},", s.graph.critical_path_us)?;
-    writeln!(f, "    \"elapsed_us\": {},", s.graph.elapsed_us)?;
-    writeln!(f, "    \"cost_drift\": [")?;
-    for (i, d) in s.drift.iter().enumerate() {
-        writeln!(
-            f,
-            "      {{\"design\": \"{}\", \"prior\": {:.3}, \"measured\": {:.3}, \
-             \"samples\": {}}}{}",
-            d.design,
-            d.prior,
-            d.measured,
-            d.samples,
-            if i + 1 < s.drift.len() { "," } else { "" }
-        )?;
-    }
-    writeln!(f, "    ]")?;
+    writeln!(f, "    \"elapsed_us\": {}", s.graph.elapsed_us)?;
     writeln!(f, "  }}{comma}")?;
     if let Some(d) = &stats.disk {
         writeln!(f, "  \"disk_cache\": {{")?;
@@ -259,12 +245,6 @@ fn run(args: &[String]) -> Result<(), Error> {
             eprintln!("[suite] sched: {computed} {what} computed, {served} served from disk");
         }
     }
-    for d in &s.drift {
-        eprintln!(
-            "[suite] cost drift: {} prior {:.2} measured {:.2} ({} samples)",
-            d.design, d.prior, d.measured, d.samples
-        );
-    }
     if let Some(d) = &stats.disk {
         eprintln!(
             "[suite] disk cache: {} hits, {} misses, {} writes, \
@@ -296,7 +276,6 @@ fn run(args: &[String]) -> Result<(), Error> {
     if let Some(path) = &stats_path {
         write_stats(path, &reports, total_seconds, &stats, s)?;
     }
-    persist_global_disk();
     Ok(())
 }
 

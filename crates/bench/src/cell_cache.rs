@@ -36,8 +36,8 @@
 //! ([`attach_global_disk`]); `no_cache` runs the executor against a
 //! throwaway [`CellCache::new`] with no store.
 
-use crate::disk_cache::{self, DiskCache, DiskCacheStats, MeasuredCosts};
-use crate::figures::plan::{detail_units, intervals_of, CostModel, DetailPlan};
+use crate::disk_cache::{self, DiskCache, DiskCacheStats};
+use crate::figures::plan::{CostModel, DetailPlan};
 use jumanji::core::{Allocation, DesignKind};
 use jumanji::sim::detail::{run_detailed, DetailOptions, DetailReport};
 use jumanji::sim::perf::Profile;
@@ -138,12 +138,9 @@ pub trait Cell: Send + Sync {
     /// Any [`CodecError`] the payload raises.
     fn decode(r: &mut ByteReader<'_>) -> Result<Self::Output, CodecError>;
 
-    /// The scheduler's relative cost estimate for computing the cell.
-    fn cost(&self, model: &CostModel) -> f64;
-
-    /// Files a measured compute of `us` µs in the cost table (a no-op
-    /// for kinds without a cost row).
-    fn record(&self, _measured: &mut MeasuredCosts, _us: u64) {}
+    /// The scheduler's relative cost estimate for computing the cell:
+    /// a static prior ([`CostModel::priors`]).
+    fn cost(&self) -> f64;
 }
 
 /// A cell's output with its type erased: the cell map's value.
@@ -154,8 +151,6 @@ pub(crate) type Shared = Arc<dyn Any + Send + Sync>;
 pub(crate) trait AnyCell: Any + Send + Sync {
     /// The cell's kind.
     fn kind(&self) -> CellKind;
-    /// See [`Cell::record`].
-    fn record(&self, measured: &mut MeasuredCosts, us: u64);
     /// [`CellCache::get`], output erased.
     fn get_in(&self, cache: &CellCache, tel: &dyn Telemetry) -> (Shared, RunSource);
 }
@@ -163,10 +158,6 @@ pub(crate) trait AnyCell: Any + Send + Sync {
 impl<C: Cell + 'static> AnyCell for C {
     fn kind(&self) -> CellKind {
         C::KIND
-    }
-
-    fn record(&self, measured: &mut MeasuredCosts, us: u64) {
-        Cell::record(self, measured, us);
     }
 
     fn get_in(&self, cache: &CellCache, tel: &dyn Telemetry) -> (Shared, RunSource) {
@@ -276,13 +267,8 @@ impl Cell for RunCell {
         disk_cache::decode_result(r)
     }
 
-    fn cost(&self, model: &CostModel) -> f64 {
-        model.run_cost(self.exp.opts(), self.design)
-    }
-
-    fn record(&self, measured: &mut MeasuredCosts, us: u64) {
-        let intervals = intervals_of(self.exp.opts()).round() as u64;
-        measured.record_run(self.design, intervals, us);
+    fn cost(&self) -> f64 {
+        CostModel::priors().run_cost(self.exp.opts(), self.design)
     }
 }
 
@@ -307,12 +293,8 @@ impl Cell for DetailPlan {
         disk_cache::decode_detail(r)
     }
 
-    fn cost(&self, model: &CostModel) -> f64 {
-        model.detail_cost(&self.opts, self.profiles.len())
-    }
-
-    fn record(&self, measured: &mut MeasuredCosts, us: u64) {
-        measured.record_detail(detail_units(&self.opts, self.profiles.len()).round(), us);
+    fn cost(&self) -> f64 {
+        CostModel::priors().detail_cost(&self.opts, self.profiles.len())
     }
 }
 
@@ -484,11 +466,13 @@ impl CellCache {
     }
 }
 
-/// Attaches the persistent store at `dir` to the global cache, seeding
-/// the simulator's model memos from it, and bounds it to `cap` bytes
-/// (`0` = unbounded; the least-recently-written entries are evicted on
-/// overflow). A store already attached at `dir` is kept, so its counters
-/// survive repeated suite runs in one process, but takes the new `cap`.
+/// Attaches the persistent store at `dir` to the global cache and
+/// bounds it to `cap` bytes (`0` = unbounded; the least-recently-written
+/// entries are evicted on overflow). Only cells are read from the store:
+/// the simulator's model memos (ratio hulls, deadlines) always start
+/// empty, so no side file in the store can change a computed cell. A
+/// store already attached at `dir` is kept, so its counters survive
+/// repeated suite runs in one process, but takes the new `cap`.
 /// An unopenable directory warns and leaves the cache memory-only — a bad
 /// flag costs the warm start, never the run.
 pub fn attach_global_disk(dir: &Path, cap: u64) {
@@ -500,7 +484,6 @@ pub fn attach_global_disk(dir: &Path, cap: u64) {
     }
     match DiskCache::open(dir) {
         Ok(disk) => {
-            disk.seed_model();
             disk.set_cap_bytes(cap);
             disk.enforce_cap();
             cache.attach_disk(Arc::new(disk));
@@ -511,19 +494,6 @@ pub fn attach_global_disk(dir: &Path, cap: u64) {
                 dir.display()
             );
         }
-    }
-}
-
-/// Persists the simulator's model memos (ratio hulls, deadlines) to the
-/// global cache's disk store, if one is attached. The `suite` binary
-/// calls this once after rendering, so the *next* process constructs
-/// warm.
-pub fn persist_global_disk() {
-    if let Some(disk) = CellCache::global().disk() {
-        disk.persist_model();
-        // Cells written during this run may have pushed a capped store
-        // over its limit; evict before the next process starts.
-        disk.enforce_cap();
     }
 }
 

@@ -15,13 +15,15 @@
 //!   [`DetailReport`]s (the heaviest cells in the repo: fig02 and
 //!   validate);
 //! - `scenarios/<key>.bin` — completed fixed scenarios (fig08's sweep,
-//!   fig11's port attack, fig12's leakage run);
-//! - `model.bin` — the simulator's expensive construction memos (ratio
-//!   hulls and deadline isolation runs), so even a *cold* run cell
-//!   constructs its experiment from warm models;
-//! - `costs.bin` — measured per-design node durations, fed back into
-//!   the suite scheduler's cost priors
-//!   ([`plan::CostModel`](crate::figures::plan::CostModel)).
+//!   fig11's port attack, fig12's leakage run).
+//!
+//! The suite reads and writes nothing else. Two side files,
+//! `model.bin` (the simulator's ratio hulls and deadlines) and
+//! `costs.bin` (measured per-design node durations), are written only
+//! by the benchmark probe's own executor ([`DiskCache::persist_model`],
+//! [`DiskCache::merge_costs`]). Nothing checks `model.bin` against the
+//! code that computed it, so the suite never seeds the simulator from
+//! it: in a suite store both files are inert.
 //!
 //! Every file is framed by the versioned, checksummed envelope of
 //! [`nuca_types::codec`] and written via temp-file + atomic rename, so
@@ -37,12 +39,12 @@
 //! total size of the entry files, and [`DiskCache::enforce_cap`] evicts
 //! the least-recently-written entries (by mtime — every write refreshes
 //! its entry's mtime, so write order approximates use order) until the
-//! store fits. `model.bin` and `costs.bin` are small shared memos and
-//! are never evicted for space.
+//! store fits; it never evicts `model.bin` or `costs.bin`.
 //!
 //! Stores written by older versions may also hold an `allocs/`
 //! directory of memoized placements. Nothing reads, writes or evicts it
-//! any more; it is inert and may be deleted by hand.
+//! any more; it is inert and may be deleted by hand, like a suite
+//! store's `model.bin` and `costs.bin`.
 //!
 //! The codec is hand-rolled (no serde — the workspace builds offline):
 //! each domain type gets an explicit field-order encode/decode pair
@@ -95,10 +97,11 @@ pub struct DiskCacheStats {
     pub corrupt_dropped: u64,
 }
 
-/// Measured per-design run costs accumulated across suite runs:
-/// `(samples, total µs-per-interval)` rows, plus one row for experiment
-/// constructions. Stored in `costs.bin` and folded into the scheduler's
-/// cost priors on warm runs.
+/// Measured per-design run costs accumulated across benchmark-probe
+/// runs: `(samples, total µs-per-interval)` rows, plus one row for
+/// experiment constructions. The probe stores them in `costs.bin` and
+/// folds them into its own executor's cost model; the suite schedules
+/// by the static priors alone.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MeasuredCosts {
     /// Per-design `(samples, total µs-per-interval)`, indexed by
@@ -673,7 +676,9 @@ impl DiskCache {
 
     /// Warm-starts the simulator's construction memos (ratio hulls,
     /// deadline isolation runs) from `model.bin`. Returns the number of
-    /// entries seeded; a corrupt file is dropped and seeds nothing.
+    /// entries seeded; a corrupt file is dropped and seeds nothing. Only
+    /// the benchmark probe calls this: the file is not checked against
+    /// the code that computed it.
     pub fn seed_model(&self) -> usize {
         let path = self.root.join("model.bin");
         let Some((hulls, deadlines)) = self.load_entry(&path, decode_model) else {
@@ -694,7 +699,8 @@ impl DiskCache {
     /// of their keys, so union order is irrelevant). Returns the entry
     /// count written. Concurrent writers can lose each other's *new*
     /// entries (read-merge-write is not transactional); the loser's
-    /// entries are simply recomputed and re-persisted next run.
+    /// entries are simply recomputed and re-persisted next run. Only the
+    /// benchmark probe calls this.
     pub fn persist_model(&self) -> usize {
         let path = self.root.join("model.bin");
         let mut hulls: HashMap<u128, Arc<MissCurve>, Mix64Build> =
@@ -724,7 +730,8 @@ impl DiskCache {
     }
 
     /// The measured-cost table, or the empty default when absent or
-    /// invalid (a corrupt file is dropped).
+    /// invalid (a corrupt file is dropped). Read by the benchmark probe
+    /// only.
     pub fn load_costs(&self) -> MeasuredCosts {
         let path = self.root.join("costs.bin");
         self.read(&path, decode_costs).unwrap_or_default()
@@ -732,7 +739,7 @@ impl DiskCache {
 
     /// Folds freshly measured costs into `costs.bin` (read-merge-write;
     /// a concurrent writer's update may be lost, costing only sample
-    /// count).
+    /// count). Only the benchmark probe calls this.
     pub fn merge_costs(&self, fresh: &MeasuredCosts) {
         if fresh.is_empty() {
             return;
@@ -745,7 +752,7 @@ impl DiskCache {
     /// Caps the total size of the store's entry files (every
     /// [`CellKind`] directory). `0` means unbounded (the default). The
     /// cap takes effect at the next [`DiskCache::enforce_cap`] call —
-    /// the `suite` binary enforces it at attach time and again at exit.
+    /// the suite enforces it at attach time and at the end of every run.
     pub fn set_cap_bytes(&self, cap: u64) {
         self.cap_bytes.store(cap, Ordering::Relaxed);
     }

@@ -16,12 +16,14 @@
 //! the config tables compute nothing and return an empty plan.
 //!
 //! Cost priors ([`CostModel::priors`], and each [`Scenario`]'s own) feed
-//! the scheduler's long-pole-first ordering. They are *relative* guesses
-//! (an analytic run costs about one interval-unit per reconfiguration
-//! interval; placement-solving designs cost more per interval;
-//! experiment construction about half a Static run; a detailed cell
-//! about two interval-units per [`DETAIL_UNIT_ACCESSES`] simulated
-//! accesses), not wall-clock predictions — only their ordering matters.
+//! the scheduler's long-pole-first ordering, and they are the only costs
+//! the suite schedules by, so node order is a pure function of the spec.
+//! They are *relative* guesses (an analytic run costs about one
+//! interval-unit per reconfiguration interval; placement-solving designs
+//! cost more per interval; experiment construction about half a Static
+//! run; a detailed cell about two interval-units per
+//! [`DETAIL_UNIT_ACCESSES`] simulated accesses), not wall-clock
+//! predictions — only their ordering matters.
 //! The benchmark's per-design `sim.run.<design>.us_per_interval` metrics
 //! (`perfbench/run.py --trace 1`) are the way to check them.
 
@@ -151,30 +153,15 @@ pub fn detail_units(opts: &DetailOptions, napps: usize) -> f64 {
 /// analytic intervals.
 const DETAIL_STATIC_FACTOR: f64 = 2.0;
 
-/// One design's prior-vs-measured cost comparison, for the suite's
-/// drift report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostDrift {
-    /// The design.
-    pub design: DesignKind,
-    /// The static prior factor (relative to a Static run).
-    pub prior: f64,
-    /// The measured factor (mean µs-per-interval over the measured
-    /// Static mean).
-    pub measured: f64,
-    /// Samples behind the measured factor.
-    pub samples: u64,
-}
-
-/// The scheduler's cost estimates: the static priors above by default,
-/// replaced by measured per-design durations from the persistent store
-/// when the store has seen real runs.
+/// The scheduler's cost estimates. The suite uses the static priors
+/// above ([`CostModel::priors`]); the benchmark probe's own executor can
+/// still replace them with measured per-design durations
+/// ([`CostModel::from_measured`]).
 ///
 /// Measured means are kept *relative* — each design's mean
 /// µs-per-interval over the measured Static mean — so partially
 /// measured tables blend with the unit-normalized static priors without
-/// mixing units, and the long-pole ordering (all that matters to the
-/// scheduler) reflects real hardware instead of a guess.
+/// mixing units.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
     measured: MeasuredCosts,
@@ -219,24 +206,6 @@ impl CostModel {
     pub fn detail_cost(&self, opts: &DetailOptions, napps: usize) -> f64 {
         let measured = self.relative(self.measured.mean_detail_us());
         detail_units(opts, napps) * measured.unwrap_or(DETAIL_STATIC_FACTOR)
-    }
-
-    /// Prior-vs-measured drift, one row per design with measured data.
-    /// Empty when the model is running on priors alone.
-    pub fn drift(&self) -> Vec<CostDrift> {
-        DesignKind::all()
-            .into_iter()
-            .filter_map(|design| {
-                let measured = self.relative(self.measured.mean_run_us(design))?;
-                let samples = self.measured.runs[crate::disk_cache::design_tag(design) as usize].0;
-                Some(CostDrift {
-                    design,
-                    prior: static_factor(design),
-                    measured,
-                    samples,
-                })
-            })
-            .collect()
     }
 }
 

@@ -4,7 +4,6 @@
 //! stored, and folded by its figure's render.
 
 use crate::cell_cache::{content_key, Cell, CellKind};
-use crate::figures::plan::CostModel;
 use jumanji::attacks::leakage::{leakage_experiment, LeakageConfig, LeakageResult};
 use jumanji::attacks::port::{run_port_attack, PortAttackConfig, PortAttackTrace, TimingSample};
 use jumanji::prelude::*;
@@ -118,7 +117,9 @@ impl Cell for Scenario {
     /// container), from the scenarios' times there: the sweep about
     /// 20 ms, the port attack a few ms, the leakage run about 0.9 s — the
     /// longest single cell of the analytic figures.
-    fn cost(&self, _model: &CostModel) -> f64 {
+    ///
+    /// [`CostModel::run_cost`]: crate::figures::plan::CostModel::run_cost
+    fn cost(&self) -> f64 {
         match self {
             Scenario::TailSweep(_) => 300.0,
             Scenario::PortAttack(_) => 50.0,

@@ -16,9 +16,11 @@
 //!    run that actually computes builds it, and a run served from memory
 //!    or disk never does. The graph has no edges.
 //! 3. **Schedule.** The nodes execute on one shared ready queue
-//!    ([`exec::sched`]), long poles first. Each node reads through the
-//!    cell cache (and its disk store), so cells an earlier run computed
-//!    are served, and its result lands in the node's own slot.
+//!    ([`exec::sched`]), long poles first by the static cost priors, so
+//!    node order is a pure function of the specs. Each node reads
+//!    through the cell cache (and its disk store), so cells an earlier
+//!    run computed are served, and its result lands in the node's own
+//!    slot.
 //! 4. **Render.** Figures render in requested order, each the moment its
 //!    last node completes, as a pure fold of its nodes' results in plan
 //!    order ([`figures::render`]) — a figure whose cells finished early
@@ -29,8 +31,10 @@
 //! The specs' cache controls pick the cache: `no_cache` runs against a
 //! throwaway [`CellCache::new`] with no store (leaving the process-wide
 //! cache untouched); otherwise the process-wide cache serves, with the
-//! store at `cache_dir` attached. With tracing on, the cache bypasses
-//! reads, so every unique cell's event stream is emitted exactly once.
+//! store at `cache_dir` attached. The store holds cells and nothing
+//! else; a capped store is trimmed again at the end of every call. With
+//! tracing on, the cache bypasses reads, so every unique cell's event
+//! stream is emitted exactly once.
 //! A node that panics fails only the figures that need it: they are
 //! never rendered, and the call returns an error after emitting the
 //! figures requested before the first of them.
@@ -48,7 +52,6 @@ use crate::cell_cache::{
     attach_global_disk, AnyCell, Cell, CellCache, CellCacheStats, CellKind, ExperimentHandle,
     RunCell, RunSource, Shared,
 };
-use crate::disk_cache::MeasuredCosts;
 use crate::exec::sched::{self, Graph, GraphReport};
 use crate::figures::{self, plan, FigureResults};
 use crate::spec::{ExperimentSpec, FigureKind};
@@ -98,10 +101,6 @@ pub struct SchedReport {
     pub kinds: [CellCounts; 3],
     /// Unique work-graph nodes: one per unique cell.
     pub nodes: usize,
-    /// Prior-vs-measured cost drift, one row per design with measured
-    /// data — what the long-pole priorities look like against the
-    /// static guesses (empty when nothing was ever measured).
-    pub drift: Vec<plan::CostDrift>,
     /// Pool execution measurements.
     pub graph: GraphReport,
 }
@@ -173,10 +172,10 @@ struct Union {
 impl Union {
     /// The node of `cell` — filed on first sight — counted as one
     /// planned lookup by figure `f`.
-    fn cell<C: Cell + 'static>(&mut self, f: usize, cell: C, model: &plan::CostModel) -> u32 {
+    fn cell<C: Cell + 'static>(&mut self, f: usize, cell: C) -> u32 {
         self.planned[C::KIND as usize] += 1;
         let id = *self.ids.entry(cell.key()).or_insert_with(|| {
-            self.costs.push(Cell::cost(&cell, model));
+            self.costs.push(Cell::cost(&cell));
             self.nodes.push(Box::new(cell));
             self.node_figures.push(Vec::new());
             self.nodes.len() as u32 - 1
@@ -212,14 +211,15 @@ impl Union {
 }
 
 /// Unions figure plans into one deduplicated set of nodes, costed by
-/// `model` (static priors, or measured per-design durations on warm
-/// runs). Nodes are keyed by the cell cache's content fingerprints, so
-/// two figures (or two cells of one figure) wanting the same work share
-/// a node; node ids grow in figure order, which the scheduler uses as
-/// its priority tie-break so earlier-requested figures drain first. Each
-/// unique experiment's handle is made (and keyed) once, here; its run
-/// cells share it, and the first of them to compute builds it.
-fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
+/// the static priors ([`plan::CostModel::priors`]), so node order is a
+/// pure function of the plans. Nodes are keyed by the cell cache's
+/// content fingerprints, so two figures (or two cells of one figure)
+/// wanting the same work share a node; node ids grow in figure order,
+/// which the scheduler uses as its priority tie-break so
+/// earlier-requested figures drain first. Each unique experiment's
+/// handle is made (and keyed) once, here; its run cells share it, and
+/// the first of them to compute builds it.
+fn union_plans(plans: &[plan::FigurePlan]) -> Union {
     let mut u = Union {
         figure_nodes: vec![0; plans.len()],
         ..Union::default()
@@ -235,11 +235,11 @@ fn union_plans(plans: &[plan::FigurePlan], model: &plan::CostModel) -> Union {
             });
             let runs = cell.designs.iter();
             let runs = runs.map(|&design| RunCell::new(handle.clone(), design));
-            cells.push(runs.map(|run| u.cell(f, run, model)).collect());
+            cells.push(runs.map(|run| u.cell(f, run)).collect());
         }
-        let details = plan.details.iter().map(|d| u.cell(f, d.clone(), model));
+        let details = plan.details.iter().map(|d| u.cell(f, d.clone()));
         let details = details.collect();
-        let scenarios = plan.scenarios.iter().map(|s| u.cell(f, s.clone(), model));
+        let scenarios = plan.scenarios.iter().map(|s| u.cell(f, s.clone()));
         let scenarios = scenarios.collect();
         u.figure_cells.push(cells);
         u.figure_details.push(details);
@@ -340,15 +340,7 @@ fn run_in(
 ) -> Result<SuiteReport, Error> {
     let start = Instant::now();
     let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
-    // Cost the graph with measured durations from the persistent store
-    // when it has seen real runs; the static priors otherwise.
-    let loaded_costs = cache.disk().map(|d| d.load_costs()).unwrap_or_default();
-    let model = if loaded_costs.is_empty() {
-        plan::CostModel::priors()
-    } else {
-        plan::CostModel::from_measured(loaded_costs)
-    };
-    let union = union_plans(&plans, &model);
+    let union = union_plans(&plans);
     let graph = union.graph();
     let progress = Progress {
         state: Mutex::new(ProgressState {
@@ -401,11 +393,6 @@ fn run_in(
     let graph_report =
         pool.map_err(|_| Error::Io(std::io::Error::other("the work-graph scheduler panicked")))?;
 
-    // Feed the durations of genuinely computed nodes back into the
-    // persistent cost table, so the *next* run's long-pole priorities
-    // come from measurement instead of the static guesses (served nodes
-    // finish in microseconds and would poison the priors).
-    let mut measured = MeasuredCosts::default();
     let mut report = SchedReport {
         nodes: graph.len(),
         ..SchedReport::default()
@@ -417,22 +404,16 @@ fn run_in(
         let counts = &mut report.kinds[cell.kind() as usize];
         counts.nodes += 1;
         match outputs[i].get().map(|&(_, source)| source) {
-            Some(RunSource::Computed) => {
-                counts.computed += 1;
-                cell.record(&mut measured, graph_report.node_us[i]);
-            }
+            Some(RunSource::Computed) => counts.computed += 1,
             Some(RunSource::Disk) => counts.disk_hits += 1,
             Some(RunSource::Memory) | None => {}
         }
     }
     if let Some(disk) = cache.disk() {
-        if !measured.is_empty() {
-            disk.merge_costs(&measured);
-        }
+        // Cells written during this run may have pushed a capped store
+        // over its limit; evict before the next run starts.
+        disk.enforce_cap();
     }
-    let mut combined = loaded_costs;
-    combined.merge(&measured);
-    report.drift = plan::CostModel::from_measured(combined).drift();
     report.graph = graph_report;
     Ok(SuiteReport {
         total_seconds: start.elapsed().as_secs_f64(),
@@ -461,8 +442,8 @@ mod tests {
         // exactly one figure's worth of unique nodes.
         let specs = specs_of(&[FigureKind::Fig13, FigureKind::Fig14], 2);
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
-        let both = union_plans(&plans, &plan::CostModel::priors());
-        let alone = union_plans(&plans[..1], &plan::CostModel::priors());
+        let both = union_plans(&plans);
+        let alone = union_plans(&plans[..1]);
         assert_eq!(both.nodes.len(), alone.nodes.len());
         let runs = CellKind::Run as usize;
         assert_eq!(both.planned[runs], 2 * alone.planned[runs]);
@@ -478,7 +459,7 @@ mod tests {
         // made for it, so the first run to compute builds it for all.
         let specs = specs_of(&[FigureKind::Fig13, FigureKind::Fig14], 2);
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
-        let u = union_plans(&plans, &plan::CostModel::priors());
+        let u = union_plans(&plans);
         let run = |id: u32| -> &RunCell {
             let any: &dyn Any = &*u.nodes[id as usize];
             any.downcast_ref().expect("fig13/fig14 plan runs only")
@@ -510,7 +491,7 @@ mod tests {
             .map(|&k| ExperimentSpec::new(k).mixes(2).accesses(4_000).threads(2))
             .collect();
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
-        let u = union_plans(&plans, &plan::CostModel::priors());
+        let u = union_plans(&plans);
         let planned = u.planned[CellKind::Detail as usize];
         assert_eq!(planned, plans[0].details.len() + plans[1].details.len());
         // fig02 plans 4 designs, validate 2 designs × 2 mixes; the two
@@ -550,7 +531,7 @@ mod tests {
         // earlier-requested figures for streaming.
         let specs = specs_of(&[FigureKind::Fig05, FigureKind::Fig18], 1);
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
-        let u = union_plans(&plans, &plan::CostModel::priors());
+        let u = union_plans(&plans);
         let first_fig18 = u
             .node_figures
             .iter()
@@ -609,7 +590,7 @@ mod tests {
                 .iter()
                 .map(|s| plan::of(s).unwrap())
                 .collect();
-            let u = union_plans(&plans, &plan::CostModel::priors());
+            let u = union_plans(&plans);
             let g = u.graph();
             assert_eq!(g.edges(), 0, "{name}");
             assert_eq!(g.len(), unique_cells(&plans), "{name}");
@@ -648,7 +629,7 @@ mod tests {
             .iter()
             .map(|s| plan::of(s).unwrap())
             .collect();
-        let u = union_plans(&plans, &plan::CostModel::priors());
+        let u = union_plans(&plans);
         let g = u.graph();
         let fig12 = kinds.iter().position(|&k| k == Fig12).unwrap();
         let pole = u.figure_scenarios[fig12][0] as usize;

@@ -16,6 +16,10 @@
 #![allow(clippy::disallowed_methods)]
 
 use jumanji::telemetry::NoopSink;
+use jumanji::types::codec::{encode_entry, ByteWriter};
+use jumanji::types::hash::fingerprint128;
+use jumanji::types::SystemConfig;
+use jumanji::workloads::tailbench;
 use jumanji_bench::{figures, ExperimentSpec, FigureKind};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -42,16 +46,24 @@ impl Drop for TempDir {
     }
 }
 
-/// Runs a binary with a scrubbed environment: no `JUMANJI_*` knobs leak
-/// in from the outside, so the test is deterministic wherever it runs.
+/// A command for `bin` with every `JUMANJI_*` variable stripped from its
+/// environment: no knob or store from the outside (`JUMANJI_CACHE_DIR`
+/// included) leaks in, so the test is deterministic wherever it runs.
+fn clean(bin: &str) -> Command {
+    let mut cmd = Command::new(bin);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("JUMANJI_") {
+            cmd.env_remove(key);
+        }
+    }
+    cmd
+}
+
+/// Runs a binary with a scrubbed environment ([`clean`]) and asserts it
+/// succeeds.
 fn run_clean(bin: &str, args: &[&str]) -> Output {
-    let out = Command::new(bin)
+    let out = clean(bin)
         .args(args)
-        .env_remove("JUMANJI_TRACE")
-        .env_remove("JUMANJI_MIXES")
-        .env_remove("JUMANJI_THREADS")
-        .env_remove("JUMANJI_ACCESSES")
-        .env_remove("JUMANJI_NO_CACHE")
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
@@ -127,10 +139,45 @@ fn no_cache_output_is_byte_identical() {
     );
 }
 
+/// A stale `model.bin` never changes a TSV: the suite reads only cells
+/// from its store. Here the store holds nothing but a `model.bin` that
+/// gives every TailBench server a deadline of 3.0e5 cycles, keyed as the
+/// simulator keys its deadline memo and framed as the benchmark probe
+/// frames the file (envelope tag 3: no hulls, then `(key, cycles)`
+/// pairs). None of fig05's cells is in the store, so it must compute
+/// them exactly as `--no-cache` does.
+#[test]
+fn a_stale_model_file_never_changes_a_tsv() {
+    let tmp = TempDir::new("stale_model");
+    let cfg = SystemConfig::micro2020();
+    let servers = tailbench();
+    let mut w = ByteWriter::new();
+    w.u32(0);
+    w.u32(servers.len() as u32);
+    for p in &servers {
+        w.u128(fingerprint128(format!("{p:?}|{cfg:?}").as_bytes()));
+        w.f64(3.0e5);
+    }
+    let model = tmp.path().join("model.bin");
+    let bytes = encode_entry(3, w.into_bytes());
+    std::fs::write(&model, &bytes).expect("write model.bin");
+
+    let suite = env!("CARGO_BIN_EXE_suite");
+    let store = tmp.path().to_str().unwrap();
+    let stored = run_clean(suite, &["--figures", "fig05", "--cache-dir", store]);
+    let fresh = run_clean(suite, &["--figures", "fig05", "--no-cache"]);
+    assert_eq!(
+        String::from_utf8_lossy(&stored.stdout),
+        String::from_utf8_lossy(&fresh.stdout),
+        "a stale model.bin changed fig05"
+    );
+    assert_eq!(read(&model), bytes, "the suite rewrote model.bin");
+}
+
 /// An unknown figure name is a usage error (exit 2), not a crash.
 #[test]
 fn unknown_figure_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+    let out = clean(env!("CARGO_BIN_EXE_suite"))
         .args(["--figures", "fig99"])
         .output()
         .expect("spawn suite");
@@ -154,7 +201,7 @@ fn a_flag_missing_its_value_is_a_usage_error() {
         &["--figures", "table2", "--out="],
     ];
     for args in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+        let out = clean(env!("CARGO_BIN_EXE_suite"))
             .args(args)
             .current_dir(tmp.path())
             .output()

@@ -115,6 +115,16 @@ grep -Eq '\[suite\] sched: 3 scenario cells computed, 0 served from disk' \
     "$tmp/disk_cold.log"
 grep -Eq '\[suite\] disk cache: 0 hits' "$tmp/disk_cold.log"
 
+echo "== disk counters count cells only: N misses and writes cold, N hits warm"
+# N = the cold run's three `[suite] sched: C <kind> computed, …` counts.
+set -- $(sed -n 's/^\[suite\] sched: \([0-9]*\) [a-z ]*computed, .*/\1/p' \
+    "$tmp/disk_cold.log")
+[ "$#" -eq 3 ]
+n=$(($1 + $2 + $3))
+[ "$n" -gt 0 ]
+grep -q "^\[suite\] disk cache: 0 hits, $n misses, $n writes," "$tmp/disk_cold.log"
+grep -q "^\[suite\] disk cache: $n hits, 0 misses, 0 writes," "$tmp/disk_warm.log"
+
 echo "== detailed cells: cold/warm/--no-cache suite runs are byte-identical"
 # Equal --accesses across both figures so validate's mix-0 cells dedup
 # against fig02's in the work graph.
