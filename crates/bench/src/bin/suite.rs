@@ -24,22 +24,25 @@
 //! - `--out DIR` — write each figure to `DIR/<name>.tsv` (created if
 //!   missing) instead of concatenating everything to stdout.
 //! - `--stats PATH` — write a JSON cache/scheduler statistics report.
-//! - `--mixes` / `--threads` / `--seed` / `--accesses` — forwarded to
-//!   every figure (CLI beats `JUMANJI_*` env beats the per-figure
-//!   default; see [`jumanji_bench::spec`]). `--threads` also sets the
-//!   scheduler's worker count; `--threads 1` is the serial reference.
-//! - `--trace PATH` — one shared JSONL sink for the whole suite (also
-//!   honours `JUMANJI_TRACE`); each unique cell's event stream is
-//!   emitted exactly once.
+//! - `--mixes` / `--seed` / `--accesses` — forwarded to every figure
+//!   (each overrides the per-figure default; see [`jumanji_bench::spec`]).
+//! - `--threads N` — the scheduler's worker count (default: available
+//!   parallelism); `--threads 1` is the serial reference.
+//! - `--trace PATH` — one shared JSONL sink for the whole suite; each
+//!   unique cell's event stream is emitted exactly once.
 //! - `--no-cache` — run against a throwaway memory-only cache: no store
-//!   is read or written (also honours `JUMANJI_NO_CACHE`).
-//! - `--cache-dir DIR` — back the cache with a persistent store (also
-//!   honours `JUMANJI_CACHE_DIR`): completed cells of every kind —
-//!   analytic runs, detailed-simulator reports and fixed scenarios — are
-//!   read from and written to `DIR`, so a second run starts warm.
-//! - `--cache-cap-bytes N` — bound the persistent store (also honours
-//!   `JUMANJI_CACHE_CAP`): oldest cells are evicted first once the
-//!   store exceeds `N` bytes (0 = unbounded, the default).
+//!   is read or written, not even one `--cache-dir` names.
+//! - `--cache-dir DIR` — back the cache with a persistent store:
+//!   completed cells of every kind — analytic runs, detailed-simulator
+//!   reports and fixed scenarios — are read from and written to `DIR`,
+//!   so a second run starts warm.
+//! - `--cache-cap-bytes N` — bound the persistent store: oldest cells
+//!   are evicted first once the store exceeds `N` bytes (0 = unbounded,
+//!   the default).
+//!
+//! The command line is the only configuration surface: `suite` reads no
+//! environment variable. Value flags take `--flag value` or
+//! `--flag=value`; any argument not listed above is a usage error.
 //!
 //! Per-figure timing lines go to stderr; usage errors exit 2, runtime
 //! errors (including a cell that failed to compute) exit 1, and no
@@ -47,8 +50,9 @@
 
 use jumanji::telemetry::{Event, JsonlSink, NoopSink, Telemetry};
 use jumanji::types::{Error, MapStats};
-use jumanji_bench::cell_cache::{CellCacheStats, CellKind};
-use jumanji_bench::spec::flag_text;
+use jumanji_bench::cell_cache::{attach_global_disk, CellCache, CellCacheStats, CellKind};
+use jumanji_bench::exec::available_threads;
+use jumanji_bench::spec::{flag_text, parse_flag};
 use jumanji_bench::suite::{run_suite, SchedReport, SuiteFigure};
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use std::io::{BufWriter, Write};
@@ -59,6 +63,40 @@ use std::process::ExitCode;
 struct FigureReport {
     name: &'static str,
     seconds: f64,
+}
+
+/// Every flag `suite` takes a value for; `--no-cache` is its one bare
+/// flag.
+const VALUE_FLAGS: [&str; 10] = [
+    "--figures",
+    "--out",
+    "--stats",
+    "--mixes",
+    "--threads",
+    "--seed",
+    "--accesses",
+    "--trace",
+    "--cache-dir",
+    "--cache-cap-bytes",
+];
+
+/// Rejects any argument that is not one of `suite`'s flags (or a value
+/// flag's value), naming it. A value flag followed by another `--flag`
+/// leaves that flag to be checked in turn; [`flag_text`] reports the
+/// missing value.
+fn check_args(args: &[String]) -> Result<(), Error> {
+    let mut rest = args.iter().skip(1).peekable();
+    while let Some(arg) = rest.next() {
+        let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+        if arg == "--no-cache" || (name != arg && VALUE_FLAGS.contains(&name)) {
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&arg.as_str()) {
+            return Err(Error::flag(arg, "unknown argument"));
+        }
+        rest.next_if(|v| !v.starts_with("--"));
+    }
+    Ok(())
 }
 
 /// The figures to run: `--figures a,b,c` with `all` as shorthand for
@@ -161,29 +199,43 @@ fn write_stats(
 }
 
 fn run(args: &[String]) -> Result<(), Error> {
+    check_args(args)?;
     let figures = parse_figures(args)?;
     let out_dir = flag_text(args, "--out")?.map(PathBuf::from);
     let stats_path = flag_text(args, "--stats")?.map(PathBuf::from);
+    let threads = parse_flag(args, "--threads")?
+        .unwrap_or_else(available_threads)
+        .max(1);
+    let trace = flag_text(args, "--trace")?.map(PathBuf::from);
+    let cache_dir = flag_text(args, "--cache-dir")?.map(PathBuf::from);
+    let cache_cap = parse_flag(args, "--cache-cap-bytes")?.unwrap_or(0);
+    let no_cache = args.iter().any(|a| a == "--no-cache");
+    let specs = figures
+        .iter()
+        .map(|&kind| ExperimentSpec::from_args(kind, args))
+        .collect::<Result<Vec<_>, Error>>()?;
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir)?;
     }
-    let specs = figures
-        .iter()
-        .map(|&kind| ExperimentSpec::from_args_env(kind))
-        .collect::<Result<Vec<_>, Error>>()?;
-    // Every spec resolves the same argv and environment, so the first
-    // speaks for the run-wide knobs: pool size and trace file. One sink
-    // serves the whole suite, so figures never truncate each other's
-    // streams.
-    let first = specs.first();
-    let threads = first.map_or(1, |s| s.threads);
-    let sink = match first.and_then(|s| s.trace.as_ref()) {
+    // One sink serves the whole suite, so figures never truncate each
+    // other's streams.
+    let sink = match &trace {
         Some(path) => Some(JsonlSink::create(path)?),
         None => None,
     };
     let tel: &dyn Telemetry = match &sink {
         Some(s) => s,
         None => &NoopSink,
+    };
+    let fresh;
+    let cache = if no_cache {
+        fresh = CellCache::new();
+        &fresh
+    } else {
+        if let Some(dir) = &cache_dir {
+            attach_global_disk(dir, cache_cap);
+        }
+        CellCache::global()
     };
 
     let mut reports = Vec::with_capacity(specs.len());
@@ -202,7 +254,7 @@ fn run(args: &[String]) -> Result<(), Error> {
         });
         Ok(())
     };
-    let summary = run_suite(&specs, threads, tel, &mut emit)?;
+    let summary = run_suite(&specs, threads, cache, tel, &mut emit)?;
     let total_seconds = summary.total_seconds;
     let stats = summary.cache;
     let s = &summary.sched;

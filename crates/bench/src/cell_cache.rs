@@ -32,8 +32,8 @@
 //! and writes it through; telemetry's bit-identical contract makes that
 //! result indistinguishable from an untraced one.
 //!
-//! A spec's `cache_dir` attaches a store to the global cache
-//! ([`attach_global_disk`]); `no_cache` runs the executor against a
+//! `suite --cache-dir` attaches a store to the global cache
+//! ([`attach_global_disk`]); `--no-cache` runs the executor against a
 //! throwaway [`CellCache::new`] with no store.
 
 use crate::disk_cache::{self, DiskCache, DiskCacheStats};
@@ -348,8 +348,8 @@ impl CellCache {
         }
     }
 
-    /// The process-wide cache every suite run shares (unless its specs
-    /// ask for `no_cache`).
+    /// The process-wide cache every suite run shares (`suite --no-cache`
+    /// runs against a [`CellCache::new`] instead).
     pub fn global() -> &'static CellCache {
         static GLOBAL: OnceLock<CellCache> = OnceLock::new();
         GLOBAL.get_or_init(CellCache::new)

@@ -2,9 +2,8 @@
 //!
 //! [`CellCache`](crate::cell_cache::CellCache) deduplicates cells inside
 //! one process; this module makes the dedup survive the process. A
-//! [`DiskCache`] roots a directory (`--cache-dir` /
-//! `JUMANJI_CACHE_DIR`) holding one file per completed cell,
-//! `<kind>/<key>.bin`: the [`CellKind`]'s directory and the cell's
+//! [`DiskCache`] roots a directory (`suite --cache-dir`) holding one
+//! file per completed cell, `<kind>/<key>.bin`: the [`CellKind`]'s directory and the cell's
 //! 128-bit content fingerprint — the *same* key the in-memory map uses,
 //! so a cell computed by any process is warm for every later one. One
 //! generic [`DiskCache::load`] / [`DiskCache::store`] pair serves every
@@ -35,7 +34,7 @@
 //! to byte-identical TSVs.
 //!
 //! The store is bounded on request: [`DiskCache::set_cap_bytes`]
-//! (`--cache-cap-bytes` / `JUMANJI_CACHE_CAP` on `suite`) caps the
+//! (`--cache-cap-bytes` on `suite`) caps the
 //! total size of the entry files, and [`DiskCache::enforce_cap`] evicts
 //! the least-recently-written entries (by mtime — every write refreshes
 //! its entry's mtime, so write order approximates use order) until the

@@ -2,9 +2,8 @@
 //!
 //! - [`flag_value`] / [`available_threads`] — lenient argv lookup and
 //!   the default worker count. The `suite` binary's flags resolve through
-//!   the strict [`flag_text`](crate::spec::flag_text) of [`crate::spec`],
-//!   the one config surface; only the benchmark probe still calls
-//!   [`flag_value`].
+//!   the strict [`flag_text`](crate::spec::flag_text) of [`crate::spec`];
+//!   only the benchmark probe still calls [`flag_value`].
 //! - [`sched`] — the work-graph scheduler the suite executor runs every
 //!   figure's deduplicated cells on: one shared ready queue,
 //!   long-pole-first, with dependency counts for graphs that have edges.

@@ -160,7 +160,8 @@ pub struct GraphReport {
     /// Per-worker executed-node counts.
     pub jobs: Vec<u64>,
     /// Per-node measured durations, µs, indexed by node id. The suite
-    /// feeds these back into the persistent cost priors.
+    /// costs nodes by static priors and never reads these; the
+    /// benchmark probe records them.
     pub node_us: Vec<u64>,
 }
 

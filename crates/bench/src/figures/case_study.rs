@@ -142,7 +142,7 @@ pub fn fig04(
         out,
         "design\tt_ms\tavg_latency_ms\tavg_alloc_mb\tvulnerability"
     )?;
-    for (&design, r) in spec.designs.iter().zip(&results.runs[0]) {
+    for (&design, r) in spec.designs().iter().zip(&results.runs[0]) {
         for rec in &r.timeline {
             let lat: Vec<f64> = rec.lc_mean_latency_ms.iter().flatten().copied().collect();
             let avg_lat = if lat.is_empty() {
@@ -191,7 +191,7 @@ pub fn fig05(
         out,
         "design\tworst_norm_tail\tbatch_speedup_pct\tvulnerability"
     )?;
-    for &design in &spec.designs {
+    for &design in spec.designs() {
         let r = results.run(plan, 0, design);
         writeln!(
             out,

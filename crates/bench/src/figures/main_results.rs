@@ -22,7 +22,7 @@ pub fn fig13(
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let designs = &spec.designs;
+    let designs = spec.designs();
     writeln!(
         out,
         "# Fig. 13: tail latency + batch speedup over {mixes} random mixes"
@@ -84,7 +84,7 @@ pub fn fig14(
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let designs = &spec.designs;
+    let designs = spec.designs();
     let mut acc = vec![Vec::new(); designs.len()];
     for cells in &design_cells(spec, plan, results) {
         for (d, cell) in cells.iter().enumerate() {
@@ -117,7 +117,7 @@ pub fn fig15(
     results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
-    let designs = &spec.designs;
+    let designs = spec.designs();
     writeln!(
         out,
         "# Fig. 15: data-movement energy at high load, normalized to Static"
@@ -189,7 +189,7 @@ pub fn fig16(
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let designs = &spec.designs;
+    let designs = spec.designs();
     writeln!(
         out,
         "# Fig. 16: Jumanji vs Insecure vs Ideal Batch ({mixes} mixes/group)"

@@ -34,6 +34,8 @@ mod studies;
 mod tables;
 mod validate;
 
+/// Renders one figure on the suite executor ([`crate::suite::emit`]).
+pub use crate::suite::emit;
 use plan::FigurePlan;
 
 /// The executor's results for one figure, in plan order.
@@ -59,23 +61,6 @@ impl FigureResults {
             .expect("the plan runs every design its render reads");
         &self.runs[cell][at]
     }
-}
-
-/// Renders `spec.kind` to `out`: plans the figure, runs its cells on the
-/// suite executor over the process-wide cell cache (a throwaway one under
-/// [`ExperimentSpec::no_cache`]), and folds the results. Telemetry from
-/// the cells goes to `tel`.
-///
-/// # Errors
-///
-/// Usage errors for bad spec contents, runtime errors for I/O failures
-/// and failed cells.
-pub fn emit(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    crate::suite::run_suite(std::slice::from_ref(spec), spec.threads, tel, &mut |fig| {
-        out.write_all(&fig.bytes)?;
-        Ok(())
-    })?;
-    Ok(())
 }
 
 /// Folds `results` — the executor's output for `plan`, which must be
@@ -124,7 +109,7 @@ fn groups_by_load(loads: &[LcLoad]) -> Vec<(crate::LcGroup, LcLoad)> {
 /// Per-design distributions of the matrix figures: the plan holds
 /// `spec.mixes` consecutive cells per `(group, load)` matrix, each with
 /// the Static baseline, so this yields one `DesignCell` per
-/// `spec.designs` entry for every matrix, in plan order.
+/// `spec.designs()` entry for every matrix, in plan order.
 fn design_cells(
     spec: &ExperimentSpec,
     plan: &FigurePlan,
@@ -133,13 +118,13 @@ fn design_cells(
     (0..plan.cells.len() / spec.mixes)
         .map(|matrix| {
             let mut cells: Vec<DesignCell> = spec
-                .designs
+                .designs()
                 .iter()
                 .map(|_| DesignCell::with_capacity(spec.mixes))
                 .collect();
             for i in matrix * spec.mixes..(matrix + 1) * spec.mixes {
                 let baseline = results.run(plan, i, DesignKind::Static);
-                for (cell, &design) in cells.iter_mut().zip(&spec.designs) {
+                for (cell, &design) in cells.iter_mut().zip(spec.designs()) {
                     cell.push(&MixMetrics::of(results.run(plan, i, design), baseline));
                 }
             }
@@ -172,10 +157,7 @@ mod tests {
 
     /// Renders `kind` at minimum cost into a buffer and sanity-checks it.
     fn smoke(kind: FigureKind, mixes: usize) -> String {
-        let spec = ExperimentSpec::new(kind)
-            .mixes(mixes)
-            .threads(2)
-            .accesses(2_000);
+        let spec = ExperimentSpec::new(kind).mixes(mixes).accesses(2_000);
         let mut buf = Vec::new();
         emit(&spec, &NoopSink, &mut buf).expect("figure renders");
         let text = String::from_utf8(buf).expect("valid utf-8");
@@ -195,9 +177,9 @@ mod tests {
 
     #[test]
     fn cheap_figures_render_well_formed_tsv() {
-        // The figures that finish quickly even in debug builds; the full
-        // 18-figure sweep runs under JUMANJI_SMOKE_ALL=1 (CI does this in
-        // release mode via scripts/verify.sh).
+        // The figures that finish quickly even in debug builds;
+        // scripts/verify.sh makes the same checks on all 18 figures in
+        // one release-mode `suite --figures all --mixes 1` run.
         let tables = smoke(FigureKind::Table2, 1);
         assert!(tables.contains("parameter\tvalue"));
         let t3 = smoke(FigureKind::Table3, 1);
@@ -210,19 +192,7 @@ mod tests {
             .lines()
             .filter(|l| !l.starts_with('#') && !l.starts_with("design"))
             .count();
-        assert_eq!(rows, FigureKind::Fig05.default_designs().len());
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)] // opt-in smoke sweep reads its own gate
-    fn every_figure_renders_at_mixes_1_when_enabled() {
-        if std::env::var_os("JUMANJI_SMOKE_ALL").is_none() {
-            eprintln!("set JUMANJI_SMOKE_ALL=1 to sweep all 18 figures");
-            return;
-        }
-        for kind in FigureKind::all() {
-            smoke(kind, 1);
-        }
+        assert_eq!(rows, FigureKind::Fig05.designs().len());
     }
 
     #[test]
@@ -230,7 +200,7 @@ mod tests {
         // Fig. 5 runs the baseline plus four designs; the sink must
         // observe one RunSummary per run and the per-interval controller
         // stream, without changing the rendered bytes.
-        let spec = ExperimentSpec::new(FigureKind::Fig05).threads(1);
+        let spec = ExperimentSpec::new(FigureKind::Fig05);
         let mut plain = Vec::new();
         emit(&spec, &NoopSink, &mut plain).expect("renders");
         let sink = RecordingSink::new();
@@ -242,7 +212,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, jumanji::telemetry::Event::RunSummary { .. }))
             .count();
-        assert_eq!(summaries, 1 + spec.designs.len());
+        assert_eq!(summaries, 1 + spec.designs().len());
         assert!(events
             .iter()
             .any(|e| matches!(e, jumanji::telemetry::Event::Controller { .. })));

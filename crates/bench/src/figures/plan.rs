@@ -228,7 +228,7 @@ fn matrix_cells(
     spec: &ExperimentSpec,
 ) -> Result<Vec<CellPlan>, Error> {
     let base = sim_opts(spec);
-    let designs = with_baseline(&spec.designs);
+    let designs = with_baseline(spec.designs());
     let mut cells = Vec::with_capacity(matrices.len() * spec.mixes);
     for &(group, load) in matrices {
         for seed in 0..spec.mixes as u64 {
@@ -265,14 +265,14 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
                 mix: case_study_mix(spec.seed),
                 load: LcLoad::High,
                 opts,
-                designs: spec.designs.clone(),
+                designs: spec.designs().to_vec(),
             }]
         }
         Fig05 => vec![CellPlan {
             mix: case_study_mix(spec.seed),
             load: LcLoad::High,
             opts: sim_opts(spec),
-            designs: with_baseline(&spec.designs),
+            designs: with_baseline(spec.designs()),
         }],
         Fig09 => {
             let base_opts = sim_opts(spec);
@@ -390,7 +390,7 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
             let cores: Vec<CoreId> = input.apps.iter().map(|a| a.core).collect();
             let vms: Vec<VmId> = input.apps.iter().map(|a| a.vm).collect();
             let opts = super::case_study::fig02_opts(&cfg, spec.accesses);
-            spec.designs
+            spec.designs()
                 .iter()
                 .map(|&design| DetailPlan {
                     design,
@@ -527,11 +527,11 @@ mod tests {
         let spec = ExperimentSpec::new(FigureKind::Fig02).accesses(4_000);
         let plan = of(&spec).expect("plannable");
         assert!(plan.cells.is_empty());
-        assert_eq!(plan.details.len(), spec.designs.len());
+        assert_eq!(plan.details.len(), spec.designs().len());
         let mut keys: Vec<u128> = plan.details.iter().map(DetailPlan::key).collect();
         keys.sort_unstable();
         keys.dedup();
-        assert_eq!(keys.len(), spec.designs.len(), "allocs differ per design");
+        assert_eq!(keys.len(), spec.designs().len(), "allocs differ per design");
 
         // Validate: designs × mixes cells, design-major like the render.
         let vspec = ExperimentSpec::new(FigureKind::Validate)

@@ -1,44 +1,30 @@
-//! One declarative description of a figure run.
+//! One declarative description of a figure: which figure, and the
+//! inputs its cells derive from.
 //!
-//! [`ExperimentSpec`] collects every knob of a figure run — mix count,
-//! worker threads, RNG seed, detailed-sim accesses, design list, cache
-//! controls, trace output — behind one builder, with one resolution order
-//! everywhere:
+//! [`ExperimentSpec`] names a [`FigureKind`] plus the three knobs that
+//! change the figure's cells: the mix count, the base RNG seed and the
+//! detailed-sim accesses. Everything else about a run — worker threads,
+//! the persistent store, the trace file — describes the run, not the
+//! figure, and is set once on the `suite` command line (the binary hands
+//! the executor its [`CellCache`](crate::CellCache) and worker count).
+//! The command line is the only configuration surface: nothing here
+//! reads the environment.
 //!
-//! 1. CLI flag (`--mixes`, `--threads`, `--seed`, `--accesses`,
-//!    `--trace`, `--cache-dir`, `--no-cache`, `--cache-cap-bytes`) —
-//!    strict: a missing or unparseable value is a usage error.
-//! 2. Environment — lenient: an unparseable value falls through, so a
-//!    stale export degrades to the default instead of silently meaning
-//!    something else:
-//!    - `JUMANJI_MIXES`, `JUMANJI_THREADS` — counts;
-//!    - `JUMANJI_TRACE` — JSONL trace path;
-//!    - `JUMANJI_CACHE_DIR` — persistent store directory;
-//!    - `JUMANJI_NO_CACHE` — any value but empty or `0` disables caching;
-//!    - `JUMANJI_CACHE_CAP` — store size cap in bytes (`0` = unbounded).
-//! 3. The spec's builder value ([`ExperimentSpec::cache_dir`] /
-//!    [`ExperimentSpec::no_cache`] for the cache controls), then the
-//!    figure's own default ([`FigureKind::default_mixes`] etc.).
-//!
-//! The suite executor ([`crate::suite::run_suite`]) honours the cache
-//! controls. Library callers build specs directly and render through
-//! [`figures::emit`](crate::figures::emit):
+//! [`ExperimentSpec::from_args`] reads `--mixes`, `--seed` and
+//! `--accesses` strictly (a missing or unparseable value is a usage
+//! error) and ignores every other argument. Library callers build specs
+//! directly and render through [`figures::emit`](crate::figures::emit):
 //!
 //! ```no_run
 //! use jumanji::telemetry::NoopSink;
 //! use jumanji_bench::{figures, ExperimentSpec, FigureKind};
 //!
-//! let spec = ExperimentSpec::new(FigureKind::Fig14).mixes(2).threads(4);
+//! let spec = ExperimentSpec::new(FigureKind::Fig14).mixes(2);
 //! figures::emit(&spec, &NoopSink, &mut std::io::stdout()).expect("figure renders");
 //! ```
 
-// spec.rs IS the centralized JUMANJI_* config surface (lint.toml
-// [paths].env_allow), so the env-read ban does not apply here.
-#![allow(clippy::disallowed_methods)]
-
 use jumanji::prelude::*;
 use jumanji::types::Error;
-use std::path::PathBuf;
 
 /// Every figure, table, and study in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,95 +134,54 @@ impl FigureKind {
         }
     }
 
-    /// Default design list. Empty for figures whose structure fixes the
-    /// designs (e.g. Fig. 16's three Jumanji variants, the attack demos).
-    pub fn default_designs(self) -> Vec<DesignKind> {
+    /// The designs the figure evaluates, in render order. Empty for
+    /// figures whose structure fixes their designs (the case-study
+    /// sweeps, the attack demos, the tables and studies).
+    pub fn designs(self) -> &'static [DesignKind] {
+        use DesignKind::*;
         use FigureKind::*;
         match self {
-            Fig02 => vec![
-                DesignKind::Adaptive,
-                DesignKind::VmPart,
-                DesignKind::Jigsaw,
-                DesignKind::Jumanji,
-            ],
-            Fig04 | Fig05 | Fig13 | Fig14 => DesignKind::main_four().to_vec(),
-            Fig15 => vec![
-                DesignKind::Static,
-                DesignKind::Adaptive,
-                DesignKind::VmPart,
-                DesignKind::Jigsaw,
-                DesignKind::Jumanji,
-            ],
-            Fig16 => vec![
-                DesignKind::Jumanji,
-                DesignKind::JumanjiInsecure,
-                DesignKind::JumanjiIdealBatch,
-            ],
-            _ => Vec::new(),
+            Fig02 | Fig04 | Fig05 | Fig13 | Fig14 => &[Adaptive, VmPart, Jigsaw, Jumanji],
+            Fig15 => &[Static, Adaptive, VmPart, Jigsaw, Jumanji],
+            Fig16 => &[Jumanji, JumanjiInsecure, JumanjiIdealBatch],
+            _ => &[],
         }
     }
 }
 
-/// Declarative description of one figure run.
+/// Declarative description of one figure: the inputs its cells
+/// derive from.
 ///
 /// Build with [`ExperimentSpec::new`] (per-figure defaults) or
-/// [`ExperimentSpec::from_args_env`] (the `suite` binary's CLI/env
-/// resolution), then refine with the builder methods.
+/// [`ExperimentSpec::from_args`] (the `suite` binary's flags), then
+/// refine with the builder methods.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
     /// Which figure to render.
     pub kind: FigureKind,
     /// Random mixes (or seeds) per configuration.
     pub mixes: usize,
-    /// Worker threads for the experiment fan-out.
-    pub threads: usize,
     /// Base RNG seed (the analytic simulator's arrival streams and the
     /// case-study mix derive from it).
     pub seed: u64,
     /// Detailed-sim accesses per app (Fig. 2 and the validation study).
     pub accesses: usize,
-    /// Designs to evaluate, for figures that iterate over a design list.
-    pub designs: Vec<DesignKind>,
-    /// Back the shared cell cache with a persistent store at this
-    /// directory (ignored when `no_cache` is set).
-    pub cache_dir: Option<PathBuf>,
-    /// Size cap of the persistent store in bytes; `0` is unbounded.
-    pub cache_cap_bytes: u64,
-    /// Run against a throwaway memory-only cache: nothing is read from
-    /// or written to the shared cache or any store (beats `cache_dir`).
-    pub no_cache: bool,
-    /// Write telemetry as JSONL to this path (the `suite` binary opens
-    /// it).
-    pub trace: Option<PathBuf>,
 }
 
 impl ExperimentSpec {
-    /// A spec with `kind`'s defaults: paper mix count, all available
-    /// cores, seed 1, no telemetry.
+    /// A spec with `kind`'s defaults: its mix count and accesses, seed 1.
     pub fn new(kind: FigureKind) -> ExperimentSpec {
         ExperimentSpec {
             kind,
             mixes: kind.default_mixes(),
-            threads: crate::exec::available_threads(),
             seed: 1,
             accesses: kind.default_accesses(),
-            designs: kind.default_designs(),
-            cache_dir: None,
-            cache_cap_bytes: 0,
-            no_cache: false,
-            trace: None,
         }
     }
 
     /// Sets the mix count.
     pub fn mixes(mut self, mixes: usize) -> ExperimentSpec {
         self.mixes = mixes.max(1);
-        self
-    }
-
-    /// Sets the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> ExperimentSpec {
-        self.threads = threads.max(1);
         self
     }
 
@@ -252,137 +197,33 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the design list.
-    pub fn designs(mut self, designs: &[DesignKind]) -> ExperimentSpec {
-        self.designs = designs.to_vec();
-        self
+    /// The designs the figure evaluates ([`FigureKind::designs`]).
+    pub fn designs(&self) -> &'static [DesignKind] {
+        self.kind.designs()
     }
 
-    /// Backs the shared cell cache with a persistent store at `dir`
-    /// when the spec runs (same semantics as `--cache-dir`; overridden
-    /// by `JUMANJI_CACHE_DIR` and the CLI flag under
-    /// [`Self::from_args_env`]).
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> ExperimentSpec {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Runs this spec against a throwaway cache (same semantics as
-    /// `--no-cache`; beats [`Self::cache_dir`]).
-    pub fn no_cache(mut self) -> ExperimentSpec {
-        self.no_cache = true;
-        self
-    }
-
-    /// Writes telemetry as JSONL to `path`.
-    pub fn trace(mut self, path: impl Into<PathBuf>) -> ExperimentSpec {
-        self.trace = Some(path.into());
-        self
-    }
-
-    /// Parses an argv-style slice (program name first or not — only
-    /// `--flag value` pairs are inspected).
+    /// `kind`'s defaults, overridden by `--mixes`, `--seed` and
+    /// `--accesses` in the argv-style slice `args` (program name first or
+    /// not — only those flags are inspected, in either `--flag value` or
+    /// `--flag=value` form).
     ///
     /// # Errors
     ///
-    /// Returns a usage [`Error::Flag`] for a recognized flag with a
-    /// missing or unparseable value. Unrecognized arguments are ignored.
+    /// Returns a usage [`Error::Flag`] for one of those flags with a
+    /// missing or unparseable value. Every other argument is ignored.
     pub fn from_args(kind: FigureKind, args: &[String]) -> Result<ExperimentSpec, Error> {
-        ExperimentSpec::new(kind).apply_flags(args)
-    }
-
-    /// [`Self::from_args`] on the process's own argv over the
-    /// environment layer: CLI beats `JUMANJI_*` beats the figure's
-    /// default (see the module docs for the variables).
-    ///
-    /// # Errors
-    ///
-    /// Usage errors from CLI flags only — environment values that fail
-    /// to parse fall through to the default.
-    pub fn from_args_env(kind: FigureKind) -> Result<ExperimentSpec, Error> {
         let mut spec = ExperimentSpec::new(kind);
-        if let Some(v) = env_count("JUMANJI_MIXES") {
-            spec.mixes = v;
-        }
-        if let Some(v) = env_count("JUMANJI_THREADS") {
-            spec.threads = v;
-        }
-        if let Some(p) = std::env::var_os("JUMANJI_TRACE") {
-            if !p.is_empty() {
-                spec.trace = Some(PathBuf::from(p));
-            }
-        }
-        if let Some(cap) = env_count("JUMANJI_CACHE_CAP") {
-            spec.cache_cap_bytes = cap as u64;
-        }
-        resolve_cache_controls(
-            &mut spec,
-            &[],
-            std::env::var("JUMANJI_NO_CACHE").ok(),
-            std::env::var("JUMANJI_CACHE_DIR").ok(),
-        )?;
-        let args: Vec<String> = std::env::args().collect();
-        spec.apply_flags(&args)
-    }
-
-    /// The CLI layer: every recognized flag in `args` overrides the
-    /// spec's value (strictly parsed), then the counts are clamped.
-    fn apply_flags(mut self, args: &[String]) -> Result<ExperimentSpec, Error> {
         if let Some(v) = parse_flag(args, "--mixes")? {
-            self.mixes = v;
-        }
-        if let Some(v) = parse_flag(args, "--threads")? {
-            self.threads = v;
+            spec = spec.mixes(v);
         }
         if let Some(v) = parse_flag(args, "--seed")? {
-            self.seed = v;
+            spec = spec.seed(v);
         }
         if let Some(v) = parse_flag(args, "--accesses")? {
-            self.accesses = v;
+            spec = spec.accesses(v);
         }
-        if let Some(p) = flag_text(args, "--trace")? {
-            self.trace = Some(PathBuf::from(p));
-        }
-        if let Some(v) = parse_flag(args, "--cache-cap-bytes")? {
-            self.cache_cap_bytes = v;
-        }
-        resolve_cache_controls(&mut self, args, None, None)?;
-        self.mixes = self.mixes.max(1);
-        self.threads = self.threads.max(1);
-        self.accesses = self.accesses.max(1);
-        Ok(self)
+        Ok(spec)
     }
-}
-
-/// Resolves the spec's `no_cache` / `cache_dir` controls: CLI flag
-/// beats environment beats whatever the builder set. The environment is
-/// lenient (empty or `0` means unset), the CLI strict — factored over
-/// explicit `env_*` values so tests need not mutate process environment.
-/// The environment layer calls it with no arguments, the CLI layer with
-/// no environment.
-fn resolve_cache_controls(
-    spec: &mut ExperimentSpec,
-    args: &[String],
-    env_no_cache: Option<String>,
-    env_cache_dir: Option<String>,
-) -> Result<(), Error> {
-    if let Some(v) = env_no_cache {
-        if !v.is_empty() && v != "0" {
-            spec.no_cache = true;
-        }
-    }
-    if let Some(dir) = env_cache_dir {
-        if !dir.is_empty() {
-            spec.cache_dir = Some(PathBuf::from(dir));
-        }
-    }
-    if args.iter().any(|a| a == "--no-cache") {
-        spec.no_cache = true;
-    }
-    if let Some(dir) = flag_text(args, "--cache-dir")? {
-        spec.cache_dir = Some(PathBuf::from(dir));
-    }
-    Ok(())
 }
 
 /// The value of `flag`, as text, in either `--flag value` or
@@ -412,7 +253,12 @@ pub fn flag_text(args: &[String], flag: &str) -> Result<Option<String>, Error> {
 }
 
 /// The value after `flag`, parsed. Unparseable is a usage error.
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Error> {
+///
+/// # Errors
+///
+/// A usage error when `flag` is present without a value, or with one
+/// that does not parse as `T`.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Error> {
     match flag_text(args, flag)? {
         None => Ok(None),
         Some(v) => v
@@ -420,11 +266,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
             .map(Some)
             .map_err(|_| Error::flag(flag, format!("invalid value `{v}`"))),
     }
-}
-
-/// A `VAR=n` environment count; unset or unparseable yields `None`.
-fn env_count(var: &str) -> Option<usize> {
-    std::env::var(var).ok()?.parse().ok()
 }
 
 #[cfg(test)]
@@ -440,39 +281,29 @@ mod tests {
         let spec = ExperimentSpec::new(FigureKind::Fig13);
         assert_eq!(spec.mixes, crate::PAPER_MIXES);
         assert_eq!(spec.seed, 1);
-        assert_eq!(spec.designs, DesignKind::main_four().to_vec());
-        assert!(spec.trace.is_none());
+        assert_eq!(spec.designs(), DesignKind::main_four());
         assert_eq!(ExperimentSpec::new(FigureKind::Fig09).mixes, 5);
         assert_eq!(ExperimentSpec::new(FigureKind::Fig02).accesses, 40_000);
         assert_eq!(ExperimentSpec::new(FigureKind::Validate).accesses, 200_000);
-        assert!(ExperimentSpec::new(FigureKind::Table2).designs.is_empty());
+        assert!(ExperimentSpec::new(FigureKind::Table2).designs().is_empty());
     }
 
     #[test]
     fn builder_methods_override_and_clamp() {
         let spec = ExperimentSpec::new(FigureKind::Fig14)
             .mixes(0)
-            .threads(0)
             .seed(9)
-            .accesses(0)
-            .designs(&[DesignKind::Jumanji])
-            .trace("/tmp/t.jsonl");
+            .accesses(0);
         assert_eq!(spec.mixes, 1);
-        assert_eq!(spec.threads, 1);
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.accesses, 1);
-        assert_eq!(spec.designs, vec![DesignKind::Jumanji]);
-        assert_eq!(
-            spec.trace.as_deref(),
-            Some(std::path::Path::new("/tmp/t.jsonl"))
-        );
     }
 
     #[test]
     fn cli_flags_parse_strictly() {
-        let args = argv(&["fig13", "--mixes", "7", "--threads", "3", "--seed", "42"]);
+        let args = argv(&["fig13", "--mixes", "7", "--accesses", "3", "--seed", "42"]);
         let spec = ExperimentSpec::from_args(FigureKind::Fig13, &args).expect("valid argv");
-        assert_eq!((spec.mixes, spec.threads, spec.seed), (7, 3, 42));
+        assert_eq!((spec.mixes, spec.accesses, spec.seed), (7, 3, 42));
 
         let err = ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--mixes", "x"]))
             .expect_err("unparseable value");
@@ -485,29 +316,21 @@ mod tests {
 
         // A flag in value position counts as missing, not as a value.
         let err =
-            ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--trace", "--verbose"]))
+            ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--seed", "--verbose"]))
                 .expect_err("flag as value");
-        assert!(err.to_string().contains("--trace"));
+        assert!(err.to_string().contains("--seed"));
     }
 
     #[test]
     fn cli_flags_accept_equals_form() {
-        let args = argv(&["fig13", "--mixes=7", "--threads=3", "--seed=42"]);
+        let args = argv(&["fig13", "--mixes=7", "--accesses=3", "--seed=42"]);
         let spec = ExperimentSpec::from_args(FigureKind::Fig13, &args).expect("valid argv");
-        assert_eq!((spec.mixes, spec.threads, spec.seed), (7, 3, 42));
-
-        let spec =
-            ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--trace=/tmp/t.jsonl"]))
-                .expect("valid argv");
-        assert_eq!(
-            spec.trace.as_deref(),
-            Some(std::path::Path::new("/tmp/t.jsonl"))
-        );
+        assert_eq!((spec.mixes, spec.accesses, spec.seed), (7, 3, 42));
 
         // Mixed forms in one argv; first occurrence wins per flag.
-        let args = argv(&["fig13", "--mixes=5", "--threads", "2"]);
+        let args = argv(&["fig13", "--mixes=5", "--seed", "2", "--mixes", "9"]);
         let spec = ExperimentSpec::from_args(FigureKind::Fig13, &args).expect("valid argv");
-        assert_eq!((spec.mixes, spec.threads), (5, 2));
+        assert_eq!((spec.mixes, spec.seed), (5, 2));
 
         let err = ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--mixes="]))
             .expect_err("empty value");
@@ -517,100 +340,6 @@ mod tests {
         let err = ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--mixes=x"]))
             .expect_err("unparseable value");
         assert!(err.is_usage());
-    }
-
-    #[test]
-    fn cache_controls_resolve_cli_over_env_over_builder() {
-        use std::path::Path;
-        // Builder value survives when neither CLI nor env speaks.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13).cache_dir("/from/builder");
-        resolve_cache_controls(&mut spec, &argv(&["fig13"]), None, None).expect("valid");
-        assert_eq!(spec.cache_dir.as_deref(), Some(Path::new("/from/builder")));
-        assert!(!spec.no_cache);
-
-        // Environment beats the builder.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13).cache_dir("/from/builder");
-        resolve_cache_controls(
-            &mut spec,
-            &argv(&["fig13"]),
-            Some("1".into()),
-            Some("/from/env".into()),
-        )
-        .expect("valid");
-        assert_eq!(spec.cache_dir.as_deref(), Some(Path::new("/from/env")));
-        assert!(spec.no_cache);
-
-        // CLI beats the environment.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(
-            &mut spec,
-            &argv(&["fig13", "--cache-dir", "/from/cli"]),
-            None,
-            Some("/from/env".into()),
-        )
-        .expect("valid");
-        assert_eq!(spec.cache_dir.as_deref(), Some(Path::new("/from/cli")));
-
-        // Env no-cache is lenient: empty and `0` mean unset.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(&mut spec, &argv(&["fig13"]), Some("0".into()), None)
-            .expect("valid");
-        assert!(!spec.no_cache);
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(&mut spec, &argv(&["fig13"]), Some(String::new()), None)
-            .expect("valid");
-        assert!(!spec.no_cache);
-
-        // CLI --no-cache is a bare flag; --cache-dir stays strict.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(&mut spec, &argv(&["fig13", "--no-cache"]), None, None)
-            .expect("valid");
-        assert!(spec.no_cache);
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        let err = resolve_cache_controls(&mut spec, &argv(&["fig13", "--cache-dir"]), None, None)
-            .expect_err("missing value");
-        assert!(err.is_usage());
-    }
-
-    #[test]
-    fn cache_flags_are_recognised() {
-        let spec = ExperimentSpec::from_args(FigureKind::Fig13, &argv(&["fig13", "--mixes", "2"]))
-            .expect("valid argv");
-        assert!(!spec.no_cache && spec.cache_dir.is_none() && spec.cache_cap_bytes == 0);
-        let args = argv(&[
-            "fig13",
-            "--no-cache",
-            "--cache-dir=/tmp/y",
-            "--cache-cap-bytes",
-            "4096",
-        ]);
-        let spec = ExperimentSpec::from_args(FigureKind::Fig13, &args).expect("valid argv");
-        assert!(spec.no_cache);
-        assert_eq!(
-            spec.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/y"))
-        );
-        assert_eq!(spec.cache_cap_bytes, 4096);
-        let err = ExperimentSpec::from_args(
-            FigureKind::Fig13,
-            &argv(&["fig13", "--cache-cap-bytes", "lots"]),
-        )
-        .expect_err("unparseable cap");
-        assert!(err.is_usage());
-    }
-
-    #[test]
-    fn builder_cache_controls_set_fields() {
-        let spec = ExperimentSpec::new(FigureKind::Fig14)
-            .cache_dir("/tmp/cells")
-            .no_cache();
-        assert_eq!(
-            spec.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/cells"))
-        );
-        assert!(spec.no_cache);
-        let spec = ExperimentSpec::new(FigureKind::Fig14);
-        assert!(spec.cache_dir.is_none() && !spec.no_cache);
     }
 
     #[test]
@@ -624,14 +353,24 @@ mod tests {
 
     #[test]
     fn unrecognized_arguments_are_ignored() {
-        let spec =
-            ExperimentSpec::from_args(FigureKind::Fig14, &argv(&["fig14", "--unknown", "5"]))
-                .expect("unknown flags ignored");
+        // The run-wide flags are the `suite` binary's, not the spec's:
+        // even a value the binary would reject leaves the spec alone.
+        let args = argv(&[
+            "fig14",
+            "--unknown",
+            "5",
+            "--threads",
+            "x",
+            "--no-cache",
+            "--cache-dir=/tmp/y",
+        ]);
+        let spec = ExperimentSpec::from_args(FigureKind::Fig14, &args)
+            .expect("other arguments are ignored");
         assert_eq!(spec.mixes, 8);
     }
 
     #[test]
-    fn kind_names_are_unique_and_match_binaries() {
+    fn kind_names_are_unique() {
         let mut names: Vec<&str> = FigureKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 18);
         names.sort_unstable();

@@ -28,13 +28,13 @@
 //!    byte-identical at every thread count; `--threads 1` is the serial
 //!    reference.
 //!
-//! The specs' cache controls pick the cache: `no_cache` runs against a
-//! throwaway [`CellCache::new`] with no store (leaving the process-wide
-//! cache untouched); otherwise the process-wide cache serves, with the
-//! store at `cache_dir` attached. The store holds cells and nothing
-//! else; a capped store is trimmed again at the end of every call. With
-//! tracing on, the cache bypasses reads, so every unique cell's event
-//! stream is emitted exactly once.
+//! The caller picks the cache the nodes read through: the `suite`
+//! binary passes [`CellCache::global`] with its `--cache-dir` store
+//! attached, or a throwaway [`CellCache::new`] under `--no-cache`
+//! (leaving the process-wide cache untouched). The store holds cells and
+//! nothing else; a capped store is trimmed again at the end of every
+//! call. With tracing on, the cache bypasses reads, so every unique
+//! cell's event stream is emitted exactly once.
 //! A node that panics fails only the figures that need it: they are
 //! never rendered, and the call returns an error after emitting the
 //! figures requested before the first of them.
@@ -49,8 +49,8 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use crate::cell_cache::{
-    attach_global_disk, AnyCell, Cell, CellCache, CellCacheStats, CellKind, ExperimentHandle,
-    RunCell, RunSource, Shared,
+    AnyCell, Cell, CellCache, CellCacheStats, CellKind, ExperimentHandle, RunCell, RunSource,
+    Shared,
 };
 use crate::exec::sched::{self, Graph, GraphReport};
 use crate::figures::{self, plan, FigureResults};
@@ -60,6 +60,7 @@ use jumanji::types::hash::Mix64Build;
 use jumanji::types::Error;
 use std::any::Any;
 use std::collections::HashMap;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -305,9 +306,9 @@ fn cells_failed(kind: FigureKind) -> Error {
     )))
 }
 
-/// Runs the suite over `specs` on `threads` workers, calling `emit` once
-/// per figure in `specs` order, each as soon as it is ready. Cell
-/// telemetry goes to `tel`; the specs' `trace` fields are ignored.
+/// Runs the suite over `specs` on `threads` workers against `cache`,
+/// calling `emit` once per figure in `specs` order, each as soon as it is
+/// ready. Cell telemetry goes to `tel`.
 ///
 /// # Errors
 ///
@@ -316,25 +317,7 @@ fn cells_failed(kind: FigureKind) -> Error {
 pub fn run_suite(
     specs: &[ExperimentSpec],
     threads: usize,
-    tel: &dyn Telemetry,
-    emit: &mut dyn FnMut(SuiteFigure) -> Result<(), Error>,
-) -> Result<SuiteReport, Error> {
-    if specs.iter().any(|s| s.no_cache) {
-        return run_in(&CellCache::new(), specs, threads, tel, emit);
-    }
-    for spec in specs {
-        if let Some(dir) = &spec.cache_dir {
-            attach_global_disk(dir, spec.cache_cap_bytes);
-        }
-    }
-    run_in(CellCache::global(), specs, threads, tel, emit)
-}
-
-/// [`run_suite`] against `cache`.
-fn run_in(
     cache: &CellCache,
-    specs: &[ExperimentSpec],
-    threads: usize,
     tel: &dyn Telemetry,
     emit: &mut dyn FnMut(SuiteFigure) -> Result<(), Error>,
 ) -> Result<SuiteReport, Error> {
@@ -422,6 +405,24 @@ fn run_in(
     })
 }
 
+/// Renders `spec.kind` to `out`: [`run_suite`] on the process-wide
+/// cell cache with one worker per available core. Telemetry from the
+/// cells goes to `tel`.
+///
+/// # Errors
+///
+/// Usage errors for bad spec contents, runtime errors for I/O failures
+/// and failed cells.
+pub fn emit(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+    let threads = crate::exec::available_threads();
+    let spec = std::slice::from_ref(spec);
+    run_suite(spec, threads, CellCache::global(), tel, &mut |fig| {
+        out.write_all(&fig.bytes)?;
+        Ok(())
+    })?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,7 +433,7 @@ mod tests {
     fn specs_of(kinds: &[FigureKind], mixes: usize) -> Vec<ExperimentSpec> {
         kinds
             .iter()
-            .map(|&k| ExperimentSpec::new(k).mixes(mixes).threads(2))
+            .map(|&k| ExperimentSpec::new(k).mixes(mixes))
             .collect()
     }
 
@@ -488,7 +489,7 @@ mod tests {
         // seed, same allocation. The union must schedule each once.
         let specs: Vec<ExperimentSpec> = [FigureKind::Fig02, FigureKind::Validate]
             .iter()
-            .map(|&k| ExperimentSpec::new(k).mixes(2).accesses(4_000).threads(2))
+            .map(|&k| ExperimentSpec::new(k).mixes(2).accesses(4_000))
             .collect();
         let plans: Vec<_> = specs.iter().map(|s| plan::of(s).unwrap()).collect();
         let u = union_plans(&plans);
@@ -510,7 +511,7 @@ mod tests {
         let run = || {
             let cache = CellCache::new();
             cache.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
-            let report = run_in(&cache, &specs, 2, &NoopSink, &mut |_| Ok(()));
+            let report = run_suite(&specs, 2, &cache, &NoopSink, &mut |_| Ok(()));
             report.expect("suite runs").sched
         };
         let (cold, warm) = (run(), run());
@@ -522,6 +523,39 @@ mod tests {
         assert_eq!(warm.reused(), planned as u64);
         let served: u64 = warm.kinds.iter().map(|c| c.disk_hits).sum();
         assert_eq!(served, warm.nodes as u64);
+    }
+
+    #[test]
+    fn a_store_whose_directory_vanished_changes_no_byte() {
+        // The store's directory is removed after it opens: every probe
+        // misses, every write-back fails, and the run still renders what
+        // a fresh cache renders.
+        let dir = std::env::temp_dir().join(format!("jumanji-suite-gone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(DiskCache::open(&dir).expect("open store"));
+        std::fs::remove_dir_all(&dir).expect("remove the store's directory");
+        let specs = specs_of(&[FigureKind::Fig05, FigureKind::Fig08], 1);
+        let render = |cache: &CellCache| {
+            let mut tsvs = Vec::new();
+            let report = run_suite(&specs, 2, cache, &NoopSink, &mut |fig| {
+                tsvs.push(fig.bytes);
+                Ok(())
+            });
+            report.expect("suite runs");
+            tsvs
+        };
+        let gone = CellCache::new();
+        gone.attach_disk(Arc::clone(&disk));
+        let served = render(&gone);
+        assert_eq!(
+            served,
+            render(&CellCache::new()),
+            "the vanished store changed a TSV"
+        );
+        let stats = disk.stats();
+        assert_eq!((stats.hits, stats.writes), (0, 0), "{stats:?}");
+        assert!(stats.misses > 0, "{stats:?}");
+        assert!(!dir.exists(), "the run recreated the store");
     }
 
     #[test]
@@ -660,10 +694,10 @@ mod tests {
         // table2 comes after it.
         let specs: Vec<ExperimentSpec> = [FigureKind::Fig08, FigureKind::Fig04, FigureKind::Table2]
             .iter()
-            .map(|&k| ExperimentSpec::new(k).threads(2).no_cache())
+            .map(|&k| ExperimentSpec::new(k))
             .collect();
         let mut emitted = Vec::new();
-        let err = run_suite(&specs, 2, &JigsawFails, &mut |fig| {
+        let err = run_suite(&specs, 2, &CellCache::new(), &JigsawFails, &mut |fig| {
             emitted.push(fig.kind);
             Ok(())
         })

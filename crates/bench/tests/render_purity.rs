@@ -3,10 +3,10 @@
 //! - a render is a pure fold: re-rendering every figure from the
 //!   executor's results leaves the cache's counters untouched, and
 //!   reproduces the executor's bytes;
-//! - a `no_cache` spec runs against a throwaway cache: the process-wide
-//!   cache's own maps and the store the spec names stay untouched (the
-//!   simulator's ratio-hull memo, which `stats()` also reports, serves
-//!   every cache alike).
+//! - a run against a throwaway [`CellCache::new`] leaves the
+//!   process-wide cache's own maps untouched (the simulator's ratio-hull
+//!   memo, which `stats()` also reports, serves every cache alike), and
+//!   renders the bytes the process-wide cache does.
 //!
 //! Both read the process-wide cache's counters, so this file is its own
 //! test binary (no other test shares the cache) and one lock keeps its
@@ -33,10 +33,7 @@ fn exclusive() -> MutexGuard<'static, ()> {
 
 /// A spec cheap enough for a debug build: two mixes, short detailed runs.
 fn quick(kind: FigureKind) -> ExperimentSpec {
-    ExperimentSpec::new(kind)
-        .mixes(2)
-        .threads(2)
-        .accesses(4_000)
+    ExperimentSpec::new(kind).mixes(2).accesses(4_000)
 }
 
 #[test]
@@ -73,46 +70,47 @@ fn renders_fold_results_without_touching_the_cache() {
         // One figure per call: when its emit runs, every node of the
         // graph has finished, so only the render can move the counters.
         let spec = quick(kind);
-        run_suite(std::slice::from_ref(&spec), 2, &NoopSink, &mut |fig| {
-            let before = cache.stats();
-            let mut bytes = Vec::new();
-            figures::render(&spec, &fig.plan, &fig.results, &mut bytes)?;
-            assert_eq!(
-                cache.stats(),
-                before,
-                "{}: the render touched the cell cache",
-                kind.name()
-            );
-            assert_eq!(
-                bytes,
-                fig.bytes,
-                "{}: render is not a pure fold",
-                kind.name()
-            );
-            Ok(())
-        })
+        run_suite(
+            std::slice::from_ref(&spec),
+            2,
+            cache,
+            &NoopSink,
+            &mut |fig| {
+                let before = cache.stats();
+                let mut bytes = Vec::new();
+                figures::render(&spec, &fig.plan, &fig.results, &mut bytes)?;
+                assert_eq!(
+                    cache.stats(),
+                    before,
+                    "{}: the render touched the cell cache",
+                    kind.name()
+                );
+                assert_eq!(
+                    bytes,
+                    fig.bytes,
+                    "{}: render is not a pure fold",
+                    kind.name()
+                );
+                Ok(())
+            },
+        )
         .expect("suite runs");
     }
 }
 
 #[test]
-fn no_cache_specs_leave_the_global_cache_and_store_untouched() {
+fn a_throwaway_cache_leaves_the_global_cache_untouched() {
     let _lock = exclusive();
-    let store = std::env::temp_dir().join(format!("jumanji-no-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store);
     // fig02 runs detailed cells; fig05 runs analytic cells.
     let kinds = [FigureKind::Fig02, FigureKind::Fig05];
-    let specs: Vec<ExperimentSpec> = kinds
-        .iter()
-        .map(|&k| quick(k).cache_dir(&store).no_cache())
-        .collect();
+    let specs: Vec<ExperimentSpec> = kinds.iter().map(|&k| quick(k)).collect();
     let own_maps = || {
         let s = CellCache::global().stats();
         (s.cells, s.disk)
     };
     let before = own_maps();
     let mut fresh = Vec::new();
-    run_suite(&specs, 2, &NoopSink, &mut |fig| {
+    run_suite(&specs, 2, &CellCache::new(), &NoopSink, &mut |fig| {
         fresh.push(fig.bytes);
         Ok(())
     })
@@ -120,9 +118,8 @@ fn no_cache_specs_leave_the_global_cache_and_store_untouched() {
     assert_eq!(
         own_maps(),
         before,
-        "a no_cache run touched the process-wide cache"
+        "a throwaway-cache run touched the process-wide cache"
     );
-    assert!(!store.exists(), "--no-cache must ignore the store");
 
     // Same bytes as the cached path.
     for (kind, fresh) in kinds.iter().zip(&fresh) {
@@ -131,7 +128,7 @@ fn no_cache_specs_leave_the_global_cache_and_store_untouched() {
         assert_eq!(
             &cached,
             fresh,
-            "{}: --no-cache changed the TSV",
+            "{}: a throwaway cache changed the TSV",
             kind.name()
         );
     }

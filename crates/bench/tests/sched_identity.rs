@@ -2,11 +2,12 @@
 //!
 //! For random subsets of the figures with cells, rendering on the suite
 //! executor at `--threads 2` or `4` must produce byte-identical TSVs to
-//! the serial reference `--threads 1`. Every run uses `no_cache` specs,
-//! so each one computes all of its cells on its own pool instead of
-//! reading what an earlier run left in a cache.
+//! the serial reference `--threads 1`. Every run gets a fresh cache, so
+//! each one computes all of its cells on its own pool instead of reading
+//! what an earlier run left in a cache.
 
 use jumanji::telemetry::NoopSink;
+use jumanji_bench::cell_cache::CellCache;
 use jumanji_bench::suite::run_suite;
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use proptest::prelude::*;
@@ -31,7 +32,7 @@ const PLANNABLE: [FigureKind; 13] = [
 
 fn render_all(specs: &[ExperimentSpec], threads: usize) -> Vec<Vec<u8>> {
     let mut outputs = Vec::new();
-    run_suite(specs, threads, &NoopSink, &mut |fig| {
+    run_suite(specs, threads, &CellCache::new(), &NoopSink, &mut |fig| {
         outputs.push(fig.bytes);
         Ok(())
     })
@@ -63,7 +64,6 @@ proptest! {
                     .mixes(1)
                     .seed(seed)
                     .accesses(4_000)
-                    .no_cache()
             })
             .collect();
         let sequential = render_all(&specs, 1);

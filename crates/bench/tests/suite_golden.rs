@@ -46,32 +46,22 @@ impl Drop for TempDir {
     }
 }
 
-/// A command for `bin` with every `JUMANJI_*` variable stripped from its
-/// environment: no knob or store from the outside (`JUMANJI_CACHE_DIR`
-/// included) leaks in, so the test is deterministic wherever it runs.
-fn clean(bin: &str) -> Command {
-    let mut cmd = Command::new(bin);
-    for (key, _) in std::env::vars_os() {
-        if key.to_string_lossy().starts_with("JUMANJI_") {
-            cmd.env_remove(key);
-        }
-    }
-    cmd
-}
-
-/// Runs a binary with a scrubbed environment ([`clean`]) and asserts it
-/// succeeds.
-fn run_clean(bin: &str, args: &[&str]) -> Output {
-    let out = clean(bin)
-        .args(args)
+/// Runs `cmd` and asserts it succeeds.
+fn succeed(cmd: &mut Command) -> Output {
+    let out = cmd
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to spawn {cmd:?}: {e}"));
     assert!(
         out.status.success(),
-        "{bin} {args:?} failed: {}",
+        "{cmd:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+/// Runs a binary with `args` and asserts it succeeds.
+fn run(bin: &str, args: &[&str]) -> Output {
+    succeed(Command::new(bin).args(args))
 }
 
 fn read(path: &Path) -> Vec<u8> {
@@ -80,7 +70,7 @@ fn read(path: &Path) -> Vec<u8> {
 
 /// `kind` rendered alone, in this process.
 fn standalone(kind: FigureKind, mixes: usize) -> Vec<u8> {
-    let spec = ExperimentSpec::new(kind).mixes(mixes).threads(2);
+    let spec = ExperimentSpec::new(kind).mixes(mixes);
     let mut out = Vec::new();
     figures::emit(&spec, &NoopSink, &mut out).expect("figure renders");
     out
@@ -91,7 +81,7 @@ fn standalone(kind: FigureKind, mixes: usize) -> Vec<u8> {
 #[test]
 fn suite_matches_standalone_and_reuses_cells() {
     let tmp = TempDir::new("cheap");
-    let suite = run_clean(
+    let suite = run(
         env!("CARGO_BIN_EXE_suite"),
         &["--figures", "fig05", "--threads", "2"],
     );
@@ -105,7 +95,7 @@ fn suite_matches_standalone_and_reuses_cells() {
     // fold their planned runs (fig05's Static/Jumanji/Jigsaw/… runs at
     // high load repeat fig04's) into fewer unique run nodes.
     let stats = tmp.path().join("stats.json");
-    run_clean(
+    run(
         env!("CARGO_BIN_EXE_suite"),
         &[
             "--figures",
@@ -125,18 +115,51 @@ fn suite_matches_standalone_and_reuses_cells() {
     );
 }
 
-/// `--no-cache` must not change a single byte of output.
+/// `--no-cache` must not change a single byte of output, and beats
+/// `--cache-dir`: the store it names is never created.
 #[test]
 fn no_cache_output_is_byte_identical() {
-    let cached = run_clean(env!("CARGO_BIN_EXE_suite"), &["--figures", "fig05"]);
-    let fresh = run_clean(
+    let tmp = TempDir::new("no_cache");
+    let store = tmp.path().join("store");
+    let cached = run(env!("CARGO_BIN_EXE_suite"), &["--figures", "fig05"]);
+    let fresh = run(
         env!("CARGO_BIN_EXE_suite"),
-        &["--figures", "fig05", "--no-cache"],
+        &[
+            "--figures",
+            "fig05",
+            "--no-cache",
+            "--cache-dir",
+            store.to_str().unwrap(),
+        ],
     );
     assert_eq!(
         cached.stdout, fresh.stdout,
         "--no-cache changed the rendered TSV"
     );
+    assert!(!store.exists(), "--no-cache created the --cache-dir store");
+}
+
+/// The command line is the only configuration surface: the variables
+/// that once named a store and a trace file change no byte and create
+/// neither.
+#[test]
+fn the_environment_configures_nothing() {
+    let tmp = TempDir::new("env");
+    let (store, trace) = (tmp.path().join("store"), tmp.path().join("trace.jsonl"));
+    let suite = env!("CARGO_BIN_EXE_suite");
+    let plain = run(suite, &["--figures", "fig05"]);
+    let with_env = succeed(
+        Command::new(suite)
+            .args(["--figures", "fig05"])
+            .env("JUMANJI_CACHE_DIR", &store)
+            .env("JUMANJI_TRACE", &trace),
+    );
+    assert_eq!(
+        plain.stdout, with_env.stdout,
+        "the environment changed fig05"
+    );
+    assert!(!store.exists(), "JUMANJI_CACHE_DIR created a store");
+    assert!(!trace.exists(), "JUMANJI_TRACE created a trace file");
 }
 
 /// A stale `model.bin` never changes a TSV: the suite reads only cells
@@ -164,8 +187,8 @@ fn a_stale_model_file_never_changes_a_tsv() {
 
     let suite = env!("CARGO_BIN_EXE_suite");
     let store = tmp.path().to_str().unwrap();
-    let stored = run_clean(suite, &["--figures", "fig05", "--cache-dir", store]);
-    let fresh = run_clean(suite, &["--figures", "fig05", "--no-cache"]);
+    let stored = run(suite, &["--figures", "fig05", "--cache-dir", store]);
+    let fresh = run(suite, &["--figures", "fig05", "--no-cache"]);
     assert_eq!(
         String::from_utf8_lossy(&stored.stdout),
         String::from_utf8_lossy(&fresh.stdout),
@@ -174,42 +197,67 @@ fn a_stale_model_file_never_changes_a_tsv() {
     assert_eq!(read(&model), bytes, "the suite rewrote model.bin");
 }
 
+/// Runs `suite args` in the empty directory `dir` and asserts a usage
+/// error (exit 2) that names `named`, renders no figure and writes
+/// nothing.
+fn assert_usage_error(dir: &Path, args: &[&str], named: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn suite");
+    assert_eq!(out.status.code(), Some(2), "suite {args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(named), "suite {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "suite {args:?} rendered a figure");
+    let written: Vec<_> = std::fs::read_dir(dir).unwrap().collect();
+    assert!(written.is_empty(), "suite {args:?} wrote {written:?}");
+}
+
 /// An unknown figure name is a usage error (exit 2), not a crash.
 #[test]
 fn unknown_figure_is_a_usage_error() {
-    let out = clean(env!("CARGO_BIN_EXE_suite"))
-        .args(["--figures", "fig99"])
-        .output()
-        .expect("spawn suite");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("fig99"),
-        "error should name the unknown figure"
-    );
+    let tmp = TempDir::new("figure");
+    assert_usage_error(tmp.path(), &["--figures", "fig99"], "fig99");
 }
 
 /// `--out`, `--stats` and `--figures` need a value: a missing one, or
 /// another `--flag` in its place, is a usage error (exit 2) that writes
-/// nothing.
+/// nothing. So is a value that does not parse.
 #[test]
 fn a_flag_missing_its_value_is_a_usage_error() {
     let tmp = TempDir::new("flags");
-    let cases: [&[&str]; 4] = [
-        &["--figures", "table2", "--out", "--stats", "s.json"],
-        &["--figures", "table2", "--stats"],
-        &["--figures", "--out", "d"],
-        &["--figures", "table2", "--out="],
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["--figures", "table2", "--out", "--stats", "s.json"],
+            "--out",
+        ),
+        (&["--figures", "table2", "--stats"], "--stats"),
+        (&["--figures", "--out", "d"], "--figures"),
+        (&["--figures", "table2", "--out="], "--out"),
+        (
+            &["--figures", "table2", "--cache-cap-bytes", "lots"],
+            "--cache-cap-bytes",
+        ),
     ];
-    for args in cases {
-        let out = clean(env!("CARGO_BIN_EXE_suite"))
-            .args(args)
-            .current_dir(tmp.path())
-            .output()
-            .expect("spawn suite");
-        assert_eq!(out.status.code(), Some(2), "suite {args:?}");
-        assert!(out.stdout.is_empty(), "suite {args:?} rendered a figure");
-        let written: Vec<_> = std::fs::read_dir(tmp.path()).unwrap().collect();
-        assert!(written.is_empty(), "suite {args:?} wrote {written:?}");
+    for (args, named) in cases {
+        assert_usage_error(tmp.path(), args, named);
+    }
+}
+
+/// An argument `suite` does not know — a misspelt flag, a positional —
+/// is a usage error that names it, never silently ignored.
+#[test]
+fn an_unknown_argument_is_a_usage_error() {
+    let tmp = TempDir::new("unknown");
+    let cases: [(&[&str], &str); 4] = [
+        (&["--figures", "table2", "--no-cahce"], "--no-cahce"),
+        (&["--figures", "table2", "--cache_dir", "x"], "--cache_dir"),
+        (&["--figures", "table2", "--no-cache=1"], "--no-cache=1"),
+        (&["table2"], "table2"),
+    ];
+    for (args, named) in cases {
+        assert_usage_error(tmp.path(), args, named);
     }
 }
 
@@ -230,7 +278,7 @@ fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
 
     for threads in ["1", "4"] {
         let dir = tmp.path().join(format!("t{threads}"));
-        run_clean(
+        run(
             env!("CARGO_BIN_EXE_suite"),
             &[
                 "--figures",

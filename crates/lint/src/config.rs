@@ -17,7 +17,7 @@
 //! determinism = ["crates/"]           # default-hasher applies under these
 //! determinism_exempt = ["crates/rand_shim/"]
 //! timing_allow = ["crates/bench/src/exec/"]   # wall-clock OK here
-//! env_allow = ["crates/bench/src/spec.rs"]    # JUMANJI_* env reads OK here
+//! env_allow = []                      # JUMANJI_* env reads OK here
 //! figures = ["crates/bench/src/figures/"]     # plan-bypass applies here
 //!
 //! [unsafe_budget]

@@ -5,8 +5,9 @@
 //! determinism (no `RandomState` maps, no wall-clock reads, no
 //! thread-local memos in output paths), render purity (figure code
 //! outside the plan pass never names the cell cache), unsafe
-//! discipline (`// SAFETY:` comments plus per-crate budgets), and a
-//! centralized `JUMANJI_*` config surface.
+//! discipline (`// SAFETY:` comments plus per-crate budgets), and no
+//! `JUMANJI_*` environment reads (configuration comes from the command
+//! line).
 //!
 //! See [`rules`] for the rule table, [`config`] for the `lint.toml`
 //! schema, and [`runner`] for the workspace scan and fixture

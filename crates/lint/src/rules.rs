@@ -14,7 +14,7 @@
 //! | `plan-bypass`    | figure code names no `CellCache` and no simulator entry    |
 //! | `safety-comment` | every `unsafe` carries a `// SAFETY:` comment              |
 //! | `unsafe-budget`  | per-crate `unsafe` counts stay within `lint.toml` budgets  |
-//! | `env-var`        | `JUMANJI_*` env reads only in the config surface           |
+//! | `env-var`        | no `JUMANJI_*` env reads outside `env_allow` and allows    |
 //! | `allow-syntax`   | `// lint:allow(rule): reason` is well-formed and justified |
 //!
 //! Escape hatch: `// lint:allow(<rule>): <justification>` on the line
@@ -524,8 +524,8 @@ fn rule_env_var(ctx: &mut Ctx) {
                 "`JUMANJI_*` environment read ({}) outside the config surface",
                 ctx.text(ci + 5)
             ),
-            "route ambient configuration through `spec.rs` so every knob is visible in \
-             one place",
+            "take configuration from the command line (the `suite` flags): the \
+             environment is not a configuration surface",
         );
     }
 }

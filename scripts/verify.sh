@@ -152,12 +152,16 @@ grep -Eq '\[suite\] sched: 0 detail cells computed, [1-9][0-9]* served from disk
 echo "== the store holds no memoized placements"
 [ ! -e "$tmp/dstore/allocs" ]
 
-echo "== every figure renders at --mixes 1 (one suite run, a header per TSV)"
+echo "== every figure renders at --mixes 1 (one suite run, well-formed TSVs)"
 ./target/release/suite --figures all --mixes 1 --accesses 2000 \
     --out "$tmp/smoke" 2>/dev/null
 for fig in fig02 fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 \
            fig16 fig17 fig18 table2 table3 ablation sensitivity validate; do
-    head -c 1 "$tmp/smoke/$fig.tsv" | grep -q '#'
+    f="$tmp/smoke/$fig.tsv"
+    # A `#` header, a trailing newline, at least three lines.
+    head -c 1 "$f" | grep -q '#'
+    [ -z "$(tail -c 1 "$f")" ]
+    [ "$(wc -l <"$f")" -ge 3 ]
 done
 
 echo "== telemetry off is byte-identical to the pinned golden TSVs"
