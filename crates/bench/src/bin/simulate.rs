@@ -11,7 +11,8 @@
 //! - `--workload` case-study | mixed | masstree | xapian | img-dnn |
 //!   silo | moses (default: case-study)
 //! - `--load` high | low (default: high)
-//! - `--duration` simulated seconds (default: 4)
+//! - `--duration` simulated seconds, at least one 100 ms reconfiguration
+//!   interval (default: 4)
 //! - `--seed` workload/arrival seed (default: 1)
 //! - `--timeline` also print the per-interval timeline as TSV
 //! - `--no-baseline` skip the Static baseline (no speedup column)
@@ -80,7 +81,7 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             "--duration" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(d) if d > 0.0 => duration = d,
+                Some(d) if d >= SimOptions::default().reconfig.as_f64() => duration = d,
                 _ => return usage(),
             },
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {

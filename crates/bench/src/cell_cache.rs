@@ -519,6 +519,145 @@ mod tests {
     }
 
     #[test]
+    fn every_sim_option_reaches_the_experiment_key() {
+        // Exhaustive destructuring: a new `SimOptions` field does not
+        // compile here until it is perturbed below.
+        let base = SimOptions::default();
+        let SimOptions {
+            cfg,
+            duration,
+            reconfig,
+            seed,
+            controller,
+        } = base.clone();
+        let fast_cfg = jumanji::types::SystemConfig {
+            freq_hz: cfg.freq_hz * 2.0,
+            ..cfg
+        };
+        let params = jumanji::core::ControllerParams::micro2020(fast_cfg.llc.total_bytes() as f64);
+        let perturbed = [
+            (
+                "cfg",
+                SimOptions {
+                    cfg: fast_cfg,
+                    ..base.clone()
+                },
+            ),
+            (
+                "duration",
+                SimOptions {
+                    duration: Seconds(duration.as_f64() * 2.0),
+                    ..base.clone()
+                },
+            ),
+            (
+                "reconfig",
+                SimOptions {
+                    reconfig: Seconds(reconfig.as_f64() * 2.0),
+                    ..base.clone()
+                },
+            ),
+            (
+                "seed",
+                SimOptions {
+                    seed: seed + 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "controller",
+                SimOptions {
+                    controller: match controller {
+                        None => Some(params),
+                        Some(_) => None,
+                    },
+                    ..base.clone()
+                },
+            ),
+        ];
+        let mix = case_study_mix(1);
+        let key = experiment_key(&mix, LcLoad::High, &base);
+        for (field, opts) in &perturbed {
+            assert_ne!(
+                experiment_key(&mix, LcLoad::High, opts),
+                key,
+                "SimOptions::{field} does not reach the experiment key"
+            );
+        }
+    }
+
+    #[test]
+    fn every_detail_option_reaches_the_detail_key() {
+        use jumanji::cache::ReplPolicy;
+        // Exhaustive destructuring, as for `SimOptions` above.
+        let base = DetailOptions::default();
+        let DetailOptions {
+            cfg,
+            accesses_per_app,
+            policy,
+            write_frac,
+            seed,
+        } = base.clone();
+        let perturbed = [
+            (
+                "cfg",
+                DetailOptions {
+                    cfg: jumanji::types::SystemConfig {
+                        freq_hz: cfg.freq_hz * 2.0,
+                        ..cfg
+                    },
+                    ..base.clone()
+                },
+            ),
+            (
+                "accesses_per_app",
+                DetailOptions {
+                    accesses_per_app: accesses_per_app + 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "policy",
+                DetailOptions {
+                    policy: if policy == ReplPolicy::Lru {
+                        ReplPolicy::Drrip
+                    } else {
+                        ReplPolicy::Lru
+                    },
+                    ..base.clone()
+                },
+            ),
+            (
+                "write_frac",
+                DetailOptions {
+                    write_frac: write_frac / 2.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "seed",
+                DetailOptions {
+                    seed: seed + 1,
+                    ..base.clone()
+                },
+            ),
+        ];
+        let alloc = Allocation {
+            apps: Vec::new(),
+            pools: Vec::new(),
+            ideal_batch: false,
+        };
+        let key = detail_key(&base, &[], &[], &[], &alloc);
+        for (field, opts) in &perturbed {
+            assert_ne!(
+                detail_key(opts, &[], &[], &[], &alloc),
+                key,
+                "DetailOptions::{field} does not reach the detail key"
+            );
+        }
+    }
+
+    #[test]
     fn cached_run_matches_direct_run_exactly() {
         let cache = CellCache::new();
         let handle = cache.experiment(case_study_mix(3), LcLoad::High, quick_opts());

@@ -25,7 +25,7 @@
 //! it: in a suite store both files are inert.
 //!
 //! Every file is framed by the versioned, checksummed envelope of
-//! [`nuca_types::codec`] and written via temp-file + atomic rename, so
+//! [`jumanji::types::codec`] and written via temp-file + atomic rename, so
 //! concurrent processes sharing one directory can never observe a
 //! half-written entry. Reads that find a truncated, bit-flipped, or
 //! stale-format file delete it and report a miss — the caller

@@ -18,7 +18,7 @@
 //!   it unlocked, then locks again to complete it. With nothing ready it
 //!   waits on a condvar until a completion enables work or ends the run.
 //!
-//! The queue itself ([`Ready`]) is a state machine with no threads or
+//! The queue itself (`Ready`) is a state machine with no threads or
 //! clocks in it, so the tests replay the real policy in virtual time.
 //!
 //! The scheduler runs *effects*, not values: the caller's closure stores

@@ -183,7 +183,7 @@ impl BankStats {
 ///   miss, usually never. False positives are rejected by the full tag
 ///   compare; false negatives cannot happen because fills always write the
 ///   hash.
-/// - Each way's full tag and owning partition share one 8-byte [`Slot`]:
+/// - Each way's full tag and owning partition share one 8-byte `Slot`:
 ///   the tag is stored *set-relative* (`line / sets` — the set index adds
 ///   no information) so it fits in 32 bits, and a fill writes tag and
 ///   owner through a single cache line instead of two parallel arrays.

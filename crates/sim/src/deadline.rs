@@ -41,7 +41,7 @@ static DEADLINES: std::sync::LazyLock<nuca_types::ShardedMap<u128, f64>> =
 ///
 /// Deterministic: the arrival stream is seeded from the profile name.
 ///
-/// The isolation run simulates [`DEADLINE_REQUESTS`] requests, which is by
+/// The isolation run simulates `DEADLINE_REQUESTS` requests, which is by
 /// far the most expensive step of `Experiment::new` — and it is a pure
 /// function of `(profile, cfg)`, both of which repeat across the thousands
 /// of experiments a figure sweep runs. The result is therefore memoized

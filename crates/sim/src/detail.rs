@@ -39,10 +39,6 @@ pub struct DetailOptions {
     pub policy: ReplPolicy,
     /// Fraction of accesses that are writes (dirty their lines).
     pub write_frac: f64,
-    /// Entries in each core's TLB (which carries the page's VC id).
-    pub tlb_entries: usize,
-    /// Page-walk latency charged on a TLB miss, in cycles.
-    pub tlb_miss_cycles: u64,
     /// Stream RNG seed.
     pub seed: u64,
 }
@@ -54,8 +50,6 @@ impl Default for DetailOptions {
             accesses_per_app: 50_000,
             policy: ReplPolicy::Drrip,
             write_frac: 0.3,
-            tlb_entries: 64,
-            tlb_miss_cycles: 50,
             seed: 1,
         }
     }
@@ -301,7 +295,11 @@ fn run_with<T: Telemetry + ?Sized>(
     // Per-app clocks.
     let mut clocks = vec![0u64; n];
     let mut stats = vec![DetailAppStats::default(); n];
-    let mut tlbs: Vec<Tlb> = (0..n).map(|_| Tlb::new(opts.tlb_entries)).collect();
+    /// Entries in each core's TLB (which carries the page's VC id).
+    const TLB_ENTRIES: usize = 64;
+    /// Page-walk latency charged on a TLB miss, in cycles.
+    const TLB_MISS_CYCLES: u64 = 50;
+    let mut tlbs: Vec<Tlb> = (0..n).map(|_| Tlb::new(TLB_ENTRIES)).collect();
     // Cheap deterministic write-marking LCG. The draw is a 31-bit integer
     // x compared against `frac` as x * 2^-31 < frac; both sides of that
     // float compare are exact (scaling by a power of two never rounds), so
@@ -363,7 +361,7 @@ fn run_with<T: Telemetry + ?Sized>(
             // The TLB carries the page's VC id; a miss pays a page walk
             // before the LLC access can even be routed (Sec. IV-A).
             let tlb_hit = tlbs[a].access(page_of_line(line));
-            let walk = if tlb_hit { 0 } else { opts.tlb_miss_cycles };
+            let walk = if tlb_hit { 0 } else { TLB_MISS_CYCLES };
             clocks[a] += walk;
             let bank = vtb.lookup(AppId(a), line);
             let bi = bank.index();

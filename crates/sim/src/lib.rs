@@ -45,5 +45,5 @@ mod runner;
 
 pub use runner::{
     compute_ratio_hull, exact_ratio_hull, export_ratio_hulls, ratio_hull_cache_stats,
-    seed_ratio_hull, Experiment, ExperimentResult, IntervalRecord, Migration, SimApp, SimOptions,
+    seed_ratio_hull, Experiment, ExperimentResult, IntervalRecord, SimApp, SimOptions,
 };

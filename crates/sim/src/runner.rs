@@ -13,28 +13,9 @@ use jumanji_telemetry::{Event, Telemetry};
 use nuca_cache::MissCurve;
 use nuca_noc::MeshNoc;
 use nuca_types::{AppId, CoreId, Seconds, SystemConfig, VmId};
-use nuca_umon::Umon;
 use nuca_vc::{PlacementDescriptor, Vtb};
-use nuca_workloads::StreamGenerator;
 use nuca_workloads::{quadrant_layout, serpentine_layout, LcLoad, WorkloadMix};
 use std::sync::Arc;
-
-/// A scheduled thread migration: at time `at`, the thread of `app` swaps
-/// cores with whichever application currently occupies `to_core`.
-///
-/// The paper's runtime "migrates their LLC allocations along with the
-/// threads" (Sec. IV-B): because every design re-places data relative to
-/// current core positions at each reconfiguration, the allocation follows
-/// automatically — at the coherence cost of moving the data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Migration {
-    /// When the migration happens.
-    pub at: Seconds,
-    /// The application whose thread moves.
-    pub app: AppId,
-    /// Destination core (its current occupant moves to `app`'s old core).
-    pub to_core: CoreId,
-}
 
 /// Simulation options.
 #[derive(Debug, Clone)]
@@ -49,14 +30,6 @@ pub struct SimOptions {
     pub seed: u64,
     /// Feedback-controller parameters (`None` = paper defaults).
     pub controller: Option<ControllerParams>,
-    /// Scheduled thread migrations (applied at reconfiguration
-    /// boundaries).
-    pub migrations: Vec<Migration>,
-    /// Profile miss curves with sampled hardware UMONs driven by synthetic
-    /// address streams, instead of handing the placement algorithms the
-    /// exact profile curves. Models the full Sec. IV-A feedback loop,
-    /// including estimation noise and warm-up.
-    pub umon_profiling: bool,
 }
 
 impl Default for SimOptions {
@@ -67,8 +40,6 @@ impl Default for SimOptions {
             reconfig: Seconds::from_millis(100.0),
             seed: 1,
             controller: None,
-            migrations: Vec::new(),
-            umon_profiling: false,
         }
     }
 }
@@ -190,7 +161,8 @@ pub struct Experiment {
     /// Per-app profiles in app order.
     profiles: Vec<Profile>,
     /// Convex (DRRIP-hull) miss-ratio curves, sampled once per experiment.
-    /// These are what ideal (noise-free) UMONs would report.
+    /// These are what ideal (noise-free) UMONs would report; sampled UMONs
+    /// track them (`substrate_crosscheck::umon_tracks_mattson_profiler`).
     exact_hulls: Vec<Arc<MissCurve>>,
     /// Profile-based initial access-rate guesses.
     init_rates: Vec<f64>,
@@ -204,13 +176,20 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the mix's apps don't equal the core count.
+    /// Panics if the mix's apps don't equal the core count, or if `opts`
+    /// covers no reconfiguration interval (no tail, no batch work).
     pub fn new(mix: WorkloadMix, load: LcLoad, opts: SimOptions) -> Experiment {
         let mesh = opts.cfg.mesh();
         assert_eq!(
             mix.num_apps(),
             opts.cfg.num_cores,
             "workload must fill the machine"
+        );
+        assert!(
+            intervals(&opts) >= 1,
+            "duration {:?} covers no {:?} reconfiguration interval",
+            opts.duration,
+            opts.reconfig
         );
         let placements = if mix.vms.len() == 4
             && mix.vms.iter().all(|v| v.num_apps() == 5)
@@ -302,57 +281,12 @@ impl Experiment {
         let noc = MeshNoc::new(cfg);
         let n = self.apps.len();
         let profiles = &self.profiles;
-        let mut cores: Vec<CoreId> = self.apps.iter().map(|a| a.core).collect();
+        let cores: Vec<CoreId> = self.apps.iter().map(|a| a.core).collect();
         let unit = cfg.llc.way_bytes();
-        let units = cfg.llc.total_ways() as usize;
 
-        // Optional sampled UMONs: 32-way monitors modeling the full 20 MB
-        // LLC, fed by each app's synthetic address stream. Accumulated
-        // across intervals (warm-up converges like real hardware). Only
-        // built when the Sec. IV-A feedback loop is actually modeled; the
-        // default path hands the allocators the precomputed exact hulls.
-        let modeled_sets =
-            (cfg.llc.total_bytes() / (cfg.llc.line_bytes * cfg.llc.ways as u64)) as usize;
-        let mut umons: Vec<Umon> = if self.opts.umon_profiling {
-            (0..n)
-                .map(|_| {
-                    Umon::new(
-                        cfg.llc.ways as usize,
-                        (modeled_sets / 20).max(1),
-                        modeled_sets,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut umon_streams: Vec<StreamGenerator> = if self.opts.umon_profiling {
-            profiles
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let shape = match p {
-                        Profile::Batch(b) => &b.shape,
-                        Profile::Lc(l, _) => &l.shape,
-                    };
-                    StreamGenerator::from_shape(
-                        shape,
-                        cfg.llc.line_bytes,
-                        i,
-                        self.opts.seed ^ 0xB00,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        /// Samples fed to each UMON per interval when profiling is on.
-        const UMON_FEED: usize = 20_000;
         /// Fraction of evicted lines that are dirty and must be written
         /// back (rule-of-thumb; the detailed simulator measures it).
         const WRITEBACK_FRACTION: f64 = 0.30;
-        /// Minimum sampled accesses before trusting a UMON curve.
-        const UMON_WARM: u64 = 400;
 
         // Controllers and queues for LC apps.
         let params = self
@@ -388,7 +322,7 @@ impl Experiment {
 
         let dt = self.opts.reconfig.as_f64();
         let dt_cycles = self.opts.reconfig.to_cycles(freq).as_u64();
-        let n_intervals = (self.opts.duration.as_f64() / dt).round() as usize;
+        let n_intervals = intervals(&self.opts);
 
         let mut batch_work = vec![0.0f64; n];
         // Preallocated latency reservoirs: an LC app at `qps` completes
@@ -420,9 +354,9 @@ impl Experiment {
         // Model scratch shared across intervals (geometry never changes).
         let mut scratch = EvalScratch::new();
 
-        // The persistent placement input: identity fields are fixed for
-        // the whole run; each interval rewrites cores, curves, rates, and
-        // LC sizes in place, so the hot loop builds its input with zero
+        // The persistent placement input: identity fields (cores included)
+        // are fixed for the whole run; each interval rewrites curves,
+        // rates, and LC sizes in place, so the hot loop builds its input with zero
         // allocations and zero config copies.
         let mut input = PlacementInput {
             cfg: Arc::clone(&self.cfg),
@@ -440,15 +374,10 @@ impl Experiment {
                 .collect(),
             lc_sizes: vec![0.0; n],
         };
-        // Allocator memoization: an interval whose inputs (core map, LC
-        // sizes, entering access rates) are bit-identical to the previous
-        // one is a fixed point of the whole allocate -> evaluate ->
-        // descriptor-install pipeline, so the previous outputs are reused
-        // verbatim. Sampled-UMON profiling feeds the monitors every
-        // interval — its curves keep moving — so memoization is disabled.
-        let memo_enabled = !self.opts.umon_profiling;
-        let mut memo_valid = false;
-        let mut prev_cores: Vec<CoreId> = Vec::new();
+        // Allocator memoization: an interval whose inputs (LC sizes and
+        // entering access rates) are bit-identical to the previous one is a
+        // fixed point of the whole allocate -> evaluate -> descriptor-install
+        // pipeline, so the previous outputs are reused verbatim.
         let mut prev_lc: Vec<f64> = Vec::new();
         let mut prev_rates: Vec<f64> = Vec::new();
         let mut alloc_slot: Option<Allocation> = None;
@@ -465,18 +394,6 @@ impl Experiment {
         let mut tail_scratch: Vec<f64> = Vec::new();
 
         for interval in 0..n_intervals {
-            // 0. Apply any thread migrations scheduled before this
-            // reconfiguration: swap cores with the destination's occupant.
-            let t_now = interval as f64 * dt;
-            for m in &self.opts.migrations {
-                if m.at.as_f64() >= t_now && m.at.as_f64() < t_now + dt {
-                    let from = cores[m.app.index()];
-                    if let Some(other) = cores.iter().position(|&c| c == m.to_core) {
-                        cores[other] = from;
-                    }
-                    cores[m.app.index()] = m.to_core;
-                }
-            }
             // 1. Controller-assigned LC sizes, written straight into the
             // persistent input (the reconfiguration deploys them,
             // re-arming each controller).
@@ -489,17 +406,9 @@ impl Experiment {
                     })
                     .unwrap_or(0.0)
             }));
-            // 2. Placement input with UMON-reported absolute miss curves.
-            if self.opts.umon_profiling {
-                for i in 0..n {
-                    for _ in 0..UMON_FEED {
-                        let line = umon_streams[i].next_line();
-                        umons[i].observe(line);
-                    }
-                }
-            }
-            let unchanged = memo_valid
-                && prev_cores == cores
+            // 2. Placement input: the exact hulls scaled to absolute miss
+            // rates (what noise-free UMONs would report).
+            let unchanged = alloc_slot.is_some()
                 && bits_eq(&prev_lc, &input.lc_sizes)
                 && bits_eq(&prev_rates, &rates);
             if !unchanged {
@@ -507,23 +416,10 @@ impl Experiment {
                 // reuses each model's point buffer.
                 for (a, m) in self.apps.iter().zip(input.apps.iter_mut()) {
                     let i = a.id.index();
-                    m.core = cores[i];
                     m.access_rate = rates[i];
-                    let rate = rates[i].max(1.0);
-                    if self.opts.umon_profiling && umons[i].sampled() >= UMON_WARM {
-                        // Resample the sampled-monitor curve onto the
-                        // way-granular grid the allocators use.
-                        let est = umons[i].drrip_curve();
-                        let observed = umons[i].observed().max(1) as f64;
-                        let pts: Vec<f64> = (0..=units)
-                            .map(|u| est.eval_bytes(u as u64 * unit) / observed)
-                            .collect();
-                        m.curve = MissCurve::new(unit, pts).convex_hull().scaled(rate);
-                    } else {
-                        m.curve.clone_scaled_from(&self.exact_hulls[i], rate);
-                    }
+                    m.curve
+                        .clone_scaled_from(&self.exact_hulls[i], rates[i].max(1.0));
                 }
-                prev_cores.clone_from(&cores);
                 prev_lc.clone_from(&input.lc_sizes);
                 prev_rates.clone_from(&rates);
                 let alloc = design.allocate(&input);
@@ -539,7 +435,6 @@ impl Experiment {
                     &mut perf,
                 );
                 alloc_slot = Some(alloc);
-                memo_valid = memo_enabled;
             }
             let alloc = alloc_slot.as_ref().expect("first interval allocates");
             for i in 0..n {
@@ -758,6 +653,11 @@ impl Experiment {
     }
 }
 
+/// Reconfiguration intervals a run under `opts` simulates.
+fn intervals(opts: &SimOptions) -> usize {
+    (opts.duration.as_f64() / opts.reconfig.as_f64()).round() as usize
+}
+
 /// Bitwise equality of two `f64` slices. The memo-key comparison must be
 /// exact: it distinguishes `0.0` from `-0.0` and treats identical NaNs as
 /// equal, because reusing outputs is only sound when the inputs are the
@@ -779,7 +679,7 @@ static RATIO_HULLS: std::sync::LazyLock<nuca_types::ShardedMap<u128, Arc<MissCur
 ///
 /// Sampling the analytic curve at every way and hulling it costs ~50 µs per
 /// app, and every experiment needs it for the same handful of profiles, so
-/// the result is memoized process-wide (see [`RATIO_HULLS`]) and shared by
+/// the result is memoized process-wide (see `RATIO_HULLS`) and shared by
 /// `Arc` — the interval loop scales it into a reusable buffer instead of
 /// cloning it. Bit-identical to [`compute_ratio_hull`] by construction: the
 /// memo stores the uncached function's output, keyed by the full input.
@@ -883,60 +783,6 @@ mod tests {
         let b = exp.run(DesignKind::Adaptive, &NoopSink);
         assert_eq!(a.lc_tail_latency_ms, b.lc_tail_latency_ms);
         assert_eq!(a.batch_work, b.batch_work);
-    }
-
-    #[test]
-    fn umon_profiling_reproduces_exact_profile_results() {
-        // The full hardware feedback loop (sampled UMONs -> curves ->
-        // placement) should land close to the ideal-curve results.
-        let exact = Experiment::new(case_study_mix(4), LcLoad::High, quick_opts())
-            .run(DesignKind::Jumanji, &NoopSink);
-        let mut opts = quick_opts();
-        opts.umon_profiling = true;
-        let exp = Experiment::new(case_study_mix(4), LcLoad::High, opts);
-        let stat = exp.run(DesignKind::Static, &NoopSink);
-        let umon = exp.run(DesignKind::Jumanji, &NoopSink);
-        assert_eq!(umon.vulnerability, 0.0, "isolation unaffected by profiling");
-        assert!(
-            umon.max_norm_tail() < 1.6,
-            "umon-profiled tails: {:?}",
-            umon.norm_tails()
-        );
-        let speedup = umon.weighted_speedup_vs(&stat);
-        assert!(
-            speedup > 1.03,
-            "umon-profiled speedup {speedup} should stay clearly positive"
-        );
-        let _ = exact;
-    }
-
-    #[test]
-    fn migrated_threads_keep_their_allocations_close() {
-        // Migrate VM0's xapian from the NW corner to the SE region at
-        // t = 0.5 s; the next reconfigurations must re-place its data near
-        // the new core (the paper's allocation-follows-thread behaviour).
-        let mut opts = quick_opts();
-        opts.migrations = vec![Migration {
-            at: Seconds(0.5),
-            app: AppId(0),
-            to_core: CoreId(13),
-        }];
-        let exp = Experiment::new(case_study_mix(1), LcLoad::High, opts);
-        let r = exp.run(DesignKind::Jumanji, &NoopSink);
-        // The run completes with deadlines still (roughly) met and
-        // isolation intact despite the migration.
-        assert_eq!(r.vulnerability, 0.0);
-        assert!(r.max_norm_tail() < 2.0, "{:?}", r.norm_tails());
-        // Migration forces data movement: the coherence refetch total must
-        // exceed a migration-free run's.
-        let base = Experiment::new(case_study_mix(1), LcLoad::High, quick_opts())
-            .run(DesignKind::Jumanji, &NoopSink);
-        assert!(
-            r.coherence_refetches > base.coherence_refetches,
-            "migration {} vs baseline {}",
-            r.coherence_refetches,
-            base.coherence_refetches
-        );
     }
 
     #[test]

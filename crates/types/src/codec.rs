@@ -41,7 +41,7 @@ pub const MAGIC: u32 = 0x4A4E_4D4A;
 ///
 /// Version history: 1 — initial layout (runs, allocs, model, costs);
 /// 2 — `MeasuredCosts` gained a detailed-simulator row and the store
-/// gained `details/` entries carrying [`DetailReport`]-shaped payloads.
+/// gained `details/` entries carrying `DetailReport`-shaped payloads.
 pub const FORMAT_VERSION: u16 = 2;
 
 /// Why a decode was rejected. Every variant means "drop this entry and

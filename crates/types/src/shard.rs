@@ -4,12 +4,12 @@
 //! placement allocations, whole experiment cells — from many worker
 //! threads at once. [`ShardedMap`] gives them one shared memo: a fixed
 //! array of mutex-guarded hash maps whose values are
-//! [`OnceLock`](std::sync::OnceLock) slots, so a computation runs at most
+//! [`OnceLock`] slots, so a computation runs at most
 //! once per process while concurrent readers of *other* keys never
 //! contend on the same lock.
 //!
 //! The shard for a key is chosen from the *high* bits of its
-//! [`Mix64Build`](crate::hash::Mix64Build) hash; the map inside the shard
+//! [`Mix64Build`] hash; the map inside the shard
 //! consumes the low bits, so shard selection and bucket indexing stay
 //! statistically independent.
 //!
@@ -67,11 +67,11 @@ impl MapStats {
     }
 }
 
-/// A concurrent memoization map sharded over [`SHARDS`] mutexes.
+/// A concurrent memoization map sharded over `SHARDS` mutexes.
 ///
 /// Values are cloned out on every lookup, so `V` is typically an
 /// `Arc<...>` (or another cheap-to-clone handle). The per-key
-/// [`OnceLock`](std::sync::OnceLock) guarantees the closure passed to
+/// [`OnceLock`] guarantees the closure passed to
 /// [`get_or_compute`](ShardedMap::get_or_compute) runs at most once per
 /// key per process, even under races — losers of the race block until the
 /// winner's result is ready and then share it.

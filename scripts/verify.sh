@@ -23,6 +23,9 @@ cargo run --offline --release -p jumanji-lint -- --self-test
 echo "== jumanji-lint workspace scan (determinism / cache-key / unsafe / env gates)"
 cargo run --offline --release -p jumanji-lint
 
+echo "== rustdoc (warnings are errors: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --keep-going
+
 echo "== cargo build --release"
 cargo build --offline --release
 
@@ -164,10 +167,18 @@ for fig in fig02 fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 \
     [ "$(wc -l <"$f")" -ge 3 ]
 done
 
-echo "== telemetry off is byte-identical to the pinned golden TSVs"
-./target/release/suite --figures fig13,fig14 --mixes 12 --out "$tmp/golden" 2>/dev/null
-cmp "$tmp/golden/fig13.tsv" results/fig13.tsv
-cmp "$tmp/golden/fig14.tsv" results/fig14.tsv
+echo "== every figure is byte-identical to the pinned golden TSVs"
+# results/ holds every figure at --mixes 12, except validate at --mixes 4.
+./target/release/suite --figures all --mixes 12 --out "$tmp/golden" 2>/dev/null
+./target/release/suite --figures validate --mixes 4 --out "$tmp/golden_v" 2>/dev/null
+for f in results/*.tsv; do
+    name="$(basename "$f")"
+    if [ "$name" = validate.tsv ]; then
+        cmp "$tmp/golden_v/$name" "$f"
+    else
+        cmp "$tmp/golden/$name" "$f"
+    fi
+done
 
 echo "== --trace emits controller and scheduler events as JSONL"
 ./target/release/suite --figures fig05 --trace "$tmp/trace.jsonl" >/dev/null 2>&1

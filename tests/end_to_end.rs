@@ -12,6 +12,16 @@ fn opts() -> SimOptions {
     }
 }
 
+#[test]
+#[should_panic(expected = "covers no")]
+fn a_run_shorter_than_one_interval_is_rejected() {
+    let opts = SimOptions {
+        duration: Seconds(0.01),
+        ..SimOptions::default()
+    };
+    Experiment::new(case_study_mix(1), LcLoad::High, opts);
+}
+
 /// Margin over the isolation-measured deadline allowed for contention and
 /// p95 sampling noise.
 const TAIL_SLACK: f64 = 1.35;
