@@ -381,20 +381,6 @@ impl CacheBank {
         }
     }
 
-    /// Set index for a line address.
-    #[inline]
-    pub fn set_of(&self, line: LineAddr) -> usize {
-        // Real bank geometries have power-of-two set counts, where the
-        // modulo strength-reduces to a mask; the branch is on a loop
-        // invariant and predicts perfectly.
-        let sets = self.cfg.sets as u64;
-        if sets.is_power_of_two() {
-            (line & (sets - 1)) as usize
-        } else {
-            (line % sets) as usize
-        }
-    }
-
     /// Whether `line` is currently resident.
     pub fn resident(&self, line: LineAddr) -> bool {
         let (si, tag) = self.split(line);

@@ -136,36 +136,6 @@ impl Allocation {
         v
     }
 
-    /// [`Allocation::occupants`] for every bank at once, in one pass over
-    /// the allocation instead of one scan per bank. Metrics that need
-    /// occupancy for many (app, bank) pairs — the per-interval
-    /// vulnerability sum visits every bank of every app's placement — use
-    /// this to avoid quadratic rescanning.
-    pub fn occupants_by_bank(&self, num_banks: usize) -> Vec<Vec<AppId>> {
-        let mut sets: Vec<HashSet<AppId, Mix64Build>> = vec![HashSet::default(); num_banks];
-        for a in &self.apps {
-            for &(b, bytes) in &a.placement {
-                if bytes > 0.0 && b.index() < num_banks {
-                    sets[b.index()].insert(a.app);
-                }
-            }
-        }
-        for p in &self.pools {
-            for &(b, bytes) in &p.placement {
-                if bytes > 0.0 && b.index() < num_banks {
-                    sets[b.index()].extend(p.members.iter().copied());
-                }
-            }
-        }
-        sets.into_iter()
-            .map(|s| {
-                let mut v: Vec<AppId> = s.into_iter().collect();
-                v.sort();
-                v
-            })
-            .collect()
-    }
-
     /// Average hop distance from `app`'s core to its data, weighting banks
     /// by allocated bytes.
     pub fn avg_distance(&self, input: &PlacementInput, app: AppId) -> f64 {

@@ -9,7 +9,6 @@
 //! that makes a victim's activity visible chip-wide in the port attack
 //! (Fig. 11) and that grows with router delay in Fig. 18.
 
-use crate::queueing::md1_wait;
 use nuca_types::{BankId, CoreId, Mesh, TileCoord};
 
 /// A directional link between two adjacent tiles, identified by
@@ -30,62 +29,12 @@ pub struct LinkLoads {
 }
 
 impl LinkLoads {
-    /// Computes link loads for a set of flows.
-    ///
-    /// Each flow is `(core, bank, flits_per_cycle)` and is routed in both
-    /// directions: request (core → bank) and response (bank → core), each
-    /// X-first. The same rate is charged on both paths; callers fold the
-    /// request/response flit asymmetry into the rate.
-    pub fn from_flows<I>(mesh: Mesh, flows: I) -> LinkLoads
-    where
-        I: IntoIterator<Item = (CoreId, BankId, f64)>,
-    {
-        let mut loads = LinkLoads::default();
-        loads.reset(mesh);
-        for (core, bank, rate) in flows {
-            loads.add_flow(mesh, core, bank, rate);
-        }
-        loads
-    }
-
     /// Empties the accumulated loads (keeping the allocation) so the
     /// structure can be refilled for a new rate vector.
     pub fn reset(&mut self, mesh: Mesh) {
         self.mesh_tiles = mesh.num_tiles();
         self.flows.clear();
         self.flows.resize(self.mesh_tiles * self.mesh_tiles, 0.0);
-    }
-
-    /// Routes one `(core, bank, rate)` flow — request and response path —
-    /// and adds its rate to every link it crosses.
-    pub fn add_flow(&mut self, mesh: Mesh, core: CoreId, bank: BankId, rate: f64) {
-        if rate <= 0.0 {
-            return;
-        }
-        self.add_path(mesh, mesh.core_tile(core), mesh.bank_tile(bank), rate);
-        self.add_path(mesh, mesh.bank_tile(bank), mesh.core_tile(core), rate);
-    }
-
-    /// Adds `rate` along the X-then-Y path from `from` to `to`.
-    fn add_path(&mut self, mesh: Mesh, from: TileCoord, to: TileCoord, rate: f64) {
-        let t = self.mesh_tiles;
-        let mut cur = from;
-        while cur.x != to.x {
-            let next = TileCoord {
-                x: if to.x > cur.x { cur.x + 1 } else { cur.x - 1 },
-                y: cur.y,
-            };
-            self.flows[mesh.tile_index(cur) * t + mesh.tile_index(next)] += rate;
-            cur = next;
-        }
-        while cur.y != to.y {
-            let next = TileCoord {
-                x: cur.x,
-                y: if to.y > cur.y { cur.y + 1 } else { cur.y - 1 },
-            };
-            self.flows[mesh.tile_index(cur) * t + mesh.tile_index(next)] += rate;
-            cur = next;
-        }
     }
 
     /// Utilization of one directional link (flits per cycle; capacity 1).
@@ -96,62 +45,6 @@ impl LinkLoads {
             .unwrap_or(0.0)
     }
 
-    /// The most loaded link's utilization.
-    pub fn max_utilization(&self) -> f64 {
-        self.flows.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean utilization over links carrying any traffic.
-    pub fn mean_utilization(&self) -> f64 {
-        let loaded: Vec<f64> = self.flows.iter().copied().filter(|&f| f > 0.0).collect();
-        if loaded.is_empty() {
-            return 0.0;
-        }
-        loaded.iter().sum::<f64>() / loaded.len() as f64
-    }
-
-    /// Total flit·links per cycle (the NoC's dynamic activity).
-    pub fn total_flit_links(&self) -> f64 {
-        self.flows.iter().sum()
-    }
-
-    /// Expected congestion delay (cycles) along the X-then-Y path from
-    /// `core` to `bank` and back: the sum of per-link M/D/1 waits at
-    /// 1-cycle service.
-    pub fn path_delay(&self, mesh: Mesh, core: CoreId, bank: BankId) -> f64 {
-        let t = self.mesh_tiles;
-        let mut total = 0.0;
-        let mut walk = |from: TileCoord, to: TileCoord| {
-            let mut cur = from;
-            while cur.x != to.x {
-                let next = TileCoord {
-                    x: if to.x > cur.x { cur.x + 1 } else { cur.x - 1 },
-                    y: cur.y,
-                };
-                let f = self.flows[mesh.tile_index(cur) * t + mesh.tile_index(next)];
-                total += md1_wait(f, 1.0);
-                cur = next;
-            }
-            while cur.y != to.y {
-                let next = TileCoord {
-                    x: cur.x,
-                    y: if to.y > cur.y { cur.y + 1 } else { cur.y - 1 },
-                };
-                let f = self.flows[mesh.tile_index(cur) * t + mesh.tile_index(next)];
-                total += md1_wait(f, 1.0);
-                cur = next;
-            }
-        };
-        walk(mesh.core_tile(core), mesh.bank_tile(bank));
-        walk(mesh.bank_tile(bank), mesh.core_tile(core));
-        total
-    }
-
-    /// Number of tiles of the mesh these loads were computed for.
-    pub fn mesh_tiles(&self) -> usize {
-        self.mesh_tiles
-    }
-
     /// The raw per-link flow slab (indexed `from_tile * num_tiles +
     /// to_tile`), for callers that precompute per-link waits once and
     /// share them across many paths.
@@ -159,10 +52,11 @@ impl LinkLoads {
         &self.flows
     }
 
-    /// [`add_flow`](LinkLoads::add_flow) using precomputed routes: adds
-    /// `rate` to the same links in the same order, without re-walking the
-    /// mesh. The table must have been built for the same mesh as
-    /// [`reset`](LinkLoads::reset).
+    /// Routes one `(core, bank, rate)` flow — request and response path,
+    /// each X-first — and adds `rate` to every link it crosses. The same
+    /// rate is charged on both paths; callers fold the request/response
+    /// flit asymmetry into the rate. The table must have been built for
+    /// the same mesh as [`reset`](LinkLoads::reset).
     pub fn add_flow_routed(&mut self, routes: &RouteTable, core: CoreId, bank: BankId, rate: f64) {
         if rate <= 0.0 {
             return;
@@ -171,17 +65,6 @@ impl LinkLoads {
             self.flows[l as usize] += rate;
         }
     }
-
-    /// [`path_delay`](LinkLoads::path_delay) using precomputed routes:
-    /// sums the per-link M/D/1 waits over the same links in the same
-    /// order.
-    pub fn path_delay_routed(&self, routes: &RouteTable, core: CoreId, bank: BankId) -> f64 {
-        let mut total = 0.0;
-        for &l in routes.round_trip(core, bank) {
-            total += md1_wait(self.flows[l as usize], 1.0);
-        }
-        total
-    }
 }
 
 /// Precomputed X-Y round-trip routes for every `(core, bank)` pair.
@@ -189,9 +72,9 @@ impl LinkLoads {
 /// The mesh geometry is fixed for a run, but the analytic model walks the
 /// core↔bank path of every placement pair several times per fixed-point
 /// iteration (once to accumulate flows, once to sum congestion). This
-/// table stores each pair's flat link indices — request then response, in
-/// walk order, so replaying it touches the same `f64`s in the same order
-/// as the on-the-fly walk and is therefore bit-identical.
+/// table walks each pair once and stores its flat link indices — request
+/// then response, in walk order — so every later pass replays the same
+/// `f64`s in the same order.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     /// `offsets[core * num_banks + bank] .. offsets[.. + 1]` indexes
@@ -253,11 +136,10 @@ impl RouteTable {
     }
 
     /// Sums `per_link[l]` over the `(core, bank)` round trip, in walk
-    /// order. With `per_link[l] = md1_wait(flows[l], 1.0)` this adds the
-    /// same values in the same order as
-    /// [`LinkLoads::path_delay_routed`] — bit-identical — while letting
-    /// the caller compute each link's wait once instead of once per path
-    /// that crosses it.
+    /// order. With `per_link[l] = md1_wait(flows[l], 1.0)` this is the
+    /// pair's expected congestion delay (cycles), while letting the caller
+    /// compute each link's wait once instead of once per path that
+    /// crosses it.
     pub fn round_trip_sum(&self, per_link: &[f64], core: CoreId, bank: BankId) -> f64 {
         let mut total = 0.0;
         for &l in self.round_trip(core, bank) {
@@ -270,16 +152,41 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queueing::md1_wait;
 
     fn mesh() -> Mesh {
         Mesh::new(5, 4)
     }
 
+    fn routes() -> RouteTable {
+        RouteTable::new(mesh(), 20, 20)
+    }
+
+    fn loads_of(flows: &[(usize, usize, f64)]) -> LinkLoads {
+        let routes = routes();
+        let mut loads = LinkLoads::default();
+        loads.reset(mesh());
+        for &(core, bank, rate) in flows {
+            loads.add_flow_routed(&routes, CoreId(core), BankId(bank), rate);
+        }
+        loads
+    }
+
+    fn total_flit_links(loads: &LinkLoads) -> f64 {
+        loads.flows().iter().sum()
+    }
+
+    /// Congestion delay of the `(core, bank)` round trip: per-link M/D/1
+    /// waits at 1-cycle service, summed along the route.
+    fn path_delay(loads: &LinkLoads, core: usize, bank: usize) -> f64 {
+        let waits: Vec<f64> = loads.flows().iter().map(|&f| md1_wait(f, 1.0)).collect();
+        routes().round_trip_sum(&waits, CoreId(core), BankId(bank))
+    }
+
     #[test]
     fn single_flow_loads_its_path_only() {
-        let m = mesh();
         // Core 0 (0,0) -> bank 7 (2,1): X-first path 0->1->2 then 2->7.
-        let loads = LinkLoads::from_flows(m, [(CoreId(0), BankId(7), 0.25)]);
+        let loads = loads_of(&[(0, 7, 0.25)]);
         assert_eq!(loads.utilization((0, 1)), 0.25);
         assert_eq!(loads.utilization((1, 2)), 0.25);
         assert_eq!(loads.utilization((2, 7)), 0.25);
@@ -293,55 +200,44 @@ mod tests {
 
     #[test]
     fn local_bank_loads_no_links() {
-        let loads = LinkLoads::from_flows(mesh(), [(CoreId(7), BankId(7), 0.9)]);
-        assert_eq!(loads.total_flit_links(), 0.0);
-        assert_eq!(loads.path_delay(mesh(), CoreId(7), BankId(7)), 0.0);
+        let loads = loads_of(&[(7, 7, 0.9)]);
+        assert!(routes().round_trip(CoreId(7), BankId(7)).is_empty());
+        assert_eq!(total_flit_links(&loads), 0.0);
+        assert_eq!(path_delay(&loads, 7, 7), 0.0);
     }
 
     #[test]
     fn flows_superimpose() {
-        let m = mesh();
-        let loads = LinkLoads::from_flows(
-            m,
-            [
-                (CoreId(0), BankId(2), 0.2),
-                (CoreId(1), BankId(2), 0.3), // shares link (1,2)
-            ],
-        );
+        let loads = loads_of(&[
+            (0, 2, 0.2),
+            (1, 2, 0.3), // shares link (1,2)
+        ]);
         assert!((loads.utilization((1, 2)) - 0.5).abs() < 1e-12);
         assert!((loads.utilization((0, 1)) - 0.2).abs() < 1e-12);
-        assert_eq!(loads.max_utilization(), 0.5);
+        assert_eq!(loads.flows().iter().copied().fold(0.0, f64::max), 0.5);
     }
 
     #[test]
     fn path_delay_grows_with_congestion() {
-        let m = mesh();
-        let light = LinkLoads::from_flows(m, [(CoreId(0), BankId(4), 0.1)]);
-        let heavy = LinkLoads::from_flows(m, [(CoreId(0), BankId(4), 0.8)]);
-        let dl = light.path_delay(m, CoreId(0), BankId(4));
-        let dh = heavy.path_delay(m, CoreId(0), BankId(4));
+        let dl = path_delay(&loads_of(&[(0, 4, 0.1)]), 0, 4);
+        let dh = path_delay(&loads_of(&[(0, 4, 0.8)]), 0, 4);
         assert!(dh > 4.0 * dl, "light {dl:.3} vs heavy {dh:.3}");
     }
 
     #[test]
     fn total_activity_matches_rate_times_hops() {
-        let m = mesh();
         // 3 hops each way at rate 0.5 -> 3 flit-links per direction.
-        let loads = LinkLoads::from_flows(m, [(CoreId(0), BankId(3), 0.5)]);
-        assert!((loads.total_flit_links() - 2.0 * 3.0 * 0.5).abs() < 1e-12);
+        let loads = loads_of(&[(0, 3, 0.5)]);
+        assert!((total_flit_links(&loads) - 2.0 * 3.0 * 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn dnuca_placement_loads_links_less_than_snuca() {
-        let m = mesh();
         // One app at core 0 with rate 0.2: S-NUCA stripes over all banks;
         // D-NUCA uses the local + neighbour bank.
-        let snuca: Vec<(CoreId, BankId, f64)> = (0..20)
-            .map(|b| (CoreId(0), BankId(b), 0.2 / 20.0))
-            .collect();
-        let dnuca = vec![(CoreId(0), BankId(0), 0.1), (CoreId(0), BankId(1), 0.1)];
-        let ls = LinkLoads::from_flows(m, snuca);
-        let ld = LinkLoads::from_flows(m, dnuca);
-        assert!(ld.total_flit_links() < 0.2 * ls.total_flit_links());
+        let snuca: Vec<(usize, usize, f64)> = (0..20).map(|b| (0, b, 0.2 / 20.0)).collect();
+        let ls = loads_of(&snuca);
+        let ld = loads_of(&[(0, 0, 0.1), (0, 1, 0.1)]);
+        assert!(total_flit_links(&ld) < 0.2 * total_flit_links(&ls));
     }
 }

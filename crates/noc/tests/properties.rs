@@ -1,9 +1,55 @@
 //! Property-based tests for the NoC: routing geometry and port-arbitration
 //! invariants.
 
-use nuca_noc::{BankPorts, MeshNoc};
+use nuca_noc::{BankPorts, MeshNoc, RouteTable};
 use nuca_types::{BankId, CoreId, Cycles, Mesh, SystemConfig};
 use proptest::prelude::*;
+use proptest::TestCaseError;
+
+/// Checks every `(core, bank)` round trip of `mesh`'s route table: twice
+/// the X-Y hop count of links, each joining adjacent tiles; a request
+/// half that walks core → bank moving in X before Y; and a response half
+/// that walks bank → core.
+fn check_round_trips(mesh: Mesh) -> Result<(), TestCaseError> {
+    let t = mesh.num_tiles();
+    let routes = RouteTable::new(mesh, t, t);
+    for core in 0..t {
+        for bank in 0..t {
+            let hops = mesh.hops_core_to_bank(CoreId(core), BankId(bank));
+            let links: Vec<(usize, usize)> = routes
+                .round_trip(CoreId(core), BankId(bank))
+                .iter()
+                .map(|&l| (l as usize / t, l as usize % t))
+                .collect();
+            prop_assert_eq!(links.len(), 2 * hops, "core {} bank {}", core, bank);
+            for &(from, to) in &links {
+                prop_assert_eq!(mesh.tile(from).manhattan(mesh.tile(to)), 1);
+            }
+            let (request, response) = links.split_at(hops);
+            for (half, start, end) in [(request, core, bank), (response, bank, core)] {
+                let mut at = start;
+                for &(from, to) in half {
+                    prop_assert_eq!(from, at, "core {} bank {}", core, bank);
+                    at = to;
+                }
+                prop_assert_eq!(at, end, "core {} bank {}", core, bank);
+            }
+            // X before Y: no horizontal step follows a vertical one.
+            let vertical: Vec<bool> = request
+                .iter()
+                .map(|&(from, to)| mesh.tile(from).x == mesh.tile(to).x)
+                .collect();
+            prop_assert!(
+                vertical.windows(2).all(|w| w[1] || !w[0]),
+                "core {} bank {}: {:?}",
+                core,
+                bank,
+                links
+            );
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -60,6 +106,14 @@ proptest! {
             bank.stats().busy_cycles,
             sorted.len() as u64 * occupancy
         );
+    }
+
+    /// Every precomputed route is an X-then-Y round trip of adjacent
+    /// links, on the paper's 5×4 mesh and on random mesh shapes.
+    #[test]
+    fn routes_are_x_then_y_round_trips(cols in 1usize..8, rows in 1usize..7) {
+        check_round_trips(Mesh::new(5, 4))?;
+        check_round_trips(Mesh::new(cols, rows))?;
     }
 
     /// Weighted distance is bounded by the farthest bank in the placement.

@@ -84,15 +84,6 @@ impl DetailAppStats {
         }
     }
 
-    /// Average access latency in cycles.
-    pub fn avg_latency(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.total_latency / self.accesses as f64
-        }
-    }
-
     /// Average hops to data.
     pub fn avg_hops(&self) -> f64 {
         if self.accesses == 0 {

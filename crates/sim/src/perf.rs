@@ -33,7 +33,7 @@ const PORT_OCCUPANCY: f64 = 4.0;
 
 /// Flits moved per LLC access (1-flit request + 4-flit line response),
 /// charged on the request path; the symmetric response path is charged by
-/// [`LinkLoads::from_flows`] itself.
+/// [`LinkLoads::add_flow_routed`] itself.
 const FLITS_PER_ACCESS: f64 = 2.5;
 
 /// Extra contention misses suffered by members of an *unpartitioned* pool,

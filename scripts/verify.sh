@@ -49,8 +49,8 @@ JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test su
 echo "== render purity (every figure folded from executor results, full-matrix figures on)"
 JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test render_purity
 
-echo "== cargo bench smoke (one iteration per benchmark, no statistics)"
-JUMANJI_BENCH_SMOKE=1 cargo bench --offline
+echo "== perfbench helper unit tests (writes nothing under perfbench/)"
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
