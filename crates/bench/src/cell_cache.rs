@@ -13,12 +13,16 @@
 //!
 //! [`CellCache::get`] is the one read-through for every kind, over one
 //! map: memory, then the attached [`DiskCache`], then `compute` with
-//! write-back to both. Keys are 128-bit content fingerprints of a
-//! kind-prefixed `Debug` form of the cell's full input, so two cells
-//! share an entry exactly when the simulation would do identical work,
-//! and two kinds never share a key. One-shot placements are not cells: a
-//! [`DesignKind::allocate`] call costs less than fingerprinting its
-//! input, so the plan pass computes them directly.
+//! write-back to both. Keys are 128-bit content fingerprints of the
+//! cell's full input behind a kind tag, so two cells share an entry
+//! exactly when the simulation would do identical work, and two kinds
+//! never share a key. A key is composed, not formatted: a mix enters as
+//! its VM structure and one bit-exact fingerprint per profile, an
+//! allocation field by field, and only the small option structs as
+//! their `Debug` form — so naming a cell costs
+//! far less than reading it from the store. One-shot placements are not
+//! cells: a [`DesignKind::allocate`] call costs less than fingerprinting
+//! its input, so the plan pass computes them directly.
 //!
 //! **Experiment handles are lazy.** An [`ExperimentHandle`] names an
 //! experiment (inputs + key) without constructing it; the run cells that
@@ -38,40 +42,129 @@
 
 use crate::disk_cache::{self, DiskCache, DiskCacheStats};
 use crate::figures::plan::{CostModel, DetailPlan};
-use jumanji::core::{Allocation, DesignKind};
+use jumanji::core::{Allocation, AppAlloc, DesignKind, Pool};
 use jumanji::sim::detail::{run_detailed, DetailOptions, DetailReport};
 use jumanji::sim::perf::Profile;
 use jumanji::sim::{ratio_hull_cache_stats, Experiment, ExperimentResult, SimOptions};
 use jumanji::telemetry::{NoopSink, Telemetry};
 use jumanji::types::codec::{ByteReader, ByteWriter, CodecError};
 use jumanji::types::hash::fingerprint128;
-use jumanji::types::{CoreId, MapStats, ShardedMap, VmId};
-use jumanji::workloads::{LcLoad, WorkloadMix};
+use jumanji::types::{BankId, CoreId, MapStats, ShardedMap, VmId};
+use jumanji::workloads::{LcLoad, VmWorkload, WorkloadMix};
 use std::any::Any;
-use std::fmt::{Arguments, Debug};
+use std::fmt::Debug;
 use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// Every cache key: the fingerprint of a kind-prefixed `Debug` rendering
-/// of a cell's inputs.
-pub(crate) fn content_key(inputs: Arguments<'_>) -> u128 {
-    fingerprint128(inputs.to_string().as_bytes())
+/// Every cache key: a 128-bit fingerprint of the cell kind's `tag`
+/// followed by the cell's inputs as `write` encodes them — field by
+/// field, floats by bit pattern, workload profiles by their
+/// fingerprints, and the small option structs as [`debug_leaf`]s. Tags
+/// differ per kind, so two kinds never share a key.
+pub(crate) fn content_key(tag: &str, write: impl FnOnce(&mut ByteWriter)) -> u128 {
+    // Room for an experiment key's inputs, the most frequent kind.
+    let mut w = ByteWriter::with_capacity(2048);
+    w.str(tag);
+    write(&mut w);
+    fingerprint128(&w.into_bytes())
 }
 
-/// The cache identity of an experiment: a 128-bit content fingerprint of
-/// `(mix, load, opts)`, exposed so the plan pass ([`crate::figures::plan`])
-/// can name a cell without constructing it.
+/// Writes `value`'s `Debug` form as one length-prefixed leaf: how the
+/// small option structs reach a key without a hand-written encoder, so
+/// none of their fields can drop out of it.
+pub(crate) fn debug_leaf(w: &mut ByteWriter, value: &dyn Debug) {
+    w.str(&format!("{value:?}"));
+}
+
+/// Writes `mix` as its VM structure plus one fingerprint per profile
+/// ([`LcProfile::fingerprint`](jumanji::workloads::LcProfile::fingerprint),
+/// [`BatchProfile::fingerprint`](jumanji::workloads::BatchProfile::fingerprint)).
+fn write_mix(w: &mut ByteWriter, mix: &WorkloadMix) {
+    let WorkloadMix { vms } = mix;
+    w.usize(vms.len());
+    for VmWorkload { lc, batch } in vms {
+        w.usize(lc.len());
+        w.usize(batch.len());
+        for p in lc {
+            w.u128(p.fingerprint());
+        }
+        for p in batch {
+            w.u128(p.fingerprint());
+        }
+    }
+}
+
+/// Writes a placement's `(bank, bytes)` pairs, bytes by bit pattern.
+fn write_placement(w: &mut ByteWriter, placement: &[(BankId, f64)]) {
+    w.usize(placement.len());
+    for &(bank, bytes) in placement {
+        w.usize(bank.0);
+        w.f64(bytes);
+    }
+}
+
+/// Writes every field of `alloc`, byte counts by bit pattern.
+fn write_alloc(w: &mut ByteWriter, alloc: &Allocation) {
+    // Exhaustive destructuring: a new field does not compile until it is
+    // written.
+    let Allocation {
+        apps,
+        pools,
+        ideal_batch,
+    } = alloc;
+    w.usize(apps.len());
+    for AppAlloc {
+        app,
+        placement,
+        pool,
+        copy,
+    } in apps
+    {
+        w.usize(app.0);
+        write_placement(w, placement);
+        match pool {
+            None => w.u8(0),
+            Some(i) => {
+                w.u8(1);
+                w.usize(*i);
+            }
+        }
+        w.u8(*copy);
+    }
+    w.usize(pools.len());
+    for Pool { members, placement } in pools {
+        w.usize(members.len());
+        for m in members {
+            w.usize(m.0);
+        }
+        write_placement(w, placement);
+    }
+    w.u8(u8::from(*ideal_batch));
+}
+
+/// The cache identity of an experiment: a 128-bit fingerprint of `mix`'s
+/// VM structure and profile fingerprints, plus `load` and `opts`, exposed
+/// so the plan pass ([`crate::figures::plan`]) can name a cell without
+/// constructing it.
 pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u128 {
-    content_key(format_args!("exp|{load:?}|{opts:?}|{mix:?}"))
+    content_key("exp", |w| {
+        debug_leaf(w, &load);
+        debug_leaf(w, opts);
+        write_mix(w, mix);
+    })
 }
 
 /// The cache identity of a completed `(experiment, design)` run cell.
 pub fn run_key(experiment_key: u128, design: DesignKind) -> u128 {
-    content_key(format_args!("run|{experiment_key:032x}|{design:?}"))
+    content_key("run", |w| {
+        w.u128(experiment_key);
+        debug_leaf(w, &design);
+    })
 }
 
 /// The cache identity of a detailed-simulator cell: a fingerprint of
-/// every input [`run_detailed`] consumes.
+/// every input [`run_detailed`] consumes, profiles by their
+/// fingerprints and the allocation field by field.
 pub fn detail_key(
     opts: &DetailOptions,
     profiles: &[Profile],
@@ -79,9 +172,32 @@ pub fn detail_key(
     vms: &[VmId],
     alloc: &Allocation,
 ) -> u128 {
-    content_key(format_args!(
-        "detail|{opts:?}|{profiles:?}|{cores:?}|{vms:?}|{alloc:?}"
-    ))
+    content_key("detail", |w| {
+        debug_leaf(w, opts);
+        w.usize(profiles.len());
+        for profile in profiles {
+            match profile {
+                Profile::Batch(p) => {
+                    w.u8(0);
+                    w.u128(p.fingerprint());
+                }
+                Profile::Lc(p, load) => {
+                    w.u8(1);
+                    w.u128(p.fingerprint());
+                    debug_leaf(w, load);
+                }
+            }
+        }
+        w.usize(cores.len());
+        for core in cores {
+            w.usize(core.0);
+        }
+        w.usize(vms.len());
+        for vm in vms {
+            w.usize(vm.0);
+        }
+        write_alloc(w, alloc);
+    })
 }
 
 /// The kinds of [`Cell`]: each names its store directory and its codec
@@ -120,7 +236,7 @@ pub trait Cell: Send + Sync {
     /// The cell's kind: its store directory and envelope tag.
     const KIND: CellKind;
 
-    /// The cell's cache identity (a kind-prefixed content fingerprint).
+    /// The cell's cache identity (a kind-tagged content fingerprint).
     fn key(&self) -> u128;
 
     /// Computes the cell. Untraced lookups pass the concrete `NoopSink`,
@@ -435,15 +551,15 @@ impl CellCache {
         alloc: &Allocation,
         tel: &dyn Telemetry,
     ) -> (Arc<DetailReport>, RunSource) {
-        let cell = DetailPlan {
+        let cell = DetailPlan::new(
             // A label only: the key covers the other fields.
-            design: DesignKind::Static,
-            opts: opts.clone(),
-            profiles: profiles.to_vec(),
-            cores: cores.to_vec(),
-            vms: vms.to_vec(),
-            alloc: alloc.clone(),
-        };
+            DesignKind::Static,
+            opts.clone(),
+            profiles.to_vec(),
+            cores.to_vec(),
+            vms.to_vec(),
+            alloc.clone(),
+        );
         self.get(&cell, tel)
     }
 
@@ -500,9 +616,13 @@ pub fn attach_global_disk(dir: &Path, cap: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{ExperimentSpec, FigureKind};
     use jumanji::telemetry::{Event, NoopSink, RecordingSink};
     use jumanji::types::Seconds;
-    use jumanji::workloads::case_study_mix;
+    use jumanji::workloads::curves::Component;
+    use jumanji::workloads::{
+        case_study_mix, spec2006, tailbench, BatchProfile, CurveShape, LcProfile,
+    };
 
     fn quick_opts() -> SimOptions {
         SimOptions {
@@ -584,6 +704,233 @@ mod tests {
                 "SimOptions::{field} does not reach the experiment key"
             );
         }
+    }
+
+    /// Pairs of values a float field takes in two otherwise equal
+    /// inputs: `x` against its one-ULP successor, and `0.0` against
+    /// `-0.0` (equal under `==`, apart under `Debug`). Each pair must key
+    /// apart.
+    fn float_pairs(x: f64) -> [(f64, f64); 2] {
+        [(x, x.next_up()), (0.0, -0.0)]
+    }
+
+    /// A profile's float field: its name, its value, and a setter.
+    type FloatField<P> = (&'static str, f64, fn(&mut P, f64));
+
+    /// The key of a one-VM mix of `lc` and `batch`.
+    fn profiles_key(lc: &LcProfile, batch: &BatchProfile) -> u128 {
+        let vm = VmWorkload {
+            lc: vec![lc.clone()],
+            batch: vec![batch.clone()],
+        };
+        let mix = WorkloadMix { vms: vec![vm] };
+        experiment_key(&mix, LcLoad::High, &SimOptions::default())
+    }
+
+    #[test]
+    fn every_lc_profile_field_reaches_the_experiment_key() {
+        let lc = tailbench().remove(1);
+        let batch = spec2006().remove(0);
+        // Exhaustive destructuring: a new `LcProfile` field does not
+        // compile here until it is perturbed below (`shape`: see
+        // `every_curve_shape_field_reaches_the_experiment_key`).
+        let LcProfile {
+            name,
+            qps_low,
+            qps_high,
+            num_queries,
+            work_cycles,
+            accesses_per_req,
+            miss_stall,
+            shape: _,
+        } = lc.clone();
+        let key = |p: &LcProfile| profiles_key(p, &batch);
+        let renamed = LcProfile {
+            name: if name == "silo" { "moses" } else { "silo" },
+            ..lc.clone()
+        };
+        assert_ne!(key(&renamed), key(&lc), "LcProfile::name");
+        let more = LcProfile {
+            num_queries: num_queries + 1,
+            ..lc.clone()
+        };
+        assert_ne!(key(&more), key(&lc), "LcProfile::num_queries");
+        let floats: [FloatField<LcProfile>; 5] = [
+            ("qps_low", qps_low, |p, v| p.qps_low = v),
+            ("qps_high", qps_high, |p, v| p.qps_high = v),
+            ("work_cycles", work_cycles, |p, v| p.work_cycles = v),
+            ("accesses_per_req", accesses_per_req, |p, v| {
+                p.accesses_per_req = v
+            }),
+            ("miss_stall", miss_stall, |p, v| p.miss_stall = v),
+        ];
+        for (field, x, set) in floats {
+            for (a, b) in float_pairs(x) {
+                let (mut pa, mut pb) = (lc.clone(), lc.clone());
+                set(&mut pa, a);
+                set(&mut pb, b);
+                assert_ne!(key(&pa), key(&pb), "LcProfile::{field}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_batch_profile_field_reaches_the_experiment_key() {
+        let lc = tailbench().remove(1);
+        let batch = spec2006().remove(0);
+        // Exhaustive destructuring, as for `LcProfile` above.
+        let BatchProfile {
+            name,
+            llc_apki,
+            base_cpi,
+            shape: _,
+        } = batch.clone();
+        let key = |p: &BatchProfile| profiles_key(&lc, p);
+        let renamed = BatchProfile {
+            name: if name == "429.mcf" {
+                "470.lbm"
+            } else {
+                "429.mcf"
+            },
+            ..batch.clone()
+        };
+        assert_ne!(key(&renamed), key(&batch), "BatchProfile::name");
+        let floats: [FloatField<BatchProfile>; 2] = [
+            ("llc_apki", llc_apki, |p, v| p.llc_apki = v),
+            ("base_cpi", base_cpi, |p, v| p.base_cpi = v),
+        ];
+        for (field, x, set) in floats {
+            for (a, b) in float_pairs(x) {
+                let (mut pa, mut pb) = (batch.clone(), batch.clone());
+                set(&mut pa, a);
+                set(&mut pb, b);
+                assert_ne!(key(&pa), key(&pb), "BatchProfile::{field}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_curve_shape_field_reaches_the_experiment_key() {
+        let smooth = Component::Smooth {
+            weight: 0.3,
+            ws_bytes: 1 << 20,
+            sharpness: 2.0,
+        };
+        let cliff = Component::Cliff {
+            weight: 0.2,
+            ws_bytes: 4 << 20,
+        };
+        let floor = 0.1;
+        // Every field of every component, perturbed one at a time:
+        // `(label, shape a, shape b)`.
+        let mut pairs = Vec::new();
+        for (a, b) in float_pairs(floor) {
+            let shape = |f| CurveShape::new(f, vec![smooth, cliff]);
+            pairs.push(("floor".to_string(), shape(a), shape(b)));
+        }
+        for (i, component) in [smooth, cliff].into_iter().enumerate() {
+            let with = |c: Component| {
+                let mut components = vec![smooth, cliff];
+                components[i] = c;
+                CurveShape::new(floor, components)
+            };
+            // Exhaustive match: a new variant or field does not compile
+            // here until it is perturbed.
+            let variants: Vec<(&str, Component, Component)> = match component {
+                Component::Smooth {
+                    weight,
+                    ws_bytes,
+                    sharpness,
+                } => {
+                    let mut v = vec![(
+                        "Smooth::ws_bytes",
+                        component,
+                        Component::Smooth {
+                            weight,
+                            ws_bytes: ws_bytes + 1,
+                            sharpness,
+                        },
+                    )];
+                    for (a, b) in float_pairs(weight) {
+                        let c = |weight| Component::Smooth {
+                            weight,
+                            ws_bytes,
+                            sharpness,
+                        };
+                        v.push(("Smooth::weight", c(a), c(b)));
+                    }
+                    for (a, b) in float_pairs(sharpness) {
+                        let c = |sharpness| Component::Smooth {
+                            weight,
+                            ws_bytes,
+                            sharpness,
+                        };
+                        v.push(("Smooth::sharpness", c(a), c(b)));
+                    }
+                    v.push(("variant", component, Component::Cliff { weight, ws_bytes }));
+                    v
+                }
+                Component::Cliff { weight, ws_bytes } => {
+                    let mut v = vec![(
+                        "Cliff::ws_bytes",
+                        component,
+                        Component::Cliff {
+                            weight,
+                            ws_bytes: ws_bytes + 1,
+                        },
+                    )];
+                    for (a, b) in float_pairs(weight) {
+                        let c = |weight| Component::Cliff { weight, ws_bytes };
+                        v.push(("Cliff::weight", c(a), c(b)));
+                    }
+                    v
+                }
+            };
+            for (label, a, b) in variants {
+                pairs.push((format!("component {i}: {label}"), with(a), with(b)));
+            }
+        }
+        let lc = tailbench().remove(1);
+        let batch = spec2006().remove(0);
+        for (label, a, b) in &pairs {
+            let lc_with = |shape: &CurveShape| LcProfile {
+                shape: shape.clone(),
+                ..lc.clone()
+            };
+            let batch_with = |shape: &CurveShape| BatchProfile {
+                shape: shape.clone(),
+                ..batch.clone()
+            };
+            let lc_keys = [a, b].map(|s| profiles_key(&lc_with(s), &batch));
+            assert_ne!(lc_keys[0], lc_keys[1], "LcProfile::shape {label}");
+            let batch_keys = [a, b].map(|s| profiles_key(&lc, &batch_with(s)));
+            assert_ne!(batch_keys[0], batch_keys[1], "BatchProfile::shape {label}");
+        }
+    }
+
+    #[test]
+    fn sensitivity_miss_stall_variants_key_apart_from_their_catalog_profile() {
+        // The sensitivity study's first rows keep xapian's catalog name
+        // but set its `miss_stall` to 2, 3 and 4 in `case_study_mix(0)`;
+        // the catalog's is 3. Only the bit-identical variant may share
+        // the catalog mix's key.
+        let spec = ExperimentSpec::new(FigureKind::Sensitivity).mixes(1);
+        let plan = crate::figures::plan::of(&spec).expect("plannable");
+        let catalog = tailbench().remove(1);
+        assert_eq!(catalog.name, "xapian");
+        let mut apart = Vec::new();
+        for cell in &plan.cells[..3] {
+            let lc = &cell.mix.vms[0].lc[0];
+            assert_eq!(lc.name, catalog.name);
+            let plain = experiment_key(&case_study_mix(0), cell.load, &cell.opts);
+            if lc.miss_stall.to_bits() == catalog.miss_stall.to_bits() {
+                assert_eq!(cell.experiment_key(), plain, "bit-identical mixes");
+            } else {
+                assert_ne!(cell.experiment_key(), plain, "miss_stall {}", lc.miss_stall);
+                apart.push(lc.miss_stall);
+            }
+        }
+        assert_eq!(apart, [2.0, 4.0]);
     }
 
     #[test]

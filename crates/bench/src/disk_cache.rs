@@ -3,9 +3,13 @@
 //! [`CellCache`](crate::cell_cache::CellCache) deduplicates cells inside
 //! one process; this module makes the dedup survive the process. A
 //! [`DiskCache`] roots a directory (`suite --cache-dir`) holding one
-//! file per completed cell, `<kind>/<key>.bin`: the [`CellKind`]'s directory and the cell's
-//! 128-bit content fingerprint — the *same* key the in-memory map uses,
-//! so a cell computed by any process is warm for every later one. One
+//! file per completed cell, `<kind>/<name>.bin`: the [`CellKind`]'s
+//! directory, and a fingerprint of the cell's key — the *same* 128-bit
+//! key the in-memory map uses — salted with a fingerprint of the
+//! simulator's sources ([`DiskCache::entry_path`]). So a cell computed by
+//! any process is warm for every later process of the same build, and a
+//! build from changed sources misses it instead of serving a stale
+//! value. One
 //! generic [`DiskCache::load`] / [`DiskCache::store`] pair serves every
 //! kind, framing the [`Cell`]'s own payload codec:
 //!
@@ -32,6 +36,11 @@
 //! recomputes; a corrupt cache can cost time but never correctness.
 //! Floats are stored by bit pattern, so results served from disk format
 //! to byte-identical TSVs.
+//!
+//! Writes are best-effort. The first write that fails (a full disk, a
+//! read-only or vanished directory) prints one warning and turns writes
+//! off, so the run goes on memory-only with unchanged results
+//! ([`DiskCacheStats::failed_writes`] counts it).
 //!
 //! The store is bounded on request: [`DiskCache::set_cap_bytes`]
 //! (`--cache-cap-bytes` on `suite`) caps the
@@ -62,14 +71,18 @@ use jumanji::sim::detail::{DetailAppStats, DetailReport};
 use jumanji::sim::energy::EnergyBreakdown;
 use jumanji::sim::{export_ratio_hulls, seed_ratio_hull, ExperimentResult, IntervalRecord};
 use jumanji::types::codec::{decode_entry, encode_entry, ByteReader, ByteWriter, CodecError};
-use jumanji::types::hash::Mix64Build;
+use jumanji::types::hash::{fingerprint128, Mix64Build};
 use jumanji::types::AppId;
 use jumanji::workloads::{spec2006, tailbench};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use std::{fs, io};
+
+/// The fingerprint of the sources that compute, key and encode cells,
+/// written by this crate's `build.rs`.
+const SOURCE_SALT: &str = env!("NUCA_SOURCE_SALT");
 
 /// Envelope kind tag for the model-memo file (hulls + deadlines).
 const KIND_MODEL: u16 = 3;
@@ -88,6 +101,10 @@ pub struct DiskCacheStats {
     pub misses: u64,
     /// Entries successfully written.
     pub writes: u64,
+    /// Write attempts that failed. The first failure turns writes off
+    /// (see [`DiskCache::store`]), so a store that takes no writes at
+    /// all counts exactly one.
+    pub failed_writes: u64,
     /// Cache files deleted — corruption drops plus size-cap evictions
     /// (see [`DiskCache::enforce_cap`]).
     pub evictions: u64,
@@ -513,13 +530,21 @@ fn decode_costs(bytes: &[u8]) -> Result<MeasuredCosts, CodecError> {
 #[derive(Debug)]
 pub struct DiskCache {
     root: PathBuf,
+    /// Mixed into every entry's file name: [`SOURCE_SALT`], unless a
+    /// test overrides it.
+    salt: String,
     /// Total entry-file bytes allowed (0 = unbounded).
     cap_bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
+    failed_writes: AtomicU64,
     evictions: AtomicU64,
     corrupt_dropped: AtomicU64,
+    /// Set once the first write attempt has finished.
+    first_write: OnceLock<()>,
+    /// Set by the first failed write: the store takes no more writes.
+    memory_only: AtomicBool,
 }
 
 impl DiskCache {
@@ -535,13 +560,25 @@ impl DiskCache {
         }
         Ok(DiskCache {
             root,
+            salt: SOURCE_SALT.to_string(),
             cap_bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
+            failed_writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             corrupt_dropped: AtomicU64::new(0),
+            first_write: OnceLock::new(),
+            memory_only: AtomicBool::new(false),
         })
+    }
+
+    /// This store as a binary built from other sources would see it:
+    /// every entry name is salted with `salt` instead.
+    #[cfg(test)]
+    pub(crate) fn with_salt(mut self, salt: &str) -> DiskCache {
+        self.salt = salt.to_string();
+        self
     }
 
     /// The store's root directory.
@@ -555,14 +592,23 @@ impl DiskCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
+            failed_writes: self.failed_writes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             corrupt_dropped: self.corrupt_dropped.load(Ordering::Relaxed),
         }
     }
 
-    /// The file of `kind`'s entry `key`.
-    fn entry_path(&self, kind: CellKind, key: u128) -> PathBuf {
-        self.root.join(kind.dir()).join(format!("{key:032x}.bin"))
+    /// The file of `kind`'s entry `key`: `<kind>/<name>.bin`, the name a
+    /// fingerprint of the source salt and `key`. A binary built from
+    /// other simulator sources names every cell differently, so it
+    /// misses every entry this one wrote, and those age out under the
+    /// cap.
+    pub fn entry_path(&self, kind: CellKind, key: u128) -> PathBuf {
+        let mut w = ByteWriter::with_capacity(64);
+        w.str(&self.salt);
+        w.u128(key);
+        let name = fingerprint128(&w.into_bytes());
+        self.root.join(kind.dir()).join(format!("{name:032x}.bin"))
     }
 
     /// Writes `bytes` to `path` via a uniquely named temp file in the
@@ -623,11 +669,36 @@ impl DiskCache {
         }
     }
 
+    /// Writes an entry, best-effort: a full disk or permission error
+    /// costs the warm start, never the result. The first failure warns
+    /// once and turns writes off. The first write runs alone, so a store
+    /// that takes no writes at all fails exactly one attempt.
     fn store_entry(&self, path: &Path, bytes: &[u8]) {
-        // Best-effort: a full disk or permission error costs the warm
-        // start, never the result.
-        if self.write_atomic(path, bytes).is_ok() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
+        let mut first = false;
+        self.first_write.get_or_init(|| {
+            first = true;
+            self.try_write(path, bytes);
+        });
+        if !first && !self.memory_only.load(Ordering::Relaxed) {
+            self.try_write(path, bytes);
+        }
+    }
+
+    /// One write attempt, counted.
+    fn try_write(&self, path: &Path, bytes: &[u8]) {
+        match self.write_atomic(path, bytes) {
+            Ok(()) => {
+                self.writes.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                self.failed_writes.fetch_add(1, Ordering::Relaxed);
+                if !self.memory_only.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "warning: cannot write to --cache-dir {}: {e}; continuing memory-only",
+                        self.root.display()
+                    );
+                }
+            }
         }
     }
 
@@ -643,6 +714,8 @@ impl DiskCache {
     }
 
     /// Persists `value`, the output of the `C` cell filed under `key`.
+    /// The first write that fails prints one warning and turns writes
+    /// off: the run goes on memory-only, and its results are unchanged.
     pub fn store<C: Cell>(&self, key: u128, value: &C::Output) {
         let mut w = ByteWriter::new();
         C::encode(value, &mut w);

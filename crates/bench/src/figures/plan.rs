@@ -66,6 +66,10 @@ impl CellPlan {
 /// of [`run_detailed`](jumanji::sim::detail::run_detailed), including
 /// the allocation under test (a placement takes well under a
 /// millisecond, so the plan pass computes it up front).
+///
+/// [`DetailPlan::new`] keys the cell once, at plan time. The fields are
+/// public to read; a plan with different inputs is a new plan, and
+/// debug builds check that [`DetailPlan::key`] still names the fields.
 #[derive(Debug, Clone)]
 pub struct DetailPlan {
     /// The design whose allocation is simulated (labeling only — the
@@ -81,18 +85,47 @@ pub struct DetailPlan {
     pub vms: Vec<VmId>,
     /// The allocation under test.
     pub alloc: Allocation,
+    /// The cache identity of the fields above.
+    key: u128,
 }
 
 impl DetailPlan {
+    /// The detailed cell of `design`'s `alloc` over these inputs, keyed
+    /// here ([`detail_key`](crate::cell_cache::detail_key)).
+    pub fn new(
+        design: DesignKind,
+        opts: DetailOptions,
+        profiles: Vec<Profile>,
+        cores: Vec<CoreId>,
+        vms: Vec<VmId>,
+        alloc: Allocation,
+    ) -> DetailPlan {
+        let key = crate::cell_cache::detail_key(&opts, &profiles, &cores, &vms, &alloc);
+        DetailPlan {
+            design,
+            opts,
+            profiles,
+            cores,
+            vms,
+            alloc,
+            key,
+        }
+    }
+
     /// The cache identity of this detailed cell.
     pub fn key(&self) -> u128 {
-        crate::cell_cache::detail_key(
-            &self.opts,
-            &self.profiles,
-            &self.cores,
-            &self.vms,
-            &self.alloc,
-        )
+        debug_assert_eq!(
+            self.key,
+            crate::cell_cache::detail_key(
+                &self.opts,
+                &self.profiles,
+                &self.cores,
+                &self.vms,
+                &self.alloc
+            ),
+            "a DetailPlan's fields changed after it was keyed"
+        );
+        self.key
     }
 }
 
@@ -392,13 +425,15 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
             let opts = super::case_study::fig02_opts(&cfg, spec.accesses);
             spec.designs()
                 .iter()
-                .map(|&design| DetailPlan {
-                    design,
-                    opts: opts.clone(),
-                    profiles: profiles.clone(),
-                    cores: cores.clone(),
-                    vms: vms.clone(),
-                    alloc: design.allocate(&input),
+                .map(|&design| {
+                    DetailPlan::new(
+                        design,
+                        opts.clone(),
+                        profiles.clone(),
+                        cores.clone(),
+                        vms.clone(),
+                        design.allocate(&input),
+                    )
                 })
                 .collect()
         }
@@ -413,14 +448,14 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
             for &design in &super::validate::DESIGNS {
                 let alloc = design.allocate(&input);
                 for mix in 0..spec.mixes {
-                    details.push(DetailPlan {
+                    details.push(DetailPlan::new(
                         design,
-                        opts: super::validate::detail_opts(&cfg, spec.accesses, mix),
-                        profiles: super::validate::profiles_for_mix(&input, mix),
-                        cores: cores.clone(),
-                        vms: vms.clone(),
-                        alloc: alloc.clone(),
-                    });
+                        super::validate::detail_opts(&cfg, spec.accesses, mix),
+                        super::validate::profiles_for_mix(&input, mix),
+                        cores.clone(),
+                        vms.clone(),
+                        alloc.clone(),
+                    ));
                 }
             }
             details

@@ -3,7 +3,7 @@
 //! Each is a [`Cell`] like any analytic run: planned, keyed, scheduled,
 //! stored, and folded by its figure's render.
 
-use crate::cell_cache::{content_key, Cell, CellKind};
+use crate::cell_cache::{content_key, debug_leaf, Cell, CellKind};
 use jumanji::attacks::leakage::{leakage_experiment, LeakageConfig, LeakageResult};
 use jumanji::attacks::port::{run_port_attack, PortAttackConfig, PortAttackTrace, TimingSample};
 use jumanji::prelude::*;
@@ -38,7 +38,7 @@ impl Cell for Scenario {
     const KIND: CellKind = CellKind::Scenario;
 
     fn key(&self) -> u128 {
-        content_key(format_args!("scenario|{self:?}"))
+        content_key("scenario", |w| debug_leaf(w, self))
     }
 
     fn compute<T: Telemetry + ?Sized>(&self, _tel: &T) -> ScenarioResult {

@@ -150,7 +150,7 @@ type Slot = OnceLock<(Shared, RunSource)>;
 struct Union {
     /// One node per unique cell.
     nodes: Vec<Box<dyn AnyCell>>,
-    /// Node ids by cell key. Every key is kind-prefixed, so one map
+    /// Node ids by cell key. Every key is kind-tagged, so one map
     /// serves every kind.
     ids: HashMap<u128, u32, Mix64Build>,
     costs: Vec<f64>,
@@ -555,7 +555,53 @@ mod tests {
         let stats = disk.stats();
         assert_eq!((stats.hits, stats.writes), (0, 0), "{stats:?}");
         assert!(stats.misses > 0, "{stats:?}");
+        // The first write fails and turns writes off: no other is tried.
+        assert_eq!(stats.failed_writes, 1, "{stats:?}");
         assert!(!dir.exists(), "the run recreated the store");
+    }
+
+    #[test]
+    fn a_store_written_by_other_sources_serves_no_cell() {
+        // A store filled by one build, read by a binary built from
+        // changed simulator sources: `with_salt` stands in for the
+        // source change. One stored cell is overwritten with a value the
+        // old sources might have computed, so serving it would show.
+        let dir = std::env::temp_dir().join(format!("jumanji-suite-salt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = specs_of(&[FigureKind::Fig05, FigureKind::Fig08], 1);
+        let render = |disk: Option<DiskCache>| {
+            let cache = CellCache::new();
+            let disk = disk.map(Arc::new);
+            if let Some(disk) = &disk {
+                cache.attach_disk(Arc::clone(disk));
+            }
+            let mut tsvs = Vec::new();
+            let report = run_suite(&specs, 2, &cache, &NoopSink, &mut |fig| {
+                tsvs.push(fig.bytes);
+                Ok(())
+            });
+            report.expect("suite runs");
+            (tsvs, disk.map(|d| d.stats()))
+        };
+        let open = || DiskCache::open(&dir).expect("open store");
+        let (fresh, _) = render(None);
+        let (cold, _) = render(Some(open()));
+        assert_eq!(cold, fresh);
+
+        let fig05 = plan::of(&specs[0]).expect("plannable");
+        let key = run_key(fig05.cells[0].experiment_key(), DesignKind::Jumanji);
+        let store = open();
+        let mut stale = store.load::<RunCell>(key).expect("the cold run stored it");
+        stale.vulnerability += 1.0;
+        store.store::<RunCell>(key, &stale);
+        let (served, _) = render(Some(open()));
+        assert_ne!(served, fresh, "the same sources serve the stored cell");
+
+        let (salted, stats) = render(Some(open().with_salt("other sources")));
+        let stats = stats.expect("store attached");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(stats.hits, 0, "{stats:?}");
+        assert_eq!(salted, fresh, "a stale cell reached a TSV");
     }
 
     #[test]

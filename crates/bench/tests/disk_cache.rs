@@ -15,7 +15,9 @@ use jumanji::sim::SimOptions;
 use jumanji::telemetry::NoopSink;
 use jumanji::types::{AppId, CoreId, Seconds, VmId};
 use jumanji::workloads::case_study_mix;
-use jumanji_bench::cell_cache::{detail_key, experiment_key, run_key, CellCache, RunSource};
+use jumanji_bench::cell_cache::{
+    detail_key, experiment_key, run_key, CellCache, CellKind, RunSource,
+};
 use jumanji_bench::figures::plan::DetailPlan;
 use jumanji_bench::DiskCache;
 use proptest::prelude::*;
@@ -57,7 +59,8 @@ fn run_file(dir: &Path) -> PathBuf {
         experiment_key(&case_study_mix(7), LcLoad::High, &quick_opts()),
         DesignKind::Jumanji,
     );
-    dir.join("runs").join(format!("{key:032x}.bin"))
+    let store = DiskCache::open(dir).expect("open store");
+    store.entry_path(CellKind::Run, key)
 }
 
 /// Asserts that a reader over the damaged store recomputes the cell
@@ -155,7 +158,8 @@ fn run_detail_cell(cache: &CellCache) -> (String, RunSource) {
 fn detail_file(dir: &Path) -> PathBuf {
     let (opts, profiles, cores, vms, alloc) = detail_inputs();
     let key = detail_key(&opts, &profiles, &cores, &vms, &alloc);
-    dir.join("details").join(format!("{key:032x}.bin"))
+    let store = DiskCache::open(dir).expect("open store");
+    store.entry_path(CellKind::Detail, key)
 }
 
 /// [`assert_recovers`], for the detailed-simulator namespace.

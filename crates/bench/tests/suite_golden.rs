@@ -197,6 +197,30 @@ fn a_stale_model_file_never_changes_a_tsv() {
     assert_eq!(read(&model), bytes, "the suite rewrote model.bin");
 }
 
+/// A `--cache-dir` the store cannot open (its `runs` directory is a
+/// regular file) costs the warm start, not the run: one warning, exit 0,
+/// and fig05 exactly as `--no-cache` renders it.
+#[test]
+fn an_unopenable_store_degrades_with_one_warning() {
+    let tmp = TempDir::new("unopenable");
+    std::fs::write(tmp.path().join("runs"), b"not a directory").expect("write runs");
+    let suite = env!("CARGO_BIN_EXE_suite");
+    let store = tmp.path().to_str().unwrap();
+    let stored = run(suite, &["--figures", "fig05", "--cache-dir", store]);
+    let fresh = run(suite, &["--figures", "fig05", "--no-cache"]);
+    let stderr = String::from_utf8_lossy(&stored.stderr);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning: cannot open --cache-dir"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&stored.stdout),
+        String::from_utf8_lossy(&fresh.stdout),
+        "the unopenable store changed fig05"
+    );
+}
+
 /// Runs `suite args` in the empty directory `dir` and asserts a usage
 /// error (exit 2) that names `named`, renders no figure and writes
 /// nothing.

@@ -90,6 +90,13 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// An empty writer with room for `bytes` bytes before it grows.
+    pub fn with_capacity(bytes: usize) -> ByteWriter {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -11,6 +11,8 @@
 use crate::curves::{Component, CurveShape};
 use crate::MB;
 use nuca_cache::MissCurve;
+use nuca_types::codec::ByteWriter;
+use nuca_types::hash::fingerprint128;
 
 /// A synthetic batch application profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +33,34 @@ impl BatchProfile {
     /// `unit_bytes` granularity.
     pub fn miss_ratio_curve(&self, unit_bytes: u64, units: usize) -> MissCurve {
         self.shape.miss_curve(unit_bytes, units)
+    }
+
+    /// A 128-bit fingerprint of every field, floats by bit pattern: two
+    /// profiles share it exactly when they are bit-identical (`0.0` and
+    /// `-0.0` differ), never merely because they share a `name`. Cache
+    /// keys are built from it.
+    pub fn fingerprint(&self) -> u128 {
+        fingerprint128(&self.encode())
+    }
+
+    /// Every field, floats by bit pattern: what [`Self::fingerprint`]
+    /// hashes.
+    fn encode(&self) -> Vec<u8> {
+        // Exhaustive destructuring: a new field does not compile until it
+        // is written.
+        let BatchProfile {
+            name,
+            llc_apki,
+            base_cpi,
+            shape,
+        } = self;
+        let mut w = ByteWriter::with_capacity(256);
+        w.str("batch");
+        w.str(name);
+        w.f64(*llc_apki);
+        w.f64(*base_cpi);
+        shape.encode(&mut w);
+        w.into_bytes()
     }
 
     /// Miss curve in misses-per-kilo-instruction (ratio × APKI).

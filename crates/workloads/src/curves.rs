@@ -14,6 +14,7 @@
 //! capacity removes.
 
 use nuca_cache::MissCurve;
+use nuca_types::codec::ByteWriter;
 
 /// One working-set component of a miss-ratio curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,6 +118,34 @@ impl CurveShape {
             };
         }
         r
+    }
+
+    /// Writes every field of the shape to `w`, floats by bit pattern, for
+    /// the profile fingerprints cache keys are built from. Exhaustive
+    /// destructuring: a new field does not compile until it is written.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        let CurveShape { floor, components } = self;
+        w.f64(*floor);
+        w.usize(components.len());
+        for component in components {
+            match *component {
+                Component::Smooth {
+                    weight,
+                    ws_bytes,
+                    sharpness,
+                } => {
+                    w.u8(0);
+                    w.f64(weight);
+                    w.u64(ws_bytes);
+                    w.f64(sharpness);
+                }
+                Component::Cliff { weight, ws_bytes } => {
+                    w.u8(1);
+                    w.f64(weight);
+                    w.u64(ws_bytes);
+                }
+            }
+        }
     }
 
     /// Samples the shape into a [`MissCurve`] of miss ratios with points at

@@ -28,6 +28,8 @@
 use crate::curves::{Component, CurveShape};
 use crate::MB;
 use nuca_cache::MissCurve;
+use nuca_types::codec::ByteWriter;
+use nuca_types::hash::fingerprint128;
 
 /// Request load level (Table III: low = 10 %, high = 50 % utilization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,6 +86,42 @@ impl LcProfile {
     /// latency `llc_lat`, miss ratio `mr`, and miss penalty `miss_pen`.
     pub fn service_cycles(&self, llc_lat: f64, mr: f64, miss_pen: f64) -> f64 {
         self.work_cycles + self.accesses_per_req * (llc_lat + mr * miss_pen * self.miss_stall)
+    }
+
+    /// A 128-bit fingerprint of every field, floats by bit pattern: two
+    /// profiles share it exactly when they are bit-identical (`0.0` and
+    /// `-0.0` differ), never merely because they share a `name`. Cache
+    /// keys are built from it.
+    pub fn fingerprint(&self) -> u128 {
+        fingerprint128(&self.encode())
+    }
+
+    /// Every field, floats by bit pattern: what [`Self::fingerprint`]
+    /// hashes.
+    fn encode(&self) -> Vec<u8> {
+        // Exhaustive destructuring: a new field does not compile until it
+        // is written.
+        let LcProfile {
+            name,
+            qps_low,
+            qps_high,
+            num_queries,
+            work_cycles,
+            accesses_per_req,
+            miss_stall,
+            shape,
+        } = self;
+        let mut w = ByteWriter::with_capacity(256);
+        w.str("lc");
+        w.str(name);
+        w.f64(*qps_low);
+        w.f64(*qps_high);
+        w.u32(*num_queries);
+        w.f64(*work_cycles);
+        w.f64(*accesses_per_req);
+        w.f64(*miss_stall);
+        shape.encode(&mut w);
+        w.into_bytes()
     }
 
     /// LLC accesses per second this server generates at a given load

@@ -106,6 +106,14 @@ for f in fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sensitivity
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_nc/$f.tsv"
 done
 
+echo "== a healthy store warns about nothing (no failed write, no memory-only fallback)"
+for log in "$tmp/disk_cold.log" "$tmp/disk_warm.log"; do
+    if grep 'warning:' "$log"; then
+        echo "verify: $log has a warning" >&2
+        exit 1
+    fi
+done
+
 echo "== warm suite run reports disk hits, zero computed runs and scenarios, no experiment built"
 grep -Eq '\[suite\] disk cache: [1-9][0-9]* hits' "$tmp/disk_warm.log"
 # Building an experiment reads (or computes) its ratio hulls.
