@@ -17,7 +17,6 @@
 //! channel into a deliberate cross-VM covert channel and measures its
 //! bandwidth with and without bank isolation.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conflict;

@@ -14,8 +14,7 @@
 //! ```text
 //! suite [--figures all|fig13,fig14,…] [--out DIR] [--stats PATH]
 //!       [--mixes N] [--threads N] [--seed N] [--accesses N]
-//!       [--trace PATH] [--no-cache] [--cache-dir DIR]
-//!       [--cache-cap-bytes N]
+//!       [--trace PATH] [--cache-dir DIR] [--cache-cap-bytes N]
 //! ```
 //!
 //! - `--figures` — comma-separated [`FigureKind`] names, or `all` for
@@ -30,8 +29,6 @@
 //!   parallelism); `--threads 1` is the serial reference.
 //! - `--trace PATH` — one shared JSONL sink for the whole suite; each
 //!   unique cell's event stream is emitted exactly once.
-//! - `--no-cache` — run against a throwaway memory-only cache: no store
-//!   is read or written, not even one `--cache-dir` names.
 //! - `--cache-dir DIR` — back the cache with a persistent store:
 //!   completed cells of every kind — analytic runs, detailed-simulator
 //!   reports and fixed scenarios — are read from and written to `DIR`,
@@ -65,8 +62,7 @@ struct FigureReport {
     seconds: f64,
 }
 
-/// Every flag `suite` takes a value for; `--no-cache` is its one bare
-/// flag.
+/// Every flag `suite` takes; each takes a value.
 const VALUE_FLAGS: [&str; 10] = [
     "--figures",
     "--out",
@@ -88,7 +84,7 @@ fn check_args(args: &[String]) -> Result<(), Error> {
     let mut rest = args.iter().skip(1).peekable();
     while let Some(arg) = rest.next() {
         let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
-        if arg == "--no-cache" || (name != arg && VALUE_FLAGS.contains(&name)) {
+        if name != arg && VALUE_FLAGS.contains(&name) {
             continue;
         }
         if !VALUE_FLAGS.contains(&arg.as_str()) {
@@ -209,7 +205,6 @@ fn run(args: &[String]) -> Result<(), Error> {
     let trace = flag_text(args, "--trace")?.map(PathBuf::from);
     let cache_dir = flag_text(args, "--cache-dir")?.map(PathBuf::from);
     let cache_cap = parse_flag(args, "--cache-cap-bytes")?.unwrap_or(0);
-    let no_cache = args.iter().any(|a| a == "--no-cache");
     let specs = figures
         .iter()
         .map(|&kind| ExperimentSpec::from_args(kind, args))
@@ -227,16 +222,10 @@ fn run(args: &[String]) -> Result<(), Error> {
         Some(s) => s,
         None => &NoopSink,
     };
-    let fresh;
-    let cache = if no_cache {
-        fresh = CellCache::new();
-        &fresh
-    } else {
-        if let Some(dir) = &cache_dir {
-            attach_global_disk(dir, cache_cap);
-        }
-        CellCache::global()
-    };
+    if let Some(dir) = &cache_dir {
+        attach_global_disk(dir, cache_cap);
+    }
+    let cache = CellCache::global();
 
     let mut reports = Vec::with_capacity(specs.len());
     let mut emit = |fig: SuiteFigure| -> Result<(), Error> {

@@ -37,8 +37,7 @@
 //! result indistinguishable from an untraced one.
 //!
 //! `suite --cache-dir` attaches a store to the global cache
-//! ([`attach_global_disk`]); `--no-cache` runs the executor against a
-//! throwaway [`CellCache::new`] with no store.
+//! ([`attach_global_disk`]); without it the cache is memory-only.
 
 use crate::disk_cache::{self, DiskCache, DiskCacheStats};
 use crate::figures::plan::{CostModel, DetailPlan};
@@ -464,8 +463,7 @@ impl CellCache {
         }
     }
 
-    /// The process-wide cache every suite run shares (`suite --no-cache`
-    /// runs against a [`CellCache::new`] instead).
+    /// The process-wide cache every suite run shares.
     pub fn global() -> &'static CellCache {
         static GLOBAL: OnceLock<CellCache> = OnceLock::new();
         GLOBAL.get_or_init(CellCache::new)
@@ -541,7 +539,10 @@ impl CellCache {
 
     /// [`CellCache::get`] for the detailed cell `(opts, profiles, cores,
     /// vms, alloc)`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the detailed cell"
+    )]
     pub fn run_detail_sourced(
         &self,
         opts: &DetailOptions,
@@ -1088,8 +1089,8 @@ mod tests {
         let (_, src) = warm.run_sourced(&handle, DesignKind::Static, &NoopSink);
         assert_eq!(src, RunSource::Memory);
 
-        // probe_run sees disk entries; the throwaway cache `--no-cache`
-        // runs against has no store to see them in.
+        // probe_run sees disk entries; a fresh cache has no store to see
+        // them in.
         let key = run_key(
             experiment_key(&case_study_mix(5), LcLoad::Low, &quick_opts()),
             DesignKind::Static,
@@ -1098,10 +1099,7 @@ mod tests {
         probe.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
         assert!(probe.probe_run(key));
         let throwaway = CellCache::new();
-        assert!(
-            throwaway.disk().is_none(),
-            "--no-cache must ignore the store"
-        );
+        assert!(throwaway.disk().is_none(), "a fresh cache has no store");
         assert!(!throwaway.probe_run(key));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -59,10 +59,6 @@
 //! (below, or beside its [`Cell`] impl), and any layout change must bump
 //! [`codec::FORMAT_VERSION`](jumanji::types::codec::FORMAT_VERSION).
 
-// Every map in this module is Mix64Build-hashed (or iterated only after
-// sorting); clippy's type ban cannot see hasher parameters.
-#![allow(clippy::disallowed_types)]
-
 use crate::cell_cache::{Cell, CellKind, RunCell};
 use crate::figures::plan::DetailPlan;
 use jumanji::cache::MissCurve;
@@ -71,10 +67,9 @@ use jumanji::sim::detail::{DetailAppStats, DetailReport};
 use jumanji::sim::energy::EnergyBreakdown;
 use jumanji::sim::{export_ratio_hulls, seed_ratio_hull, ExperimentResult, IntervalRecord};
 use jumanji::types::codec::{decode_entry, encode_entry, ByteReader, ByteWriter, CodecError};
-use jumanji::types::hash::{fingerprint128, Mix64Build};
+use jumanji::types::hash::{fingerprint128, DetMap};
 use jumanji::types::AppId;
 use jumanji::workloads::{spec2006, tailbench};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
@@ -228,17 +223,16 @@ fn design_from_tag(tag: u8) -> Result<DesignKind, CodecError> {
 /// catalog) is interned once into a process-lifetime string, so the
 /// leak is bounded by the number of *distinct* names ever decoded.
 fn intern(name: &str) -> &'static str {
-    static INTERNED: LazyLock<Mutex<HashMap<String, &'static str, Mix64Build>>> =
-        LazyLock::new(|| {
-            let mut m: HashMap<String, &'static str, Mix64Build> = HashMap::default();
-            for p in tailbench() {
-                m.insert(p.name.to_string(), p.name);
-            }
-            for p in spec2006() {
-                m.insert(p.name.to_string(), p.name);
-            }
-            Mutex::new(m)
-        });
+    static INTERNED: LazyLock<Mutex<DetMap<String, &'static str>>> = LazyLock::new(|| {
+        let mut m: DetMap<String, &'static str> = DetMap::default();
+        for p in tailbench() {
+            m.insert(p.name.to_string(), p.name);
+        }
+        for p in spec2006() {
+            m.insert(p.name.to_string(), p.name);
+        }
+        Mutex::new(m)
+    });
     let mut m = INTERNED.lock().expect("intern table lock");
     if let Some(&s) = m.get(name) {
         return s;
@@ -775,12 +769,10 @@ impl DiskCache {
     /// benchmark probe calls this.
     pub fn persist_model(&self) -> usize {
         let path = self.root.join("model.bin");
-        let mut hulls: HashMap<u128, Arc<MissCurve>, Mix64Build> =
-            export_ratio_hulls().into_iter().collect();
-        let mut deadlines: HashMap<u128, f64, Mix64Build> =
-            jumanji::sim::deadline::export_deadlines()
-                .into_iter()
-                .collect();
+        let mut hulls: DetMap<u128, Arc<MissCurve>> = export_ratio_hulls().into_iter().collect();
+        let mut deadlines: DetMap<u128, f64> = jumanji::sim::deadline::export_deadlines()
+            .into_iter()
+            .collect();
         if let Some((old_hulls, old_deadlines)) = self.read(&path, decode_model) {
             for (k, v) in old_hulls {
                 hulls.entry(k).or_insert(v);
@@ -1107,7 +1099,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // test fabricates mtimes from a wall-clock base
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test fabricates mtimes from a wall-clock base"
+    )]
     fn size_cap_evicts_oldest_entries_first() {
         let store = temp_store("cap");
         for key in 0..4u128 {

@@ -29,10 +29,6 @@
 //! the measured critical path — the wall-clock floor no worker count can
 //! beat.
 
-// exec/ is the sanctioned timing layer (lint.toml [paths].timing_allow);
-// the scheduler's epoch stamps feed telemetry, never fingerprinted output.
-#![allow(clippy::disallowed_methods)]
-
 use jumanji::telemetry::{Event, Telemetry};
 use std::any::Any;
 use std::cmp::Reverse;
@@ -240,6 +236,10 @@ impl<'g> Ready<'g> {
 ///
 /// When a node panics, the workers stop claiming nodes and, once the
 /// ones in flight return, the first panic resumes on the caller.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the epoch stamps feed telemetry and the report, never a TSV"
+)]
 pub fn run_graph<F>(graph: &Graph, threads: usize, tel: &dyn Telemetry, run: F) -> GraphReport
 where
     F: Fn(usize) + Sync,
@@ -653,6 +653,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "each node spins for a wall-clock span"
+    )]
     fn measured_critical_path_bounds_elapsed() {
         // A serial chain: elapsed must be at least the critical path,
         // and the critical path must cover every node's duration.

@@ -213,22 +213,13 @@ pub fn fig16(
             }
             count += 1.0;
         }
-        if designs.len() == 3 {
-            writeln!(
-                out,
-                "# {label} averages: jumanji {:.2}%, insecure {:.2}%, ideal {:.2}%",
-                sums[0] / count,
-                sums[1] / count,
-                sums[2] / count
-            )?;
-        } else {
-            let parts: Vec<String> = designs
-                .iter()
-                .zip(&sums)
-                .map(|(d, s)| format!("{d} {:.2}%", s / count))
-                .collect();
-            writeln!(out, "# {label} averages: {}", parts.join(", "))?;
-        }
+        writeln!(
+            out,
+            "# {label} averages: jumanji {:.2}%, insecure {:.2}%, ideal {:.2}%",
+            sums[0] / count,
+            sums[1] / count,
+            sums[2] / count
+        )?;
     }
     writeln!(
         out,

@@ -6,11 +6,11 @@
 //! cells — handed over in plan order as a [`FigureResults`] — into
 //! bytes. A render never looks anything up and never simulates: fig08's
 //! sweep and the attack demos are fixed-scenario cells like any other,
-//! and the `plan-bypass` lint keeps the cache and the simulators' entry
-//! points out of this directory. Only closed-form arithmetic stays inline
-//! (the tables, ablation's trade pass, validate's analytic model). The
-//! executor ([`crate::suite::run_suite`]) is the only code that runs
-//! cells.
+//! and a test (`tests/render_purity.rs`) fails if code in this directory
+//! names the cache or a simulator's entry point. Only closed-form
+//! arithmetic stays inline (the tables, ablation's trade pass,
+//! validate's analytic model). The executor
+//! ([`crate::suite::run_suite`]) is the only code that runs cells.
 //!
 //! Output contract: at a figure's default spec the bytes are those of
 //! the golden TSVs under `results/` (CI enforces this). Human-facing

@@ -19,7 +19,6 @@
 //! `suite` binary maps usage errors to exit code 2 and runtime errors
 //! to 1.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell_cache;

@@ -28,7 +28,7 @@ use jumanji::types::Error;
 
 /// Every figure, table, and study in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variants mirror the paper's figure numbers
+#[allow(missing_docs, reason = "variants mirror the paper's figure numbers")]
 pub enum FigureKind {
     Fig02,
     Fig04,
@@ -361,7 +361,8 @@ mod tests {
             "5",
             "--threads",
             "x",
-            "--no-cache",
+            "--trace",
+            "t.jsonl",
             "--cache-dir=/tmp/y",
         ]);
         let spec = ExperimentSpec::from_args(FigureKind::Fig14, &args)

@@ -29,8 +29,8 @@
 //!    reference.
 //!
 //! The caller picks the cache the nodes read through: the `suite`
-//! binary passes [`CellCache::global`] with its `--cache-dir` store
-//! attached, or a throwaway [`CellCache::new`] under `--no-cache`
+//! binary passes [`CellCache::global`], with its `--cache-dir` store
+//! attached if it names one; tests pass a throwaway [`CellCache::new`]
 //! (leaving the process-wide cache untouched). The store holds cells and
 //! nothing else; a capped store is trimmed again at the end of every
 //! call. With tracing on, the cache bypasses reads, so every unique
@@ -43,11 +43,6 @@
 //! [`figures::render`]: crate::figures::render
 //! [`exec::sched`]: crate::exec::sched
 
-// Wall-clock here feeds the suite's *stats* section only (lint.toml
-// [paths].timing_allow), and every map is Mix64Build-hashed — clippy
-// cannot see hasher parameters, jumanji-lint checks them precisely.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use crate::cell_cache::{
     AnyCell, Cell, CellCache, CellCacheStats, CellKind, ExperimentHandle, RunCell, RunSource,
     Shared,
@@ -56,10 +51,9 @@ use crate::exec::sched::{self, Graph, GraphReport};
 use crate::figures::{self, plan, FigureResults};
 use crate::spec::{ExperimentSpec, FigureKind};
 use jumanji::prelude::*;
-use jumanji::types::hash::Mix64Build;
+use jumanji::types::hash::DetMap;
 use jumanji::types::Error;
 use std::any::Any;
-use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -152,7 +146,7 @@ struct Union {
     nodes: Vec<Box<dyn AnyCell>>,
     /// Node ids by cell key. Every key is kind-tagged, so one map
     /// serves every kind.
-    ids: HashMap<u128, u32, Mix64Build>,
+    ids: DetMap<u128, u32>,
     costs: Vec<f64>,
     /// Figure indices that need each node (for the streaming countdown).
     node_figures: Vec<Vec<u32>>,
@@ -225,7 +219,7 @@ fn union_plans(plans: &[plan::FigurePlan]) -> Union {
         figure_nodes: vec![0; plans.len()],
         ..Union::default()
     };
-    let mut handles: HashMap<u128, ExperimentHandle, Mix64Build> = HashMap::default();
+    let mut handles: DetMap<u128, ExperimentHandle> = DetMap::default();
     for (f, plan) in plans.iter().enumerate() {
         let mut cells = Vec::with_capacity(plan.cells.len());
         for cell in &plan.cells {
@@ -314,6 +308,10 @@ fn cells_failed(kind: FigureKind) -> Error {
 ///
 /// Propagates plan errors (unknown workloads), render errors, and
 /// `emit` errors; a figure with a failed cell is a runtime error.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock feeds the report's stats (total and per-render seconds), never a TSV"
+)]
 pub fn run_suite(
     specs: &[ExperimentSpec],
     threads: usize,
@@ -465,7 +463,7 @@ mod tests {
             let any: &dyn Any = &*u.nodes[id as usize];
             any.downcast_ref().expect("fig13/fig14 plan runs only")
         };
-        let mut handles: HashMap<u128, &ExperimentHandle> = HashMap::new();
+        let mut handles: DetMap<u128, &ExperimentHandle> = DetMap::default();
         for (f, plan) in plans.iter().enumerate() {
             for (cell, ids) in plan.cells.iter().zip(&u.figure_cells[f]) {
                 assert!(ids.len() > 1, "each cell runs several designs");
@@ -622,7 +620,7 @@ mod tests {
 
     /// Every unique cell key `plans` name, of any kind.
     fn unique_cells(plans: &[plan::FigurePlan]) -> usize {
-        let mut keys = std::collections::HashSet::new();
+        let mut keys = jumanji::types::hash::DetSet::default();
         for plan in plans {
             for cell in &plan.cells {
                 let ekey = cell.experiment_key();

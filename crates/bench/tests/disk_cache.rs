@@ -24,6 +24,10 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// The fold `build.rs` computes the store's file-name salt with.
+#[path = "../build/salt.rs"]
+mod salt;
+
 fn quick_opts() -> SimOptions {
     SimOptions {
         duration: Seconds(0.4),
@@ -297,4 +301,25 @@ fn concurrent_writers_never_leave_torn_cells() {
         0
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_store_salt_sees_the_toolchain() {
+    // Two compilers that differ only in their `-vV` report must salt
+    // store names apart, so cells one computed never serve the other.
+    let old = b"rustc 1.95.0 (59807616e 2026-04-14)\nhost: x86_64-unknown-linux-gnu\nLLVM version: 20.1.8\n";
+    let new = b"rustc 1.96.0 (0a1b2c3d4 2026-05-26)\nhost: x86_64-unknown-linux-gnu\nLLVM version: 21.1.0\n";
+    let salt_with = |rustc: &[u8]| {
+        salt::fold([
+            ("src/cell_cache.rs", &b"fn cell() {}"[..]),
+            ("rustc -vV", rustc),
+            ("PROFILE", b"release"),
+        ])
+    };
+    assert_ne!(salt_with(old), salt_with(new));
+    // Value lengths are folded in, so a byte cannot move between parts.
+    assert_ne!(
+        salt::fold([("a", &b"bc"[..]), ("d", b"")]),
+        salt::fold([("a", &b"b"[..]), ("cd", b"")])
+    );
 }

@@ -6,22 +6,28 @@
 //! - a run against a throwaway [`CellCache::new`] leaves the
 //!   process-wide cache's own maps untouched (the simulator's ratio-hull
 //!   memo, which `stats()` also reports, serves every cache alike), and
-//!   renders the bytes the process-wide cache does.
+//!   renders the bytes the process-wide cache does;
+//! - figure code cannot reach either: no line of `src/figures/` outside
+//!   its test modules names the cell cache or a simulator entry point.
 //!
-//! Both read the process-wide cache's counters, so this file is its own
-//! test binary (no other test shares the cache) and one lock keeps its
-//! two tests apart. The cheap figures always run; the full-matrix and
+//! The first two read the process-wide cache's counters, so this file is
+//! its own test binary (no other test shares the cache) and one lock
+//! keeps them apart. The cheap figures always run; the full-matrix and
 //! attack figures are gated behind `JUMANJI_SUITE_GOLDEN=1` —
 //! `scripts/verify.sh` sets it.
 
-// Test gates read their own opt-in env switches; never fingerprinted output.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test gates read their own opt-in env switches; never fingerprinted output"
+)]
 
 use jumanji::telemetry::NoopSink;
 use jumanji_bench::cell_cache::CellCache;
 use jumanji_bench::figures;
 use jumanji_bench::suite::run_suite;
 use jumanji_bench::{ExperimentSpec, FigureKind};
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static GLOBAL_CACHE: Mutex<()> = Mutex::new(());
@@ -132,4 +138,70 @@ fn a_throwaway_cache_leaves_the_global_cache_untouched() {
             kind.name()
         );
     }
+}
+
+/// What figure code may not name: the cell cache and the simulators'
+/// entry points. A render folds the results the executor hands it, and
+/// the plan is a pure function of the spec; a cache or a simulator in
+/// reach would let either compute or look up cells the plan never
+/// listed.
+const PLAN_BYPASS: &[&str] = &[
+    "CellCache",
+    "Experiment",
+    "run_detailed",
+    "LcQueue",
+    "leakage_experiment",
+    "run_port_attack",
+    "isolation_tail_sweep",
+];
+
+/// Appends every `.rs` file under `dir` to `out`.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("figures directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            collect_rs(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// True if `code` holds `name` as a whole identifier.
+fn names(code: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(name)
+        .any(|(at, _)| !code[..at].ends_with(ident) && !code[at + name.len()..].starts_with(ident))
+}
+
+#[test]
+fn figure_code_names_no_cache_or_simulator() {
+    let mut files = Vec::new();
+    collect_rs(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("src/figures"),
+        &mut files,
+    );
+    files.sort();
+    assert!(!files.is_empty(), "no figure sources found");
+    let mut found = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("figure source reads");
+        // A file's test module is its last item (clippy rejects items
+        // after a test module); everything above it is render or plan
+        // code.
+        let code = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (n, line) in code.enumerate() {
+            let line = line.split("//").next().unwrap_or_default();
+            for name in PLAN_BYPASS.iter().filter(|name| names(line, name)) {
+                found.push(format!("{}:{}: `{name}`", path.display(), n + 1));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "figure code names the cell cache or a simulator entry point; list the cell \
+         in the figure's plan (`figures/plan.rs`) and fold its result from the \
+         `FigureResults` the executor passes the render:\n{}",
+        found.join("\n")
+    );
 }

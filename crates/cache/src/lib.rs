@@ -30,7 +30,6 @@
 //! assert!(bank.access(0x1000, part).hit); // now resident
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytic;

@@ -6,13 +6,8 @@
 //! the paper measures LRU curves precisely because DRRIP's curve can then be
 //! approximated by their convex hull (Talus, Sec. IV-A).
 
-// The reuse-distance index is Mix64Build-hashed; clippy's type ban
-// cannot see hasher parameters — jumanji-lint checks them precisely.
-#![allow(clippy::disallowed_types)]
-
 use crate::{LineAddr, MissCurve};
-use nuca_types::hash::Mix64Build;
-use std::collections::HashMap;
+use nuca_types::hash::DetMap;
 
 /// One-pass LRU stack-distance profiler (Mattson's algorithm).
 ///
@@ -47,7 +42,7 @@ pub struct StackProfiler {
     /// `(t - lowbit(t), t]`.
     tree: Vec<u32>,
     /// Most recent access position of each line seen so far (1-based).
-    last: HashMap<LineAddr, usize, Mix64Build>,
+    last: DetMap<LineAddr, usize>,
     /// Histogram of reuse distances (in lines).
     hist: Vec<u64>,
     /// Cold (first-touch) accesses.

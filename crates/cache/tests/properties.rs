@@ -1,8 +1,5 @@
 //! Property-based tests of the cache structures' core invariants.
 
-// Test-only scratch maps; iteration order is never observed.
-#![allow(clippy::disallowed_types)]
-
 use nuca_cache::{
     analytic::{assoc_penalty, shared_occupancy},
     BankConfig, CacheBank, MissCurve, PartitionId, ReplPolicy, StackProfiler, WayMask,
@@ -55,7 +52,7 @@ proptest! {
         mine.dedup();
         mine.truncate(4);
         // Keep one line per set at most to guarantee fit.
-        let mut per_set = std::collections::HashSet::new();
+        let mut per_set = nuca_types::hash::DetSet::default();
         mine.retain(|l| per_set.insert(l % 4));
         for &l in &mine {
             bank.access(l, PartitionId(0));

@@ -1,14 +1,8 @@
 //! The output of a placement algorithm: who gets how much space, where.
 
-// Every HashSet in this module is Mix64Build-hashed, and occupant sets
-// are sorted before they escape; clippy's type ban cannot see hasher
-// parameters — jumanji-lint checks them precisely.
-#![allow(clippy::disallowed_types)]
-
 use crate::model::PlacementInput;
-use nuca_types::hash::Mix64Build;
+use nuca_types::hash::DetSet;
 use nuca_types::{AppId, BankId, ConfigError, SystemConfig};
-use std::collections::HashSet;
 
 /// One application's LLC allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,7 +108,7 @@ impl Allocation {
 
     /// All apps occupying any space in `bank` (partitioned or pooled).
     pub fn occupants(&self, bank: BankId) -> Vec<AppId> {
-        let mut out: HashSet<AppId, Mix64Build> = HashSet::default();
+        let mut out: DetSet<AppId> = DetSet::default();
         for a in &self.apps {
             if a.placement
                 .iter()
@@ -149,8 +143,7 @@ impl Allocation {
     pub fn vm_isolated(&self, input: &PlacementInput) -> bool {
         for bank in input.banks() {
             let occ = self.occupants(bank);
-            let vms: HashSet<_, Mix64Build> =
-                occ.iter().map(|a| input.apps[a.index()].vm).collect();
+            let vms: DetSet<_> = occ.iter().map(|a| input.apps[a.index()].vm).collect();
             if vms.len() > 1 {
                 return false;
             }

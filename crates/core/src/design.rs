@@ -280,7 +280,6 @@ fn jigsaw_allocate(input: &PlacementInput) -> Allocation {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // test-only scratch sets; order never observed
 mod tests {
     use super::*;
     use nuca_types::{AppId, SystemConfig};
@@ -348,7 +347,7 @@ mod tests {
         assert_eq!(alloc.pools.len(), 4);
         // Pools are disjoint by construction (separate partitions); check
         // membership covers all 16 batch apps exactly once.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = nuca_types::hash::DetSet::default();
         for p in &alloc.pools {
             for m in &p.members {
                 assert!(seen.insert(*m));

@@ -7,15 +7,10 @@
 //! design applies it to every application with no regard for deadlines or
 //! trust domains — which is exactly what the paper criticizes.
 
-// The by-app lookup maps are Mix64Build-hashed and lookup-only (never
-// iterated); clippy's type ban cannot see hasher parameters.
-#![allow(clippy::disallowed_types)]
-
 use crate::lookahead::lookahead;
 use nuca_cache::MissCurve;
-use nuca_types::hash::Mix64Build;
+use nuca_types::hash::DetMap;
 use nuca_types::{AppId, BankId, CoreId, Mesh};
-use std::collections::HashMap;
 
 /// A placement request: who, from where, how many bytes, with what
 /// priority (higher access rates place first).
@@ -132,8 +127,7 @@ pub fn placement_cost(
     placements: &[(AppId, Vec<(BankId, f64)>)],
     mesh: Mesh,
 ) -> f64 {
-    let by_app: HashMap<AppId, &PlaceRequest, Mix64Build> =
-        requests.iter().map(|r| (r.app, r)).collect();
+    let by_app: DetMap<AppId, &PlaceRequest> = requests.iter().map(|r| (r.app, r)).collect();
     placements
         .iter()
         .map(|(app, p)| {
@@ -156,8 +150,7 @@ pub fn refine_placement(
     mesh: Mesh,
     max_rounds: usize,
 ) -> f64 {
-    let by_app: HashMap<AppId, &PlaceRequest, Mix64Build> =
-        requests.iter().map(|r| (r.app, r)).collect();
+    let by_app: DetMap<AppId, &PlaceRequest> = requests.iter().map(|r| (r.app, r)).collect();
     // Each placement's app identity never changes during refinement, so
     // its priority and core are resolved once instead of once per pair
     // per sweep. A missing request contributes zero priority, matching

@@ -31,7 +31,6 @@
 //! assert!(alloc.vm_isolated(&input));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod allocation;

@@ -352,7 +352,6 @@ fn assign_banks(
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // test-only scratch sets; order never observed
 mod tests {
     use super::*;
     use nuca_types::SystemConfig;
@@ -428,7 +427,7 @@ mod tests {
         assert!(total <= inp.cfg.llc.total_bytes() as f64 * (1.0 + 1e-6));
         // Batch side is VM-isolated by construction: check per-bank.
         for bank in inp.banks() {
-            let vms: std::collections::HashSet<_> = inp
+            let vms: nuca_types::hash::DetSet<_> = inp
                 .apps
                 .iter()
                 .filter(|a| a.kind == AppKind::Batch)

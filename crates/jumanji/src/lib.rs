@@ -46,7 +46,6 @@
 //! | [`attacks`] | port attack, conflict attack, set-dueling leakage |
 //! | [`telemetry`] | zero-cost-when-disabled tracing sinks and JSONL events |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use jumanji_core as core;

@@ -22,7 +22,6 @@
 //! assert!(mem.queue_delay(0.2) > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use nuca_noc::queueing::md1_wait;

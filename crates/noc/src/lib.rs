@@ -27,7 +27,6 @@
 //! assert!(far > near);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod latency;

@@ -15,7 +15,6 @@
 //! hash of its fully-qualified name, so failures reproduce across runs
 //! and machines.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::SmallRng;
@@ -460,7 +459,7 @@ macro_rules! __proptest_items {
             // runner can shrink the whole input vector componentwise.
             let __strategy = ($($strat,)*);
             $crate::run_cases(full_name, $cfg, __strategy, |__value| {
-                #[allow(unused_parens)]
+                #[allow(unused_parens, reason = "a one-argument case binds `(x,)` as `(x)`")]
                 let ($($arg,)*) = __value;
                 $body
                 ::core::result::Result::Ok(())

@@ -17,7 +17,6 @@
 //! regenerated against this shim. Determinism per seed is what the
 //! experiments rely on, and this shim keeps that property.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Core generator interface: a source of uniform 64-bit words.

@@ -32,7 +32,6 @@
 //! println!("tail latency: {:?}", result.lc_tail_latency_ms);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deadline;

@@ -42,7 +42,6 @@
 //! assert_eq!(sink.len(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

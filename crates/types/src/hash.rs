@@ -69,14 +69,34 @@ pub fn fingerprint128(bytes: &[u8]) -> u128 {
 /// # Examples
 ///
 /// ```
-/// use nuca_types::hash::Mix64Build;
-/// use std::collections::HashMap;
-/// let mut m: HashMap<u64, u32, Mix64Build> = HashMap::default();
+/// use nuca_types::hash::DetMap;
+/// let mut m: DetMap<u64, u32> = DetMap::default();
 /// m.insert(7, 1);
 /// assert_eq!(m.get(&7), Some(&1));
 /// ```
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Mix64Build;
+
+/// The workspace's hash map: a `HashMap` hashed by [`Mix64Build`].
+///
+/// `clippy.toml` bans `std::collections::HashMap` by path, because its
+/// default `RandomState` hasher iterates in a different order in every
+/// process. This alias and [`DetSet`] lift the ban: their hasher is
+/// fixed, so every map built through them iterates in the same order run
+/// after run. Build one with `DetMap::default()`.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the sanctioned map: a fixed Mix64Build hasher, never RandomState"
+)]
+pub type DetMap<K, V> = std::collections::HashMap<K, V, Mix64Build>;
+
+/// The workspace's hash set: a `HashSet` hashed by [`Mix64Build`] (see
+/// [`DetMap`]).
+#[allow(
+    clippy::disallowed_types,
+    reason = "the sanctioned set: a fixed Mix64Build hasher, never RandomState"
+)]
+pub type DetSet<T> = std::collections::HashSet<T, Mix64Build>;
 
 impl std::hash::BuildHasher for Mix64Build {
     type Hasher = Mix64Hasher;
@@ -125,16 +145,14 @@ impl std::hash::Hasher for Mix64Hasher {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // test-only scratch sets; order never observed
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn mixes_low_bits_into_high_entropy() {
         // Consecutive inputs should land in different buckets of a small
         // modulus almost always.
-        let buckets: HashSet<u64> = (0..128u64).map(|i| mix64(i) % 128).collect();
+        let buckets: DetSet<u64> = (0..128u64).map(|i| mix64(i) % 128).collect();
         assert!(buckets.len() > 70, "got {} distinct buckets", buckets.len());
     }
 

@@ -100,10 +100,9 @@ impl fmt::Display for WayCount {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // test-only scratch sets; order never observed
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::hash::DetSet;
 
     #[test]
     fn ids_round_trip_through_usize() {
@@ -123,7 +122,7 @@ mod tests {
 
     #[test]
     fn ids_are_hashable_and_ordered() {
-        let mut set = HashSet::new();
+        let mut set = DetSet::default();
         set.insert(BankId(1));
         set.insert(BankId(1));
         set.insert(BankId(2));

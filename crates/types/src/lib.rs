@@ -25,7 +25,6 @@
 //! assert_eq!(hops, 7); // corner to opposite corner on a 5x4 mesh
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

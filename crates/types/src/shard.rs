@@ -26,12 +26,7 @@
 //! assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 //! ```
 
-// Every HashMap in this module is Mix64Build-hashed (that is the point
-// of ShardedMap); clippy's type ban cannot see hasher parameters.
-#![allow(clippy::disallowed_types)]
-
-use crate::hash::Mix64Build;
-use std::collections::HashMap;
+use crate::hash::{DetMap, Mix64Build};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -42,7 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 const SHARD_BITS: u32 = 5;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-type Shard<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>, Mix64Build>>;
+type Shard<K, V> = Mutex<DetMap<K, Arc<OnceLock<V>>>>;
 
 /// Aggregate counters for one [`ShardedMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,7 +108,7 @@ where
     /// An empty map.
     pub fn new() -> ShardedMap<K, V> {
         ShardedMap {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::default())),
+            shards: std::array::from_fn(|_| Mutex::new(DetMap::default())),
             hasher: Mix64Build,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

@@ -24,7 +24,6 @@
 //! assert!(curve.at(32) <= curve.at(1));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use nuca_cache::{LineAddr, MissCurve};

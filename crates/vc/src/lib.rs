@@ -1,5 +1,5 @@
 //! Virtual caches: placement descriptors, the virtual-cache translation
-//! buffer (VTB), page→VC mapping, and the coherence cost of moving data.
+//! buffer (VTB), the page TLB, and the coherence cost of moving data.
 //!
 //! Jumanji reuses Jigsaw's single-lookup D-NUCA hardware (Sec. IV-A): every
 //! page belongs to a *virtual cache* (VC, one per application here), and
@@ -22,7 +22,6 @@
 //! assert!(bank == BankId(2) || bank == BankId(3));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use nuca_types::hash::mix64;
@@ -521,99 +520,6 @@ impl Tlb {
     }
 }
 
-/// The OS page table fragment mapping pages to virtual caches.
-///
-/// In real hardware the VC id rides along in the TLB; the simulator only
-/// needs the mapping itself. Stored as a dense open-addressed table
-/// (power-of-two capacity, [`mix64`] probe start, linear probing) rather
-/// than a `HashMap`: one flat `Vec` of slots, no per-entry boxing, and a
-/// deterministic layout. Pages are only ever assigned or re-assigned,
-/// never removed, so linear probing needs no tombstones.
-#[derive(Debug, Clone, Default)]
-pub struct PageMap {
-    /// Slot array; `None` = empty. Length is always a power of two (or
-    /// zero before the first assignment).
-    slots: Vec<Option<(PageId, AppId)>>,
-    /// Number of occupied slots.
-    len: usize,
-}
-
-/// Initial slot count for a fresh [`PageMap`].
-const PAGEMAP_INITIAL_SLOTS: usize = 64;
-
-impl PageMap {
-    /// An empty page map.
-    pub fn new() -> PageMap {
-        PageMap::default()
-    }
-
-    /// Probe start for `page` in a table of `slots` entries.
-    #[inline]
-    fn probe_start(page: PageId, slots: usize) -> usize {
-        (mix64(page.index() as u64) & (slots as u64 - 1)) as usize
-    }
-
-    /// Finds the slot holding `page`, or the empty slot where it belongs.
-    #[inline]
-    fn slot_of(&self, page: PageId) -> usize {
-        debug_assert!(!self.slots.is_empty());
-        let cap = self.slots.len();
-        let mut i = PageMap::probe_start(page, cap);
-        loop {
-            match &self.slots[i] {
-                Some((p, _)) if *p == page => return i,
-                None => return i,
-                _ => i = (i + 1) & (cap - 1),
-            }
-        }
-    }
-
-    /// Doubles the table and re-inserts every entry.
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(PAGEMAP_INITIAL_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![None; cap]);
-        for entry in old.into_iter().flatten() {
-            let slot = self.slot_of(entry.0);
-            self.slots[slot] = Some(entry);
-        }
-    }
-
-    /// Assigns `page` to `vc`, returning the previous owner if any (a page
-    /// changing VCs triggers the coherence walk).
-    pub fn assign(&mut self, page: PageId, vc: AppId) -> Option<AppId> {
-        // Keep the load factor at or below 1/2.
-        if self.slots.len() < 2 * (self.len + 1) {
-            self.grow();
-        }
-        let slot = self.slot_of(page);
-        match self.slots[slot].replace((page, vc)) {
-            Some((_, prev)) => Some(prev),
-            None => {
-                self.len += 1;
-                None
-            }
-        }
-    }
-
-    /// The VC owning `page`, if mapped.
-    pub fn vc_of(&self, page: PageId) -> Option<AppId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.slots[self.slot_of(page)].map(|(_, vc)| vc)
-    }
-
-    /// Number of mapped pages.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no pages are mapped.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,35 +661,6 @@ mod tests {
             }
             assert!(tlb.hits() > 0 && tlb.misses() > 0, "trace exercises both");
         }
-    }
-
-    #[test]
-    fn page_map_survives_growth_and_collisions() {
-        let mut pm = PageMap::new();
-        // Far more pages than the initial table, forcing several doublings
-        // and plenty of probe collisions.
-        for i in 0..10_000usize {
-            assert_eq!(pm.assign(PageId(i * 7919), AppId(i % 20)), None);
-        }
-        assert_eq!(pm.len(), 10_000);
-        for i in 0..10_000usize {
-            assert_eq!(pm.vc_of(PageId(i * 7919)), Some(AppId(i % 20)));
-        }
-        assert_eq!(pm.vc_of(PageId(3)), None);
-        // Reassignment reports the old owner and does not change the count.
-        assert_eq!(pm.assign(PageId(0), AppId(5)), Some(AppId(0)));
-        assert_eq!(pm.len(), 10_000);
-    }
-
-    #[test]
-    fn page_map_tracks_ownership() {
-        let mut pm = PageMap::new();
-        assert!(pm.is_empty());
-        assert_eq!(pm.assign(PageId(1), AppId(0)), None);
-        assert_eq!(pm.assign(PageId(1), AppId(2)), Some(AppId(0)));
-        assert_eq!(pm.vc_of(PageId(1)), Some(AppId(2)));
-        assert_eq!(pm.vc_of(PageId(9)), None);
-        assert_eq!(pm.len(), 1);
     }
 
     #[test]

@@ -82,10 +82,9 @@ pub fn serpentine_layout(mesh: Mesh, vm_sizes: &[usize]) -> Vec<VmPlacement> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // test-only scratch sets; order never observed
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use nuca_types::hash::DetSet;
 
     fn mesh() -> Mesh {
         Mesh::new(5, 4)
@@ -95,7 +94,7 @@ mod tests {
     fn quadrants_partition_all_cores() {
         let vms = quadrant_layout(mesh());
         assert_eq!(vms.len(), 4);
-        let all: HashSet<CoreId> = vms.iter().flat_map(|v| v.cores.iter().copied()).collect();
+        let all: DetSet<CoreId> = vms.iter().flat_map(|v| v.cores.iter().copied()).collect();
         assert_eq!(all.len(), 20);
         for v in &vms {
             assert_eq!(v.cores.len(), 5);
@@ -125,7 +124,7 @@ mod tests {
     fn serpentine_partitions_and_clusters() {
         let m = mesh();
         let vms = serpentine_layout(m, &[5, 5, 5, 5]);
-        let all: HashSet<CoreId> = vms.iter().flat_map(|v| v.cores.iter().copied()).collect();
+        let all: DetSet<CoreId> = vms.iter().flat_map(|v| v.cores.iter().copied()).collect();
         assert_eq!(all.len(), 20);
         // Consecutive cores in a run are adjacent on the mesh.
         for v in &vms {

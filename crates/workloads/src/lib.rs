@@ -31,7 +31,6 @@
 //! assert_eq!(lc[1].name, "xapian");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;

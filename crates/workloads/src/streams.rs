@@ -182,7 +182,6 @@ impl StreamGenerator {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // test-only scratch sets; order never observed
 mod tests {
     use super::*;
     use crate::{spec2006, tailbench, MB};
@@ -244,8 +243,8 @@ mod tests {
         let shape = CurveShape::streaming(0.5);
         let mut a = StreamGenerator::from_shape(&shape, 64, 0, 1);
         let mut b = StreamGenerator::from_shape(&shape, 64, 1, 1);
-        let sa: std::collections::HashSet<u64> = a.lines(1000).into_iter().collect();
-        let sb: std::collections::HashSet<u64> = b.lines(1000).into_iter().collect();
+        let sa: nuca_types::hash::DetSet<u64> = a.lines(1000).into_iter().collect();
+        let sb: nuca_types::hash::DetSet<u64> = b.lines(1000).into_iter().collect();
         assert!(sa.is_disjoint(&sb));
     }
 

@@ -16,8 +16,10 @@
 //! JUMANJI_UPDATE_GOLDEN=1 cargo test --release --test golden_analytic
 //! ```
 
-// Test gates read their own opt-in env switches; never fingerprinted output.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test gates read their own opt-in env switches; never fingerprinted output"
+)]
 
 use jumanji::core::DesignKind;
 use jumanji::prelude::*;

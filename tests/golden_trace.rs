@@ -14,8 +14,10 @@
 //! JUMANJI_UPDATE_GOLDEN=1 cargo test --release --test golden_trace
 //! ```
 
-// Test gates read their own opt-in env switches; never fingerprinted output.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test gates read their own opt-in env switches; never fingerprinted output"
+)]
 
 use jumanji::core::{AppKind, DesignKind, PlacementInput};
 use jumanji::prelude::*;
