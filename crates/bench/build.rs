@@ -16,7 +16,9 @@
 //! Whole files are hashed, unit-test modules and comments included: an
 //! edit to a test or a doc line in a salted file also makes every stored
 //! cell miss once. That errs towards recomputing, never towards serving
-//! a stale cell.
+//! a stale cell. The salted bench files keep their unit tests in
+//! unsalted sibling files (`src/cell_cache/tests.rs`,
+//! `src/disk_cache/tests.rs`), so editing those tests recomputes nothing.
 
 #[path = "build/salt.rs"]
 mod salt;

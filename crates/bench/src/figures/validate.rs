@@ -8,7 +8,7 @@ use crate::spec::ExperimentSpec;
 use jumanji::core::AppKind;
 use jumanji::prelude::*;
 use jumanji::sim::detail::DetailOptions;
-use jumanji::sim::perf::{evaluate, Profile};
+use jumanji::sim::perf::{evaluate_with, EvalScratch, Profile};
 use jumanji::types::Error;
 use std::io::Write;
 
@@ -72,12 +72,13 @@ pub fn validate(
                 Profile::Lc(l, load) => l.qps(*load) * l.accesses_per_req,
             })
             .collect();
-        let analytic = evaluate(
+        let analytic = evaluate_with(
             &cell.opts.cfg,
             &cell.profiles,
             &cell.cores,
             &cell.alloc,
             &rates,
+            &mut EvalScratch::new(),
         );
         for (i, profile) in cell.profiles.iter().enumerate() {
             writeln!(

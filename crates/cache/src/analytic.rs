@@ -8,7 +8,7 @@
 //!    way-partitioning "can only defend a small amount of data" (Sec. II-C).
 //!    D-NUCA partitions at *bank* granularity, keeping full per-bank
 //!    associativity.
-//! 2. **Unpartitioned sharing** ([`shared_occupancy`]): when several
+//! 2. **Unpartitioned sharing** ([`shared_occupancy_into`]): when several
 //!    applications share cache space without partitioning (the batch region
 //!    in Static/Adaptive), occupancy settles where insertion (miss) rates
 //!    balance. We compute that equilibrium by fixed-point iteration on the
@@ -43,15 +43,24 @@ pub fn assoc_penalty(ways: f64, full_ways: u32) -> f64 {
     1.0 + BETA * (1.0 / w - 1.0 / full).max(0.0)
 }
 
+/// Reusable iteration buffers for [`shared_occupancy_into`]: the epoch
+/// engine resolves pool equilibria every interval, and the fixed point
+/// would otherwise allocate two vectors per iteration (up to 200 per call).
+#[derive(Debug, Default)]
+pub struct OccupancyScratch {
+    rates: Vec<f64>,
+    next: Vec<f64>,
+}
+
 /// Equilibrium occupancies (in curve units) of applications sharing
-/// `total_units` of unpartitioned cache.
+/// `total_units` of unpartitioned cache, written into `occ`.
 ///
 /// Each curve must give *absolute miss rates* (misses per unit time) as a
 /// function of allocated units. At equilibrium, occupancy is proportional
 /// to insertion rate, i.e. to the miss rate at that occupancy; we iterate
 /// `occ_i ∝ misses_i(occ_i)` to a fixed point.
 ///
-/// Returns one fractional occupancy per application, summing to
+/// Yields one fractional occupancy per application, summing to
 /// `total_units` (or less if the group's total footprint is smaller than
 /// the space).
 ///
@@ -62,34 +71,13 @@ pub fn assoc_penalty(ways: f64, full_ways: u32) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use nuca_cache::{analytic::shared_occupancy, MissCurve};
+/// use nuca_cache::{analytic::{shared_occupancy_into, OccupancyScratch}, MissCurve};
 /// let hog = MissCurve::new(1, vec![100.0, 80.0, 60.0, 40.0, 20.0]);
 /// let meek = MissCurve::new(1, vec![10.0, 1.0, 0.5, 0.4, 0.3]);
-/// let occ = shared_occupancy(&[hog, meek], 4.0);
+/// let mut occ = Vec::new();
+/// shared_occupancy_into(&[hog, meek], 4.0, &mut occ, &mut OccupancyScratch::default());
 /// assert!(occ[0] > occ[1], "the high-miss-rate app occupies more");
 /// ```
-pub fn shared_occupancy(curves: &[MissCurve], total_units: f64) -> Vec<f64> {
-    let mut occ = Vec::new();
-    let mut scratch = OccupancyScratch::default();
-    shared_occupancy_into(curves, total_units, &mut occ, &mut scratch);
-    occ
-}
-
-/// Reusable iteration buffers for [`shared_occupancy_into`]: the epoch
-/// engine resolves pool equilibria every interval, and the fixed point
-/// would otherwise allocate two vectors per iteration (up to 200 per call).
-#[derive(Debug, Default)]
-pub struct OccupancyScratch {
-    rates: Vec<f64>,
-    next: Vec<f64>,
-}
-
-/// [`shared_occupancy`] writing into a caller-provided vector, with
-/// reusable iteration buffers. Produces bit-identical occupancies.
-///
-/// # Panics
-///
-/// Panics if `curves` is empty.
 pub fn shared_occupancy_into(
     curves: &[MissCurve],
     total_units: f64,
@@ -152,17 +140,15 @@ pub fn shared_occupancy_into(
     }
 }
 
-/// Total miss rate of a group sharing unpartitioned space, at equilibrium.
-///
-/// Convenience wrapper over [`shared_occupancy`].
-pub fn shared_misses(curves: &[MissCurve], total_units: f64) -> f64 {
-    let occ = shared_occupancy(curves, total_units);
-    curves.iter().zip(&occ).map(|(c, &o)| c.eval_units(o)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn occupancy(curves: &[MissCurve], total_units: f64) -> Vec<f64> {
+        let mut occ = Vec::new();
+        shared_occupancy_into(curves, total_units, &mut occ, &mut Default::default());
+        occ
+    }
 
     #[test]
     fn assoc_penalty_monotone_in_ways() {
@@ -185,7 +171,7 @@ mod tests {
     fn shared_occupancy_conserves_capacity() {
         let a = MissCurve::new(1, vec![50.0, 30.0, 20.0, 15.0, 12.0, 10.0]);
         let b = MissCurve::new(1, vec![40.0, 10.0, 5.0, 3.0, 2.0, 1.0]);
-        let occ = shared_occupancy(&[a, b], 5.0);
+        let occ = occupancy(&[a, b], 5.0);
         let total: f64 = occ.iter().sum();
         assert!((total - 5.0).abs() < 1e-6);
         assert!(occ.iter().all(|&o| o >= 0.0));
@@ -196,7 +182,7 @@ mod tests {
         // A tiny-footprint app cannot occupy more than its curve domain.
         let tiny = MissCurve::new(1, vec![100.0, 0.0]); // 1-unit footprint
         let big = MissCurve::new(1, vec![100.0; 11]);
-        let occ = shared_occupancy(&[tiny.clone(), big], 10.0);
+        let occ = occupancy(&[tiny.clone(), big], 10.0);
         assert!(occ[0] <= 1.0 + 1e-9);
         assert!((occ[0] + occ[1] - 10.0).abs() < 1e-6);
     }
@@ -210,7 +196,7 @@ mod tests {
             1,
             vec![50.0, 20.0, 8.0, 3.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.1],
         );
-        let occ = shared_occupancy(&[stream, friendly.clone()], 10.0);
+        let occ = occupancy(&[stream, friendly.clone()], 10.0);
         assert!(occ[0] > 6.0, "streaming app hogs space: {occ:?}");
         // The friendly app gets less than half, so its misses exceed its
         // fair-share misses.
@@ -222,15 +208,15 @@ mod tests {
     #[test]
     fn shared_misses_zero_capacity() {
         let a = MissCurve::new(1, vec![5.0, 1.0]);
-        assert_eq!(shared_misses(std::slice::from_ref(&a), 0.0), 5.0);
-        let occ = shared_occupancy(&[a], 0.0);
+        let occ = occupancy(std::slice::from_ref(&a), 0.0);
         assert_eq!(occ, vec![0.0]);
+        assert_eq!(a.eval_units(occ[0]), 5.0);
     }
 
     #[test]
     fn single_sharer_gets_everything_it_can_use() {
         let a = MissCurve::new(1, vec![9.0, 4.0, 1.0]);
-        let occ = shared_occupancy(&[a], 2.0);
+        let occ = occupancy(&[a], 2.0);
         assert!((occ[0] - 2.0).abs() < 1e-9);
     }
 }

@@ -43,22 +43,5 @@ pub use misscurve::MissCurve;
 pub use replacement::ReplPolicy;
 pub use stack::StackProfiler;
 
-/// A full physical address (byte-granular).
-pub type Addr = u64;
-
 /// A cache-line address: the physical address with the line offset stripped.
 pub type LineAddr = u64;
-
-/// Strips the byte offset within a 64 B line from an address.
-///
-/// # Examples
-///
-/// ```
-/// use nuca_cache::line_of;
-/// assert_eq!(line_of(0x1040), 0x41);
-/// assert_eq!(line_of(0x107f), 0x41);
-/// ```
-#[inline]
-pub fn line_of(addr: Addr) -> LineAddr {
-    addr >> 6
-}

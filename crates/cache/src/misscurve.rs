@@ -10,7 +10,7 @@
 //!
 //! - [`MissCurve::convex_hull`] — the paper approximates DRRIP's miss curve
 //!   by the convex hull of LRU's curve (Talus \[7\], Sec. IV-A).
-//! - [`MissCurve::combine_convex`] — the Whirlpool-style model (\[61\],
+//! - [`MissCurve::combine_convex_curve`] — the Whirlpool-style model (\[61\],
 //!   App. B) for a VM's combined curve: the best achievable misses when a
 //!   total budget is split optimally among member applications.
 
@@ -139,31 +139,31 @@ impl MissCurve {
     }
 
     /// Multiplies every point by `factor` (e.g., converting a miss ratio to
-    /// absolute misses for an epoch's access count).
+    /// absolute misses for an epoch's access count): a new curve filled by
+    /// [`MissCurve::clone_scaled_from`].
     #[must_use]
     pub fn scaled(&self, factor: f64) -> MissCurve {
-        assert!(factor.is_finite() && factor >= 0.0);
-        MissCurve {
+        let mut out = MissCurve {
             unit_bytes: self.unit_bytes,
-            misses: self.misses.iter().map(|m| m * factor).collect(),
-            // Scaling by a non-negative factor multiplies both the gain
-            // differences and the relative tolerance, so convexity (as
-            // is_convex measures it) is preserved exactly.
+            misses: Vec::with_capacity(self.misses.len()),
             convex: self.convex,
-        }
+        };
+        out.clone_scaled_from(self, factor);
+        out
     }
 
-    /// In-place variant of [`MissCurve::scaled`]: overwrites `self` with
-    /// `src`'s points multiplied by `factor`, reusing `self`'s buffer.
+    /// Overwrites `self` with `src`'s points multiplied by `factor`,
+    /// reusing `self`'s buffer.
     ///
     /// The epoch engine rescales every application's hull on every
     /// reconfiguration (access rates move each interval); doing it into a
-    /// persistent curve makes the interval loop allocation-free. The
-    /// multiplication is elementwise, exactly as in [`MissCurve::scaled`],
-    /// so the resulting points are bit-identical.
+    /// persistent curve makes the interval loop allocation-free.
     pub fn clone_scaled_from(&mut self, src: &MissCurve, factor: f64) {
         assert!(factor.is_finite() && factor >= 0.0);
         self.unit_bytes = src.unit_bytes;
+        // Scaling by a non-negative factor multiplies both the gain
+        // differences and the relative tolerance, so convexity (as
+        // is_convex measures it) is preserved exactly.
         self.convex = src.convex;
         self.misses.clear();
         self.misses.extend(src.misses.iter().map(|m| m * factor));
@@ -231,71 +231,21 @@ impl MissCurve {
         self.convex
     }
 
-    /// Optimally combines several *convex* curves into the curve of the
-    /// group: point `i` is the minimum total misses achievable by splitting
-    /// `i` units among the members.
+    /// Optimally combines several curves into the curve of the group: point
+    /// `i` is the minimum total misses achievable by splitting `i` units
+    /// among the members' convex hulls, for `i` up to `cap_units` (or the
+    /// members' summed domains, if smaller).
     ///
     /// This is the model the paper uses (via Whirlpool \[61, App. B\]) to
     /// compute a combined miss curve per VM for `JumanjiLookahead`. For
     /// convex curves the greedy steepest-marginal-gain split is exactly
-    /// optimal. Non-convex inputs are replaced by their convex hulls first.
+    /// optimal. Non-convex inputs are replaced by their convex hulls first;
+    /// already-convex ones (the common case: DRRIP hulls) are read as-is.
     ///
-    /// Returns the combined curve and, for each total size, the per-member
-    /// split `splits[total][member]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `curves` is empty or units disagree.
-    pub fn combine_convex(curves: &[MissCurve]) -> (MissCurve, Vec<Vec<usize>>) {
-        assert!(!curves.is_empty(), "need at least one curve to combine");
-        let unit = curves[0].unit_bytes;
-        assert!(
-            curves.iter().all(|c| c.unit_bytes == unit),
-            "all curves must share unit_bytes"
-        );
-        let hulls: Vec<MissCurve> = curves.iter().map(|c| c.convex_hull()).collect();
-        let total_units: usize = hulls.iter().map(|c| c.max_units()).sum();
-        let mut alloc = vec![0usize; hulls.len()];
-        let mut combined = Vec::with_capacity(total_units + 1);
-        let mut splits = Vec::with_capacity(total_units + 1);
-        let mut current: f64 = hulls.iter().map(|c| c.at(0)).sum();
-        combined.push(current);
-        splits.push(alloc.clone());
-        for _ in 0..total_units {
-            // Give the next unit to the member with the steepest drop.
-            let mut best = None;
-            let mut best_gain = -1.0;
-            for (k, h) in hulls.iter().enumerate() {
-                if alloc[k] >= h.max_units() {
-                    continue;
-                }
-                let gain = h.at(alloc[k]) - h.at(alloc[k] + 1);
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = Some(k);
-                }
-            }
-            let k = best.expect("some member still has headroom");
-            alloc[k] += 1;
-            current -= best_gain;
-            combined.push(current);
-            splits.push(alloc.clone());
-        }
-        (MissCurve::new(unit, combined), splits)
-    }
-
-    /// [`MissCurve::combine_convex`] without the per-size split table.
-    ///
-    /// The placement algorithms only need the combined curve (they re-derive
-    /// member sizes with Lookahead afterwards), and they call this on every
-    /// reconfiguration, so this variant skips the hull recomputation for
-    /// already-convex inputs (the common case: DRRIP hulls), caches each
-    /// member's current marginal gain instead of re-reading the curve twice
-    /// per candidate, and never materializes the split vectors. Accepts
-    /// borrowed curves to spare callers the clone, and stops at `cap_units`
-    /// (callers never evaluate the combined curve past the capacity they
-    /// are dividing, while the members' domains can sum to several times
-    /// that).
+    /// The placers call this on every reconfiguration and re-derive member
+    /// sizes with Lookahead afterwards, so no split table is built. Each
+    /// member's current marginal gain is cached, and borrowed curves spare
+    /// callers the clone.
     ///
     /// # Panics
     ///
@@ -452,20 +402,17 @@ mod tests {
     #[test]
     fn combine_two_identical_curves() {
         let c = MissCurve::new(1, vec![10.0, 4.0, 1.0]);
-        let (comb, splits) = MissCurve::combine_convex(&[c.clone(), c]);
         // Optimal split alternates between the two members.
+        let comb = MissCurve::combine_convex_curve(&[&c, &c], 4);
         assert_eq!(comb.points(), &[20.0, 14.0, 8.0, 5.0, 2.0]);
-        assert_eq!(splits[2], vec![1, 1]);
-        assert_eq!(splits[4], vec![2, 2]);
     }
 
     #[test]
     fn combine_prefers_steeper_curve() {
         let steep = MissCurve::new(1, vec![100.0, 10.0]);
         let shallow = MissCurve::new(1, vec![10.0, 9.0]);
-        let (comb, splits) = MissCurve::combine_convex(&[steep, shallow]);
         // First unit goes to the steep member.
-        assert_eq!(splits[1], vec![1, 0]);
+        let comb = MissCurve::combine_convex_curve(&[steep, shallow], 2);
         assert_eq!(comb.at(1), 20.0);
         assert_eq!(comb.at(2), 19.0);
     }
@@ -474,7 +421,7 @@ mod tests {
     fn combine_matches_brute_force() {
         let a = MissCurve::new(1, vec![50.0, 20.0, 15.0, 14.0]);
         let b = MissCurve::new(1, vec![30.0, 10.0, 5.0, 4.0]);
-        let (comb, _) = MissCurve::combine_convex(&[a.clone(), b.clone()]);
+        let comb = MissCurve::combine_convex_curve(&[&a, &b], 6);
         let (ha, hb) = (a.convex_hull(), b.convex_hull());
         for total in 0..=6usize {
             let mut best = f64::INFINITY;
@@ -504,7 +451,7 @@ mod tests {
     fn combine_mismatched_units_panics() {
         let a = MissCurve::new(1, vec![1.0]);
         let b = MissCurve::new(2, vec![1.0]);
-        MissCurve::combine_convex(&[a, b]);
+        MissCurve::combine_convex_curve(&[a, b], 1);
     }
 
     #[test]

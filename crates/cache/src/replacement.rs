@@ -26,11 +26,6 @@ pub enum ReplPolicy {
 }
 
 impl ReplPolicy {
-    /// True for the RRIP family (uses RRPV counters instead of LRU stacks).
-    pub fn is_rrip(self) -> bool {
-        !matches!(self, ReplPolicy::Lru)
-    }
-
     /// Maximum re-reference prediction value for this policy's counters.
     pub(crate) fn rrpv_max(self) -> u8 {
         match self {
@@ -67,15 +62,6 @@ pub(crate) enum InsertFlavor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rrip_family_classification() {
-        assert!(!ReplPolicy::Lru.is_rrip());
-        assert!(ReplPolicy::Srrip.is_rrip());
-        assert!(ReplPolicy::Brrip.is_rrip());
-        assert!(ReplPolicy::Drrip.is_rrip());
-        assert!(ReplPolicy::Nru.is_rrip());
-    }
 
     #[test]
     fn rrpv_ranges() {

@@ -64,16 +64,6 @@ impl StackProfiler {
         self.accesses
     }
 
-    /// Number of cold misses observed.
-    pub fn cold_misses(&self) -> u64 {
-        self.cold
-    }
-
-    /// Number of distinct lines observed (the footprint).
-    pub fn footprint_lines(&self) -> usize {
-        self.last.len()
-    }
-
     /// Count of set bits in positions `1..=t`.
     #[inline]
     fn prefix(&self, mut t: usize) -> u32 {
@@ -177,9 +167,7 @@ mod tests {
         assert_eq!(p.record(2), None);
         assert_eq!(p.record(1), Some(1));
         assert_eq!(p.record(1), Some(0));
-        assert_eq!(p.cold_misses(), 2);
         assert_eq!(p.accesses(), 4);
-        assert_eq!(p.footprint_lines(), 2);
     }
 
     #[test]

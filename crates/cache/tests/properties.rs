@@ -1,7 +1,7 @@
 //! Property-based tests of the cache structures' core invariants.
 
 use nuca_cache::{
-    analytic::{assoc_penalty, shared_occupancy},
+    analytic::{assoc_penalty, shared_occupancy_into, OccupancyScratch},
     BankConfig, CacheBank, MissCurve, PartitionId, ReplPolicy, StackProfiler, WayMask,
 };
 use proptest::prelude::*;
@@ -103,16 +103,15 @@ proptest! {
     ) {
         let ca = MissCurve::new(64, a);
         let cb = MissCurve::new(64, b);
-        let (comb, splits) = MissCurve::combine_convex(&[ca.clone(), cb.clone()]);
         let (ha, hb) = (ca.convex_hull(), cb.convex_hull());
-        let total = (ha.max_units() + hb.max_units()).min(comb.max_units());
+        let total = ha.max_units() + hb.max_units();
+        let comb = MissCurve::combine_convex_curve(&[&ca, &cb], total);
+        prop_assert_eq!(comb.max_units(), total);
         for t in (0..=total).step_by(3) {
             let x = t / 2;
             let y = t - x;
             let even = ha.at(x) + hb.at(y);
             prop_assert!(comb.at(t) <= even + 1e-6, "t={t}");
-            let s = &splits[t];
-            prop_assert_eq!(s[0] + s[1], t);
         }
     }
 
@@ -130,7 +129,8 @@ proptest! {
                 MissCurve::new(64, pts)
             })
             .collect();
-        let occ = shared_occupancy(&curves, total);
+        let mut occ = Vec::new();
+        shared_occupancy_into(&curves, total, &mut occ, &mut OccupancyScratch::default());
         let sum: f64 = occ.iter().sum();
         let footprint: f64 = curves.iter().map(|c| c.max_units() as f64).sum();
         prop_assert!(sum <= total.min(footprint) + 1e-6);

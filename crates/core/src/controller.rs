@@ -168,19 +168,32 @@ impl FeedbackController {
     }
 }
 
-/// The `getPercentile` helper of Listing 1: nearest-rank percentile.
+/// The `getPercentile` helper of Listing 1: nearest-rank percentile, the
+/// one every tail in the simulator is measured with.
 ///
-/// Sorts the slice in place.
+/// Quickselect: O(n) and allocation-free, reordering `samples`
+/// arbitrarily. Returns exactly the value a sort-then-index would (same
+/// multiset, same rank).
 ///
 /// # Panics
 ///
-/// Panics if `latencies` is empty or `p` is outside `(0, 1]`.
-pub fn percentile(latencies: &mut [f64], p: f64) -> f64 {
-    assert!(!latencies.is_empty(), "need at least one latency");
+/// Panics if `samples` is empty or `p` is outside `(0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use jumanji_core::controller::percentile;
+/// let mut lat: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+/// assert_eq!(percentile(&mut lat, 0.95), 95.0);
+/// ```
+pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    assert!(!samples.is_empty(), "need at least one sample");
     assert!(p > 0.0 && p <= 1.0, "percentile must be in (0,1]");
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = (p * latencies.len() as f64).ceil() as usize;
-    latencies[rank.saturating_sub(1)]
+    let rank = (p * samples.len() as f64).ceil() as usize;
+    let (_, v, _) = samples.select_nth_unstable_by(rank.saturating_sub(1), |a, b| {
+        a.partial_cmp(b).expect("samples are finite")
+    });
+    *v
 }
 
 #[cfg(test)]

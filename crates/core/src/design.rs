@@ -79,22 +79,6 @@ impl DesignKind {
         }
     }
 
-    /// Whether the design resizes LC allocations by feedback control.
-    pub fn is_tail_aware(self) -> bool {
-        !matches!(self, DesignKind::Static | DesignKind::Jigsaw)
-    }
-
-    /// Whether the design places data in nearby banks (D-NUCA).
-    pub fn is_dnuca(self) -> bool {
-        matches!(
-            self,
-            DesignKind::Jigsaw
-                | DesignKind::Jumanji
-                | DesignKind::JumanjiInsecure
-                | DesignKind::JumanjiIdealBatch
-        )
-    }
-
     /// Whether VM bank isolation is *guaranteed* (defends port attacks and
     /// performance leakage, Sec. VI).
     pub fn guarantees_bank_isolation(self) -> bool {
@@ -390,10 +374,6 @@ mod tests {
     #[test]
     fn properties_match_table1() {
         use DesignKind::*;
-        assert!(!Static.is_tail_aware() && !Jigsaw.is_tail_aware());
-        assert!(Adaptive.is_tail_aware() && VmPart.is_tail_aware() && Jumanji.is_tail_aware());
-        assert!(Jigsaw.is_dnuca() && Jumanji.is_dnuca());
-        assert!(!Adaptive.is_dnuca() && !VmPart.is_dnuca());
         assert!(Jumanji.guarantees_bank_isolation());
         assert!(!JumanjiInsecure.guarantees_bank_isolation());
     }

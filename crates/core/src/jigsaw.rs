@@ -1,14 +1,12 @@
 //! Jigsaw's capacity partitioning and proximity placement \[6, 8\].
 //!
-//! Jigsaw sizes per-application partitions by marginal utility (Lookahead
+//! Jigsaw sizes per-application partitions by marginal utility ([`lookahead`](crate::lookahead::lookahead)
 //! over DRRIP-hull miss curves) and places each partition in banks near the
 //! owning core. Jumanji reuses this machinery for batch applications
 //! *within* each VM's banks (Listing 3, line 12); the standalone Jigsaw
 //! design applies it to every application with no regard for deadlines or
 //! trust domains — which is exactly what the paper criticizes.
 
-use crate::lookahead::lookahead;
-use nuca_cache::MissCurve;
 use nuca_types::hash::DetMap;
 use nuca_types::{AppId, BankId, CoreId, Mesh};
 
@@ -25,14 +23,6 @@ pub struct PlaceRequest {
     /// Placement priority; apps touching the cache more often get first
     /// pick of nearby banks.
     pub priority: f64,
-}
-
-/// Sizes partitions by Lookahead over absolute miss-rate curves.
-///
-/// Thin, documented alias for [`lookahead`] so call sites read as the
-/// paper does.
-pub fn jigsaw_sizes(curves: &[MissCurve], total_units: usize) -> Vec<usize> {
-    lookahead(curves, total_units)
 }
 
 /// Places partitions near their cores, round-robin in priority order.
@@ -118,23 +108,6 @@ pub fn place_near(
         .zip(placements)
         .map(|(r, p)| (r.app, p))
         .collect()
-}
-
-/// Total placement cost: each app's traffic-weighted average distance,
-/// `Σ_app priority × avg_hops(app)`.
-pub fn placement_cost(
-    requests: &[PlaceRequest],
-    placements: &[(AppId, Vec<(BankId, f64)>)],
-    mesh: Mesh,
-) -> f64 {
-    let by_app: DetMap<AppId, &PlaceRequest> = requests.iter().map(|r| (r.app, r)).collect();
-    placements
-        .iter()
-        .map(|(app, p)| {
-            let r = by_app.get(app).expect("placement has a request");
-            r.priority * mesh.weighted_distance(r.core, p.iter().copied())
-        })
-        .sum()
 }
 
 /// Iteratively improves a placement by swapping capacity between pairs of
@@ -240,6 +213,23 @@ mod tests {
 
     fn mesh() -> Mesh {
         Mesh::new(5, 4)
+    }
+
+    /// Total placement cost: each app's traffic-weighted average distance,
+    /// `Σ_app priority × avg_hops(app)`.
+    fn placement_cost(
+        requests: &[PlaceRequest],
+        placements: &[(AppId, Vec<(BankId, f64)>)],
+        mesh: Mesh,
+    ) -> f64 {
+        let by_app: DetMap<AppId, &PlaceRequest> = requests.iter().map(|r| (r.app, r)).collect();
+        placements
+            .iter()
+            .map(|(app, p)| {
+                let r = by_app.get(app).expect("placement has a request");
+                r.priority * mesh.weighted_distance(r.core, p.iter().copied())
+            })
+            .sum()
     }
 
     fn req(app: usize, core: usize, bytes: f64, prio: f64) -> PlaceRequest {
@@ -367,14 +357,5 @@ mod tests {
             }
         }
         assert!(per_bank.iter().all(|&b| b <= MB + 1e-6));
-    }
-
-    #[test]
-    fn jigsaw_sizes_is_lookahead() {
-        let a = MissCurve::new(1, vec![10.0, 1.0, 0.5]);
-        let b = MissCurve::new(1, vec![10.0, 9.0, 8.9]);
-        let sizes = jigsaw_sizes(&[a, b], 2);
-        // Optimal split: 10 + (10-9) saved vs 10 + 0.5 for [2,0].
-        assert_eq!(sizes, vec![1, 1]);
     }
 }

@@ -95,4 +95,24 @@ proptest! {
         prop_assert!(xs.iter().any(|&x| (x - a).abs() < 1e-12));
         let _ = xs.pop();
     }
+
+    /// The quickselect percentile is the sorted sample's nearest-rank
+    /// order statistic, bit for bit: samples drawn from a few values (so
+    /// ties abound), at every rank boundary `k/n` and at a random `p`.
+    #[test]
+    fn percentile_is_the_sorted_order_statistic(
+        xs in proptest::collection::vec(0u32..6, 1..64),
+        p in 1e-6f64..1.0,
+    ) {
+        let xs: Vec<f64> = xs.into_iter().map(|x| f64::from(x) * 0.5).collect();
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let n = xs.len();
+        let ps = (1..=n).map(|k| k as f64 / n as f64).chain([p]);
+        for p in ps {
+            let want = sorted[(p * n as f64).ceil() as usize - 1];
+            let got = percentile(&mut xs.clone(), p);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "p={}", p);
+        }
+    }
 }

@@ -89,11 +89,6 @@ impl MemSystem {
     pub fn event_channel(&self) -> BankPorts {
         BankPorts::new(1, Cycles(self.cfg.cycles_per_line))
     }
-
-    /// Aggregate chip memory bandwidth in lines per cycle.
-    pub fn total_lines_per_cycle(&self) -> f64 {
-        self.cfg.num_controllers as f64 / self.cfg.cycles_per_line as f64
-    }
 }
 
 #[cfg(test)]
@@ -133,11 +128,6 @@ mod tests {
         let g2 = ch.request(Cycles(0));
         assert_eq!(g1.done, Cycles(4));
         assert_eq!(g2.start, Cycles(4));
-    }
-
-    #[test]
-    fn total_bandwidth() {
-        assert!((mem().total_lines_per_cycle() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,17 +19,6 @@ pub struct PortStats {
     pub busy_cycles: u64,
 }
 
-impl PortStats {
-    /// Mean queueing delay per request (0 when idle).
-    pub fn mean_wait(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.queue_cycles as f64 / self.requests as f64
-        }
-    }
-}
-
 /// The access ports of one cache bank, granted in arrival order.
 ///
 /// # Examples
@@ -126,7 +115,7 @@ mod tests {
         let g = p.request(Cycles(10));
         assert_eq!(g.start, Cycles(10));
         assert_eq!(g.done, Cycles(14));
-        assert_eq!(p.stats().mean_wait(), 0.0);
+        assert_eq!(p.stats().queue_cycles, 0);
     }
 
     #[test]

@@ -28,24 +28,6 @@ pub fn md1_wait(utilization: f64, service_time: f64) -> f64 {
     rho / (2.0 * (1.0 - rho)) * service_time
 }
 
-/// Utilization of one bank port given an aggregate access rate (accesses
-/// per cycle across all requesters of the bank) and the per-access port
-/// occupancy in cycles.
-///
-/// # Examples
-///
-/// ```
-/// use nuca_noc::queueing::port_utilization;
-/// // 0.1 accesses/cycle × 4-cycle occupancy on one port = 40 % busy.
-/// assert!((port_utilization(0.1, 4.0, 1) - 0.4).abs() < 1e-12);
-/// // Two ports halve the per-port load.
-/// assert!((port_utilization(0.1, 4.0, 2) - 0.2).abs() < 1e-12);
-/// ```
-pub fn port_utilization(accesses_per_cycle: f64, occupancy_cycles: f64, ports: u32) -> f64 {
-    debug_assert!(ports > 0);
-    (accesses_per_cycle * occupancy_cycles / ports as f64).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,6 +56,5 @@ mod tests {
     #[test]
     fn negative_load_clamped() {
         assert_eq!(md1_wait(-0.5, 4.0), 0.0);
-        assert_eq!(port_utilization(-1.0, 4.0, 1), 0.0);
     }
 }

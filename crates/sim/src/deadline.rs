@@ -7,9 +7,16 @@
 //! on an S-NUCA machine with a 4-way partition (4 ways × 20 banks =
 //! 2.5 MB), its queue is simulated to steady state, and the measured
 //! p95 becomes the deadline.
+//!
+//! The isolation model is two functions: [`isolation_service_cycles`]
+//! gives the service time of any allocation under S-NUCA or D-NUCA
+//! placement, and [`isolation_p95_cycles`] the p95 of the deadline's
+//! queue at a service time. The deadline is their value at the 4-way
+//! S-NUCA allocation; Fig. 8's sweep ([`isolation_tail_sweep`]) runs the
+//! same model over a range of allocations on its own arrival stream.
 
-use crate::metrics::percentile;
 use crate::queueing::LcQueue;
+use jumanji_core::controller::percentile;
 use nuca_cache::analytic::assoc_penalty;
 use nuca_noc::MeshNoc;
 use nuca_types::{CoreId, SystemConfig};
@@ -21,15 +28,70 @@ const DEADLINE_WAYS: f64 = 4.0;
 /// counts for a stable estimate).
 const DEADLINE_REQUESTS: usize = 20_000;
 
-/// Service time (cycles) of `profile` in the isolation configuration.
-pub fn isolation_service_cycles(profile: &LcProfile, cfg: &SystemConfig) -> f64 {
+/// LLC bytes of the deadline-derivation run: [`DEADLINE_WAYS`] of every
+/// bank.
+fn deadline_bytes(cfg: &SystemConfig) -> f64 {
+    DEADLINE_WAYS * cfg.llc.way_bytes() as f64 * cfg.llc.num_banks as f64
+}
+
+/// Service time (cycles) of `profile` running alone with `bytes` of LLC:
+/// way-partitioned over every bank (S-NUCA, `dnuca == false`), or
+/// reserved in the banks closest to its core, whole banks first and so at
+/// full associativity (D-NUCA).
+pub fn isolation_service_cycles(
+    profile: &LcProfile,
+    cfg: &SystemConfig,
+    bytes: f64,
+    dnuca: bool,
+) -> f64 {
     let noc = MeshNoc::new(cfg);
-    let hops = cfg.mesh().snuca_avg_distance(CoreId(0));
+    let (mesh, core) = (cfg.mesh(), CoreId(0));
+    let (hops, mr) = if dnuca {
+        let mut remaining = bytes;
+        let mut placement = Vec::new();
+        for b in mesh.banks_by_distance(core) {
+            if remaining <= 0.0 {
+                break;
+            }
+            let take = remaining.min(cfg.llc.bank_bytes as f64);
+            placement.push((b, take));
+            remaining -= take;
+        }
+        let hops = mesh.weighted_distance(core, placement);
+        (hops, profile.shape.ratio(bytes as u64))
+    } else {
+        let ways_per_bank = bytes / cfg.llc.num_banks as f64 / cfg.llc.way_bytes() as f64;
+        let penalty = assoc_penalty(ways_per_bank, cfg.llc.ways);
+        let mr = (profile.shape.ratio(bytes as u64) * penalty).min(1.0);
+        (mesh.snuca_avg_distance(core), mr)
+    };
     let llc_lat = cfg.llc.bank_latency.as_u64() as f64 + noc.round_trip_for_hops(hops);
-    let capacity = DEADLINE_WAYS * cfg.llc.way_bytes() as f64 * cfg.llc.num_banks as f64;
-    let mr = (profile.shape.ratio(capacity as u64) * assoc_penalty(DEADLINE_WAYS, cfg.llc.ways))
-        .min(1.0);
     profile.service_cycles(llc_lat, mr, noc.avg_miss_penalty())
+}
+
+/// p95 latency (cycles) of `profile` alone at high load with a fixed
+/// `service_cycles`, on the deadline's queue: the arrival stream seeded
+/// from the profile name, over `DEADLINE_REQUESTS` requests plus 5 %.
+///
+/// At the 4-way S-NUCA service time this is [`deadline_cycles`], bit for
+/// bit.
+pub fn isolation_p95_cycles(profile: &LcProfile, cfg: &SystemConfig, service_cycles: f64) -> f64 {
+    let interarrival = profile.interarrival_cycles(LcLoad::High, cfg.freq_hz);
+    let seed = profile
+        .name
+        .bytes()
+        .fold(0xBEEFu64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+    let horizon = (interarrival * DEADLINE_REQUESTS as f64 * 1.05) as u64;
+    queue_p95(interarrival, seed, horizon, service_cycles)
+}
+
+/// p95 latency (cycles) of every request arriving before `horizon` in a
+/// FIFO queue with a fixed service time.
+fn queue_p95(interarrival: f64, seed: u64, horizon: u64, service_cycles: f64) -> f64 {
+    let mut completions = Vec::new();
+    LcQueue::new(interarrival, seed).advance_into(horizon, service_cycles, &mut completions);
+    let mut latencies: Vec<f64> = completions.iter().map(|c| c.latency as f64).collect();
+    percentile(&mut latencies, 0.95)
 }
 
 /// The process-wide deadline memo: one isolation run per distinct
@@ -68,20 +130,17 @@ pub fn seed_deadline(key: u128, cycles: f64) {
 }
 
 /// Fig. 8's sweep: `profile`'s p95 latency in isolation at high load vs.
-/// its LLC allocation, way-partitioned over every bank (S-NUCA) and
-/// reserved in the banks closest to its core (D-NUCA). One
-/// `[alloc_mb, snuca_p95_ms, dnuca_p95_ms]` row per allocation step.
+/// its LLC allocation, under S-NUCA and D-NUCA placement
+/// ([`isolation_service_cycles`]). One `[alloc_mb, snuca_p95_ms,
+/// dnuca_p95_ms]` row per allocation step. The queue is Fig. 8's own:
+/// seed 42, 30,000 mean interarrival times.
 pub fn isolation_tail_sweep(profile: &LcProfile, cfg: &SystemConfig) -> Vec<[f64; 3]> {
     const MB: f64 = 1048576.0;
-    let noc = MeshNoc::new(cfg);
-    let (mesh, core) = (cfg.mesh(), CoreId(0));
-    let bank_lat = cfg.llc.bank_latency.as_u64() as f64;
     let interarrival = profile.interarrival_cycles(LcLoad::High, cfg.freq_hz);
-    let tail_ms = |service| {
-        let mut queue = LcQueue::new(interarrival, 42);
-        let completions = queue.advance((interarrival * 30_000.0) as u64, service);
-        let latencies: Vec<f64> = completions.iter().map(|c| c.latency as f64).collect();
-        percentile(&latencies, 0.95) / cfg.freq_hz * 1e3
+    let horizon = (interarrival * 30_000.0) as u64;
+    let tail_ms = |bytes, dnuca| {
+        let service = isolation_service_cycles(profile, cfg, bytes, dnuca);
+        queue_p95(interarrival, 42, horizon, service) / cfg.freq_hz * 1e3
     };
     let mut steps = vec![0.25, 0.5, 0.75];
     steps.extend((2..=16).map(|i| i as f64 * 0.5));
@@ -89,44 +148,14 @@ pub fn isolation_tail_sweep(profile: &LcProfile, cfg: &SystemConfig) -> Vec<[f64
         .into_iter()
         .map(|alloc_mb| {
             let bytes = alloc_mb * MB;
-            // S-NUCA: striped over all banks with way-partitioning.
-            let ways_per_bank = bytes / cfg.llc.num_banks as f64 / cfg.llc.way_bytes() as f64;
-            let penalty = assoc_penalty(ways_per_bank, cfg.llc.ways);
-            let mr_s = (profile.shape.ratio(bytes as u64) * penalty).min(1.0);
-            let lat_s = bank_lat + noc.round_trip_for_hops(mesh.snuca_avg_distance(core));
-            let s_snuca = profile.service_cycles(lat_s, mr_s, noc.avg_miss_penalty());
-            // D-NUCA: nearest banks, whole banks first (full associativity).
-            let mut remaining = bytes;
-            let mut placement = Vec::new();
-            for b in mesh.banks_by_distance(core) {
-                if remaining <= 0.0 {
-                    break;
-                }
-                let take = remaining.min(cfg.llc.bank_bytes as f64);
-                placement.push((b, take));
-                remaining -= take;
-            }
-            let hops = mesh.weighted_distance(core, placement.iter().copied());
-            let mr_d = profile.shape.ratio(bytes as u64);
-            let lat_d = bank_lat + noc.round_trip_for_hops(hops);
-            let s_dnuca = profile.service_cycles(lat_d, mr_d, noc.avg_miss_penalty());
-            [alloc_mb, tail_ms(s_snuca), tail_ms(s_dnuca)]
+            [alloc_mb, tail_ms(bytes, false), tail_ms(bytes, true)]
         })
         .collect()
 }
 
 fn deadline_cycles_uncached(profile: &LcProfile, cfg: &SystemConfig) -> f64 {
-    let service = isolation_service_cycles(profile, cfg);
-    let interarrival = profile.interarrival_cycles(LcLoad::High, cfg.freq_hz);
-    let seed = profile
-        .name
-        .bytes()
-        .fold(0xBEEFu64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    let mut queue = LcQueue::new(interarrival, seed);
-    let horizon = (interarrival * DEADLINE_REQUESTS as f64 * 1.05) as u64;
-    let completions = queue.advance(horizon, service);
-    let latencies: Vec<f64> = completions.iter().map(|c| c.latency as f64).collect();
-    percentile(&latencies, 0.95)
+    let service = isolation_service_cycles(profile, cfg, deadline_bytes(cfg), false);
+    isolation_p95_cycles(profile, cfg, service)
 }
 
 #[cfg(test)]
@@ -141,7 +170,7 @@ mod tests {
             let d1 = deadline_cycles(&p, &cfg);
             let d2 = deadline_cycles(&p, &cfg);
             assert_eq!(d1, d2, "{} deadline must be deterministic", p.name);
-            let service = isolation_service_cycles(&p, &cfg);
+            let service = isolation_service_cycles(&p, &cfg, deadline_bytes(&cfg), false);
             // p95 includes queueing: above one service time, below the
             // saturation regime.
             assert!(
@@ -163,7 +192,7 @@ mod tests {
         // methodology would not define a finite deadline.
         let cfg = SystemConfig::micro2020();
         for p in tailbench() {
-            let rho = isolation_service_cycles(&p, &cfg)
+            let rho = isolation_service_cycles(&p, &cfg, deadline_bytes(&cfg), false)
                 / p.interarrival_cycles(LcLoad::High, cfg.freq_hz);
             assert!(rho < 0.9, "{}: isolation utilization {rho:.2}", p.name);
         }
@@ -179,5 +208,23 @@ mod tests {
         let d = |n: &str| deadline_cycles(find(n), &cfg);
         assert!(d("moses") > d("silo"));
         assert!(d("img-dnn") > d("masstree"));
+    }
+
+    #[test]
+    fn the_isolation_model_at_the_deadline_allocation_is_the_deadline() {
+        // 4 ways of each of the 20 banks: 2.5 MB, way-partitioned.
+        let cfg = SystemConfig::micro2020();
+        let bytes = 2.5 * 1048576.0;
+        assert_eq!(bytes, deadline_bytes(&cfg));
+        for p in tailbench() {
+            let service = isolation_service_cycles(&p, &cfg, bytes, false);
+            let p95 = isolation_p95_cycles(&p, &cfg, service);
+            assert_eq!(
+                p95.to_bits(),
+                deadline_cycles(&p, &cfg).to_bits(),
+                "{}",
+                p.name
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Performance and security metrics (paper Sec. VII).
 //!
 //! - **Tail latency**: 95th-percentile request latency per latency-critical
-//!   application.
+//!   application, by the controller's nearest-rank
+//!   [`percentile`](jumanji_core::controller::percentile).
 //! - **Weighted speedup**: FIESTA-style fixed-work speedup of batch
 //!   applications relative to the Static baseline — each app's speedup is
 //!   the ratio of instructions completed in equal time, averaged over apps;
@@ -12,41 +13,6 @@
 
 use jumanji_core::{Allocation, PlacementInput};
 use nuca_types::AppId;
-
-/// Nearest-rank percentile of a latency sample (does not mutate input).
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or `p` outside `(0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// use nuca_sim::metrics::percentile;
-/// let lat: Vec<f64> = (1..=100).map(f64::from).collect();
-/// assert_eq!(percentile(&lat, 0.95), 95.0);
-/// ```
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut v = samples.to_vec();
-    percentile_mut(&mut v, p)
-}
-
-/// Nearest-rank percentile computed in place via quickselect: O(n) and
-/// allocation-free, reordering `samples` arbitrarily. Returns exactly the
-/// value a sort-then-index would (same multiset, same rank).
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or `p` outside `(0, 1]`.
-pub fn percentile_mut(samples: &mut [f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "need at least one sample");
-    assert!(p > 0.0 && p <= 1.0, "percentile must be in (0,1]");
-    let rank = (p * samples.len() as f64).ceil() as usize;
-    let (_, v, _) = samples.select_nth_unstable_by(rank.saturating_sub(1), |a, b| {
-        a.partial_cmp(b).expect("samples are finite")
-    });
-    *v
-}
 
 /// Geometric mean of positive values.
 ///
@@ -169,11 +135,6 @@ mod tests {
     use super::*;
     use jumanji_core::DesignKind;
     use nuca_types::SystemConfig;
-
-    #[test]
-    fn percentile_single_sample() {
-        assert_eq!(percentile(&[3.5], 0.95), 3.5);
-    }
 
     #[test]
     fn gmean_of_constant_is_constant() {

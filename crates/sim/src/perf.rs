@@ -5,7 +5,7 @@
 //!
 //! - **Effective capacity**: partitioned applications own their bytes;
 //!   members of an unpartitioned pool settle to the occupancy equilibrium
-//!   of [`nuca_cache::analytic::shared_occupancy`].
+//!   of [`nuca_cache::analytic::shared_occupancy_into`].
 //! - **Miss ratio**: the profile's curve at the effective capacity,
 //!   inflated by the way-partitioning associativity penalty
 //!   ([`nuca_cache::analytic::assoc_penalty`]). D-NUCA allocations occupy
@@ -185,23 +185,12 @@ struct AppStatics<'a> {
     total_bytes: f64,
 }
 
-/// Evaluates the performance model for every application.
+/// Evaluates the performance model for every application, with
+/// caller-provided scratch buffers (see [`EvalScratch`]).
 ///
 /// `prev_rates[a]` is the previous interval's access rate estimate
 /// (accesses/second), used to seed the fixed point between IPS and
 /// latency; pass the profile-based initial guess on the first interval.
-pub fn evaluate(
-    cfg: &SystemConfig,
-    profiles: &[Profile],
-    cores: &[CoreId],
-    alloc: &Allocation,
-    prev_rates: &[f64],
-) -> Vec<AppPerf> {
-    let mut scratch = EvalScratch::new();
-    evaluate_with(cfg, profiles, cores, alloc, prev_rates, &mut scratch)
-}
-
-/// [`evaluate`] with caller-provided scratch buffers (see [`EvalScratch`]).
 pub fn evaluate_with(
     cfg: &SystemConfig,
     profiles: &[Profile],
@@ -381,20 +370,8 @@ pub fn evaluate_into(
     scratch.rates = rates;
 }
 
-/// Resolves each application's effective capacity: partition bytes, or the
-/// equilibrium share of its pool.
-pub fn effective_capacities(
-    cfg: &SystemConfig,
-    profiles: &[Profile],
-    alloc: &Allocation,
-    rates: &[f64],
-) -> Vec<f64> {
-    let mut scratch = EvalScratch::new();
-    effective_capacities_into(cfg, profiles, alloc, rates, &mut scratch);
-    std::mem::take(&mut scratch.caps)
-}
-
-/// [`effective_capacities`] writing into `scratch.caps`, reusing the
+/// Resolves each application's effective capacity into `scratch.caps`:
+/// partition bytes, or the equilibrium share of its pool. Reuses the
 /// scratch's sampled curves, scaled-curve slots, and occupancy buffers so
 /// the per-interval pool equilibrium allocates nothing.
 fn effective_capacities_into(
@@ -567,6 +544,12 @@ mod tests {
         quadrants.iter().flatten().map(|&c| CoreId(c)).collect()
     }
 
+    /// One evaluation on the Table II machine, with a fresh scratch.
+    fn eval_fresh(profs: &[Profile], alloc: &Allocation, rates: &[f64]) -> Vec<AppPerf> {
+        let cfg = SystemConfig::micro2020();
+        evaluate_with(&cfg, profs, &cores(), alloc, rates, &mut EvalScratch::new())
+    }
+
     fn initial_rates(profiles: &[Profile]) -> Vec<f64> {
         profiles
             .iter()
@@ -583,20 +566,8 @@ mod tests {
         let input = PlacementInput::example(&cfg);
         let profs = profiles();
         let rates = initial_rates(&profs);
-        let snuca = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::Adaptive.allocate(&input),
-            &rates,
-        );
-        let dnuca = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::Jumanji.allocate(&input),
-            &rates,
-        );
+        let snuca = eval_fresh(&profs, &DesignKind::Adaptive.allocate(&input), &rates);
+        let dnuca = eval_fresh(&profs, &DesignKind::Jumanji.allocate(&input), &rates);
         let avg = |v: &[AppPerf]| v.iter().map(|p| p.llc_latency).sum::<f64>() / v.len() as f64;
         assert!(
             avg(&dnuca) < avg(&snuca) - 5.0,
@@ -612,13 +583,7 @@ mod tests {
         let input = PlacementInput::example(&cfg);
         let profs = profiles();
         let rates = initial_rates(&profs);
-        let perf = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::Static.allocate(&input),
-            &rates,
-        );
+        let perf = eval_fresh(&profs, &DesignKind::Static.allocate(&input), &rates);
         for (p, prof) in perf.iter().zip(&profs) {
             if let Profile::Batch(b) = prof {
                 assert!(p.ips > 1e8, "{}: ips {}", b.name, p.ips);
@@ -639,26 +604,14 @@ mod tests {
                 input.lc_sizes[a] = 512.0 * 1024.0;
             }
         }
-        let starved = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::Jumanji.allocate(&input),
-            &rates,
-        );
+        let starved = eval_fresh(&profs, &DesignKind::Jumanji.allocate(&input), &rates);
         // Generous LC allocation.
         for a in 0..input.lc_sizes.len() {
             if input.lc_sizes[a] > 0.0 {
                 input.lc_sizes[a] = 4.0 * 1024.0 * 1024.0;
             }
         }
-        let fed = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::Jumanji.allocate(&input),
-            &rates,
-        );
+        let fed = eval_fresh(&profs, &DesignKind::Jumanji.allocate(&input), &rates);
         for i in (0..20).step_by(5) {
             assert!(
                 starved[i].service_cycles > fed[i].service_cycles * 1.2,
@@ -676,9 +629,13 @@ mod tests {
         let profs = profiles();
         let rates = initial_rates(&profs);
         let alloc = DesignKind::Adaptive.allocate(&input);
-        let caps = effective_capacities(&cfg, &profs, &alloc, &rates);
+        let perf = eval_fresh(&profs, &alloc, &rates);
         let pool_cap: f64 = alloc.pools[0].total_bytes();
-        let member_caps: f64 = alloc.pools[0].members.iter().map(|m| caps[m.index()]).sum();
+        let member_caps: f64 = alloc.pools[0]
+            .members
+            .iter()
+            .map(|m| perf[m.index()].capacity_bytes)
+            .sum();
         assert!(
             (member_caps - pool_cap).abs() / pool_cap < 0.02,
             "members hold {member_caps} of pool {pool_cap}"
@@ -692,20 +649,8 @@ mod tests {
         let profs = profiles();
         let rates = initial_rates(&profs);
         // VM-Part stripes small VM pools across all banks: few ways each.
-        let vmpart = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::VmPart.allocate(&input),
-            &rates,
-        );
-        let jumanji = evaluate(
-            &cfg,
-            &profs,
-            &cores(),
-            &DesignKind::Jumanji.allocate(&input),
-            &rates,
-        );
+        let vmpart = eval_fresh(&profs, &DesignKind::VmPart.allocate(&input), &rates);
+        let jumanji = eval_fresh(&profs, &DesignKind::Jumanji.allocate(&input), &rates);
         // Compare miss ratios at (roughly) matched capacity for a batch app.
         let i = 1; // a batch app
         let vm_mr_per_cap = vmpart[i].miss_ratio / profs[i].miss_ratio(vmpart[i].capacity_bytes);

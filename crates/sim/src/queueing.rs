@@ -41,16 +41,9 @@ impl LcQueue {
 
     /// Advances the queue until `until` (exclusive), serving every request
     /// that *arrives* before then with the given deterministic
-    /// `service_cycles`. Returns the completions (their completion times
-    /// may exceed `until`; the server carries over).
-    pub fn advance(&mut self, until: u64, service_cycles: f64) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.advance_into(until, service_cycles, &mut out);
-        out
-    }
-
-    /// [`advance`](LcQueue::advance) writing into a caller-provided buffer
-    /// (cleared first), so the interval loop reuses one completion vector.
+    /// `service_cycles`. Writes the completions into `out` (cleared first,
+    /// so the interval loop reuses one buffer); their completion times may
+    /// exceed `until`, as the server carries over.
     pub fn advance_into(&mut self, until: u64, service_cycles: f64, out: &mut Vec<Completion>) {
         let service = service_cycles.max(1.0) as u64;
         out.clear();
@@ -66,22 +59,23 @@ impl LcQueue {
             });
         }
     }
-
-    /// Current backlog delay: how far the server lags behind `now`.
-    pub fn backlog(&self, now: u64) -> u64 {
-        self.server_free.saturating_sub(now)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run_until(q: &mut LcQueue, until: u64, service_cycles: f64) -> Vec<Completion> {
+        let mut out = Vec::new();
+        q.advance_into(until, service_cycles, &mut out);
+        out
+    }
+
     #[test]
     fn light_load_latency_is_service_time() {
         // Interarrival 100x the service time: essentially no queueing.
         let mut q = LcQueue::new(100_000.0, 1);
-        let completions = q.advance(10_000_000, 1_000.0);
+        let completions = run_until(&mut q, 10_000_000, 1_000.0);
         assert!(!completions.is_empty());
         let avg: f64 =
             completions.iter().map(|c| c.latency as f64).sum::<f64>() / completions.len() as f64;
@@ -92,20 +86,21 @@ mod tests {
     fn overload_latency_grows_without_bound() {
         // Service time 2x the interarrival: the queue diverges.
         let mut q = LcQueue::new(1_000.0, 2);
-        let completions = q.advance(2_000_000, 2_000.0);
+        let completions = run_until(&mut q, 2_000_000, 2_000.0);
         let early = completions[10].latency;
         let late = completions[completions.len() - 10].latency;
         assert!(
             late > 50 * early,
             "latency must diverge: early {early}, late {late}"
         );
-        assert!(q.backlog(2_000_000) > 0);
+        // The server still lags behind the horizon.
+        assert!(completions.last().unwrap().at > 2_000_000);
     }
 
     #[test]
     fn utilization_half_has_moderate_tail() {
         let mut q = LcQueue::new(2_000.0, 3);
-        let completions = q.advance(50_000_000, 1_000.0);
+        let completions = run_until(&mut q, 50_000_000, 1_000.0);
         let mut lats: Vec<u64> = completions.iter().map(|c| c.latency).collect();
         lats.sort();
         let p95 = lats[(lats.len() as f64 * 0.95) as usize - 1];
@@ -117,8 +112,8 @@ mod tests {
     #[test]
     fn service_change_at_boundary_applies_to_later_requests() {
         let mut q = LcQueue::new(10_000.0, 4);
-        let c1 = q.advance(1_000_000, 1_000.0);
-        let c2 = q.advance(2_000_000, 50_000.0);
+        let c1 = run_until(&mut q, 1_000_000, 1_000.0);
+        let c2 = run_until(&mut q, 2_000_000, 50_000.0);
         assert!(!c1.is_empty() && !c2.is_empty());
         assert!(c2.last().unwrap().latency > c1.last().unwrap().latency);
     }
@@ -127,7 +122,7 @@ mod tests {
     fn deterministic() {
         let run = |seed| {
             let mut q = LcQueue::new(5_000.0, seed);
-            q.advance(1_000_000, 2_500.0)
+            run_until(&mut q, 1_000_000, 2_500.0)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

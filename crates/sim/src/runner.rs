@@ -3,9 +3,10 @@
 
 use crate::deadline::deadline_cycles;
 use crate::energy::{energy_of, EnergyBreakdown, EnergyEvents};
-use crate::metrics::{percentile_mut, vulnerability, weighted_speedup};
+use crate::metrics::{vulnerability, weighted_speedup};
 use crate::perf::{evaluate_into, AppPerf, EvalScratch, Profile};
 use crate::queueing::{Completion, LcQueue};
+use jumanji_core::controller::percentile;
 use jumanji_core::{
     Allocation, AppModel, ControllerParams, DesignKind, FeedbackController, PlacementInput,
 };
@@ -533,7 +534,7 @@ impl Experiment {
                         let tail_ms = if tail_scratch.is_empty() {
                             None
                         } else {
-                            Some(percentile_mut(&mut tail_scratch, 0.95))
+                            Some(percentile(&mut tail_scratch, 0.95))
                         };
                         let name = match &profiles[i] {
                             Profile::Lc(p, _) => p.name,
@@ -617,7 +618,7 @@ impl Experiment {
                     let tail = if lc_latencies[i].is_empty() {
                         f64::INFINITY
                     } else {
-                        percentile_mut(&mut lc_latencies[i], 0.95)
+                        percentile(&mut lc_latencies[i], 0.95)
                     };
                     lc_tails.push(tail);
                     lc_deads.push(self.deadlines[lc_idx] / freq * 1e3);

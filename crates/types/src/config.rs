@@ -20,13 +20,6 @@ pub struct CacheLevelConfig {
     pub latency: Cycles,
 }
 
-impl CacheLevelConfig {
-    /// Number of sets given a line size.
-    pub fn num_sets(&self, line_bytes: u64) -> u64 {
-        self.size_bytes / (line_bytes * self.ways as u64)
-    }
-}
-
 /// Configuration of the shared, banked last-level cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LlcConfig {
@@ -345,12 +338,5 @@ mod tests {
     #[test]
     fn default_is_micro2020() {
         assert_eq!(SystemConfig::default(), SystemConfig::micro2020());
-    }
-
-    #[test]
-    fn l1_sets() {
-        let cfg = SystemConfig::micro2020();
-        assert_eq!(cfg.l1.num_sets(64), 64);
-        assert_eq!(cfg.l2.num_sets(64), 256);
     }
 }

@@ -16,7 +16,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// use nuca_types::Cycles;
 /// let a = Cycles(100) + Cycles(20);
 /// assert_eq!(a, Cycles(120));
-/// assert_eq!(a.to_seconds(2.66e9).as_f64() * 1e9, 120.0 / 2.66, "ns");
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(pub u64);
@@ -35,12 +34,6 @@ impl Cycles {
     #[inline]
     pub fn as_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Converts cycles to seconds at the given clock frequency in Hz.
-    #[inline]
-    pub fn to_seconds(self, freq_hz: f64) -> Seconds {
-        Seconds(self.0 as f64 / freq_hz)
     }
 
     /// Saturating subtraction: never goes below zero.
@@ -122,22 +115,10 @@ impl Seconds {
         Seconds(ms * 1e-3)
     }
 
-    /// Constructs from microseconds.
-    #[inline]
-    pub fn from_micros(us: f64) -> Seconds {
-        Seconds(us * 1e-6)
-    }
-
     /// Returns the raw value in seconds.
     #[inline]
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// Returns the value in milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Converts seconds to cycles at the given clock frequency in Hz,
@@ -198,20 +179,14 @@ mod tests {
         let s = Seconds::from_millis(100.0);
         let c = s.to_cycles(freq);
         assert_eq!(c.as_u64(), 266_000_000);
-        let back = c.to_seconds(freq);
-        assert!((back.as_f64() - 0.1).abs() < 1e-12);
+        assert!((c.as_f64() / freq - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn display_formats_scale() {
         assert_eq!(Seconds(1.5).to_string(), "1.500 s");
         assert_eq!(Seconds::from_millis(2.0).to_string(), "2.000 ms");
-        assert_eq!(Seconds::from_micros(7.0).to_string(), "7.000 us");
+        assert_eq!(Seconds(7e-6).to_string(), "7.000 us");
         assert_eq!(Cycles(9).to_string(), "9 cycles");
-    }
-
-    #[test]
-    fn micros_constructor() {
-        assert!((Seconds::from_micros(1000.0).as_millis() - 1.0).abs() < 1e-12);
     }
 }

@@ -130,12 +130,6 @@ impl Mesh {
         self.core_tile(core).manhattan(self.bank_tile(bank))
     }
 
-    /// X-Y routing hop count between two banks' tiles.
-    #[inline]
-    pub fn hops_bank_to_bank(self, a: BankId, b: BankId) -> usize {
-        self.bank_tile(a).manhattan(self.bank_tile(b))
-    }
-
     /// The four corner tiles, in the order NW, NE, SW, SE.
     pub fn corner_tiles(self) -> [TileCoord; 4] {
         [
@@ -262,7 +256,6 @@ mod tests {
         let m = mesh();
         assert_eq!(m.hops_core_to_bank(CoreId(0), BankId(0)), 0);
         assert_eq!(m.hops_core_to_bank(CoreId(0), BankId(19)), 7);
-        assert_eq!(m.hops_bank_to_bank(BankId(2), BankId(12)), 2);
     }
 
     #[test]

@@ -138,12 +138,6 @@ impl Umon {
         MissCurve::new(unit_bytes, points)
     }
 
-    /// DRRIP miss-curve approximation: the convex hull of the LRU curve
-    /// (Talus, paper Sec. IV-A).
-    pub fn drrip_curve(&self) -> MissCurve {
-        self.lru_curve().convex_hull()
-    }
-
     /// Clears all counters and tags (done at each reconfiguration epoch).
     pub fn reset(&mut self) {
         for s in &mut self.sets {
@@ -217,22 +211,6 @@ mod tests {
         let rate = umon.sampled() as f64 / umon.observed() as f64;
         let nominal = 8.0 / 512.0;
         assert!((rate - nominal).abs() / nominal < 0.2, "rate {rate}");
-    }
-
-    #[test]
-    fn drrip_curve_is_hull() {
-        let mut umon = Umon::new(8, 1, 1);
-        for _ in 0..100 {
-            for l in 0..6u64 {
-                umon.observe(l);
-            }
-        }
-        let drrip = umon.drrip_curve();
-        assert!(drrip.is_convex());
-        let lru = umon.lru_curve();
-        for w in 0..=8usize {
-            assert!(drrip.at(w) <= lru.at(w) + 1e-9);
-        }
     }
 
     #[test]

@@ -63,12 +63,6 @@ impl BatchProfile {
         w.into_bytes()
     }
 
-    /// Miss curve in misses-per-kilo-instruction (ratio × APKI).
-    pub fn mpki_curve(&self, unit_bytes: u64, units: usize) -> MissCurve {
-        self.miss_ratio_curve(unit_bytes, units)
-            .scaled(self.llc_apki)
-    }
-
     /// Instructions per second this app would execute given an average
     /// LLC access latency `llc_lat` (cycles), an average miss penalty
     /// `miss_pen` (cycles beyond the LLC access), a miss ratio `mr`, and
@@ -281,17 +275,6 @@ mod tests {
         assert!(slow > fast);
         let ips = mcf.ips(20.0, 0.1, 140.0, 2.66e9);
         assert!((ips - 2.66e9 / fast).abs() < 1.0);
-    }
-
-    #[test]
-    fn mpki_scales_ratio_by_apki() {
-        let profiles = spec2006();
-        let gcc = profiles.iter().find(|p| p.name == "403.gcc").unwrap();
-        let ratio = gcc.miss_ratio_curve(MB, 4);
-        let mpki = gcc.mpki_curve(MB, 4);
-        for u in 0..=4usize {
-            assert!((mpki.at(u) - ratio.at(u) * gcc.llc_apki).abs() < 1e-9);
-        }
     }
 
     #[test]

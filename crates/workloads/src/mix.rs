@@ -42,11 +42,6 @@ impl WorkloadMix {
         self.vms.iter().map(VmWorkload::num_apps).sum()
     }
 
-    /// Total latency-critical application count.
-    pub fn num_lc(&self) -> usize {
-        self.vms.iter().map(|v| v.lc.len()).sum()
-    }
-
     /// Builds a mix from a per-VM `(lc_count, batch_count)` spec, drawing
     /// LC applications round-robin from `lc_pool` and batch applications
     /// uniformly at random (with replacement) from the sixteen SPEC
@@ -153,7 +148,6 @@ mod tests {
         let mix = case_study_mix(1);
         assert_eq!(mix.vms.len(), 4);
         assert_eq!(mix.num_apps(), 20);
-        assert_eq!(mix.num_lc(), 4);
         for vm in &mix.vms {
             assert_eq!(vm.lc.len(), 1);
             assert_eq!(vm.lc[0].name, "xapian");

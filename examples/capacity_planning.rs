@@ -9,75 +9,38 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use jumanji::cache::analytic::assoc_penalty;
-use jumanji::noc::MeshNoc;
 use jumanji::prelude::*;
-use jumanji::sim::deadline::deadline_cycles;
-use jumanji::sim::metrics::percentile;
-use jumanji::sim::queueing::LcQueue;
+use jumanji::sim::deadline::{deadline_cycles, isolation_p95_cycles, isolation_service_cycles};
 use jumanji::workloads::LcProfile;
 
 const MB: f64 = 1048576.0;
 
 /// p95 latency (cycles) of `p` at a fixed allocation under S-NUCA or
-/// D-NUCA placement, run alone at high load.
+/// D-NUCA placement, run alone at high load on the deadline's own queue:
+/// at the deadline's 2.5 MB S-NUCA allocation this is the deadline.
 fn p95(p: &LcProfile, cfg: &SystemConfig, alloc_bytes: f64, dnuca: bool) -> f64 {
-    let noc = MeshNoc::new(cfg);
-    let mesh = cfg.mesh();
-    let (lat, mr) = if dnuca {
-        // Nearest whole banks: full associativity, short hops.
-        let banks = (alloc_bytes / cfg.llc.bank_bytes as f64).ceil().max(1.0);
-        let hops = mesh
-            .banks_by_distance(CoreId(0))
-            .take(banks as usize)
-            .enumerate()
-            .map(|(i, b)| {
-                let frac = ((alloc_bytes - i as f64 * cfg.llc.bank_bytes as f64)
-                    / cfg.llc.bank_bytes as f64)
-                    .clamp(0.0, 1.0);
-                frac * mesh.hops_core_to_bank(CoreId(0), b) as f64
-            })
-            .sum::<f64>()
-            / (alloc_bytes / cfg.llc.bank_bytes as f64);
-        (
-            cfg.llc.bank_latency.as_u64() as f64 + noc.round_trip_for_hops(hops),
-            p.shape.ratio(alloc_bytes as u64),
-        )
-    } else {
-        let ways = alloc_bytes / cfg.llc.num_banks as f64 / cfg.llc.way_bytes() as f64;
-        (
-            cfg.llc.bank_latency.as_u64() as f64
-                + noc.round_trip_for_hops(mesh.snuca_avg_distance(CoreId(0))),
-            (p.shape.ratio(alloc_bytes as u64) * assoc_penalty(ways, cfg.llc.ways)).min(1.0),
-        )
-    };
-    let service = p.service_cycles(lat, mr, noc.avg_miss_penalty());
-    let ia = p.interarrival_cycles(LcLoad::High, cfg.freq_hz);
-    let mut q = LcQueue::new(ia, 77);
-    let lats: Vec<f64> = q
-        .advance((ia * 8000.0) as u64, service)
-        .iter()
-        .map(|c| c.latency as f64)
-        .collect();
-    percentile(&lats, 0.95)
+    let service = isolation_service_cycles(p, cfg, alloc_bytes, dnuca);
+    isolation_p95_cycles(p, cfg, service)
 }
 
-/// Smallest allocation (MB, 0.125 MB granularity) meeting the deadline.
+/// Smallest allocation (MB, 0.125 MB granularity, up to 20 MB) meeting
+/// the deadline: a bisection over the grid's steps.
 fn needed_mb(p: &LcProfile, cfg: &SystemConfig, deadline: f64, dnuca: bool) -> Option<f64> {
-    let mut lo = 0.125 * MB;
-    let mut hi = 20.0 * MB;
-    if p95(p, cfg, hi, dnuca) > deadline {
+    let meets = |eighths: u32| p95(p, cfg, f64::from(eighths) * 0.125 * MB, dnuca) <= deadline;
+    // `hi` meets the deadline; `lo` does not, or is the untested 0.
+    let (mut lo, mut hi) = (0, 160);
+    if !meets(hi) {
         return None;
     }
-    while hi - lo > 0.125 * MB {
-        let mid = (lo + hi) / 2.0;
-        if p95(p, cfg, mid, dnuca) <= deadline {
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if meets(mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    Some((hi / MB * 8.0).ceil() / 8.0)
+    Some(f64::from(hi) / 8.0)
 }
 
 fn main() {

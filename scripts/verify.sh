@@ -40,6 +40,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --keep-goin
 echo "== cargo build --release"
 cargo build --offline --release
 
+echo "== every example runs to completion"
+for ex in quickstart attack_lab capacity_planning datacenter_consolidation; do
+    cargo run --offline --release -q -p jumanji --example "$ex" >"$tmp/example_$ex.txt"
+done
+
 echo "== benchmark probe still compiles against the crates' API"
 # Reads perfbench/ only; --locked fails rather than rewrite its Cargo.lock.
 cargo check --offline --locked --manifest-path perfbench/probe/Cargo.toml \
