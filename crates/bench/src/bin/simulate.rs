@@ -108,7 +108,12 @@ fn main() -> ExitCode {
         ..SimOptions::default()
     };
     let exp = Experiment::new(mix, load, opts);
-    let r = exp.run(design, &NoopSink);
+    let (r, timeline) = if timeline {
+        let (r, timeline) = exp.run_with_timeline(design, &NoopSink);
+        (r, Some(timeline))
+    } else {
+        (exp.run(design, &NoopSink), None)
+    };
 
     println!("design: {design}");
     println!(
@@ -144,9 +149,9 @@ fn main() -> ExitCode {
         "coherence refetches across reconfigurations: {:.2} M lines",
         r.coherence_refetches / 1e6
     );
-    if timeline {
+    if let Some(timeline) = timeline {
         println!("\nt_ms\tavg_lc_latency_ms\tavg_lc_alloc_mb\tvulnerability");
-        for rec in &r.timeline {
+        for rec in &timeline {
             let lat: Vec<f64> = rec.lc_mean_latency_ms.iter().flatten().copied().collect();
             let avg_lat = if lat.is_empty() {
                 f64::NAN

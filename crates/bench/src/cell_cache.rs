@@ -8,8 +8,8 @@
 //! computation with one encode/decode pair, of one of three kinds
 //! ([`CellKind`]): an `(experiment, design)` run ([`RunCell`]), a
 //! detailed-simulator cell ([`DetailPlan`]; fig02, validate) or a fixed
-//! scenario ([`Scenario`](crate::scenario::Scenario); fig08, fig11,
-//! fig12).
+//! scenario ([`Scenario`](crate::scenario::Scenario); fig04, fig08,
+//! fig11, fig12).
 //!
 //! [`CellCache::get`] is the one read-through for every kind, over one
 //! map: memory, then the attached [`DiskCache`], then `compute` with
@@ -17,9 +17,10 @@
 //! cell's full input behind a kind tag, so two cells share an entry
 //! exactly when the simulation would do identical work, and two kinds
 //! never share a key. A key is composed, not formatted: a mix enters as
-//! its VM structure and one bit-exact fingerprint per profile, an
-//! allocation field by field, and only the small option structs as
-//! their `Debug` form — so naming a cell costs
+//! its VM structure and one bit-exact fingerprint per profile, the
+//! simulation options, machine configuration and allocation field by
+//! field, a design as its stable tag, and only the detailed and
+//! fixed-scenario options as their `Debug` form — so naming a cell costs
 //! far less than reading it from the store. One-shot placements are not
 //! cells: a [`DesignKind::allocate`] call costs less than fingerprinting
 //! its input, so the plan pass computes them directly.
@@ -41,14 +42,17 @@
 
 use crate::disk_cache::{self, DiskCache, DiskCacheStats};
 use crate::figures::plan::{CostModel, DetailPlan};
-use jumanji::core::{Allocation, AppAlloc, DesignKind, Pool};
+use jumanji::core::{Allocation, AppAlloc, ControllerParams, DesignKind, Pool};
 use jumanji::sim::detail::{run_detailed, DetailOptions, DetailReport};
 use jumanji::sim::perf::Profile;
 use jumanji::sim::{ratio_hull_cache_stats, Experiment, ExperimentResult, SimOptions};
 use jumanji::telemetry::{NoopSink, Telemetry};
 use jumanji::types::codec::{ByteReader, ByteWriter, CodecError};
 use jumanji::types::hash::fingerprint128;
-use jumanji::types::{BankId, CoreId, MapStats, ShardedMap, VmId};
+use jumanji::types::{
+    BankId, CacheLevelConfig, CoreId, EnergyConfig, LlcConfig, MapStats, MemConfig, NocConfig,
+    ShardedMap, SystemConfig, VmId,
+};
 use jumanji::workloads::{LcLoad, VmWorkload, WorkloadMix};
 use std::any::Any;
 use std::fmt::Debug;
@@ -58,8 +62,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// Every cache key: a 128-bit fingerprint of the cell kind's `tag`
 /// followed by the cell's inputs as `write` encodes them — field by
 /// field, floats by bit pattern, workload profiles by their
-/// fingerprints, and the small option structs as [`debug_leaf`]s. Tags
-/// differ per kind, so two kinds never share a key.
+/// fingerprints, and the detailed and fixed-scenario options as
+/// [`debug_leaf`]s. Tags differ per kind, so two kinds never share a
+/// key.
 pub(crate) fn content_key(tag: &str, write: impl FnOnce(&mut ByteWriter)) -> u128 {
     // Room for an experiment key's inputs, the most frequent kind.
     let mut w = ByteWriter::with_capacity(2048);
@@ -69,8 +74,8 @@ pub(crate) fn content_key(tag: &str, write: impl FnOnce(&mut ByteWriter)) -> u12
 }
 
 /// Writes `value`'s `Debug` form as one length-prefixed leaf: how the
-/// small option structs reach a key without a hand-written encoder, so
-/// none of their fields can drop out of it.
+/// rarely keyed option structs reach a key without a hand-written
+/// encoder, so none of their fields can drop out of it.
 pub(crate) fn debug_leaf(w: &mut ByteWriter, value: &dyn Debug) {
     w.str(&format!("{value:?}"));
 }
@@ -89,6 +94,134 @@ fn write_mix(w: &mut ByteWriter, mix: &WorkloadMix) {
         }
         for p in batch {
             w.u128(p.fingerprint());
+        }
+    }
+}
+
+/// Writes a load level as a one-byte tag.
+fn write_load(w: &mut ByteWriter, load: LcLoad) {
+    w.u8(match load {
+        LcLoad::Low => 0,
+        LcLoad::High => 1,
+    });
+}
+
+/// Writes every field of `cfg`, floats by bit pattern.
+fn write_cfg(w: &mut ByteWriter, cfg: &SystemConfig) {
+    // Exhaustive destructuring: a new field does not compile until it is
+    // written.
+    let SystemConfig {
+        freq_hz,
+        num_cores,
+        mesh_cols,
+        mesh_rows,
+        l1,
+        l2,
+        llc,
+        noc,
+        mem,
+        energy,
+    } = cfg;
+    w.f64(*freq_hz);
+    w.usize(*num_cores);
+    w.usize(*mesh_cols);
+    w.usize(*mesh_rows);
+    for CacheLevelConfig {
+        size_bytes,
+        ways,
+        latency,
+    } in [l1, l2]
+    {
+        w.u64(*size_bytes);
+        w.u32(*ways);
+        w.u64(latency.0);
+    }
+    let LlcConfig {
+        num_banks,
+        bank_bytes,
+        ways,
+        bank_latency,
+        line_bytes,
+        bank_ports,
+    } = llc;
+    w.usize(*num_banks);
+    w.u64(*bank_bytes);
+    w.u32(*ways);
+    w.u64(bank_latency.0);
+    w.u64(*line_bytes);
+    w.u32(*bank_ports);
+    let NocConfig {
+        router_cycles,
+        link_cycles,
+        flit_bits,
+    } = noc;
+    w.u64(*router_cycles);
+    w.u64(*link_cycles);
+    w.u64(*flit_bits);
+    let MemConfig {
+        num_controllers,
+        latency,
+        cycles_per_line,
+    } = mem;
+    w.usize(*num_controllers);
+    w.u64(latency.0);
+    w.u64(*cycles_per_line);
+    let EnergyConfig {
+        l1_access_pj,
+        l2_access_pj,
+        llc_bank_access_pj,
+        noc_hop_flit_pj,
+        dram_access_pj,
+    } = energy;
+    w.f64(*l1_access_pj);
+    w.f64(*l2_access_pj);
+    w.f64(*llc_bank_access_pj);
+    w.f64(*noc_hop_flit_pj);
+    w.f64(*dram_access_pj);
+}
+
+/// Writes every field of `params`, floats by bit pattern.
+fn write_controller(w: &mut ByteWriter, params: &ControllerParams) {
+    let ControllerParams {
+        percentile,
+        interval,
+        target_high,
+        target_low,
+        panic_threshold,
+        step,
+        panic_bytes,
+        min_bytes,
+        max_bytes,
+    } = params;
+    w.f64(*percentile);
+    w.usize(*interval);
+    w.f64(*target_high);
+    w.f64(*target_low);
+    w.f64(*panic_threshold);
+    w.f64(*step);
+    w.f64(*panic_bytes);
+    w.f64(*min_bytes);
+    w.f64(*max_bytes);
+}
+
+/// Writes every field of `opts`, floats by bit pattern.
+fn write_opts(w: &mut ByteWriter, opts: &SimOptions) {
+    let SimOptions {
+        cfg,
+        duration,
+        reconfig,
+        seed,
+        controller,
+    } = opts;
+    write_cfg(w, cfg);
+    w.f64(duration.0);
+    w.f64(reconfig.0);
+    w.u64(*seed);
+    match controller {
+        None => w.u8(0),
+        Some(params) => {
+            w.u8(1);
+            write_controller(w, params);
         }
     }
 }
@@ -142,22 +275,24 @@ fn write_alloc(w: &mut ByteWriter, alloc: &Allocation) {
 }
 
 /// The cache identity of an experiment: a 128-bit fingerprint of `mix`'s
-/// VM structure and profile fingerprints, plus `load` and `opts`, exposed
-/// so the plan pass ([`crate::figures::plan`]) can name a cell without
-/// constructing it.
+/// VM structure and profile fingerprints, plus `load` and every field of
+/// `opts`, exposed so the plan pass ([`crate::figures::plan`]) can name
+/// a cell without constructing it.
 pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u128 {
     content_key("exp", |w| {
-        debug_leaf(w, &load);
-        debug_leaf(w, opts);
+        write_load(w, load);
+        write_opts(w, opts);
         write_mix(w, mix);
     })
 }
 
-/// The cache identity of a completed `(experiment, design)` run cell.
+/// The cache identity of a completed `(experiment, design)` run cell:
+/// the experiment's key and the design's stable
+/// [`design_tag`](disk_cache::design_tag).
 pub fn run_key(experiment_key: u128, design: DesignKind) -> u128 {
     content_key("run", |w| {
         w.u128(experiment_key);
-        debug_leaf(w, &design);
+        w.u8(disk_cache::design_tag(design));
     })
 }
 
@@ -183,7 +318,7 @@ pub fn detail_key(
                 Profile::Lc(p, load) => {
                     w.u8(1);
                     w.u128(p.fingerprint());
-                    debug_leaf(w, load);
+                    write_load(w, *load);
                 }
             }
         }

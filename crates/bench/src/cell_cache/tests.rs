@@ -7,7 +7,9 @@
 use super::*;
 use crate::spec::{ExperimentSpec, FigureKind};
 use jumanji::telemetry::{Event, NoopSink, RecordingSink};
-use jumanji::types::Seconds;
+use jumanji::types::{
+    CacheLevelConfig, EnergyConfig, LlcConfig, MemConfig, NocConfig, Seconds, SystemConfig,
+};
 use jumanji::workloads::curves::Component;
 use jumanji::workloads::{
     case_study_mix, spec2006, tailbench, BatchProfile, CurveShape, LcProfile,
@@ -26,72 +28,172 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// One perturbation of one option field: its name and the edit.
+type OptEdit = (&'static str, fn(&mut SimOptions));
+
 #[test]
 fn every_sim_option_reaches_the_experiment_key() {
-    // Exhaustive destructuring: a new `SimOptions` field does not
-    // compile here until it is perturbed below.
-    let base = SimOptions::default();
+    // Exhaustive destructuring of `SimOptions` and of the `SystemConfig`
+    // and `ControllerParams` inside it: a new field does not compile
+    // here until an edit below perturbs it.
+    let params = ControllerParams::micro2020(20.0 * 1048576.0);
+    let base = SimOptions {
+        controller: Some(params),
+        ..SimOptions::default()
+    };
     let SimOptions {
         cfg,
-        duration,
-        reconfig,
-        seed,
-        controller,
-    } = base.clone();
-    let fast_cfg = jumanji::types::SystemConfig {
-        freq_hz: cfg.freq_hz * 2.0,
-        ..cfg
-    };
-    let params = jumanji::core::ControllerParams::micro2020(fast_cfg.llc.total_bytes() as f64);
-    let perturbed = [
-        (
-            "cfg",
-            SimOptions {
-                cfg: fast_cfg,
-                ..base.clone()
-            },
-        ),
-        (
-            "duration",
-            SimOptions {
-                duration: Seconds(duration.as_f64() * 2.0),
-                ..base.clone()
-            },
-        ),
-        (
-            "reconfig",
-            SimOptions {
-                reconfig: Seconds(reconfig.as_f64() * 2.0),
-                ..base.clone()
-            },
-        ),
-        (
-            "seed",
-            SimOptions {
-                seed: seed + 1,
-                ..base.clone()
-            },
-        ),
-        (
-            "controller",
-            SimOptions {
-                controller: match controller {
-                    None => Some(params),
-                    Some(_) => None,
-                },
-                ..base.clone()
-            },
-        ),
+        duration: _,
+        reconfig: _,
+        seed: _,
+        controller: _,
+    } = &base;
+    let SystemConfig {
+        freq_hz: _,
+        num_cores: _,
+        mesh_cols: _,
+        mesh_rows: _,
+        l1,
+        l2: _,
+        llc,
+        noc,
+        mem,
+        energy,
+    } = cfg;
+    let CacheLevelConfig {
+        size_bytes: _,
+        ways: _,
+        latency: _,
+    } = l1;
+    let LlcConfig {
+        num_banks: _,
+        bank_bytes: _,
+        ways: _,
+        bank_latency: _,
+        line_bytes: _,
+        bank_ports: _,
+    } = llc;
+    let NocConfig {
+        router_cycles: _,
+        link_cycles: _,
+        flit_bits: _,
+    } = noc;
+    let MemConfig {
+        num_controllers: _,
+        latency: _,
+        cycles_per_line: _,
+    } = mem;
+    let EnergyConfig {
+        l1_access_pj: _,
+        l2_access_pj: _,
+        llc_bank_access_pj: _,
+        noc_hop_flit_pj: _,
+        dram_access_pj: _,
+    } = energy;
+    let ControllerParams {
+        percentile: _,
+        interval: _,
+        target_high: _,
+        target_low: _,
+        panic_threshold: _,
+        step: _,
+        panic_bytes: _,
+        min_bytes: _,
+        max_bytes: _,
+    } = params;
+    fn ctrl(o: &mut SimOptions) -> &mut ControllerParams {
+        o.controller.as_mut().expect("the base sets a controller")
+    }
+    let edits: [OptEdit; 40] = [
+        ("duration", |o| o.duration = Seconds(o.duration.0.next_up())),
+        ("reconfig", |o| o.reconfig = Seconds(o.reconfig.0.next_up())),
+        ("seed", |o| o.seed += 1),
+        ("controller", |o| o.controller = None),
+        ("cfg.freq_hz", |o| o.cfg.freq_hz = o.cfg.freq_hz.next_up()),
+        ("cfg.num_cores", |o| o.cfg.num_cores += 1),
+        ("cfg.mesh_cols", |o| o.cfg.mesh_cols += 1),
+        ("cfg.mesh_rows", |o| o.cfg.mesh_rows += 1),
+        ("cfg.l1.size_bytes", |o| o.cfg.l1.size_bytes += 1),
+        ("cfg.l1.ways", |o| o.cfg.l1.ways += 1),
+        ("cfg.l1.latency", |o| o.cfg.l1.latency.0 += 1),
+        ("cfg.l2.size_bytes", |o| o.cfg.l2.size_bytes += 1),
+        ("cfg.l2.ways", |o| o.cfg.l2.ways += 1),
+        ("cfg.l2.latency", |o| o.cfg.l2.latency.0 += 1),
+        ("cfg.llc.num_banks", |o| o.cfg.llc.num_banks += 1),
+        ("cfg.llc.bank_bytes", |o| o.cfg.llc.bank_bytes += 1),
+        ("cfg.llc.ways", |o| o.cfg.llc.ways += 1),
+        ("cfg.llc.bank_latency", |o| o.cfg.llc.bank_latency.0 += 1),
+        ("cfg.llc.line_bytes", |o| o.cfg.llc.line_bytes += 1),
+        ("cfg.llc.bank_ports", |o| o.cfg.llc.bank_ports += 1),
+        ("cfg.noc.router_cycles", |o| o.cfg.noc.router_cycles += 1),
+        ("cfg.noc.link_cycles", |o| o.cfg.noc.link_cycles += 1),
+        ("cfg.noc.flit_bits", |o| o.cfg.noc.flit_bits += 1),
+        ("cfg.mem.num_controllers", |o| {
+            o.cfg.mem.num_controllers += 1
+        }),
+        ("cfg.mem.latency", |o| o.cfg.mem.latency.0 += 1),
+        ("cfg.mem.cycles_per_line", |o| {
+            o.cfg.mem.cycles_per_line += 1
+        }),
+        ("cfg.energy.l1_access_pj", |o| {
+            o.cfg.energy.l1_access_pj = o.cfg.energy.l1_access_pj.next_up()
+        }),
+        ("cfg.energy.l2_access_pj", |o| {
+            o.cfg.energy.l2_access_pj = o.cfg.energy.l2_access_pj.next_up()
+        }),
+        ("cfg.energy.llc_bank_access_pj", |o| {
+            o.cfg.energy.llc_bank_access_pj = o.cfg.energy.llc_bank_access_pj.next_up()
+        }),
+        ("cfg.energy.noc_hop_flit_pj", |o| {
+            o.cfg.energy.noc_hop_flit_pj = o.cfg.energy.noc_hop_flit_pj.next_up()
+        }),
+        ("cfg.energy.dram_access_pj", |o| {
+            o.cfg.energy.dram_access_pj = o.cfg.energy.dram_access_pj.next_up()
+        }),
+        ("controller.percentile", |o| {
+            ctrl(o).percentile = ctrl(o).percentile.next_up()
+        }),
+        ("controller.interval", |o| ctrl(o).interval += 1),
+        ("controller.target_high", |o| {
+            ctrl(o).target_high = ctrl(o).target_high.next_up()
+        }),
+        ("controller.target_low", |o| {
+            ctrl(o).target_low = ctrl(o).target_low.next_up()
+        }),
+        ("controller.panic_threshold", |o| {
+            ctrl(o).panic_threshold = ctrl(o).panic_threshold.next_up()
+        }),
+        ("controller.step", |o| ctrl(o).step = ctrl(o).step.next_up()),
+        ("controller.panic_bytes", |o| {
+            ctrl(o).panic_bytes = ctrl(o).panic_bytes.next_up()
+        }),
+        ("controller.min_bytes", |o| {
+            ctrl(o).min_bytes = ctrl(o).min_bytes.next_up()
+        }),
+        ("controller.max_bytes", |o| {
+            ctrl(o).max_bytes = ctrl(o).max_bytes.next_up()
+        }),
     ];
     let mix = case_study_mix(1);
     let key = experiment_key(&mix, LcLoad::High, &base);
-    for (field, opts) in &perturbed {
+    let mut keys = vec![key];
+    for (field, edit) in &edits {
+        let mut opts = base.clone();
+        edit(&mut opts);
+        let perturbed = experiment_key(&mix, LcLoad::High, &opts);
         assert_ne!(
-            experiment_key(&mix, LcLoad::High, opts),
-            key,
+            perturbed, key,
             "SimOptions::{field} does not reach the experiment key"
         );
+        keys.push(perturbed);
     }
+    // Every edit keys apart from every other, too: no two fields share
+    // one slot of the key.
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), 1 + edits.len());
+    // The load level reaches the key as well.
+    assert_ne!(experiment_key(&mix, LcLoad::Low, &base), key, "LcLoad");
 }
 
 /// Pairs of values a float field takes in two otherwise equal

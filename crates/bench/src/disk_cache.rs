@@ -13,12 +13,14 @@
 //! generic [`DiskCache::load`] / [`DiskCache::store`] pair serves every
 //! kind, framing the [`Cell`]'s own payload codec:
 //!
-//! - `runs/<key>.bin` — completed [`ExperimentResult`]s;
+//! - `runs/<key>.bin` — completed [`ExperimentResult`]s: whole-run
+//!   summaries of a few hundred bytes, no per-interval data;
 //! - `details/<key>.bin` — completed detailed-simulator
 //!   [`DetailReport`]s (the heaviest cells in the repo: fig02 and
 //!   validate);
-//! - `scenarios/<key>.bin` — completed fixed scenarios (fig08's sweep,
-//!   fig11's port attack, fig12's leakage run).
+//! - `scenarios/<key>.bin` — completed fixed scenarios (fig04's
+//!   per-interval timelines, fig08's sweep, fig11's port attack, fig12's
+//!   leakage run).
 //!
 //! The suite reads and writes nothing else. Two side files,
 //! `model.bin` (the simulator's ratio hulls and deadlines) and
@@ -65,9 +67,9 @@ use jumanji::cache::MissCurve;
 use jumanji::core::DesignKind;
 use jumanji::sim::detail::{DetailAppStats, DetailReport};
 use jumanji::sim::energy::EnergyBreakdown;
-use jumanji::sim::{export_ratio_hulls, seed_ratio_hull, ExperimentResult, IntervalRecord};
+use jumanji::sim::{export_ratio_hulls, seed_ratio_hull, ExperimentResult};
 use jumanji::types::codec::{decode_entry, encode_entry, ByteReader, ByteWriter, CodecError};
-use jumanji::types::hash::{fingerprint128, DetMap};
+use jumanji::types::hash::{fingerprint128, DetMap, DetSet};
 use jumanji::types::AppId;
 use jumanji::workloads::{spec2006, tailbench};
 use std::path::{Path, PathBuf};
@@ -190,8 +192,9 @@ impl MeasuredCosts {
 }
 
 /// The stable on-disk tag of a design (array index into
-/// [`MeasuredCosts::runs`]). Never renumber these: entries written by
-/// older processes key on them.
+/// [`MeasuredCosts::runs`]; also what run and timeline keys write for a
+/// design). Never renumber these: entries written by older processes
+/// key on them.
 pub fn design_tag(design: DesignKind) -> u8 {
     match design {
         DesignKind::Static => 0,
@@ -219,21 +222,20 @@ fn design_from_tag(tag: u8) -> Result<DesignKind, CodecError> {
 
 /// Resolves a decoded app name to the `&'static str` the rest of the
 /// stack expects. Names from the workload catalogs resolve to the
-/// catalog's own static string; anything else (a name from a future
-/// catalog) is interned once into a process-lifetime string, so the
-/// leak is bounded by the number of *distinct* names ever decoded.
+/// catalog's own static string through a read-only set, so decoding
+/// workers never contend; anything else (a name from a future catalog)
+/// is interned once, under a lock, into a process-lifetime string, so
+/// the leak is bounded by the number of *distinct* names ever decoded.
 fn intern(name: &str) -> &'static str {
-    static INTERNED: LazyLock<Mutex<DetMap<String, &'static str>>> = LazyLock::new(|| {
-        let mut m: DetMap<String, &'static str> = DetMap::default();
-        for p in tailbench() {
-            m.insert(p.name.to_string(), p.name);
-        }
-        for p in spec2006() {
-            m.insert(p.name.to_string(), p.name);
-        }
-        Mutex::new(m)
+    static CATALOG: LazyLock<DetSet<&'static str>> = LazyLock::new(|| {
+        let lc = tailbench().into_iter().map(|p| p.name);
+        lc.chain(spec2006().into_iter().map(|p| p.name)).collect()
     });
-    let mut m = INTERNED.lock().expect("intern table lock");
+    static OTHERS: LazyLock<Mutex<DetMap<String, &'static str>>> = LazyLock::new(Mutex::default);
+    if let Some(&s) = CATALOG.get(name) {
+        return s;
+    }
+    let mut m = OTHERS.lock().expect("intern table lock");
     if let Some(&s) = m.get(name) {
         return s;
     }
@@ -272,41 +274,6 @@ fn decode_energy(r: &mut ByteReader<'_>) -> Result<EnergyBreakdown, CodecError> 
     })
 }
 
-fn encode_interval(w: &mut ByteWriter, iv: &IntervalRecord) {
-    w.f64(iv.t_ms);
-    w.u32(iv.lc_mean_latency_ms.len() as u32);
-    for m in &iv.lc_mean_latency_ms {
-        match m {
-            Some(v) => {
-                w.u8(1);
-                w.f64(*v);
-            }
-            None => w.u8(0),
-        }
-    }
-    w.f64s(&iv.lc_alloc_bytes);
-    w.f64(iv.vulnerability);
-}
-
-fn decode_interval(r: &mut ByteReader<'_>) -> Result<IntervalRecord, CodecError> {
-    let t_ms = r.f64()?;
-    let n = r.count(1)?;
-    let mut lc_mean_latency_ms = Vec::with_capacity(n);
-    for _ in 0..n {
-        lc_mean_latency_ms.push(match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            _ => return Err(CodecError::Malformed("bad option tag")),
-        });
-    }
-    Ok(IntervalRecord {
-        t_ms,
-        lc_mean_latency_ms,
-        lc_alloc_bytes: r.f64s()?,
-        vulnerability: r.f64()?,
-    })
-}
-
 pub(crate) fn encode_result(w: &mut ByteWriter, result: &ExperimentResult) {
     w.u8(design_tag(result.design));
     encode_names(w, &result.lc_names);
@@ -318,10 +285,6 @@ pub(crate) fn encode_result(w: &mut ByteWriter, result: &ExperimentResult) {
     encode_energy(w, &result.energy);
     w.f64(result.total_instructions);
     w.f64(result.coherence_refetches);
-    w.u32(result.timeline.len() as u32);
-    for iv in &result.timeline {
-        encode_interval(w, iv);
-    }
 }
 
 pub(crate) fn decode_result(r: &mut ByteReader<'_>) -> Result<ExperimentResult, CodecError> {
@@ -335,11 +298,6 @@ pub(crate) fn decode_result(r: &mut ByteReader<'_>) -> Result<ExperimentResult, 
     let energy = decode_energy(r)?;
     let total_instructions = r.f64()?;
     let coherence_refetches = r.f64()?;
-    let n = r.count(1)?;
-    let mut timeline = Vec::with_capacity(n);
-    for _ in 0..n {
-        timeline.push(decode_interval(r)?);
-    }
     Ok(ExperimentResult {
         design,
         lc_names,
@@ -351,7 +309,6 @@ pub(crate) fn decode_result(r: &mut ByteReader<'_>) -> Result<ExperimentResult, 
         energy,
         total_instructions,
         coherence_refetches,
-        timeline,
     })
 }
 

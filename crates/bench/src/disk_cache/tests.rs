@@ -8,6 +8,10 @@ use super::*;
 use crate::scenario::{Scenario, ScenarioResult};
 use jumanji::attacks::leakage::LeakageResult;
 use jumanji::attacks::port::{PortAttackTrace, TimingSample};
+use jumanji::sim::{Experiment, IntervalRecord, SimOptions};
+use jumanji::telemetry::NoopSink;
+use jumanji::types::Seconds;
+use jumanji::workloads::{case_study_mix, LcLoad};
 
 fn temp_store(tag: &str) -> DiskCache {
     let dir = std::env::temp_dir().join(format!(
@@ -36,20 +40,6 @@ fn sample_result() -> ExperimentResult {
         },
         total_instructions: 2e9,
         coherence_refetches: 1234.5,
-        timeline: vec![
-            IntervalRecord {
-                t_ms: 100.0,
-                lc_mean_latency_ms: vec![Some(1.0), None],
-                lc_alloc_bytes: vec![1048576.0, 0.0],
-                vulnerability: 0.5,
-            },
-            IntervalRecord {
-                t_ms: 200.0,
-                lc_mean_latency_ms: vec![None, Some(-0.0)],
-                lc_alloc_bytes: vec![],
-                vulnerability: 0.0,
-            },
-        ],
     }
 }
 
@@ -94,6 +84,24 @@ fn sample_detail() -> DetailReport {
     }
 }
 
+/// Two designs' timelines over two LC apps: a mean that is `None` and
+/// one that is `-0.0`, which only a bit-exact codec tells from `0.0`.
+fn sample_timelines() -> ScenarioResult {
+    let record = |t_ms, lc_mean_latency_ms, lc_alloc_bytes, vulnerability| IntervalRecord {
+        t_ms,
+        lc_mean_latency_ms,
+        lc_alloc_bytes,
+        vulnerability,
+    };
+    ScenarioResult::Timeline(vec![
+        vec![
+            record(100.0, vec![Some(1.0), None], vec![1048576.0, 0.0], 0.5),
+            record(200.0, vec![None, Some(-0.0)], vec![-0.0, 2.5], 0.0),
+        ],
+        vec![],
+    ])
+}
+
 fn sample_scenarios() -> Vec<ScenarioResult> {
     let sample = |at, cycles_per_access, victim_bank| TimingSample {
         at,
@@ -101,6 +109,7 @@ fn sample_scenarios() -> Vec<ScenarioResult> {
         victim_bank,
     };
     vec![
+        sample_timelines(),
         ScenarioResult::TailSweep(vec![[0.25, 12.5, 1.125], [8.0, 0.5, -0.0]]),
         ScenarioResult::PortAttack(PortAttackTrace {
             samples: vec![
@@ -155,8 +164,8 @@ fn every_cell_kind_round_trips_through_the_store() {
         round_trip::<Scenario>(&store, key as u128, scenario);
     }
     let s = store.stats();
-    assert_eq!((s.hits, s.misses, s.writes), (5, 10, 5));
-    assert_eq!((s.corrupt_dropped, s.evictions), (5, 5));
+    assert_eq!((s.hits, s.misses, s.writes), (6, 12, 6));
+    assert_eq!((s.corrupt_dropped, s.evictions), (6, 6));
     let _ = fs::remove_dir_all(store.root());
 }
 
@@ -171,10 +180,56 @@ fn result_codec_round_trips_bit_exactly() {
         decoded.lc_names[0].as_ptr(),
         "catalog names must be interned to the same static"
     );
+}
+
+#[test]
+fn timeline_codec_round_trips_by_bits_and_rejects_a_bad_option_tag() {
+    let original = sample_timelines();
+    let decoded = recode::<Scenario>(&original).expect("valid payload");
+    assert_eq!(format!("{original:?}"), format!("{decoded:?}"));
+    let ScenarioResult::Timeline(timelines) = &decoded else {
+        panic!("a timeline decodes as a timeline: {decoded:?}");
+    };
+    let means = &timelines[0][1].lc_mean_latency_ms;
+    assert_eq!(means[0], None);
+    assert_eq!(means[1].map(f64::to_bits), Some((-0.0f64).to_bits()));
     assert_eq!(
-        decoded.timeline[1].lc_mean_latency_ms[1].unwrap().to_bits(),
+        timelines[0][1].lc_alloc_bytes[0].to_bits(),
         (-0.0f64).to_bits()
     );
+
+    // The first interval's first mean is `Some`: its option tag follows
+    // the scenario tag (1), the design count (4), the interval and app
+    // counts (4 + 4), the time and vulnerability (8 + 8) and the two
+    // allocations (2 × 8).
+    let mut w = ByteWriter::new();
+    Scenario::encode(&original, &mut w);
+    let mut bytes = w.into_bytes();
+    let tag = 1 + 4 + 4 + 4 + 8 + 8 + 2 * 8;
+    assert_eq!(bytes[tag], 1, "the layout this test assumes");
+    bytes[tag] = 2;
+    let err = Scenario::decode(&mut ByteReader::new(&bytes)).expect_err("bad tag");
+    assert_eq!(err, CodecError::Malformed("bad option tag"));
+}
+
+#[test]
+fn a_run_entry_does_not_grow_with_its_interval_count() {
+    // One experiment at 1 and at 40 reconfiguration intervals: a run
+    // cell carries whole-run summaries only, so both encode to payloads
+    // of one length (per-interval data lives in fig04's timeline cell).
+    let encoded_len = |seconds: f64| {
+        let opts = SimOptions {
+            duration: Seconds(seconds),
+            ..SimOptions::default()
+        };
+        let exp = Experiment::new(case_study_mix(1), LcLoad::High, opts);
+        let mut w = ByteWriter::new();
+        RunCell::encode(&exp.run(DesignKind::Static, &NoopSink), &mut w);
+        w.into_bytes().len()
+    };
+    let (one, forty) = (encoded_len(0.1), encoded_len(4.0));
+    assert_eq!(one, forty, "a run entry grew with its interval count");
+    assert!(forty < 1024, "a run entry takes {forty} bytes");
 }
 
 #[test]

@@ -134,6 +134,9 @@ pub fn fig04(
     results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
+    let ScenarioResult::Timeline(timelines) = &*results.scenarios[0] else {
+        unreachable!("fig04 plans the timeline scenario");
+    };
     writeln!(
         out,
         "# Fig. 4: case study over time (4 VMs x [xapian + 4 batch], high load)"
@@ -142,8 +145,8 @@ pub fn fig04(
         out,
         "design\tt_ms\tavg_latency_ms\tavg_alloc_mb\tvulnerability"
     )?;
-    for (&design, r) in spec.designs().iter().zip(&results.runs[0]) {
-        for rec in &r.timeline {
+    for (&design, timeline) in spec.designs().iter().zip(timelines) {
+        for rec in timeline {
             let lat: Vec<f64> = rec.lc_mean_latency_ms.iter().flatten().copied().collect();
             let avg_lat = if lat.is_empty() {
                 f64::NAN

@@ -11,9 +11,10 @@
 //!
 //! The detailed-simulator studies (fig02, validate) plan *detailed*
 //! cells ([`DetailPlan`]) instead of analytic ones: the full input of
-//! [`run_detailed`](jumanji::sim::detail::run_detailed). fig08 and the
-//! attack demos (fig11, fig12) each plan one fixed [`Scenario`]. Only
-//! the config tables compute nothing and return an empty plan.
+//! [`run_detailed`](jumanji::sim::detail::run_detailed). fig04's
+//! timelines, fig08 and the attack demos (fig11, fig12) each plan one
+//! fixed [`Scenario`]. Only the config tables compute nothing and return
+//! an empty plan.
 //!
 //! Cost priors ([`CostModel::priors`], and each [`Scenario`]'s own) feed
 //! the scheduler's long-pole-first ordering, and they are the only costs
@@ -289,18 +290,6 @@ fn matrix_cells(
 pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
     use FigureKind::*;
     let cells = match spec.kind {
-        Fig04 => {
-            let opts = SimOptions {
-                duration: Seconds(4.0),
-                ..sim_opts(spec)
-            };
-            vec![CellPlan {
-                mix: case_study_mix(spec.seed),
-                load: LcLoad::High,
-                opts,
-                designs: spec.designs().to_vec(),
-            }]
-        }
         Fig05 => vec![CellPlan {
             mix: case_study_mix(spec.seed),
             load: LcLoad::High,
@@ -411,9 +400,9 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
             })
             .collect(),
         // No analytic cells: Fig. 2 and validate run the detailed
-        // simulator, fig08/11/12 fixed scenarios (both enumerated
+        // simulator, fig04/08/11/12 fixed scenarios (both enumerated
         // below), and the tables compute nothing.
-        Fig02 | Fig08 | Fig11 | Fig12 | Table2 | Table3 | Validate => Vec::new(),
+        Fig02 | Fig04 | Fig08 | Fig11 | Fig12 | Table2 | Table3 | Validate => Vec::new(),
     };
     let details = match spec.kind {
         Fig02 => {
@@ -463,6 +452,17 @@ pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
         _ => Vec::new(),
     };
     let scenarios = match spec.kind {
+        // The only figure that plots intervals: its one cell records the
+        // timelines that run cells do not carry.
+        Fig04 => vec![Scenario::Timeline(Box::new(CellPlan {
+            mix: case_study_mix(spec.seed),
+            load: LcLoad::High,
+            opts: SimOptions {
+                duration: Seconds(4.0),
+                ..sim_opts(spec)
+            },
+            designs: spec.designs().to_vec(),
+        }))],
         Fig08 => {
             let xapian = tailbench().into_iter().find(|p| p.name == "xapian");
             let xapian = xapian.ok_or_else(|| Error::unknown_workload("xapian"))?;
@@ -548,7 +548,12 @@ mod tests {
             assert!(plan.is_empty(), "{}", kind.name());
         }
         // The fixed scenarios plan exactly one scenario cell each.
-        for kind in [FigureKind::Fig08, FigureKind::Fig11, FigureKind::Fig12] {
+        for kind in [
+            FigureKind::Fig04,
+            FigureKind::Fig08,
+            FigureKind::Fig11,
+            FigureKind::Fig12,
+        ] {
             let plan = of(&ExperimentSpec::new(kind)).expect("plan never fails here");
             assert!(plan.cells.is_empty() && plan.details.is_empty());
             assert_eq!(plan.scenarios.len(), 1, "{}", kind.name());

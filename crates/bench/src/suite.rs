@@ -673,7 +673,7 @@ mod tests {
             assert_eq!(g.edges(), 0, "{name}");
             assert_eq!(g.len(), unique_cells(&plans), "{name}");
             if name == "analytic-cold" {
-                assert_eq!(g.len(), 1902, "1899 runs and 3 scenarios");
+                assert_eq!(g.len(), 1903, "1899 runs and 4 scenarios");
             }
             let work: f64 = u.costs.iter().sum();
             let cp = (0..g.len()).map(|i| g.priority(i)).fold(0.0, f64::max);
@@ -734,8 +734,8 @@ mod tests {
 
     #[test]
     fn a_failed_cell_fails_only_the_figures_that_need_it() {
-        // fig08's scenario emits no run summary; fig04 runs Jigsaw;
-        // table2 comes after it.
+        // fig08's scenario emits no run summary; fig04's timeline
+        // scenario runs Jigsaw; table2 comes after it.
         let specs: Vec<ExperimentSpec> = [FigureKind::Fig08, FigureKind::Fig04, FigureKind::Table2]
             .iter()
             .map(|&k| ExperimentSpec::new(k))

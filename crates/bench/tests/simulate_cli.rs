@@ -40,3 +40,28 @@ fn a_one_interval_run_completes() {
     );
     assert!(!stdout.contains("inf"), "{stdout}");
 }
+
+#[test]
+fn the_timeline_prints_one_row_per_interval() {
+    // 0.3 s is three 100 ms reconfiguration intervals.
+    for design in ["static", "jigsaw", "jumanji"] {
+        let out = simulate(&[
+            "--design",
+            design,
+            "--duration",
+            "0.3",
+            "--timeline",
+            "--no-baseline",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{design}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let (_, table) = stdout
+            .split_once("t_ms\tavg_lc_latency_ms\tavg_lc_alloc_mb\tvulnerability\n")
+            .unwrap_or_else(|| panic!("{design}: no timeline header in {stdout}"));
+        let rows: Vec<&str> = table.lines().collect();
+        let times: Vec<&str> = rows.iter().filter_map(|r| r.split('\t').next()).collect();
+        assert_eq!(times, ["100", "200", "300"], "{design}: {stdout}");
+        assert!(rows.iter().all(|r| r.split('\t').count() == 4), "{stdout}");
+    }
+}

@@ -79,7 +79,7 @@ fn standalone(kind: FigureKind, mixes: usize) -> Vec<u8> {
 }
 
 /// `suite --figures fig05` must reproduce fig05 rendered alone byte for
-/// byte, and fig04 + fig05 must share cells in the work graph.
+/// byte, and fig13 + fig14 must share cells in the work graph.
 #[test]
 fn suite_matches_standalone_and_reuses_cells() {
     let tmp = TempDir::new("cheap");
@@ -93,15 +93,16 @@ fn suite_matches_standalone_and_reuses_cells() {
         "suite fig05 differs from fig05 rendered alone"
     );
 
-    // fig04 and fig05 share the case-study experiment, so the union must
-    // fold their planned runs (fig05's Static/Jumanji/Jigsaw/… runs at
-    // high load repeat fig04's) into fewer unique run nodes.
+    // fig13 and fig14 run the same matrix, so the union must fold their
+    // planned runs into fewer unique run nodes.
     let stats = tmp.path().join("stats.json");
     run(
         env!("CARGO_BIN_EXE_suite"),
         &[
             "--figures",
-            "fig04,fig05",
+            "fig13,fig14",
+            "--mixes",
+            "1",
             "--threads",
             "2",
             "--stats",
@@ -113,7 +114,7 @@ fn suite_matches_standalone_and_reuses_cells() {
     let unique = read_number(&text, "\"run_nodes\":").expect("run_nodes in stats");
     assert!(
         unique < planned,
-        "expected fig04+fig05 to share run nodes, stats: {text}"
+        "expected fig13+fig14 to share run nodes, stats: {text}"
     );
 }
 

@@ -58,7 +58,8 @@ pub struct SimApp {
     pub profile: Profile,
 }
 
-/// Per-interval record for timeline figures (Fig. 4).
+/// Per-interval record for timeline figures (Fig. 4), returned by
+/// [`Experiment::run_with_timeline`].
 #[derive(Debug, Clone)]
 pub struct IntervalRecord {
     /// Interval end time in milliseconds.
@@ -98,8 +99,6 @@ pub struct ExperimentResult {
     /// Total lines refetched because reconfigurations moved them between
     /// banks (the background-invalidation coherence cost, Sec. IV-A).
     pub coherence_refetches: f64,
-    /// Per-interval timeline.
-    pub timeline: Vec<IntervalRecord>,
 }
 
 impl ExperimentResult {
@@ -276,6 +275,32 @@ impl Experiment {
     /// (including whether the interval hit the allocator memo); the run
     /// closes with an [`Event::RunSummary`].
     pub fn run<T: Telemetry + ?Sized>(&self, design: DesignKind, tel: &T) -> ExperimentResult {
+        self.run_intervals(design, tel, None)
+    }
+
+    /// [`Experiment::run`] plus the per-interval timeline Fig. 4 plots:
+    /// one [`IntervalRecord`] per reconfiguration interval. The summary
+    /// is bit-identical to [`Experiment::run`]'s; only this call pays for
+    /// building the per-interval vectors.
+    pub fn run_with_timeline<T: Telemetry + ?Sized>(
+        &self,
+        design: DesignKind,
+        tel: &T,
+    ) -> (ExperimentResult, Vec<IntervalRecord>) {
+        let mut timeline = Vec::with_capacity(intervals(&self.opts));
+        let result = self.run_intervals(design, tel, Some(&mut timeline));
+        (result, timeline)
+    }
+
+    /// The interval loop behind [`Experiment::run`] and
+    /// [`Experiment::run_with_timeline`]: records each interval into
+    /// `timeline` when one is given.
+    fn run_intervals<T: Telemetry + ?Sized>(
+        &self,
+        design: DesignKind,
+        tel: &T,
+        mut timeline: Option<&mut Vec<IntervalRecord>>,
+    ) -> ExperimentResult {
         let tracing = tel.enabled();
         let cfg = &self.opts.cfg;
         let freq = cfg.freq_hz;
@@ -350,7 +375,6 @@ impl Experiment {
         let mut coherence_misses = vec![0.0f64; n];
         let mut coherence_total = 0.0f64;
         let mut vul_acc = 0.0;
-        let mut timeline = Vec::with_capacity(n_intervals);
         let mut now: u64 = 0;
         // Model scratch shared across intervals (geometry never changes).
         let mut scratch = EvalScratch::new();
@@ -500,8 +524,12 @@ impl Experiment {
             }
             // 4. LC queues and controllers.
             let until = now + dt_cycles;
-            let mut interval_means: Vec<Option<f64>> = Vec::new();
-            let mut interval_allocs: Vec<f64> = Vec::new();
+            let mut record = timeline.is_some().then(|| IntervalRecord {
+                t_ms: (interval + 1) as f64 * dt * 1e3,
+                lc_mean_latency_ms: Vec::new(),
+                lc_alloc_bytes: Vec::new(),
+                vulnerability: 0.0,
+            });
             let mut lc_i = 0usize;
             for i in 0..n {
                 if let Some(q) = &mut queues[i] {
@@ -514,12 +542,14 @@ impl Experiment {
                         lc_latencies[i].push(lat / freq * 1e3); // ms
                         sum += lat;
                     }
-                    interval_means.push(if completions.is_empty() {
-                        None
-                    } else {
-                        Some(sum / completions.len() as f64 / freq * 1e3)
-                    });
-                    interval_allocs.push(perf[i].capacity_bytes);
+                    if let Some(rec) = &mut record {
+                        rec.lc_mean_latency_ms.push(if completions.is_empty() {
+                            None
+                        } else {
+                            Some(sum / completions.len() as f64 / freq * 1e3)
+                        });
+                        rec.lc_alloc_bytes.push(perf[i].capacity_bytes);
+                    }
                     if tracing {
                         let deadline = self.deadlines[lc_i];
                         tail_scratch.clear();
@@ -595,12 +625,10 @@ impl Experiment {
                     },
                 );
             }
-            timeline.push(IntervalRecord {
-                t_ms: (interval + 1) as f64 * dt * 1e3,
-                lc_mean_latency_ms: interval_means,
-                lc_alloc_bytes: interval_allocs,
-                vulnerability: vul,
-            });
+            if let (Some(timeline), Some(mut rec)) = (timeline.as_deref_mut(), record) {
+                rec.vulnerability = vul;
+                timeline.push(rec);
+            }
             now = until;
         }
 
@@ -649,7 +677,6 @@ impl Experiment {
             energy,
             total_instructions,
             coherence_refetches: coherence_total,
-            timeline,
         }
     }
 }
@@ -798,7 +825,7 @@ mod tests {
             "controller-driven reconfigurations must move some lines"
         );
         // Refetches are bounded by a few LLC's worth per interval.
-        let bound = 15.0 * 20.0 * 1048576.0 / 64.0 * r.timeline.len() as f64;
+        let bound = 15.0 * 20.0 * 1048576.0 / 64.0 * intervals(&quick_opts()) as f64;
         assert!(r.coherence_refetches < bound);
     }
 
@@ -808,7 +835,7 @@ mod tests {
         let exp = Experiment::new(case_study_mix(1), LcLoad::High, quick_opts());
         let plain = exp.run(DesignKind::Jumanji, &NoopSink);
         let sink = RecordingSink::new();
-        let traced = exp.run(DesignKind::Jumanji, &sink);
+        let (traced, timeline) = exp.run_with_timeline(DesignKind::Jumanji, &sink);
 
         // Tracing must not perturb the simulation.
         assert_eq!(plain.lc_tail_latency_ms, traced.lc_tail_latency_ms);
@@ -816,7 +843,7 @@ mod tests {
         assert_eq!(plain.vulnerability, traced.vulnerability);
 
         let events = sink.events();
-        let intervals = traced.timeline.len();
+        let intervals = timeline.len();
         let lc_apps = traced.lc_names.len();
 
         // One Controller event per LC app per interval, consistent with
@@ -838,7 +865,7 @@ mod tests {
                 ..
             } = e
             {
-                let rec = &traced.timeline[*interval as usize];
+                let rec = &timeline[*interval as usize];
                 assert!(
                     rec.lc_alloc_bytes.contains(alloc_bytes),
                     "controller alloc {alloc_bytes} not in timeline {:?}",
@@ -880,11 +907,33 @@ mod tests {
     #[test]
     fn timeline_is_complete() {
         let exp = Experiment::new(case_study_mix(1), LcLoad::High, quick_opts());
-        let r = exp.run(DesignKind::Adaptive, &NoopSink);
-        assert_eq!(r.timeline.len(), 15);
-        for rec in &r.timeline {
+        let (_, timeline) = exp.run_with_timeline(DesignKind::Adaptive, &NoopSink);
+        assert_eq!(timeline.len(), 15);
+        for rec in &timeline {
             assert_eq!(rec.lc_alloc_bytes.len(), 4);
+            assert_eq!(rec.lc_mean_latency_ms.len(), 4);
             assert!(rec.vulnerability >= 0.0);
+        }
+    }
+
+    #[test]
+    fn run_and_run_with_timeline_return_bit_identical_summaries() {
+        // One interval loop serves both calls: recording the timeline
+        // must not move any summary bit, for any design. `Debug` prints
+        // every field, floats in shortest round-trip form.
+        let exp = Experiment::new(case_study_mix(2), LcLoad::High, quick_opts());
+        for design in DesignKind::all() {
+            let plain = exp.run(design, &NoopSink);
+            let (timed, timeline) = exp.run_with_timeline(design, &NoopSink);
+            assert_eq!(format!("{plain:?}"), format!("{timed:?}"), "{design}");
+            assert_eq!(timeline.len(), intervals(&quick_opts()), "{design}");
+            let mean_vul =
+                timeline.iter().map(|r| r.vulnerability).sum::<f64>() / timeline.len() as f64;
+            assert_eq!(
+                mean_vul.to_bits(),
+                plain.vulnerability.to_bits(),
+                "{design}"
+            );
         }
     }
 }

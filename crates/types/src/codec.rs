@@ -41,8 +41,10 @@ pub const MAGIC: u32 = 0x4A4E_4D4A;
 ///
 /// Version history: 1 — initial layout (runs, allocs, model, costs);
 /// 2 — `MeasuredCosts` gained a detailed-simulator row and the store
-/// gained `details/` entries carrying `DetailReport`-shaped payloads.
-pub const FORMAT_VERSION: u16 = 2;
+/// gained `details/` entries carrying `DetailReport`-shaped payloads;
+/// 3 — run entries dropped their per-interval timeline, which moved,
+/// written flat, into a timeline scenario entry.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Why a decode was rejected. Every variant means "drop this entry and
 /// recompute" — none is a caller bug.

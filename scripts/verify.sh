@@ -105,16 +105,16 @@ echo "== a second process renders the same bytes (no per-process state in the ou
 cmp "$tmp/suite_again/fig13.tsv" "$tmp/suite_t1/fig13.tsv"
 cmp "$tmp/suite_again/fig14.tsv" "$tmp/suite_t1/fig14.tsv"
 
-echo "== warm disk cache is byte-identical to cold and to a store-less run (twelve figures)"
-disk_figs=fig05,fig08,fig09,fig11,fig12,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
+echo "== warm disk cache is byte-identical to cold and to a store-less run (thirteen figures)"
+disk_figs=fig04,fig05,fig08,fig09,fig11,fig12,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_cold" 2>"$tmp/disk_cold.log"
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_warm" 2>"$tmp/disk_warm.log"
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --out "$tmp/disk_nc" 2>/dev/null
-for f in fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sensitivity \
-         ablation; do
+for f in fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 fig16 fig17 \
+         sensitivity ablation; do
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_warm/$f.tsv"
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_nc/$f.tsv"
 done
@@ -133,9 +133,9 @@ grep -Eq '\[suite\] disk cache: [1-9][0-9]* hits' "$tmp/disk_warm.log"
 grep -Eq 'hulls: 0 computed, 0 reused' "$tmp/disk_warm.log"
 grep -Eq '\[suite\] sched: 0 runs computed, [1-9][0-9]* served from disk' \
     "$tmp/disk_warm.log"
-grep -Eq '\[suite\] sched: 0 scenario cells computed, 3 served from disk' \
+grep -Eq '\[suite\] sched: 0 scenario cells computed, 4 served from disk' \
     "$tmp/disk_warm.log"
-grep -Eq '\[suite\] sched: 3 scenario cells computed, 0 served from disk' \
+grep -Eq '\[suite\] sched: 4 scenario cells computed, 0 served from disk' \
     "$tmp/disk_cold.log"
 grep -Eq '\[suite\] disk cache: 0 hits' "$tmp/disk_cold.log"
 
