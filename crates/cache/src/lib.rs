@@ -39,7 +39,7 @@ mod replacement;
 mod stack;
 
 pub use bank::{AccessOutcome, BankConfig, BankStats, CacheBank, PartitionId, WayMask};
-pub use misscurve::MissCurve;
+pub use misscurve::{CombinedCurve, Curve, MissCurve};
 pub use replacement::ReplPolicy;
 pub use stack::StackProfiler;
 

@@ -12,9 +12,13 @@
 //!   by the convex hull of LRU's curve (Talus \[7\], Sec. IV-A).
 //! - [`MissCurve::combine_convex_curve`] — the Whirlpool-style model (\[61\],
 //!   App. B) for a VM's combined curve: the best achievable misses when a
-//!   total budget is split optimally among member applications.
+//!   total budget is split optimally among member applications. The
+//!   placers read it through [`CombinedCurve`], which merges only the
+//!   points they ask for.
 
 use core::fmt;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell, RefMut};
 
 /// Misses (in any consistent unit: ratio, MPKI, or absolute per epoch) as a
 /// non-increasing function of allocated capacity.
@@ -237,15 +241,9 @@ impl MissCurve {
     /// members' summed domains, if smaller).
     ///
     /// This is the model the paper uses (via Whirlpool \[61, App. B\]) to
-    /// compute a combined miss curve per VM for `JumanjiLookahead`. For
-    /// convex curves the greedy steepest-marginal-gain split is exactly
-    /// optimal. Non-convex inputs are replaced by their convex hulls first;
-    /// already-convex ones (the common case: DRRIP hulls) are read as-is.
-    ///
-    /// The placers call this on every reconfiguration and re-derive member
-    /// sizes with Lookahead afterwards, so no split table is built. Each
-    /// member's current marginal gain is cached, and borrowed curves spare
-    /// callers the clone.
+    /// compute a combined miss curve per VM for `JumanjiLookahead`: the
+    /// [`CombinedCurve`] merge run to its end. The placers read the lazy
+    /// [`CombinedCurve`] instead, which merges only as far as they look.
     ///
     /// # Panics
     ///
@@ -256,59 +254,239 @@ impl MissCurve {
     ) -> MissCurve {
         assert!(!curves.is_empty(), "need at least one curve to combine");
         let unit = curves[0].borrow().unit_bytes;
+        let combined = CombinedCurve::new(curves.iter().map(|c| c.borrow()), cap_units);
+        let mut merge = combined.merged_to(combined.max_units);
+        MissCurve::new(unit, std::mem::take(&mut merge.points))
+    }
+}
+
+/// Read access to a miss curve's integral points, stored ([`MissCurve`])
+/// or merged on demand ([`CombinedCurve`]). The capacity allocators
+/// (Lookahead, `JumanjiLookahead`) read their curves through it.
+pub trait Curve {
+    /// Largest allocation, in units, described by the curve.
+    fn max_units(&self) -> usize;
+
+    /// Miss value at an integral allocation of `units` (clamped to the
+    /// curve's domain).
+    fn at(&self, units: usize) -> f64;
+
+    /// Miss value at a fractional allocation of `units`, interpolating
+    /// linearly and clamping to the domain.
+    fn eval_units(&self, units: f64) -> f64;
+
+    /// Whether the curve is convex; see [`MissCurve::is_convex`].
+    fn is_convex(&self) -> bool;
+}
+
+impl Curve for MissCurve {
+    fn max_units(&self) -> usize {
+        MissCurve::max_units(self)
+    }
+
+    fn at(&self, units: usize) -> f64 {
+        MissCurve::at(self, units)
+    }
+
+    fn eval_units(&self, units: f64) -> f64 {
+        MissCurve::eval_units(self, units)
+    }
+
+    fn is_convex(&self) -> bool {
+        MissCurve::is_convex(self)
+    }
+}
+
+impl<T: Curve + ?Sized> Curve for &T {
+    fn max_units(&self) -> usize {
+        (**self).max_units()
+    }
+
+    fn at(&self, units: usize) -> f64 {
+        (**self).at(units)
+    }
+
+    fn eval_units(&self, units: f64) -> f64 {
+        (**self).eval_units(units)
+    }
+
+    fn is_convex(&self) -> bool {
+        (**self).is_convex()
+    }
+}
+
+/// The combined curve of a group (see [`MissCurve::combine_convex_curve`]),
+/// merged lazily: a read at `u` units runs the greedy merge up to point
+/// `u` and no further.
+///
+/// `JumanjiLookahead` reads each VM's curve only around the bank counts it
+/// tries, so most of a VM's points are never needed; the merge of the
+/// points that are read is the same as the full merge's, step for step,
+/// so every point is bit-equal to [`MissCurve::combine_convex_curve`]'s.
+/// Non-convex members are replaced by their convex hulls up front;
+/// already-convex ones (the common case: DRRIP hulls) are borrowed as-is.
+/// An empty group is a flat zero curve over `cap_units`, the points of
+/// `MissCurve::flat(unit, cap_units, 0.0)`.
+#[derive(Debug)]
+pub struct CombinedCurve<'a> {
+    max_units: usize,
+    merge: RefCell<Merge<'a>>,
+    /// [`Curve::is_convex`] of the full merge, decided on first request.
+    convex: OnceCell<bool>,
+}
+
+/// The state of a [`CombinedCurve`]'s greedy merge.
+#[derive(Debug)]
+struct Merge<'a> {
+    hulls: Vec<Cow<'a, [f64]>>,
+    /// Units granted to each member so far.
+    alloc: Vec<usize>,
+    /// Each member's next marginal gain. A convex curve's gains are
+    /// non-increasing, so only the winner's changes per step.
+    gains: Vec<f64>,
+    /// Unclamped running total of the merge.
+    current: f64,
+    /// Points merged so far, after the running minimum `MissCurve::new`
+    /// applies (a real cache never misses more with more space).
+    points: Vec<f64>,
+}
+
+impl<'a> CombinedCurve<'a> {
+    /// Starts the merge of `curves` up to `cap_units` units (or the
+    /// members' summed domains, if smaller). Merges no point yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the members' units disagree.
+    pub fn new(
+        curves: impl IntoIterator<Item = &'a MissCurve>,
+        cap_units: usize,
+    ) -> CombinedCurve<'a> {
+        let curves: Vec<&MissCurve> = curves.into_iter().collect();
         assert!(
-            curves.iter().all(|c| c.borrow().unit_bytes == unit),
+            curves
+                .windows(2)
+                .all(|w| w[0].unit_bytes == w[1].unit_bytes),
             "all curves must share unit_bytes"
         );
-        // Hull only the non-convex inputs; borrow the rest as-is.
-        let owned: Vec<Option<MissCurve>> = curves
+        let hulls: Vec<Cow<'a, [f64]>> = curves
             .iter()
             .map(|c| {
-                let c = c.borrow();
-                (!c.is_convex()).then(|| c.convex_hull())
+                if c.is_convex() {
+                    Cow::Borrowed(c.points())
+                } else {
+                    Cow::Owned(c.convex_hull().misses)
+                }
             })
             .collect();
-        let hulls: Vec<&[f64]> = curves
-            .iter()
-            .zip(&owned)
-            .map(|(c, o)| o.as_ref().unwrap_or(c.borrow()).points())
-            .collect();
-        let total_units: usize = hulls
-            .iter()
-            .map(|h| h.len() - 1)
-            .sum::<usize>()
-            .min(cap_units);
-        let mut alloc = vec![0usize; hulls.len()];
-        // A convex curve's marginal gains are non-increasing, so only the
-        // winner's cached gain changes per step.
-        let gain_at = |h: &[f64], a: usize| {
-            if a + 1 < h.len() {
-                h[a] - h[a + 1]
-            } else {
-                f64::NEG_INFINITY // exhausted member never wins
-            }
+        let max_units = if hulls.is_empty() {
+            cap_units
+        } else {
+            hulls
+                .iter()
+                .map(|h| h.len() - 1)
+                .sum::<usize>()
+                .min(cap_units)
         };
-        let mut gains: Vec<f64> = hulls.iter().map(|h| gain_at(h, 0)).collect();
-        let mut combined = Vec::with_capacity(total_units + 1);
-        let mut current: f64 = hulls.iter().map(|h| h[0]).sum();
-        combined.push(current);
-        for _ in 0..total_units {
-            // Last-wins max scan: `>=` keeps the later of equal gains,
-            // matching `max_by`'s tie behaviour exactly.
+        let gains = hulls.iter().map(|h| gain_at(h, 0)).collect();
+        let current = if hulls.is_empty() {
+            0.0
+        } else {
+            hulls.iter().map(|h| h[0]).sum()
+        };
+        let mut points = Vec::with_capacity(max_units + 1);
+        points.push(current);
+        CombinedCurve {
+            max_units,
+            merge: RefCell::new(Merge {
+                alloc: vec![0; hulls.len()],
+                hulls,
+                gains,
+                current,
+                points,
+            }),
+            convex: OnceCell::new(),
+        }
+    }
+
+    /// The merge, run at least up to point `units` (at most `max_units`).
+    fn merged_to(&self, units: usize) -> RefMut<'_, Merge<'a>> {
+        let mut m = self.merge.borrow_mut();
+        m.extend_to(units.min(self.max_units));
+        m
+    }
+
+    /// Number of points merged so far.
+    pub fn merged_len(&self) -> usize {
+        self.merge.borrow().points.len()
+    }
+}
+
+impl Merge<'_> {
+    /// Runs the greedy steepest-gain merge until point `units` exists.
+    fn extend_to(&mut self, units: usize) {
+        while self.points.len() <= units {
+            if self.hulls.is_empty() {
+                self.points.push(0.0);
+                continue;
+            }
+            // Last-wins max scan: `>=` keeps the later of equal gains.
             let mut k = 0;
-            let mut g = gains[0];
-            for (j, &gj) in gains.iter().enumerate().skip(1) {
+            let mut g = self.gains[0];
+            for (j, &gj) in self.gains.iter().enumerate().skip(1) {
                 if gj >= g {
                     k = j;
                     g = gj;
                 }
             }
-            alloc[k] += 1;
-            current -= g;
-            gains[k] = gain_at(hulls[k], alloc[k]);
-            combined.push(current);
+            self.alloc[k] += 1;
+            self.current -= g;
+            self.gains[k] = gain_at(&self.hulls[k], self.alloc[k]);
+            let last = *self.points.last().expect("the first point exists");
+            self.points.push(last.min(self.current));
         }
-        MissCurve::new(unit, combined)
+    }
+}
+
+/// Marginal gain of member points `h` at `a` units; an exhausted member
+/// never wins.
+fn gain_at(h: &[f64], a: usize) -> f64 {
+    if a + 1 < h.len() {
+        h[a] - h[a + 1]
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+impl Curve for CombinedCurve<'_> {
+    fn max_units(&self) -> usize {
+        self.max_units
+    }
+
+    fn at(&self, units: usize) -> f64 {
+        let i = units.min(self.max_units);
+        self.merged_to(i).points[i]
+    }
+
+    fn eval_units(&self, units: f64) -> f64 {
+        if units <= 0.0 {
+            return self.at(0);
+        }
+        if units >= self.max_units as f64 {
+            return self.at(self.max_units);
+        }
+        let lo = units.floor() as usize;
+        let frac = units - lo as f64;
+        let m = self.merged_to(lo + 1);
+        m.points[lo] * (1.0 - frac) + m.points[lo + 1] * frac
+    }
+
+    /// Merges every point on first call: convexity is a property of the
+    /// whole curve.
+    fn is_convex(&self) -> bool {
+        *self
+            .convex
+            .get_or_init(|| points_convex(&self.merged_to(self.max_units).points))
     }
 }
 

@@ -2,9 +2,86 @@
 
 use nuca_cache::{
     analytic::{assoc_penalty, shared_occupancy_into, OccupancyScratch},
-    BankConfig, CacheBank, MissCurve, PartitionId, ReplPolicy, StackProfiler, WayMask,
+    BankConfig, CacheBank, CombinedCurve, Curve, MissCurve, PartitionId, ReplPolicy, StackProfiler,
+    WayMask,
 };
 use proptest::prelude::*;
+
+/// A member of a combined curve. Most are exactly convex: an integer
+/// start minus non-increasing gains drawn from five quarter-steps, so
+/// members often tie on a gain, tails often go flat (gain 0), and short
+/// domains exhaust early. The rest are arbitrary points the merge must
+/// hull first.
+fn arb_member() -> impl Strategy<Value = MissCurve> {
+    prop_oneof![
+        (0u32..4, proptest::collection::vec(0u32..5, 0..12)).prop_map(|(start, steps)| {
+            let mut gains: Vec<f64> = steps.into_iter().map(|g| f64::from(g) * 0.25).collect();
+            gains.sort_by(|a, b| b.total_cmp(a));
+            let mut v = 12.0 + f64::from(start);
+            let mut pts = vec![v];
+            for g in gains {
+                v -= g;
+                pts.push(v);
+            }
+            MissCurve::new(64, pts)
+        }),
+        (0u32..4, proptest::collection::vec(0u32..5, 0..12)).prop_map(|(start, steps)| {
+            // Equal gains throughout: every member of a set drawn from this
+            // arm ties with the others at every step.
+            let g = f64::from(start) * 0.5;
+            MissCurve::new(
+                64,
+                (0..=steps.len())
+                    .map(|i| 8.0 - g * i as f64 / 4.0)
+                    .collect(),
+            )
+        }),
+        proptest::collection::vec(0.0f64..1e3, 1..12).prop_map(|pts| MissCurve::new(64, pts)),
+    ]
+}
+
+/// The eager greedy merge the lazy curve replaced, kept as the reference:
+/// hull the non-convex members, then grant one unit at a time to the
+/// last member with the largest next gain, `current -= g`.
+fn reference_merge(members: &[MissCurve], cap_units: usize) -> MissCurve {
+    let hulls: Vec<MissCurve> = members
+        .iter()
+        .map(|c| {
+            if c.is_convex() {
+                c.clone()
+            } else {
+                c.convex_hull()
+            }
+        })
+        .collect();
+    let total: usize = hulls
+        .iter()
+        .map(|h| h.max_units())
+        .sum::<usize>()
+        .min(cap_units);
+    let gain_at = |h: &MissCurve, a: usize| {
+        if a < h.max_units() {
+            h.at(a) - h.at(a + 1)
+        } else {
+            f64::NEG_INFINITY
+        }
+    };
+    let mut alloc = vec![0usize; hulls.len()];
+    let mut current: f64 = hulls.iter().map(|h| h.at(0)).sum();
+    let mut points = vec![current];
+    for _ in 0..total {
+        let mut k = 0;
+        for j in 1..hulls.len() {
+            if gain_at(&hulls[j], alloc[j]) >= gain_at(&hulls[k], alloc[k]) {
+                k = j;
+            }
+        }
+        current -= gain_at(&hulls[k], alloc[k]);
+        alloc[k] += 1;
+        points.push(current);
+    }
+    MissCurve::new(64, points)
+}
 
 fn arb_policy() -> impl Strategy<Value = ReplPolicy> {
     prop_oneof![
@@ -145,5 +222,53 @@ proptest! {
         let (lo, hi) = if w1 < w2 { (w1, w2) } else { (w2, w1) };
         prop_assert!(assoc_penalty(hi, 64) >= 1.0);
         prop_assert!(assoc_penalty(lo, 64) >= assoc_penalty(hi, 64));
+    }
+
+    /// The lazy combined curve yields, in any query order, the full
+    /// merge's points bit for bit, and merges no further than asked.
+    /// Caps range below and above the members' summed domains.
+    #[test]
+    fn lazy_combined_curve_matches_the_full_merge(
+        members in proptest::collection::vec(arb_member(), 1..5),
+        cap in 0usize..60,
+        queries in proptest::collection::vec(0usize..64, 1..24),
+        fracs in proptest::collection::vec(0.0f64..1.0, 1..8),
+    ) {
+        let full = reference_merge(&members, cap);
+        let eager = MissCurve::combine_convex_curve(&members, cap);
+        prop_assert_eq!(eager.points().len(), full.points().len());
+        for (e, f) in eager.points().iter().zip(full.points()) {
+            prop_assert_eq!(e.to_bits(), f.to_bits());
+        }
+        let lazy = CombinedCurve::new(&members, cap);
+        prop_assert_eq!(lazy.max_units(), full.max_units());
+        prop_assert_eq!(lazy.merged_len(), 1);
+        let first = queries[0].min(full.max_units());
+        prop_assert_eq!(lazy.at(queries[0]).to_bits(), full.at(first).to_bits());
+        prop_assert_eq!(lazy.merged_len(), first + 1);
+        for (&q, &f) in queries.iter().zip(fracs.iter().cycle()) {
+            prop_assert_eq!(lazy.at(q).to_bits(), full.at(q).to_bits(), "at {}", q);
+            let u = q as f64 * 0.75 + f;
+            prop_assert_eq!(
+                lazy.eval_units(u).to_bits(),
+                full.eval_units(u).to_bits(),
+                "eval_units {}", u
+            );
+        }
+        prop_assert_eq!(lazy.is_convex(), full.is_convex());
+        // Convexity is a property of the whole curve: a fresh lazy curve
+        // agrees too, whatever it has merged.
+        prop_assert_eq!(CombinedCurve::new(&members, cap).is_convex(), full.is_convex());
+    }
+
+    /// An empty group is a flat zero curve over the cap.
+    #[test]
+    fn empty_combined_curve_is_flat_zero(cap in 0usize..40, q in 0.0f64..50.0) {
+        let lazy = CombinedCurve::new(&[], cap);
+        let flat = MissCurve::flat(64, cap, 0.0);
+        prop_assert_eq!(lazy.max_units(), cap);
+        prop_assert_eq!(lazy.eval_units(q).to_bits(), flat.eval_units(q).to_bits());
+        prop_assert_eq!(lazy.at(q as usize).to_bits(), flat.at(q as usize).to_bits());
+        prop_assert!(lazy.is_convex());
     }
 }

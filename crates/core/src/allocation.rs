@@ -97,6 +97,32 @@ impl Allocation {
         &self.apps[app.index()]
     }
 
+    /// Bitwise equality: every field equal, bytes compared by bit pattern
+    /// (so `0.0` and `-0.0` differ). Unlike `==`, this is the test under
+    /// which everything derived from an allocation is unchanged.
+    pub fn bits_eq(&self, other: &Allocation) -> bool {
+        fn placement_eq(a: &[(BankId, f64)], b: &[(BankId, f64)]) -> bool {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+        }
+        self.ideal_batch == other.ideal_batch
+            && self.apps.len() == other.apps.len()
+            && self.apps.iter().zip(&other.apps).all(|(x, y)| {
+                x.app == y.app
+                    && x.pool == y.pool
+                    && x.copy == y.copy
+                    && placement_eq(&x.placement, &y.placement)
+            })
+            && self.pools.len() == other.pools.len()
+            && self
+                .pools
+                .iter()
+                .zip(&other.pools)
+                .all(|(x, y)| x.members == y.members && placement_eq(&x.placement, &y.placement))
+    }
+
     /// Effective placement of `app`: its own partition, or its pool's.
     pub fn placement_of(&self, app: AppId) -> &[(BankId, f64)] {
         let a = self.of(app);

@@ -16,7 +16,7 @@ use crate::lookahead::lookahead;
 use crate::model::{AppKind, PlacementInput};
 use crate::placer::{ideal_batch_placer, jumanji_placer};
 use core::fmt;
-use nuca_cache::MissCurve;
+use nuca_cache::{CombinedCurve, MissCurve};
 use nuca_types::{BankId, VmId};
 
 /// Which LLC design decides allocations and placement.
@@ -83,6 +83,15 @@ impl DesignKind {
     /// performance leakage, Sec. VI).
     pub fn guarantees_bank_isolation(self) -> bool {
         matches!(self, DesignKind::Jumanji | DesignKind::JumanjiIdealBatch)
+    }
+
+    /// Whether the design sizes latency-critical space from the feedback
+    /// controllers (the table's Tail-aware column). Only these designs'
+    /// [`allocate`](DesignKind::allocate) reads
+    /// [`PlacementInput::lc_sizes`]: Static fixes its LC partitions and
+    /// Jigsaw sizes every app by utility alone.
+    pub fn is_tail_aware(self) -> bool {
+        !matches!(self, DesignKind::Static | DesignKind::Jigsaw)
     }
 
     /// Computes the allocation for one reconfiguration interval.
@@ -177,15 +186,10 @@ fn snuca_allocate(input: &PlacementInput, batch: SnucaBatch, fixed_lc: bool) -> 
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let curves: Vec<MissCurve> = vm_members
+            let curves: Vec<CombinedCurve> = vm_members
                 .iter()
                 .map(|members| {
-                    let cs: Vec<&MissCurve> = members.iter().map(|a| &a.curve).collect();
-                    if cs.is_empty() {
-                        MissCurve::flat(unit, input.total_units(), 0.0)
-                    } else {
-                        MissCurve::combine_convex_curve(&cs, input.total_units())
-                    }
+                    CombinedCurve::new(members.iter().map(|a| &a.curve), input.total_units())
                 })
                 .collect();
             let total_units = (per_bank_free * nbanks as f64 / unit as f64).floor() as usize;
@@ -308,6 +312,21 @@ mod tests {
             if a.kind == AppKind::LatencyCritical {
                 assert!((alloc.of(a.id).total_bytes() - inp.lc_size(a.id)).abs() < 1e-6);
             }
+        }
+    }
+
+    #[test]
+    fn tail_aware_designs_are_the_ones_that_read_lc_sizes() {
+        let inp = input();
+        let mut grown = inp.clone();
+        for (s, a) in grown.lc_sizes.iter_mut().zip(&inp.apps) {
+            if a.kind == AppKind::LatencyCritical {
+                *s *= 1.5;
+            }
+        }
+        for d in DesignKind::all() {
+            let same = d.allocate(&inp).bits_eq(&d.allocate(&grown));
+            assert_eq!(same, !d.is_tail_aware(), "{d}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! occupies a fractional number of banks, so that every VM's total is
 //! bank-granular (e.g., LC 1.3 banks → batch 0.7, 1.7, 2.7, … banks).
 
-use nuca_cache::MissCurve;
+use nuca_cache::Curve;
 
 /// UCP Lookahead: splits `total_units` among `curves`, maximizing total
 /// miss savings. Returns per-curve allocations in units.
@@ -32,13 +32,9 @@ use nuca_cache::MissCurve;
 /// assert_eq!(alloc.iter().sum::<usize>(), 4);
 /// assert!(alloc[0] >= alloc[1]);
 /// ```
-pub fn lookahead<C: std::borrow::Borrow<MissCurve>>(
-    curves: &[C],
-    total_units: usize,
-) -> Vec<usize> {
+pub fn lookahead<C: Curve>(curves: &[C], total_units: usize) -> Vec<usize> {
     assert!(!curves.is_empty(), "need at least one curve");
     let n = curves.len();
-    let curves: Vec<&MissCurve> = curves.iter().map(|c| c.borrow()).collect();
     let mut alloc = vec![0usize; n];
     let mut remaining = total_units;
     // On convex curves (DRRIP hulls — the common case in this paper) the
@@ -161,8 +157,8 @@ fn gain_key(g: f64) -> u64 {
 ///
 /// Panics if inputs are inconsistent (no VMs, mismatched lengths) or the
 /// mandatory minimums already exceed `num_banks`.
-pub fn jumanji_lookahead(
-    vm_curves: &[MissCurve],
+pub fn jumanji_lookahead<C: Curve>(
+    vm_curves: &[C],
     lc_units: &[f64],
     num_banks: usize,
     units_per_bank: usize,
@@ -208,6 +204,7 @@ pub fn jumanji_lookahead(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nuca_cache::MissCurve;
 
     #[test]
     fn lookahead_conserves_capacity() {

@@ -20,7 +20,7 @@ use crate::jigsaw::{place_near, refine_placement, PlaceRequest};
 use crate::latcrit::lat_crit_placer;
 use crate::lookahead::{jumanji_lookahead, lookahead};
 use crate::model::{AppKind, PlacementInput};
-use nuca_cache::MissCurve;
+use nuca_cache::{CombinedCurve, MissCurve};
 use nuca_types::{BankId, VmId};
 
 /// Runs the full Jumanji placement (Listing 3).
@@ -280,21 +280,19 @@ pub fn ideal_batch_placer(input: &PlacementInput) -> Allocation {
     }
 }
 
-/// Computes each VM's combined batch miss curve (Whirlpool-style optimal
-/// combining over the members' convex hulls).
-fn vm_batch_curves(input: &PlacementInput, num_vms: usize) -> Vec<MissCurve> {
+/// Each VM's combined batch miss curve (Whirlpool-style optimal combining
+/// over the members' convex hulls), merged only as far as
+/// `JumanjiLookahead` reads it.
+fn vm_batch_curves(input: &PlacementInput, num_vms: usize) -> Vec<CombinedCurve<'_>> {
     (0..num_vms)
         .map(|vm| {
-            let curves: Vec<&MissCurve> = input
-                .vm_apps(VmId(vm))
-                .filter(|a| a.kind == AppKind::Batch)
-                .map(|a| &a.curve)
-                .collect();
-            if curves.is_empty() {
-                MissCurve::flat(input.unit_bytes(), input.total_units(), 0.0)
-            } else {
-                MissCurve::combine_convex_curve(&curves, input.total_units())
-            }
+            CombinedCurve::new(
+                input
+                    .vm_apps(VmId(vm))
+                    .filter(|a| a.kind == AppKind::Batch)
+                    .map(|a| &a.curve),
+                input.total_units(),
+            )
         })
         .collect()
 }

@@ -3,12 +3,33 @@
 
 use jumanji_core::controller::percentile;
 use jumanji_core::lookahead::{jumanji_lookahead, lookahead};
-use jumanji_core::{ControllerParams, FeedbackController};
-use nuca_cache::MissCurve;
+use jumanji_core::{ControllerParams, DesignKind, FeedbackController, PlacementInput};
+use nuca_cache::{CombinedCurve, MissCurve};
+use nuca_types::SystemConfig;
 use proptest::prelude::*;
 
 fn arb_curve() -> impl Strategy<Value = MissCurve> {
     proptest::collection::vec(0.0f64..1e6, 2..40).prop_map(|pts| MissCurve::new(64, pts))
+}
+
+/// A VM's batch members: convex curves whose gains come from a few
+/// quarter-steps (ties across members, flat tails), or arbitrary points.
+fn arb_members() -> impl Strategy<Value = Vec<MissCurve>> {
+    let member = prop_oneof![
+        proptest::collection::vec(0u32..5, 0..40).prop_map(|steps| {
+            let mut gains: Vec<f64> = steps.into_iter().map(|g| f64::from(g) * 0.25).collect();
+            gains.sort_by(|a, b| b.total_cmp(a));
+            let mut v = 40.0;
+            let mut pts = vec![v];
+            for g in gains {
+                v -= g;
+                pts.push(v);
+            }
+            MissCurve::new(64, pts)
+        }),
+        arb_curve(),
+    ];
+    proptest::collection::vec(member, 0..4)
 }
 
 proptest! {
@@ -113,6 +134,61 @@ proptest! {
             let want = sorted[(p * n as f64).ceil() as usize - 1];
             let got = percentile(&mut xs.clone(), p);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "p={}", p);
+        }
+    }
+
+    /// JumanjiLookahead and VM-Part's pool sizing (Lookahead over the VMs'
+    /// combined curves) grant the same counts whether the combined curves
+    /// are merged lazily or in full. A VM without members is a flat zero
+    /// curve either way.
+    #[test]
+    fn lookahead_counts_agree_on_lazy_and_full_combined_curves(
+        vms in proptest::collection::vec(arb_members(), 1..5),
+        lc in proptest::collection::vec(0.0f64..8.0, 4..5),
+        total in 0usize..80,
+    ) {
+        // 20 banks of 4 units: an 80-unit machine.
+        let full: Vec<MissCurve> = vms
+            .iter()
+            .map(|m| {
+                if m.is_empty() {
+                    MissCurve::flat(64, 80, 0.0)
+                } else {
+                    MissCurve::combine_convex_curve(m, 80)
+                }
+            })
+            .collect();
+        let lazy = || -> Vec<CombinedCurve> {
+            vms.iter().map(|m| CombinedCurve::new(m, 80)).collect()
+        };
+        let lc = &lc[..vms.len()];
+        prop_assert_eq!(
+            jumanji_lookahead(&lazy(), lc, 20, 4),
+            jumanji_lookahead(&full, lc, 20, 4)
+        );
+        prop_assert_eq!(lookahead(&lazy(), total), lookahead(&full, total));
+    }
+
+    /// Static and Jigsaw read no LC sizes (`DesignKind::is_tail_aware`):
+    /// their allocations are bit-identical under any change of
+    /// `lc_sizes`, which is what lets the epoch loop's memo leave the LC
+    /// sizes out of their key.
+    #[test]
+    fn static_and_jigsaw_ignore_lc_sizes(
+        sizes in proptest::collection::vec(0.0f64..2e7, 20..21),
+        rates in proptest::collection::vec(0.1f64..10.0, 20..21),
+    ) {
+        let cfg = SystemConfig::micro2020();
+        let mut base = PlacementInput::example(&cfg);
+        for (a, &r) in base.apps.iter_mut().zip(&rates) {
+            a.access_rate *= r;
+            a.curve = a.curve.scaled(r);
+        }
+        let mut moved = base.clone();
+        moved.lc_sizes.copy_from_slice(&sizes);
+        for design in [DesignKind::Static, DesignKind::Jigsaw] {
+            prop_assert!(!design.is_tail_aware());
+            prop_assert!(design.allocate(&base).bits_eq(&design.allocate(&moved)), "{}", design);
         }
     }
 }

@@ -82,6 +82,8 @@ pub struct RouteTable {
     offsets: Vec<u32>,
     /// Flat link indices (`from_tile * num_tiles + to_tile`).
     links: Vec<u32>,
+    /// Every link some round trip crosses, ascending and deduplicated.
+    used: Vec<u32>,
     num_banks: usize,
 }
 
@@ -121,11 +123,22 @@ impl RouteTable {
                 offsets.push(links.len() as u32);
             }
         }
+        let mut used = links.clone();
+        used.sort_unstable();
+        used.dedup();
         RouteTable {
             offsets,
             links,
+            used,
             num_banks,
         }
+    }
+
+    /// Every link index some `(core, bank)` round trip crosses, ascending:
+    /// the only links that carry flow or whose wait any path reads (62
+    /// directed links on the 5x4 mesh, of 400 tile pairs).
+    pub fn used_links(&self) -> &[u32] {
+        &self.used
     }
 
     /// The round-trip link indices for `(core, bank)`: request path then
@@ -181,6 +194,22 @@ mod tests {
     fn path_delay(loads: &LinkLoads, core: usize, bank: usize) -> f64 {
         let waits: Vec<f64> = loads.flows().iter().map(|&f| md1_wait(f, 1.0)).collect();
         routes().round_trip_sum(&waits, CoreId(core), BankId(bank))
+    }
+
+    #[test]
+    fn used_links_are_every_directed_mesh_link_any_route_crosses() {
+        let routes = routes();
+        let used = routes.used_links();
+        // 5x4 mesh: 4 x 4 horizontal + 5 x 3 vertical links, both ways.
+        assert_eq!(used.len(), 62);
+        assert!(used.windows(2).all(|w| w[0] < w[1]));
+        for core in 0..20 {
+            for bank in 0..20 {
+                for l in routes.round_trip(CoreId(core), BankId(bank)) {
+                    assert!(used.binary_search(l).is_ok());
+                }
+            }
+        }
     }
 
     #[test]

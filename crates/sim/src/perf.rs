@@ -79,6 +79,32 @@ impl Profile {
     }
 }
 
+/// The memo key of a curve sampled from `prof` on a grid of `units`
+/// `unit`-byte steps: a fingerprint of `tag`, the profile's kind, its
+/// content fingerprint ([`BatchProfile::fingerprint`],
+/// [`LcProfile::fingerprint`]), the LC load, and the grid.
+pub(crate) fn curve_key(tag: &str, prof: &Profile, unit: u64, units: usize) -> u128 {
+    let mut w = nuca_types::codec::ByteWriter::with_capacity(64);
+    w.str(tag);
+    match prof {
+        Profile::Batch(p) => {
+            w.u8(0);
+            w.u128(p.fingerprint());
+        }
+        Profile::Lc(p, load) => {
+            w.u8(1);
+            w.u128(p.fingerprint());
+            w.u8(match load {
+                LcLoad::Low => 0,
+                LcLoad::High => 1,
+            });
+        }
+    }
+    w.u64(unit);
+    w.usize(units);
+    nuca_types::hash::fingerprint128(&w.into_bytes())
+}
+
 /// Per-application outputs of the performance model for one interval.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AppPerf {
@@ -298,8 +324,14 @@ pub fn evaluate_into(
         // evaluation per resource replaces one per (app, bank) pair.
         port_delay.clear();
         port_delay.extend(bank_load.iter().map(|&u| md1_wait(u, PORT_OCCUPANCY)));
+        // Only routed links carry flow or are read by a path; every other
+        // slot keeps the zero wait of an idle link.
+        let flows = link_loads.flows();
         link_delay.clear();
-        link_delay.extend(link_loads.flows().iter().map(|&f| md1_wait(f, 1.0)));
+        link_delay.resize(flows.len(), 0.0);
+        for &l in routes.used_links() {
+            link_delay[l as usize] = md1_wait(flows[l as usize], 1.0);
+        }
         ctrl_delay.clear();
         ctrl_delay.extend(ctrl_load.iter().map(|&u| mem.queue_delay(u)));
         for (i, prof) in profiles.iter().enumerate() {
@@ -429,11 +461,11 @@ static SAMPLED_CURVES: std::sync::LazyLock<nuca_types::ShardedMap<u128, Arc<Miss
 /// Sampling evaluates `units + 1` parametric curve points (each a `powf`
 /// per smooth component), and pooled designs resample every member on
 /// every interval; the cache turns that into one sampling per profile per
-/// process, keyed by the content fingerprint of the full input. Returns an
+/// process, keyed by [`curve_key`] of the full input. Returns an
 /// `Arc` so per-scratch memoization shares the curve without copying the
 /// point vector.
 fn sampled_ratio_curve(prof: &Profile, unit: u64, units: usize) -> Arc<MissCurve> {
-    let key = nuca_types::hash::fingerprint128(format!("{prof:?}|{unit}|{units}").as_bytes());
+    let key = curve_key("sampled", prof, unit, units);
     SAMPLED_CURVES.get_or_compute(key, || {
         let pts: Vec<f64> = (0..=units)
             .map(|u| prof.miss_ratio((u as u64 * unit) as f64))
@@ -532,6 +564,26 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn curve_keys_separate_every_input_the_debug_form_did() {
+        let lc = tailbench()[0].clone();
+        let keys = [
+            curve_key("a", &Profile::Lc(lc.clone(), LcLoad::High), 64, 10),
+            curve_key("a", &Profile::Lc(lc.clone(), LcLoad::Low), 64, 10),
+            curve_key("b", &Profile::Lc(lc.clone(), LcLoad::High), 64, 10),
+            curve_key("a", &Profile::Lc(lc, LcLoad::High), 32, 10),
+            curve_key("a", &Profile::Batch(spec2006()[0].clone()), 64, 10),
+            curve_key("a", &Profile::Batch(spec2006()[0].clone()), 64, 11),
+            curve_key("a", &Profile::Batch(spec2006()[1].clone()), 64, 10),
+        ];
+        let distinct: nuca_types::hash::DetSet<u128> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len());
+        assert_eq!(
+            keys[4],
+            curve_key("a", &Profile::Batch(spec2006()[0].clone()), 64, 10)
+        );
     }
 
     fn cores() -> Vec<CoreId> {

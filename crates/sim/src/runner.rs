@@ -4,7 +4,7 @@
 use crate::deadline::deadline_cycles;
 use crate::energy::{energy_of, EnergyBreakdown, EnergyEvents};
 use crate::metrics::{vulnerability, weighted_speedup};
-use crate::perf::{evaluate_into, AppPerf, EvalScratch, Profile};
+use crate::perf::{curve_key, evaluate_into, AppPerf, EvalScratch, Profile};
 use crate::queueing::{Completion, LcQueue};
 use jumanji_core::controller::percentile;
 use jumanji_core::{
@@ -399,10 +399,13 @@ impl Experiment {
                 .collect(),
             lc_sizes: vec![0.0; n],
         };
-        // Allocator memoization: an interval whose inputs (LC sizes and
-        // entering access rates) are bit-identical to the previous one is a
-        // fixed point of the whole allocate -> evaluate -> descriptor-install
-        // pipeline, so the previous outputs are reused verbatim.
+        // Allocator memoization: an interval whose inputs are bit-identical
+        // to the previous one is a fixed point of the whole allocate ->
+        // evaluate -> descriptor-install pipeline, so the previous outputs
+        // are reused verbatim. The inputs are the entering access rates,
+        // plus the controllers' LC sizes for the designs whose allocator
+        // reads them (`DesignKind::is_tail_aware`).
+        let reads_lc = design.is_tail_aware();
         let mut prev_lc: Vec<f64> = Vec::new();
         let mut prev_rates: Vec<f64> = Vec::new();
         let mut alloc_slot: Option<Allocation> = None;
@@ -434,8 +437,11 @@ impl Experiment {
             // 2. Placement input: the exact hulls scaled to absolute miss
             // rates (what noise-free UMONs would report).
             let unchanged = alloc_slot.is_some()
-                && bits_eq(&prev_lc, &input.lc_sizes)
+                && (!reads_lc || bits_eq(&prev_lc, &input.lc_sizes))
                 && bits_eq(&prev_rates, &rates);
+            // Whether the installed descriptors must be rewritten: not when
+            // a recomputed allocation is bitwise the installed one.
+            let mut reinstall = false;
             if !unchanged {
                 // Rewrite the per-app model fields in place; curve scaling
                 // reuses each model's point buffer.
@@ -459,6 +465,7 @@ impl Experiment {
                     &mut scratch,
                     &mut perf,
                 );
+                reinstall = !alloc_slot.as_ref().is_some_and(|old| old.bits_eq(&alloc));
                 alloc_slot = Some(alloc);
             }
             let alloc = alloc_slot.as_ref().expect("first interval allocates");
@@ -467,7 +474,7 @@ impl Experiment {
             }
             // 3b. Coherence cost of the reconfiguration: install the new
             // placement descriptors and charge refetches for moved lines.
-            if unchanged {
+            if !reinstall {
                 // Identical allocation: every descriptor matches what is
                 // already installed, so nothing moves and nothing needs
                 // reinstalling.
@@ -502,8 +509,11 @@ impl Experiment {
                         2.0
                     };
                 }
-                // Vulnerability depends on the input, allocation, and the
-                // post-update rates — all covered by the memo key.
+            }
+            if !unchanged {
+                // Vulnerability depends on the apps' VMs, the allocation,
+                // and the post-update rates — never the LC sizes — so a
+                // memo hit leaves it unchanged.
                 vul_cached = vulnerability(&input, alloc, &rates);
             }
             if tracing {
@@ -698,8 +708,9 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 ///
 /// Replaces the old per-thread `thread_local!` memo: with N workers that
 /// design computed each hull up to N times and duplicated the storage N
-/// ways. Keyed by the content fingerprint of the full input (profile debug
-/// form + way grid), so a hull is computed exactly once per process.
+/// ways. Keyed by the content fingerprint of the full input (profile
+/// fingerprint + way grid, see `curve_key`), so a hull is computed exactly
+/// once per process.
 static RATIO_HULLS: std::sync::LazyLock<nuca_types::ShardedMap<u128, Arc<MissCurve>>> =
     std::sync::LazyLock::new(nuca_types::ShardedMap::new);
 
@@ -712,7 +723,7 @@ static RATIO_HULLS: std::sync::LazyLock<nuca_types::ShardedMap<u128, Arc<MissCur
 /// cloning it. Bit-identical to [`compute_ratio_hull`] by construction: the
 /// memo stores the uncached function's output, keyed by the full input.
 pub fn exact_ratio_hull(p: &Profile, unit: u64, units: usize) -> Arc<MissCurve> {
-    let key = nuca_types::hash::fingerprint128(format!("{p:?}|{unit}|{units}").as_bytes());
+    let key = curve_key("ratio_hull", p, unit, units);
     RATIO_HULLS.get_or_compute(key, || Arc::new(compute_ratio_hull(p, unit, units)))
 }
 
@@ -901,6 +912,32 @@ mod tests {
                 assert_eq!((*memo_hits + *memo_misses) as usize, intervals);
             }
             other => panic!("last event should be the run summary, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn designs_blind_to_lc_sizes_hit_the_allocator_memo() {
+        // Static and Jigsaw read no LC sizes, so the memo keys them by the
+        // entering access rates alone, which settle within a few
+        // intervals while the controllers keep resizing LC space.
+        use jumanji_telemetry::RecordingSink;
+        let exp = Experiment::new(case_study_mix(4), LcLoad::High, SimOptions::default());
+        for design in [DesignKind::Static, DesignKind::Jigsaw] {
+            let sink = RecordingSink::new();
+            exp.run(design, &sink);
+            let events = sink.events();
+            let Some(Event::RunSummary {
+                intervals,
+                memo_hits,
+                ..
+            }) = events.last()
+            else {
+                panic!("{design}: the run closes with its summary");
+            };
+            assert!(
+                2 * memo_hits >= *intervals,
+                "{design}: {memo_hits} memo hits in {intervals} intervals"
+            );
         }
     }
 

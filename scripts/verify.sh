@@ -89,12 +89,12 @@ set -- $(sed -n 's/^\[suite\] sched: .*(\([0-9]*\) planned runs -> \([0-9]*\) un
 [ "$2" -lt "$1" ]
 
 echo "== scheduled suite is thread-count-invariant"
-sched_figs=fig05,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
+sched_figs=fig05,fig09,fig13,fig14,fig15,fig16,fig17,fig18,sensitivity,ablation
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 1 \
     --out "$tmp/sched_t1" 2>/dev/null
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 4 \
     --out "$tmp/sched_t4" 2>"$tmp/sched_t4.log"
-for f in fig05 fig13 fig14 fig15 fig16 fig17 sensitivity ablation; do
+for f in fig05 fig09 fig13 fig14 fig15 fig16 fig17 fig18 sensitivity ablation; do
     cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_t4/$f.tsv"
 done
 grep -q '\[suite\] sched:' "$tmp/sched_t4.log"
