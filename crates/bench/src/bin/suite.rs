@@ -31,11 +31,14 @@
 //!   unique cell's event stream is emitted exactly once.
 //! - `--cache-dir DIR` — back the cache with a persistent store:
 //!   completed cells of every kind — analytic runs, detailed-simulator
-//!   reports and fixed scenarios — are read from and written to `DIR`,
-//!   so a second run starts warm.
-//! - `--cache-cap-bytes N` — bound the persistent store: oldest cells
-//!   are evicted first once the store exceeds `N` bytes (0 = unbounded,
-//!   the default).
+//!   reports and fixed scenarios — are read from `DIR` and appended to
+//!   this process's one segment file there, so a second run starts warm.
+//! - `--cache-cap-bytes N` — bound the persistent store: once it exceeds
+//!   `N` bytes, whole segments are deleted — older store layouts and
+//!   other builds' segments first, then this build's, oldest first —
+//!   until it fits (0 = unbounded, the default). The segment this
+//!   process is still appending to is kept until the process ends, even
+//!   alone over the cap; the next capped run deletes it.
 //!
 //! The command line is the only configuration surface: `suite` reads no
 //! environment variable. Value flags take `--flag value` or

@@ -334,8 +334,7 @@ pub fn detail_key(
     })
 }
 
-/// The kinds of [`Cell`]: each names its store directory and its codec
-/// envelope tag.
+/// The kinds of [`Cell`]: each names its codec envelope tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
     /// `(experiment, design)` analytic runs ([`RunCell`]).
@@ -347,14 +346,6 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// Every kind, in index order (`kind as usize`).
-    pub const ALL: [CellKind; 3] = [CellKind::Run, CellKind::Detail, CellKind::Scenario];
-
-    /// The store directory holding this kind's `<key>.bin` entries.
-    pub fn dir(self) -> &'static str {
-        ["runs", "details", "scenarios"][self as usize]
-    }
-
     /// The codec envelope tag of this kind's entries. Never renumber:
     /// stores written by older binaries carry these tags.
     pub fn tag(self) -> u16 {
@@ -367,7 +358,7 @@ impl CellKind {
 pub trait Cell: Send + Sync {
     /// What computing the cell yields.
     type Output: Debug + Send + Sync + 'static;
-    /// The cell's kind: its store directory and envelope tag.
+    /// The cell's kind: its envelope tag.
     const KIND: CellKind;
 
     /// The cell's cache identity (a kind-tagged content fingerprint).
@@ -719,8 +710,9 @@ impl CellCache {
 }
 
 /// Attaches the persistent store at `dir` to the global cache and
-/// bounds it to `cap` bytes (`0` = unbounded; the least-recently-written
-/// entries are evicted on overflow). Only cells are read from the store:
+/// bounds it to `cap` bytes (`0` = unbounded; on overflow whole
+/// segments are dropped, oldest first: see [`DiskCache::enforce_cap`]).
+/// Only cells are read from the store:
 /// the simulator's model memos (ratio hulls, deadlines) always start
 /// empty, so no side file in the store can change a computed cell. A
 /// store already attached at `dir` is kept, so its counters survive

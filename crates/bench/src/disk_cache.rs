@@ -2,59 +2,70 @@
 //!
 //! [`CellCache`](crate::cell_cache::CellCache) deduplicates cells inside
 //! one process; this module makes the dedup survive the process. A
-//! [`DiskCache`] roots a directory (`suite --cache-dir`) holding one
-//! file per completed cell, `<kind>/<name>.bin`: the [`CellKind`]'s
-//! directory, and a fingerprint of the cell's key — the *same* 128-bit
-//! key the in-memory map uses — salted with a fingerprint of the
-//! simulator's sources ([`DiskCache::entry_path`]). So a cell computed by
-//! any process is warm for every later process of the same build, and a
-//! build from changed sources misses it instead of serving a stale
-//! value. One
-//! generic [`DiskCache::load`] / [`DiskCache::store`] pair serves every
-//! kind, framing the [`Cell`]'s own payload codec:
+//! [`DiskCache`] roots a directory (`suite --cache-dir`) of append-only
+//! *segments*, one per writing process: `<salt>-<pid>-<nanos>.seg`, where
+//! `<salt>` fingerprints the simulator's sources and build, `<pid>` is
+//! the writing process and `<nanos>` the time its store opened. A segment
+//! is created at its process's first write, so a fully warm run creates
+//! no file. One generic [`DiskCache::load`] / [`DiskCache::store`] pair
+//! serves every [`CellKind`] — `(experiment, design)` runs, detailed
+//! simulator reports and fixed scenarios — framing the [`Cell`]'s own
+//! payload codec.
 //!
-//! - `runs/<key>.bin` — completed [`ExperimentResult`]s: whole-run
-//!   summaries of a few hundred bytes, no per-interval data;
-//! - `details/<key>.bin` — completed detailed-simulator
-//!   [`DetailReport`]s (the heaviest cells in the repo: fig02 and
-//!   validate);
-//! - `scenarios/<key>.bin` — completed fixed scenarios (fig04's
-//!   per-interval timelines, fig08's sweep, fig11's port attack, fig12's
-//!   leakage run).
+//! A record is one versioned, checksummed envelope of
+//! [`jumanji::types::codec`] whose payload leads with the cell's kind tag
+//! and its 128-bit key (the key the in-memory map uses), so the checksum
+//! covers both; the envelope's length field makes records
+//! self-delimiting. A write is one unbuffered `write_all` of the record
+//! onto the segment's `O_APPEND` handle under a lock: no temp file, no
+//! rename, no fsync.
 //!
-//! The suite reads and writes nothing else. Two side files,
-//! `model.bin` (the simulator's ratio hulls and deadlines) and
-//! `costs.bin` (measured per-design node durations), are written only
-//! by the benchmark probe's own executor ([`DiskCache::persist_model`],
-//! [`DiskCache::merge_costs`]). Nothing checks `model.bin` against the
-//! code that computed it, so the suite never seeds the simulator from
-//! it: in a suite store both files are inert.
+//! [`DiskCache::open`] walks the record headers of every segment of the
+//! current salt and indexes them by (kind, key). It keeps offsets only,
+//! never segment bytes. A header that does not parse, or a record that
+//! runs past its file's end (a torn tail, left by a crash or a full
+//! disk), ends that segment's walk and counts one corrupt drop. Segments
+//! of other salts are never read: a build from changed sources misses
+//! every cell instead of serving a stale one. A key held by several
+//! segments is served from the newest record that validates.
 //!
-//! Every file is framed by the versioned, checksummed envelope of
-//! [`jumanji::types::codec`] and written via temp-file + atomic rename, so
-//! concurrent processes sharing one directory can never observe a
-//! half-written entry. Reads that find a truncated, bit-flipped, or
-//! stale-format file delete it and report a miss — the caller
-//! recomputes; a corrupt cache can cost time but never correctness.
+//! A load reads and validates its own record only. A record that fails
+//! (truncated, bit-flipped, another kind or key) counts in
+//! [`DiskCacheStats::corrupt_dropped`] and leaves the index, and the next
+//! newest record for the key is tried; with none left the caller
+//! recomputes. A corrupt store can cost time but never correctness.
 //! Floats are stored by bit pattern, so results served from disk format
 //! to byte-identical TSVs.
 //!
-//! Writes are best-effort. The first write that fails (a full disk, a
-//! read-only or vanished directory) prints one warning and turns writes
+//! Writes are best-effort. The first failed segment create or append (a
+//! full disk, a vanished directory) prints one warning and turns writes
 //! off, so the run goes on memory-only with unchanged results
-//! ([`DiskCacheStats::failed_writes`] counts it).
+//! ([`DiskCacheStats::failed_writes`] counts it). A partial append is a
+//! torn tail that the next open's walk stops at.
+//!
+//! Processes sharing a store each append to their own segment, so
+//! nothing locks across processes. A process indexes the segments
+//! present when it opened; a cell another process appends later is a
+//! miss it recomputes.
 //!
 //! The store is bounded on request: [`DiskCache::set_cap_bytes`]
-//! (`--cache-cap-bytes` on `suite`) caps the
-//! total size of the entry files, and [`DiskCache::enforce_cap`] evicts
-//! the least-recently-written entries (by mtime — every write refreshes
-//! its entry's mtime, so write order approximates use order) until the
-//! store fits; it never evicts `model.bin` or `costs.bin`.
+//! (`--cache-cap-bytes` on `suite`) caps the total size of the segments,
+//! and [`DiskCache::enforce_cap`] drops whole segments until the store
+//! fits. It drops first what no open reads: segments of other salts and
+//! the per-cell directories of older store layouts (`runs/`, `details/`,
+//! `scenarios/`, and `allocs/` of memoized placements). Then it drops
+//! the current salt's segments, oldest first. The segment this handle
+//! appends to is kept until the process ends, even alone over the cap;
+//! the next process's cap drops it.
 //!
-//! Stores written by older versions may also hold an `allocs/`
-//! directory of memoized placements. Nothing reads, writes or evicts it
-//! any more; it is inert and may be deleted by hand, like a suite
-//! store's `model.bin` and `costs.bin`.
+//! The suite reads and writes nothing else. Two side files, `model.bin`
+//! (the simulator's ratio hulls and deadlines) and `costs.bin` (measured
+//! per-design node durations), are written only by the benchmark probe's
+//! own executor ([`DiskCache::persist_model`], [`DiskCache::merge_costs`]),
+//! each as a temp file plus a rename. Nothing checks `model.bin` against
+//! the code that computed it, so the suite never seeds the simulator from
+//! it: in a suite store both files are inert, and the cap never drops
+//! them.
 //!
 //! The codec is hand-rolled (no serde — the workspace builds offline):
 //! each domain type gets an explicit field-order encode/decode pair
@@ -68,14 +79,18 @@ use jumanji::core::DesignKind;
 use jumanji::sim::detail::{DetailAppStats, DetailReport};
 use jumanji::sim::energy::EnergyBreakdown;
 use jumanji::sim::{export_ratio_hulls, seed_ratio_hull, ExperimentResult};
-use jumanji::types::codec::{decode_entry, encode_entry, ByteReader, ByteWriter, CodecError};
+use jumanji::types::codec::{
+    decode_entry, encode_entry, entry_len, ByteReader, ByteWriter, CodecError, HEADER_BYTES,
+};
 use jumanji::types::hash::{fingerprint128, DetMap, DetSet};
 use jumanji::types::AppId;
 use jumanji::workloads::{spec2006, tailbench};
+use std::fs::{self, File};
+use std::io::{self, BufReader, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, OnceLock};
-use std::{fs, io};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, RwLock};
 
 /// The fingerprint of the sources that compute, key and encode cells,
 /// written by this crate's `build.rs`.
@@ -92,21 +107,22 @@ pub const NUM_DESIGNS: usize = 7;
 /// Counter snapshot of one [`DiskCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiskCacheStats {
-    /// Entries served from disk.
+    /// Cells served from disk.
     pub hits: u64,
-    /// Lookups that found no (valid) entry on disk.
+    /// Lookups that found no (valid) record on disk.
     pub misses: u64,
-    /// Entries successfully written.
+    /// Records successfully written.
     pub writes: u64,
     /// Write attempts that failed. The first failure turns writes off
     /// (see [`DiskCache::store`]), so a store that takes no writes at
     /// all counts exactly one.
     pub failed_writes: u64,
-    /// Cache files deleted — corruption drops plus size-cap evictions
+    /// Segments and older layouts' directories the size cap dropped
     /// (see [`DiskCache::enforce_cap`]).
     pub evictions: u64,
-    /// Entries dropped because they failed envelope or payload
-    /// validation (truncated, bad checksum, wrong format version, …).
+    /// Records dropped because they failed envelope or payload
+    /// validation (truncated, bad checksum, another cell, …), plus one
+    /// per segment whose walk a torn tail stopped short.
     pub corrupt_dropped: u64,
 }
 
@@ -475,16 +491,218 @@ fn decode_costs(bytes: &[u8]) -> Result<MeasuredCosts, CodecError> {
     Ok(costs)
 }
 
+/// The extension of a segment file.
+const SEGMENT_EXT: &str = "seg";
+
+/// The directories of older store layouts: one file per cell, and
+/// memoized placements. Never read; the size cap drops them first.
+const OLD_LAYOUT_DIRS: [&str; 4] = ["runs", "details", "scenarios", "allocs"];
+
+/// A record's fixed prefix, what [`walk`] reads of each: the envelope
+/// header, then the payload's leading kind tag (2 bytes) and key (16).
+const RECORD_PREFIX: usize = HEADER_BYTES + 2 + 16;
+
+/// [`walk`]'s read buffer: the only segment bytes a store holds, and
+/// only while it opens.
+const WALK_BUFFER: usize = 64 * 1024;
+
+/// Where one record lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    /// Its segment: an index into [`Index::segments`].
+    seg: u32,
+    offset: u64,
+    len: u32,
+}
+
+/// The records a store can serve, by offset: no segment bytes.
+#[derive(Debug, Default)]
+struct Index {
+    /// Each indexed segment's path and read handle, by id; the handle is
+    /// `None` once the size cap has dropped the segment.
+    segments: Vec<(PathBuf, Option<Arc<File>>)>,
+    /// Every indexed record by (kind tag, key), oldest first.
+    cells: DetMap<(u16, u128), Vec<Loc>>,
+}
+
+impl Index {
+    /// Registers a segment; returns its id.
+    fn add_segment(&mut self, path: PathBuf, file: Arc<File>) -> u32 {
+        self.segments.push((path, Some(file)));
+        (self.segments.len() - 1) as u32
+    }
+
+    /// The newest record of `(kind, key)` and its segment's handle.
+    fn newest(&self, kind: u16, key: u128) -> Option<(Loc, Arc<File>)> {
+        let loc = *self.cells.get(&(kind, key))?.last()?;
+        let file = self.segments[loc.seg as usize].1.clone()?;
+        Some((loc, file))
+    }
+
+    /// Forgets the record at `loc`.
+    fn remove(&mut self, kind: u16, key: u128, loc: Loc) {
+        if let Some(locs) = self.cells.get_mut(&(kind, key)) {
+            locs.retain(|l| *l != loc);
+            if locs.is_empty() {
+                self.cells.remove(&(kind, key));
+            }
+        }
+    }
+
+    /// Forgets every record of the segments at `paths`.
+    fn drop_segments(&mut self, paths: &[PathBuf]) {
+        let mut dead = DetSet::default();
+        for (id, (path, file)) in self.segments.iter_mut().enumerate() {
+            if paths.contains(path) {
+                *file = None;
+                dead.insert(id as u32);
+            }
+        }
+        if !dead.is_empty() {
+            self.cells.retain(|_, locs| {
+                locs.retain(|l| !dead.contains(&l.seg));
+                !locs.is_empty()
+            });
+        }
+    }
+}
+
+/// Indexes the records of segment `seg` (open as `file`), up to the
+/// first header that does not parse or record that runs past the file's
+/// end. Returns false when that torn tail stopped the walk short.
+fn walk(file: &File, seg: u32, index: &mut Index) -> bool {
+    let Ok(meta) = file.metadata() else {
+        return true;
+    };
+    let end = meta.len();
+    let mut reader = BufReader::with_capacity(WALK_BUFFER, file);
+    let mut head = [0u8; RECORD_PREFIX];
+    let mut at = 0;
+    while at < end {
+        if end - at < RECORD_PREFIX as u64 || reader.read_exact(&mut head).is_err() {
+            return false;
+        }
+        let Ok(len) = entry_len(&head) else {
+            return false;
+        };
+        let mut r = ByteReader::new(&head[HEADER_BYTES..]);
+        let (Ok(kind), Ok(key)) = (r.u16(), r.u128()) else {
+            return false;
+        };
+        if len < RECORD_PREFIX as u64 || len > end - at || len > u64::from(u32::MAX) {
+            return false;
+        }
+        let loc = Loc {
+            seg,
+            offset: at,
+            len: len as u32,
+        };
+        index.cells.entry((kind, key)).or_default().push(loc);
+        if reader
+            .seek_relative((len - RECORD_PREFIX as u64) as i64)
+            .is_err()
+        {
+            return false;
+        }
+        at += len;
+    }
+    true
+}
+
+/// The salt and time stamp a segment's file name `<salt>-<pid>-<nanos>.seg`
+/// carries; `None` for any other name.
+fn parse_segment(path: &Path) -> Option<(&str, u64)> {
+    if path.extension()? != SEGMENT_EXT {
+        return None;
+    }
+    let mut parts = path.file_stem()?.to_str()?.split('-');
+    let (salt, _pid, nanos) = (parts.next()?, parts.next()?, parts.next()?);
+    if parts.next().is_some() {
+        return None;
+    }
+    Some((salt, nanos.parse().ok()?))
+}
+
+/// The segment-name prefix of `salt`: a fixed-width fingerprint, so any
+/// salt string makes a file name.
+fn salt_prefix(salt: &str) -> String {
+    format!("{:016x}", fingerprint128(salt.as_bytes()) as u64)
+}
+
+/// Nanoseconds since the Unix epoch, strictly increasing within the
+/// process, so two stores opened by one process never share a segment
+/// name.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a segment's name orders it by age for the size cap; no cell reads it"
+)]
+fn segment_nanos() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let prev = LAST
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
+            Some(now.max(last + 1))
+        })
+        .expect("the update always succeeds");
+    now.max(prev + 1)
+}
+
+/// Total bytes of the regular files under `dir`, recursively.
+fn tree_bytes(dir: &Path) -> u64 {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| match e.metadata() {
+            Ok(m) if m.is_dir() => tree_bytes(&e.path()),
+            Ok(m) => m.len(),
+            Err(_) => 0,
+        })
+        .sum()
+}
+
+/// Writes `bytes` to `path` via a uniquely named temp file in the same
+/// directory plus an atomic rename: how the benchmark probe's side files
+/// are written.
+fn write_side_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
+    name.push(format!(".tmp.{}.{}", std::process::id(), seq));
+    let tmp = path.with_file_name(name);
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
+}
+
+/// This handle's own segment, created at its first write.
+#[derive(Debug, Default)]
+struct Writer {
+    /// The open segment: its handle, index id and length so far.
+    open: Option<(Arc<File>, u32, u64)>,
+    /// Set by the first failed write: the store takes no more.
+    failed: bool,
+}
+
 /// A disk-backed, fingerprint-keyed store of completed cells (see the
 /// module docs). All methods are `&self` and thread-safe; multiple
 /// processes may share one directory.
 #[derive(Debug)]
 pub struct DiskCache {
     root: PathBuf,
-    /// Mixed into every entry's file name: [`SOURCE_SALT`], unless a
+    /// The segment-name prefix of the salt: [`SOURCE_SALT`], unless a
     /// test overrides it.
-    salt: String,
-    /// Total entry-file bytes allowed (0 = unbounded).
+    prefix: String,
+    /// The segment this handle appends to.
+    segment: PathBuf,
+    /// Total segment bytes allowed (0 = unbounded).
     cap_bytes: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -492,49 +710,81 @@ pub struct DiskCache {
     failed_writes: AtomicU64,
     evictions: AtomicU64,
     corrupt_dropped: AtomicU64,
-    /// Set once the first write attempt has finished.
-    first_write: OnceLock<()>,
-    /// Set by the first failed write: the store takes no more writes.
-    memory_only: AtomicBool,
+    index: RwLock<Index>,
+    writer: Mutex<Writer>,
 }
 
 impl DiskCache {
-    /// Opens (creating if needed) a store rooted at `dir`.
+    /// Opens (creating if needed) a store rooted at `dir`, indexing the
+    /// records of every segment the current sources wrote.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the directory tree cannot be created.
+    /// Returns the I/O error if the directory cannot be created or
+    /// listed.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskCache> {
-        let root = dir.into();
-        for kind in CellKind::ALL {
-            fs::create_dir_all(root.join(kind.dir()))?;
+        DiskCache::open_salted(dir.into(), SOURCE_SALT)
+    }
+
+    fn open_salted(root: PathBuf, salt: &str) -> io::Result<DiskCache> {
+        fs::create_dir_all(&root)?;
+        let prefix = salt_prefix(salt);
+        let mut segments: Vec<(u64, PathBuf)> = fs::read_dir(&root)?
+            .flatten()
+            .filter_map(|entry| {
+                let path = entry.path();
+                let (salt, nanos) = parse_segment(&path)?;
+                (salt == prefix).then_some((nanos, path))
+            })
+            .collect();
+        segments.sort();
+        let mut index = Index::default();
+        let mut torn = 0;
+        for (_, path) in segments {
+            let Ok(file) = File::open(&path) else {
+                continue;
+            };
+            let file = Arc::new(file);
+            let seg = index.add_segment(path, Arc::clone(&file));
+            torn += u64::from(!walk(&file, seg, &mut index));
         }
+        let name = format!(
+            "{prefix}-{}-{}.{SEGMENT_EXT}",
+            std::process::id(),
+            segment_nanos()
+        );
         Ok(DiskCache {
+            segment: root.join(name),
             root,
-            salt: SOURCE_SALT.to_string(),
+            prefix,
             cap_bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             failed_writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            corrupt_dropped: AtomicU64::new(0),
-            first_write: OnceLock::new(),
-            memory_only: AtomicBool::new(false),
+            corrupt_dropped: AtomicU64::new(torn),
+            index: RwLock::new(index),
+            writer: Mutex::new(Writer::default()),
         })
     }
 
-    /// This store as a binary built from other sources would see it:
-    /// every entry name is salted with `salt` instead.
+    /// This store as a binary built from other sources would open it:
+    /// its segments are salted with `salt` instead.
     #[cfg(test)]
-    pub(crate) fn with_salt(mut self, salt: &str) -> DiskCache {
-        self.salt = salt.to_string();
-        self
+    pub(crate) fn with_salt(self, salt: &str) -> DiskCache {
+        DiskCache::open_salted(self.root, salt).expect("reopen store")
     }
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// The segment this handle appends to. It is created at the first
+    /// write, so it may not exist.
+    pub fn segment(&self) -> &Path {
+        &self.segment
     }
 
     /// A snapshot of the store's counters.
@@ -549,136 +799,111 @@ impl DiskCache {
         }
     }
 
-    /// The file of `kind`'s entry `key`: `<kind>/<name>.bin`, the name a
-    /// fingerprint of the source salt and `key`. A binary built from
-    /// other simulator sources names every cell differently, so it
-    /// misses every entry this one wrote, and those age out under the
-    /// cap.
-    pub fn entry_path(&self, kind: CellKind, key: u128) -> PathBuf {
-        let mut w = ByteWriter::with_capacity(64);
-        w.str(&self.salt);
-        w.u128(key);
-        let name = fingerprint128(&w.into_bytes());
-        self.root.join(kind.dir()).join(format!("{name:032x}.bin"))
-    }
-
-    /// Writes `bytes` to `path` via a uniquely named temp file in the
-    /// same directory plus an atomic rename, so a concurrent reader (or
-    /// a crash) can never observe a partial entry. Last writer wins;
-    /// both writers hold identical bytes for a given key by
-    /// construction (content-addressed store).
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        name.push(format!(".tmp.{}.{}", std::process::id(), seq));
-        let tmp = path.with_file_name(name);
-        fs::write(&tmp, bytes)?;
-        match fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-
-    /// Reads, validates, and decodes the file at `path`: `None` when it
-    /// is missing, or invalid — an invalid file is dropped from disk.
-    fn read<T>(
-        &self,
-        path: &Path,
-        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
-    ) -> Option<T> {
-        let bytes = fs::read(path).ok()?;
-        decode(&bytes).map_err(|_| self.drop_corrupt(path)).ok()
-    }
-
-    /// [`Self::read`], counted as a hit or a miss.
-    fn load_entry<T>(
-        &self,
-        path: &Path,
-        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
-    ) -> Option<T> {
-        let value = self.read(path, decode);
-        let counter = if value.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        value
     }
 
-    fn drop_corrupt(&self, path: &Path) {
-        self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
-        if fs::remove_file(path).is_ok() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// One write, best-effort: a full disk or a vanished directory costs
+    /// the warm start, never the result. The first failure warns once and
+    /// turns writes off; writes hold the lock, so a store that takes no
+    /// writes at all fails exactly one attempt.
+    fn write_with(&self, write: impl FnOnce(&mut Writer) -> io::Result<()>) {
+        let mut writer = self.writer.lock().expect("store writer lock");
+        if writer.failed {
+            return;
         }
-    }
-
-    /// Writes an entry, best-effort: a full disk or permission error
-    /// costs the warm start, never the result. The first failure warns
-    /// once and turns writes off. The first write runs alone, so a store
-    /// that takes no writes at all fails exactly one attempt.
-    fn store_entry(&self, path: &Path, bytes: &[u8]) {
-        let mut first = false;
-        self.first_write.get_or_init(|| {
-            first = true;
-            self.try_write(path, bytes);
-        });
-        if !first && !self.memory_only.load(Ordering::Relaxed) {
-            self.try_write(path, bytes);
-        }
-    }
-
-    /// One write attempt, counted.
-    fn try_write(&self, path: &Path, bytes: &[u8]) {
-        match self.write_atomic(path, bytes) {
+        match write(&mut writer) {
             Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
+                writer.failed = true;
                 self.failed_writes.fetch_add(1, Ordering::Relaxed);
-                if !self.memory_only.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: cannot write to --cache-dir {}: {e}; continuing memory-only",
-                        self.root.display()
-                    );
-                }
+                eprintln!(
+                    "warning: cannot write to --cache-dir {}: {e}; continuing memory-only",
+                    self.root.display()
+                );
             }
         }
     }
 
     /// The persisted output of the `C` cell filed under `key`, if a
-    /// valid entry exists.
+    /// valid record exists.
     pub fn load<C: Cell>(&self, key: u128) -> Option<C::Output> {
-        self.load_entry(&self.entry_path(C::KIND, key), |bytes| {
-            let mut r = ByteReader::new(decode_entry(C::KIND.tag(), bytes)?);
-            let value = C::decode(&mut r)?;
-            r.finish()?;
-            Ok(value)
-        })
+        let kind = C::KIND.tag();
+        let value = loop {
+            let newest = self
+                .index
+                .read()
+                .expect("store index lock")
+                .newest(kind, key);
+            let Some((loc, file)) = newest else {
+                break None;
+            };
+            let mut bytes = vec![0; loc.len as usize];
+            let decoded = match file.read_exact_at(&mut bytes, loc.offset) {
+                Ok(()) => decode_record::<C>(key, &bytes),
+                Err(_) => Err(CodecError::Truncated),
+            };
+            match decoded {
+                Ok(value) => break Some(value),
+                Err(_) => {
+                    self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                    let mut index = self.index.write().expect("store index lock");
+                    index.remove(kind, key, loc);
+                }
+            }
+        };
+        self.count(value.is_some());
+        value
     }
 
-    /// Persists `value`, the output of the `C` cell filed under `key`.
-    /// The first write that fails prints one warning and turns writes
-    /// off: the run goes on memory-only, and its results are unchanged.
+    /// Persists `value`, the output of the `C` cell filed under `key`, as
+    /// one record appended to this handle's segment. The first write that
+    /// fails prints one warning and turns writes off: the run goes on
+    /// memory-only, and its results are unchanged.
     pub fn store<C: Cell>(&self, key: u128, value: &C::Output) {
+        let kind = C::KIND.tag();
         let mut w = ByteWriter::new();
+        w.u16(kind);
+        w.u128(key);
         C::encode(value, &mut w);
-        let bytes = encode_entry(C::KIND.tag(), w.into_bytes());
-        self.store_entry(&self.entry_path(C::KIND, key), &bytes);
+        let record = encode_entry(kind, w.into_bytes());
+        self.write_with(|writer| {
+            let len =
+                u32::try_from(record.len()).map_err(|_| io::Error::other("record over 4 GiB"))?;
+            if writer.open.is_none() {
+                let file = File::options()
+                    .append(true)
+                    .read(true)
+                    .create_new(true)
+                    .open(&self.segment)?;
+                let file = Arc::new(file);
+                let mut index = self.index.write().expect("store index lock");
+                let seg = index.add_segment(self.segment.clone(), Arc::clone(&file));
+                writer.open = Some((file, seg, 0));
+            }
+            let (file, seg, end) = writer.open.as_mut().expect("opened above");
+            (&**file).write_all(&record)?;
+            let loc = Loc {
+                seg: *seg,
+                offset: *end,
+                len,
+            };
+            *end += u64::from(len);
+            let mut index = self.index.write().expect("store index lock");
+            index.cells.entry((kind, key)).or_default().push(loc);
+            Ok(())
+        });
     }
 
-    /// Cheap existence probe for an entry (no validation, no hit/miss
-    /// accounting). A file that later fails validation just falls back
+    /// Cheap existence probe for a record (no validation, no hit/miss
+    /// accounting). A record that later fails validation just falls back
     /// to a recompute.
     pub fn exists(&self, kind: CellKind, key: u128) -> bool {
-        self.entry_path(kind, key).exists()
+        let index = self.index.read().expect("store index lock");
+        index.cells.contains_key(&(kind.tag(), key))
     }
 
     /// [`DiskCache::exists`] for a run cell: the benchmark probe skips an
@@ -697,14 +922,36 @@ impl DiskCache {
         self.store::<DetailPlan>(key, report);
     }
 
+    /// Reads and decodes the side file at `path`: `None` when it is
+    /// missing, or invalid — an invalid file is deleted.
+    fn read_side<T>(
+        &self,
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+    ) -> Option<T> {
+        let bytes = fs::read(path).ok()?;
+        decode(&bytes)
+            .map_err(|_| {
+                self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                let _ = fs::remove_file(path);
+            })
+            .ok()
+    }
+
+    /// Writes the side file at `path`, counted like a cell write.
+    fn store_side(&self, path: &Path, bytes: &[u8]) {
+        self.write_with(|_| write_side_file(path, bytes));
+    }
+
     /// Warm-starts the simulator's construction memos (ratio hulls,
     /// deadline isolation runs) from `model.bin`. Returns the number of
     /// entries seeded; a corrupt file is dropped and seeds nothing. Only
     /// the benchmark probe calls this: the file is not checked against
     /// the code that computed it.
     pub fn seed_model(&self) -> usize {
-        let path = self.root.join("model.bin");
-        let Some((hulls, deadlines)) = self.load_entry(&path, decode_model) else {
+        let model = self.read_side(&self.root.join("model.bin"), decode_model);
+        self.count(model.is_some());
+        let Some((hulls, deadlines)) = model else {
             return 0;
         };
         let n = hulls.len() + deadlines.len();
@@ -730,7 +977,7 @@ impl DiskCache {
         let mut deadlines: DetMap<u128, f64> = jumanji::sim::deadline::export_deadlines()
             .into_iter()
             .collect();
-        if let Some((old_hulls, old_deadlines)) = self.read(&path, decode_model) {
+        if let Some((old_hulls, old_deadlines)) = self.read_side(&path, decode_model) {
             for (k, v) in old_hulls {
                 hulls.entry(k).or_insert(v);
             }
@@ -746,7 +993,7 @@ impl DiskCache {
         let mut deadlines: Vec<_> = deadlines.into_iter().collect();
         deadlines.sort_unstable_by_key(|(k, _)| *k);
         let n = hulls.len() + deadlines.len();
-        self.store_entry(&path, &encode_model(&hulls, &deadlines));
+        self.store_side(&path, &encode_model(&hulls, &deadlines));
         n
     }
 
@@ -755,7 +1002,7 @@ impl DiskCache {
     /// only.
     pub fn load_costs(&self) -> MeasuredCosts {
         let path = self.root.join("costs.bin");
-        self.read(&path, decode_costs).unwrap_or_default()
+        self.read_side(&path, decode_costs).unwrap_or_default()
     }
 
     /// Folds freshly measured costs into `costs.bin` (read-merge-write;
@@ -767,13 +1014,13 @@ impl DiskCache {
         }
         let mut merged = self.load_costs();
         merged.merge(fresh);
-        self.store_entry(&self.root.join("costs.bin"), &encode_costs(&merged));
+        self.store_side(&self.root.join("costs.bin"), &encode_costs(&merged));
     }
 
-    /// Caps the total size of the store's entry files (every
-    /// [`CellKind`] directory). `0` means unbounded (the default). The
-    /// cap takes effect at the next [`DiskCache::enforce_cap`] call —
-    /// the suite enforces it at attach time and at the end of every run.
+    /// Caps the total size of the store's segments. `0` means unbounded
+    /// (the default). The cap takes effect at the next
+    /// [`DiskCache::enforce_cap`] call — the suite enforces it at attach
+    /// time and at the end of every run.
     pub fn set_cap_bytes(&self, cap: u64) {
         self.cap_bytes.store(cap, Ordering::Relaxed);
     }
@@ -783,54 +1030,87 @@ impl DiskCache {
         self.cap_bytes.load(Ordering::Relaxed)
     }
 
-    /// Evicts the least-recently-written entries (oldest mtime first)
-    /// until the entry files fit under the configured cap. Returns the
-    /// number of files evicted (also folded into the `evictions`
-    /// counter). A no-op when no cap is set or the store already fits;
-    /// unreadable metadata is treated leniently (skip the file rather
-    /// than fail the run). `model.bin`/`costs.bin` are never touched.
+    /// Drops whole segments until the store fits under the configured
+    /// cap: first other salts' segments and older layouts' directories,
+    /// then the current salt's segments, oldest first (by the time stamp
+    /// in their names; ties by name, so concurrent enforcers walk one
+    /// order). This handle's own segment counts but is never dropped.
+    /// Returns the number of segments and directories dropped (also
+    /// folded into the `evictions` counter); their cells become misses. A
+    /// no-op when no cap is set or the store already fits; an unreadable
+    /// entry is skipped rather than failing the run. `model.bin` and
+    /// `costs.bin` are never touched.
     pub fn enforce_cap(&self) -> u64 {
         let cap = self.cap_bytes();
         if cap == 0 {
             return 0;
         }
-        let mut entries: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
+        let Ok(dir) = fs::read_dir(&self.root) else {
+            return 0;
+        };
+        // (rank, time stamp, path, bytes): rank 0 is what no open reads,
+        // rank 1 the current salt's segments.
+        let mut droppable: Vec<(u8, u64, PathBuf, u64)> = Vec::new();
         let mut total: u64 = 0;
-        for kind in CellKind::ALL {
-            let Ok(dir) = fs::read_dir(self.root.join(kind.dir())) else {
+        for entry in dir.flatten() {
+            let (path, Ok(meta)) = (entry.path(), entry.metadata()) else {
                 continue;
             };
-            for entry in dir.flatten() {
-                let Ok(meta) = entry.metadata() else {
-                    continue;
-                };
-                if !meta.is_file() {
+            let (rank, nanos, bytes) = if meta.is_dir() {
+                if !OLD_LAYOUT_DIRS.iter().any(|d| entry.file_name() == *d) {
                     continue;
                 }
-                let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                total += meta.len();
-                entries.push((entry.path(), meta.len(), mtime));
+                (0, 0, tree_bytes(&path))
+            } else {
+                let Some((salt, nanos)) = parse_segment(&path) else {
+                    continue;
+                };
+                (u8::from(salt == self.prefix), nanos, meta.len())
+            };
+            total += bytes;
+            if path != self.segment {
+                droppable.push((rank, nanos, path, bytes));
             }
         }
         if total <= cap {
             return 0;
         }
-        // Oldest first; ties broken by path so concurrent enforcers
-        // walk the same order.
-        entries.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
-        let mut evicted = 0;
-        for (path, len, _) in entries {
+        droppable.sort();
+        let mut dropped = Vec::new();
+        for (rank, _, path, bytes) in droppable {
             if total <= cap {
                 break;
             }
-            if fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
-                evicted += 1;
+            let removed = if rank == 0 && path.is_dir() {
+                fs::remove_dir_all(&path)
+            } else {
+                fs::remove_file(&path)
+            };
+            if removed.is_ok() {
+                total = total.saturating_sub(bytes);
+                dropped.push(path);
             }
         }
+        let evicted = dropped.len() as u64;
+        self.index
+            .write()
+            .expect("store index lock")
+            .drop_segments(&dropped);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
     }
+}
+
+/// Validates the record `bytes` read for the `C` cell filed under `key`
+/// and decodes its value.
+fn decode_record<C: Cell>(key: u128, bytes: &[u8]) -> Result<C::Output, CodecError> {
+    let mut r = ByteReader::new(decode_entry(C::KIND.tag(), bytes)?);
+    if r.u16()? != C::KIND.tag() || r.u128()? != key {
+        return Err(CodecError::Malformed("a record of another cell"));
+    }
+    let value = C::decode(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]

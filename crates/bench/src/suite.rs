@@ -512,8 +512,21 @@ mod tests {
             let report = run_suite(&specs, 2, &cache, &NoopSink, &mut |_| Ok(()));
             report.expect("suite runs").sched
         };
-        let (cold, warm) = (run(), run());
+        let files = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("list store")
+                .map(|e| e.expect("store entry").file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let cold = run();
+        let after_cold = files();
+        let warm = run();
+        let after_warm = files();
         let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(after_cold.len(), 1, "one segment: {after_cold:?}");
+        assert_eq!(after_warm, after_cold, "a warm run created a file");
         let planned: usize = cold.kinds.iter().map(|c| c.planned).sum();
         assert_eq!(cold.computed(), cold.nodes as u64);
         assert_eq!(cold.reused(), (planned - cold.nodes) as u64);
@@ -556,6 +569,40 @@ mod tests {
         // The first write fails and turns writes off: no other is tried.
         assert_eq!(stats.failed_writes, 1, "{stats:?}");
         assert!(!dir.exists(), "the run recreated the store");
+    }
+
+    #[test]
+    fn a_segment_that_cannot_be_created_changes_no_byte() {
+        // A directory already holds the name of the segment the store
+        // would create: its first write fails, warns once and turns the
+        // run memory-only, and the run renders what a fresh cache renders.
+        let dir =
+            std::env::temp_dir().join(format!("jumanji-suite-blocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(DiskCache::open(&dir).expect("open store"));
+        std::fs::create_dir_all(disk.segment()).expect("block the segment's name");
+        let specs = specs_of(&[FigureKind::Fig05, FigureKind::Fig08], 1);
+        let render = |cache: &CellCache| {
+            let mut tsvs = Vec::new();
+            let report = run_suite(&specs, 2, cache, &NoopSink, &mut |fig| {
+                tsvs.push(fig.bytes);
+                Ok(())
+            });
+            report.expect("suite runs");
+            tsvs
+        };
+        let blocked = CellCache::new();
+        blocked.attach_disk(Arc::clone(&disk));
+        let served = render(&blocked);
+        assert_eq!(
+            served,
+            render(&CellCache::new()),
+            "the blocked store changed a TSV"
+        );
+        let stats = disk.stats();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!((stats.hits, stats.writes), (0, 0), "{stats:?}");
+        assert_eq!(stats.failed_writes, 1, "{stats:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration tests for the disk-backed cell store, driven through the
 //! [`CellCache`] exactly as the figure binaries drive it.
 //!
-//! The contract under test: whatever happens to the cache files —
+//! The contract under test: whatever happens to the store's segments —
 //! truncation, bit flips, a different format version, two processes
 //! racing to write the same cell — a reader either gets the cached
 //! result byte-identical to a fresh computation, or silently recomputes
@@ -15,9 +15,7 @@ use jumanji::sim::SimOptions;
 use jumanji::telemetry::NoopSink;
 use jumanji::types::{AppId, CoreId, Seconds, VmId};
 use jumanji::workloads::case_study_mix;
-use jumanji_bench::cell_cache::{
-    detail_key, experiment_key, run_key, CellCache, CellKind, RunSource,
-};
+use jumanji_bench::cell_cache::{CellCache, RunSource};
 use jumanji_bench::figures::plan::DetailPlan;
 use jumanji_bench::DiskCache;
 use proptest::prelude::*;
@@ -57,18 +55,30 @@ fn run_cell(cache: &CellCache) -> (String, RunSource) {
     (format!("{result:?}"), source)
 }
 
-/// The on-disk path of that cell's run entry.
-fn run_file(dir: &Path) -> PathBuf {
-    let key = run_key(
-        experiment_key(&case_study_mix(7), LcLoad::High, &quick_opts()),
-        DesignKind::Jumanji,
-    );
-    let store = DiskCache::open(dir).expect("open store");
-    store.entry_path(CellKind::Run, key)
+/// The one segment a cold run of one cell left in `dir`: its path and
+/// bytes (that cell's record alone).
+fn only_segment(dir: &Path) -> (PathBuf, Vec<u8>) {
+    let segments: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("list store")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .collect();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    let bytes = std::fs::read(&segments[0]).expect("cold run wrote the segment");
+    (segments[0].clone(), bytes)
+}
+
+/// Leaves `dir` holding `segment` alone, with `bytes`: the store as a
+/// cold run left it, then damaged.
+fn damaged_store(dir: &Path, segment: &Path, bytes: &[u8]) {
+    std::fs::remove_dir_all(dir).expect("clear store");
+    std::fs::create_dir_all(dir).expect("recreate store");
+    std::fs::write(segment, bytes).expect("write damaged segment");
 }
 
 /// Asserts that a reader over the damaged store recomputes the cell
-/// with output identical to `reference`, drops the corrupt file, and
+/// with output identical to `reference`, drops the corrupt record, and
 /// leaves the store warm again for the next reader.
 fn assert_recovers(dir: &Path, reference: &str, what: &str) {
     let cache = cache_with(dir);
@@ -90,25 +100,24 @@ fn corrupt_entries_recompute_identically() {
     let dir = temp_dir("corrupt");
     let (reference, source) = run_cell(&cache_with(&dir));
     assert_eq!(source, RunSource::Computed);
-    let file = run_file(&dir);
-    let pristine = std::fs::read(&file).expect("cold run wrote the entry");
+    let (file, pristine) = only_segment(&dir);
 
-    // Truncated entry (interrupted write without the atomic rename).
-    std::fs::write(&file, &pristine[..pristine.len() / 2]).expect("truncate");
+    // Torn record (a crash or a full disk mid-append).
+    damaged_store(&dir, &file, &pristine[..pristine.len() / 2]);
     assert_recovers(&dir, &reference, "truncated");
 
     // Bit flip in the payload: the envelope checksum catches it.
     let mut flipped = pristine.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 0x40;
-    std::fs::write(&file, &flipped).expect("flip");
+    damaged_store(&dir, &file, &flipped);
     assert_recovers(&dir, &reference, "bad checksum");
 
-    // An entry from a different format version (bytes 4..6 of the
+    // A record from a different format version (bytes 4..6 of the
     // envelope hold the little-endian version).
     let mut other_version = pristine.clone();
     other_version[4] ^= 0xFF;
-    std::fs::write(&file, &other_version).expect("reversion");
+    damaged_store(&dir, &file, &other_version);
     assert_recovers(&dir, &reference, "wrong version");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -158,15 +167,7 @@ fn run_detail_cell(cache: &CellCache) -> (String, RunSource) {
     (format!("{report:?}"), source)
 }
 
-/// The on-disk path of that cell's entry in the `details/` namespace.
-fn detail_file(dir: &Path) -> PathBuf {
-    let (opts, profiles, cores, vms, alloc) = detail_inputs();
-    let key = detail_key(&opts, &profiles, &cores, &vms, &alloc);
-    let store = DiskCache::open(dir).expect("open store");
-    store.entry_path(CellKind::Detail, key)
-}
-
-/// [`assert_recovers`], for the detailed-simulator namespace.
+/// [`assert_recovers`], for the detailed-simulator cell.
 fn assert_detail_recovers(dir: &Path, reference: &str, what: &str) {
     let cache = cache_with(dir);
     let (out, source) = run_detail_cell(&cache);
@@ -186,25 +187,24 @@ fn corrupt_detail_entries_recompute_identically() {
     let dir = temp_dir("detail-corrupt");
     let (reference, source) = run_detail_cell(&cache_with(&dir));
     assert_eq!(source, RunSource::Computed);
-    let file = detail_file(&dir);
-    let pristine = std::fs::read(&file).expect("cold run wrote the entry");
+    let (file, pristine) = only_segment(&dir);
 
-    // Truncated entry (interrupted write without the atomic rename).
-    std::fs::write(&file, &pristine[..pristine.len() / 2]).expect("truncate");
+    // Torn record (a crash or a full disk mid-append).
+    damaged_store(&dir, &file, &pristine[..pristine.len() / 2]);
     assert_detail_recovers(&dir, &reference, "truncated");
 
     // Bit flip in the payload: the envelope checksum catches it.
     let mut flipped = pristine.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 0x40;
-    std::fs::write(&file, &flipped).expect("flip");
+    damaged_store(&dir, &file, &flipped);
     assert_detail_recovers(&dir, &reference, "bad checksum");
 
-    // An entry from a different format version (bytes 4..6 of the
+    // A record from a different format version (bytes 4..6 of the
     // envelope hold the little-endian version).
     let mut other_version = pristine.clone();
     other_version[4] ^= 0xFF;
-    std::fs::write(&file, &other_version).expect("reversion");
+    damaged_store(&dir, &file, &other_version);
     assert_detail_recovers(&dir, &reference, "wrong version");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -290,7 +290,7 @@ fn concurrent_writers_never_leave_torn_cells() {
     });
     assert_eq!(results[0], results[1], "racing writers must agree");
 
-    // Whoever won the rename, the surviving entry is valid and
+    // Each wrote its own segment; the record served is valid and
     // byte-identical to both computations.
     let cache = cache_with(&dir);
     let (out, source) = run_cell(&cache);

@@ -6,11 +6,10 @@
 //! Attaching a store to the process-wide cache cannot be undone, so this
 //! file is its own test binary.
 
+use jumanji::sim::detail::DetailReport;
 use jumanji_bench::cell_cache::{attach_global_disk, CellCache};
+use jumanji_bench::DiskCache;
 use std::path::PathBuf;
-use std::time::{Duration, UNIX_EPOCH};
-
-const ENTRY_BYTES: usize = 100;
 
 #[test]
 fn reattaching_the_same_store_applies_the_new_cap() {
@@ -20,22 +19,23 @@ fn reattaching_the_same_store_applies_the_new_cap() {
     let disk = CellCache::global().disk().expect("store attached");
     assert_eq!(disk.cap_bytes(), 0);
 
-    // Four run entries, oldest first.
+    // Four segments of one entry each, oldest first, each written by its
+    // own handle (a stand-in for its own process).
+    let report = DetailReport {
+        apps: Vec::new(),
+        bank_occupants: Vec::new(),
+    };
     let entries: Vec<PathBuf> = (0..4u128)
-        .map(|key| dir.join("runs").join(format!("{key:032x}.bin")))
+        .map(|key| {
+            let writer = DiskCache::open(&dir).expect("open store");
+            writer.store_detail(key, &report);
+            writer.segment().to_path_buf()
+        })
         .collect();
-    for (i, path) in entries.iter().enumerate() {
-        std::fs::write(path, [0u8; ENTRY_BYTES]).expect("write entry");
-        let f = std::fs::File::options()
-            .write(true)
-            .open(path)
-            .expect("open entry");
-        f.set_modified(UNIX_EPOCH + Duration::from_secs(1_000_000 + 10 * i as u64))
-            .expect("set mtime");
-    }
+    let entry_bytes = std::fs::metadata(&entries[0]).expect("segment").len();
 
     // Room for two and a half entries: the two oldest go.
-    let cap = (ENTRY_BYTES * 5 / 2) as u64;
+    let cap = entry_bytes * 5 / 2;
     attach_global_disk(&dir, cap);
     let again = CellCache::global().disk().expect("store attached");
     assert!(

@@ -176,15 +176,16 @@ fn a_stale_model_file_never_changes_a_tsv() {
     assert_eq!(read(&model), bytes, "the suite rewrote model.bin");
 }
 
-/// A `--cache-dir` the store cannot open (its `runs` directory is a
-/// regular file) costs the warm start, not the run: one warning, exit 0,
-/// and fig05 exactly as a run without a store renders it.
+/// A `--cache-dir` the store cannot open (it is a regular file) costs
+/// the warm start, not the run: one warning, exit 0, and fig05 exactly
+/// as a run without a store renders it.
 #[test]
 fn an_unopenable_store_degrades_with_one_warning() {
     let tmp = TempDir::new("unopenable");
-    std::fs::write(tmp.path().join("runs"), b"not a directory").expect("write runs");
+    let file = tmp.path().join("store");
+    std::fs::write(&file, b"not a directory").expect("write store file");
     let suite = env!("CARGO_BIN_EXE_suite");
-    let store = tmp.path().to_str().unwrap();
+    let store = file.to_str().unwrap();
     let stored = run(suite, &["--figures", "fig05", "--cache-dir", store]);
     let fresh = run(suite, &["--figures", "fig05"]);
     let stderr = String::from_utf8_lossy(&stored.stderr);

@@ -43,8 +43,10 @@ pub const MAGIC: u32 = 0x4A4E_4D4A;
 /// 2 — `MeasuredCosts` gained a detailed-simulator row and the store
 /// gained `details/` entries carrying `DetailReport`-shaped payloads;
 /// 3 — run entries dropped their per-interval timeline, which moved,
-/// written flat, into a timeline scenario entry.
-pub const FORMAT_VERSION: u16 = 3;
+/// written flat, into a timeline scenario entry; 4 — cells moved from
+/// one file each into append-only segments, each record's payload
+/// leading with its cell kind and key.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Why a decode was rejected. Every variant means "drop this entry and
 /// recompute" — none is a caller bug.
@@ -267,7 +269,7 @@ impl<'a> ByteReader<'a> {
 
 /// Envelope header size: magic (4) + version (2) + kind (2) + payload
 /// length (8) + checksum (8).
-const HEADER_BYTES: usize = 24;
+pub const HEADER_BYTES: usize = 24;
 
 /// Checksum of a payload: the low half of its 128-bit content
 /// fingerprint. 64 bits is far beyond what bit-rot detection needs.
@@ -289,6 +291,30 @@ pub fn encode_entry(kind: u16, payload: Vec<u8>) -> Vec<u8> {
     out.extend_from_slice(&checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
+}
+
+/// The whole length (header and payload) of the entry whose envelope
+/// opens `bytes`, from its header alone: how a reader walks entries
+/// written back to back. Checks the magic and the format version only;
+/// the payload is checked by [`decode_entry`].
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when `bytes` is shorter than a header or the
+/// length overflows, [`CodecError::BadMagic`] or
+/// [`CodecError::WrongVersion`] when the header is not this version's.
+pub fn entry_len(bytes: &[u8]) -> Result<u64, CodecError> {
+    let mut r = ByteReader::new(bytes.get(..HEADER_BYTES).ok_or(CodecError::Truncated)?);
+    if r.u32()? != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    if r.u16()? != FORMAT_VERSION {
+        return Err(CodecError::WrongVersion);
+    }
+    r.u16()?;
+    r.u64()?
+        .checked_add(HEADER_BYTES as u64)
+        .ok_or(CodecError::Truncated)
 }
 
 /// Validates the envelope of `bytes` and returns the payload slice.
@@ -401,6 +427,24 @@ mod tests {
         m[0] ^= 0xFF;
         assert_eq!(decode_entry(9, &m), Err(CodecError::BadMagic));
         assert_eq!(decode_entry(9, &[]), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn entry_len_walks_entries_written_back_to_back() {
+        let file = sample_entry();
+        let mut two = file.clone();
+        two.extend_from_slice(&encode_entry(2, vec![7; 5]));
+        assert_eq!(entry_len(&two), Ok(file.len() as u64));
+        assert_eq!(entry_len(&two[file.len()..]), Ok(HEADER_BYTES as u64 + 5));
+        assert_eq!(
+            entry_len(&file[..HEADER_BYTES - 1]),
+            Err(CodecError::Truncated)
+        );
+        let mut v = file.clone();
+        v[4] ^= 0xFF;
+        assert_eq!(entry_len(&v), Err(CodecError::WrongVersion));
+        v[0] ^= 0xFF;
+        assert_eq!(entry_len(&v), Err(CodecError::BadMagic));
     }
 
     #[test]

@@ -149,6 +149,47 @@ n=$(($1 + $2 + $3))
 grep -q "^\[suite\] disk cache: 0 hits, $n misses, $n writes," "$tmp/disk_cold.log"
 grep -q "^\[suite\] disk cache: $n hits, 0 misses, 0 writes," "$tmp/disk_warm.log"
 
+# Asserts that store $1 holds one segment per process whose log among
+# $2… reports a write, and nothing else: no temp file, no directory.
+store_holds_one_segment_per_writer() {
+    store=$1
+    shift
+    writers=$(grep -l '^\[suite\] disk cache: [0-9]* hits, [0-9]* misses, [1-9]' "$@" | wc -l)
+    [ "$writers" -ge 1 ]
+    [ "$(find "$store" -mindepth 1 -name '*.seg' -type f | wc -l)" -eq "$writers" ]
+    [ "$(find "$store" -mindepth 1 ! -name '*.seg' | wc -l)" -eq 0 ]
+}
+
+echo "== a cold run leaves one segment in the store, and the warm run none more"
+store_holds_one_segment_per_writer "$tmp/store" "$tmp/disk_cold.log" "$tmp/disk_warm.log"
+
+echo "== two processes started together on one fresh store render store-less bytes"
+./target/release/suite --figures "$disk_figs" --mixes 2 --threads 2 \
+    --cache-dir "$tmp/shared" --out "$tmp/shared_a" 2>"$tmp/shared_a.log" &
+pid_a=$!
+./target/release/suite --figures "$disk_figs" --mixes 2 --threads 2 \
+    --cache-dir "$tmp/shared" --out "$tmp/shared_b" 2>"$tmp/shared_b.log" &
+pid_b=$!
+wait "$pid_a"
+wait "$pid_b"
+for f in fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 fig16 fig17 \
+         sensitivity ablation; do
+    cmp "$tmp/shared_a/$f.tsv" "$tmp/disk_nc/$f.tsv"
+    cmp "$tmp/shared_b/$f.tsv" "$tmp/disk_nc/$f.tsv"
+done
+store_holds_one_segment_per_writer "$tmp/shared" "$tmp/shared_a.log" "$tmp/shared_b.log"
+
+echo "== a third run on that store is fully warm"
+./target/release/suite --figures "$disk_figs" --mixes 2 --threads 2 \
+    --cache-dir "$tmp/shared" --out "$tmp/shared_c" 2>"$tmp/shared_c.log"
+grep -q '^\[suite\] disk cache: [1-9][0-9]* hits, 0 misses, 0 writes,' "$tmp/shared_c.log"
+for log in "$tmp/shared_a.log" "$tmp/shared_b.log" "$tmp/shared_c.log"; do
+    if grep 'warning:' "$log"; then
+        echo "verify: $log has a warning" >&2
+        exit 1
+    fi
+done
+
 echo "== detailed cells: cold/warm/store-less suite runs are byte-identical"
 # Equal --accesses across both figures so validate's mix-0 cells dedup
 # against fig02's in the work graph.
