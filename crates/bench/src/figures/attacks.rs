@@ -3,9 +3,16 @@
 //! scenario; the spec's knobs don't apply.
 
 use super::FigureResults;
-use crate::scenario::ScenarioResult;
+use crate::scenario::{Scenario, ScenarioResult};
+use jumanji::attacks::leakage::LeakageConfig;
+use jumanji::attacks::port::PortAttackConfig;
 use jumanji::types::Error;
 use std::io::Write;
+
+/// Fig. 11's one cell: the port attack at its default configuration.
+pub fn fig11_scenario() -> Scenario {
+    Scenario::PortAttack(PortAttackConfig::default())
+}
 
 /// Fig. 11: LLC port attack demonstration — attacker access times vs.
 /// wall-clock time while a 3-thread victim rotates through flooding each
@@ -60,6 +67,11 @@ pub fn fig11(results: &FigureResults, out: &mut dyn Write) -> Result<(), Error> 
         "# (paper: avg time > 32 cycles during same-bank contention)."
     )?;
     Ok(())
+}
+
+/// Fig. 12's one cell: the leakage run at its default configuration.
+pub fn fig12_scenario() -> Scenario {
+    Scenario::Leakage(LeakageConfig::default())
 }
 
 /// Fig. 12: performance leakage through DRRIP set-dueling — img-dnn's

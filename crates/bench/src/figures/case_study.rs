@@ -3,16 +3,13 @@
 //! (Fig. 5), the S-NUCA vs D-NUCA allocation curve (Fig. 8), and
 //! controller-parameter sensitivity (Fig. 9).
 
-use super::plan::FigurePlan;
-use super::FigureResults;
-use crate::scenario::ScenarioResult;
+use super::plan::{CellPlan, DetailPlan, FigurePlan};
+use super::{example_details, jumanji_cells, jumanji_rows, sim_opts, with_baseline, FigureResults};
+use crate::scenario::{Scenario, ScenarioResult};
 use crate::spec::ExperimentSpec;
 use jumanji::core::AppKind;
 use jumanji::prelude::*;
-use jumanji::sim::detail::DetailOptions;
-use jumanji::sim::metrics::gmean;
-use jumanji::sim::perf::Profile;
-use jumanji::types::{AppId, BankId, Error};
+use jumanji::types::{AppId, BankId, Error, Seconds};
 use std::io::Write;
 
 const MB: f64 = 1048576.0;
@@ -54,29 +51,10 @@ fn render_map(
     out
 }
 
-/// The detailed-run options of Fig. 2's cells (see [`super::plan`]).
-pub(crate) fn fig02_opts(cfg: &SystemConfig, accesses: usize) -> DetailOptions {
-    DetailOptions {
-        cfg: cfg.clone(),
-        accesses_per_app: accesses,
-        ..DetailOptions::default()
-    }
-}
-
-/// Fig. 2's canonical profile assignment over the example placement
-/// input (see [`super::plan`]).
-pub(crate) fn fig02_profiles(input: &PlacementInput) -> Vec<Profile> {
-    let lc = tailbench();
-    let batch = spec2006();
-    input
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(i, a)| match a.kind {
-            AppKind::LatencyCritical => Profile::Lc(lc[i % lc.len()].clone(), LcLoad::High),
-            AppKind::Batch => Profile::Batch(batch[i % batch.len()].clone()),
-        })
-        .collect()
+/// Fig. 2's cells: one detailed cell per design, over the canonical
+/// profile assignment.
+pub fn fig02_details(spec: &ExperimentSpec) -> Vec<DetailPlan> {
+    example_details(spec.designs().iter().map(|&d| (d, 0)), spec.accesses)
 }
 
 /// Fig. 2: representative data placements under each LLC design for the
@@ -124,6 +102,20 @@ pub fn fig02(plan: &FigurePlan, results: &FigureResults, out: &mut dyn Write) ->
         )?;
     }
     Ok(())
+}
+
+/// Fig. 4's one cell: the case study's per-interval timelines, the only
+/// figure that plots intervals (run cells do not carry them).
+pub fn fig04_scenario(spec: &ExperimentSpec) -> Scenario {
+    Scenario::Timeline(Box::new(CellPlan {
+        mix: case_study_mix(spec.seed),
+        load: LcLoad::High,
+        opts: SimOptions {
+            duration: Seconds(4.0),
+            ..sim_opts(spec)
+        },
+        designs: spec.designs().to_vec(),
+    }))
 }
 
 /// Fig. 4: how the LLC designs behave over time on the case study —
@@ -177,6 +169,17 @@ pub fn fig04(
     Ok(())
 }
 
+/// Fig. 5's one cell: the case study under the Static baseline and each
+/// of the spec's designs.
+pub fn fig05_cell(spec: &ExperimentSpec) -> CellPlan {
+    CellPlan {
+        mix: case_study_mix(spec.seed),
+        load: LcLoad::High,
+        opts: sim_opts(spec),
+        designs: with_baseline(spec.designs()),
+    }
+}
+
 /// Fig. 5: end-to-end case-study results — normalized tail latency and
 /// batch weighted speedup for each LLC design.
 pub fn fig05(
@@ -216,6 +219,17 @@ pub fn fig05(
     Ok(())
 }
 
+/// Fig. 8's one cell: xapian's isolation sweep (an error if the
+/// TailBench roster has no xapian).
+pub fn fig08_scenario() -> Result<Scenario, Error> {
+    let xapian = tailbench().into_iter().find(|p| p.name == "xapian");
+    let xapian = xapian.ok_or_else(|| Error::unknown_workload("xapian"))?;
+    Ok(Scenario::TailSweep(Box::new((
+        xapian,
+        SystemConfig::micro2020(),
+    ))))
+}
+
 /// Fig. 8: xapian's tail (95th-percentile) latency vs. its LLC
 /// allocation, with way-partitioning (S-NUCA) and with the allocation
 /// reserved in the closest banks (D-NUCA). Run in isolation at high
@@ -245,50 +259,44 @@ pub fn fig08(results: &FigureResults, out: &mut dyn Write) -> Result<(), Error> 
 
 /// The Fig. 9 controller-parameter grid: `(group, label, params)` rows
 /// in plotting order: the plan's cells and the render's row labels.
-pub(crate) fn fig09_cases() -> Vec<(&'static str, &'static str, ControllerParams)> {
+fn fig09_cases() -> Vec<(&'static str, &'static str, ControllerParams)> {
     let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
     let base = ControllerParams::micro2020(llc);
+    let target = |target_low, target_high| ControllerParams {
+        target_low,
+        target_high,
+        ..base
+    };
+    let panic = |panic_threshold| ControllerParams {
+        panic_threshold,
+        ..base
+    };
+    let step = |step| ControllerParams { step, ..base };
     vec![
-        (
-            "target",
-            "75-85%",
-            ControllerParams {
-                target_low: 0.75,
-                target_high: 0.85,
-                ..base
-            },
-        ),
+        ("target", "75-85%", target(0.75, 0.85)),
         ("target", "85-95% (default)", base),
-        (
-            "target",
-            "90-100%",
-            ControllerParams {
-                target_low: 0.90,
-                target_high: 1.00,
-                ..base
-            },
-        ),
-        (
-            "panic",
-            "105%",
-            ControllerParams {
-                panic_threshold: 1.05,
-                ..base
-            },
-        ),
+        ("target", "90-100%", target(0.90, 1.00)),
+        ("panic", "105%", panic(1.05)),
         ("panic", "110% (default)", base),
-        (
-            "panic",
-            "120%",
-            ControllerParams {
-                panic_threshold: 1.20,
-                ..base
-            },
-        ),
-        ("step", "5%", ControllerParams { step: 0.05, ..base }),
+        ("panic", "120%", panic(1.20)),
+        ("step", "5%", step(0.05)),
         ("step", "10% (default)", base),
-        ("step", "20%", ControllerParams { step: 0.20, ..base }),
+        ("step", "20%", step(0.20)),
     ]
+}
+
+/// Fig. 9's cells: each grid row's controller on `mixes` case-study
+/// seeds. The three "(default)" rows share the base parameters, so they
+/// name the same cells and the graph schedules each once.
+pub fn fig09_cells(spec: &ExperimentSpec) -> Vec<CellPlan> {
+    let base = sim_opts(spec);
+    jumanji_cells(&fig09_cases(), spec.mixes, |&(_, _, params), seed| {
+        let opts = SimOptions {
+            controller: Some(params),
+            ..base.clone()
+        };
+        (case_study_mix(seed), opts)
+    })
 }
 
 /// Fig. 9: sensitivity of Jumanji to the feedback controller's
@@ -296,6 +304,7 @@ pub(crate) fn fig09_cases() -> Vec<(&'static str, &'static str, ControllerParams
 /// Bars: gmean batch speedup; lines: worst normalized tail latency.
 pub fn fig09(
     spec: &ExperimentSpec,
+    plan: &FigurePlan,
     results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
@@ -305,23 +314,9 @@ pub fn fig09(
         "# Fig. 9: controller parameter sensitivity ({mixes} mixes, case study)"
     )?;
     writeln!(out, "group\tvariant\tgmean_speedup_pct\tworst_norm_tail")?;
-    // Each case's cells run [Static, Jumanji] over `mixes` case-study
-    // seeds.
-    for ((group, label, _), runs) in fig09_cases().into_iter().zip(results.runs.chunks(mixes)) {
-        let speedups: Vec<f64> = runs
-            .iter()
-            .map(|r| r[1].weighted_speedup_vs(&r[0]))
-            .collect();
-        let tail = runs
-            .iter()
-            .map(|r| r[1].max_norm_tail())
-            .fold(0.0f64, f64::max);
-        writeln!(
-            out,
-            "{group}\t{label}\t{:.2}\t{:.3}",
-            (gmean(&speedups) - 1.0) * 100.0,
-            tail
-        )?;
+    let rows = jumanji_rows(plan, results, mixes);
+    for ((group, label, _), (speedup, tail)) in fig09_cases().into_iter().zip(rows) {
+        writeln!(out, "{group}\t{label}\t{speedup:.2}\t{tail:.3}")?;
     }
     writeln!(
         out,

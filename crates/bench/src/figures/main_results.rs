@@ -2,13 +2,87 @@
 //! speedup distributions), Fig. 14 (vulnerability), Fig. 15 (energy),
 //! and Fig. 16 (the cost of Jumanji's security and simplicity).
 
-use super::plan::FigurePlan;
-use super::{design_cells, groups_by_load, load_label, FigureResults};
-use crate::spec::ExperimentSpec;
-use crate::{BoxStats, LcGroup};
+use super::plan::{CellPlan, FigurePlan};
+use super::{sim_opts, with_baseline, FigureResults};
+use crate::spec::{ExperimentSpec, FigureKind};
+use crate::{mix_cell_inputs, BoxStats, DesignCell, LcGroup, MixMetrics};
 use jumanji::prelude::*;
 use jumanji::types::Error;
 use std::io::Write;
+
+/// The `(group, load)` matrices `kind` plots, in plan and row order:
+/// every workload group at high load, then (except Fig. 15, which runs
+/// high load only) every group at low load.
+fn matrices(kind: FigureKind) -> Vec<(LcGroup, LcLoad)> {
+    let loads: &[LcLoad] = match kind {
+        FigureKind::Fig15 => &[LcLoad::High],
+        _ => &[LcLoad::High, LcLoad::Low],
+    };
+    loads
+        .iter()
+        .flat_map(|&load| LcGroup::all().into_iter().map(move |g| (g, load)))
+        .collect()
+}
+
+/// The matrix figures' cells (13–16): one per `(matrix, seed)`, each
+/// running the Static baseline plus the spec's designs (an error if a
+/// group names no server). Figs. 13 and 14 name the same cells, so the
+/// graph runs them once.
+pub fn matrix_cells(spec: &ExperimentSpec) -> Result<Vec<CellPlan>, Error> {
+    let base = sim_opts(spec);
+    let designs = with_baseline(spec.designs());
+    let matrices = matrices(spec.kind);
+    let mut cells = Vec::with_capacity(matrices.len() * spec.mixes);
+    for (group, load) in matrices {
+        for seed in 0..spec.mixes as u64 {
+            let (mix, opts) = mix_cell_inputs(group, seed, &base)?;
+            cells.push(CellPlan {
+                mix,
+                load,
+                opts,
+                designs: designs.clone(),
+            });
+        }
+    }
+    Ok(cells)
+}
+
+/// Each matrix beside its per-design distributions, in
+/// [`matrices`] order: one `DesignCell` per `spec.designs()` entry, over
+/// the matrix's `spec.mixes` consecutive cells.
+fn design_cells(
+    spec: &ExperimentSpec,
+    plan: &FigurePlan,
+    results: &FigureResults,
+) -> Vec<((LcGroup, LcLoad), Vec<DesignCell>)> {
+    let mixes = spec.mixes;
+    matrices(spec.kind)
+        .into_iter()
+        .enumerate()
+        .map(|(m, matrix)| {
+            let mut cells: Vec<DesignCell> = spec
+                .designs()
+                .iter()
+                .map(|_| DesignCell::with_capacity(mixes))
+                .collect();
+            for i in m * mixes..(m + 1) * mixes {
+                let baseline = results.run(plan, i, DesignKind::Static);
+                for (cell, &design) in cells.iter_mut().zip(spec.designs()) {
+                    cell.push(&MixMetrics::of(results.run(plan, i, design), baseline));
+                }
+            }
+            (matrix, cells)
+        })
+        .collect()
+}
+
+/// Display label for a load level.
+fn load_label(load: LcLoad) -> &'static str {
+    match load {
+        LcLoad::High => "high",
+        LcLoad::Low => "low",
+    }
+}
 
 /// Fig. 13: normalized tail latency and gmean batch weighted speedup
 /// (relative to Static) over random batch mixes, at high and low
@@ -28,9 +102,7 @@ pub fn fig13(
         "# Fig. 13: tail latency + batch speedup over {mixes} random mixes"
     )?;
     writeln!(out, "group\tload\tdesign\tmetric\tmin\tq1\tmedian\tq3\tmax")?;
-    let matrices = groups_by_load(&[LcLoad::High, LcLoad::Low]);
-    let cells_by_matrix = design_cells(spec, plan, results);
-    for ((group, load), cells) in matrices.iter().zip(&cells_by_matrix) {
+    for ((group, load), cells) in &design_cells(spec, plan, results) {
         let load_label = load_label(*load);
         for (design, cell) in designs.iter().zip(cells) {
             writeln!(
@@ -86,7 +158,7 @@ pub fn fig14(
     let mixes = spec.mixes;
     let designs = spec.designs();
     let mut acc = vec![Vec::new(); designs.len()];
-    for cells in &design_cells(spec, plan, results) {
+    for (_, cells) in &design_cells(spec, plan, results) {
         for (d, cell) in cells.iter().enumerate() {
             acc[d].extend(cell.vulnerability.iter().copied());
         }
@@ -125,10 +197,7 @@ pub fn fig15(
     writeln!(out, "group\tdesign\tl1\tl2\tllc\tnoc\tmem\ttotal")?;
     let mut totals = vec![0.0f64; designs.len()];
     let mut static_total = 0.0f64;
-    for (group, cells) in LcGroup::all()
-        .iter()
-        .zip(&design_cells(spec, plan, results))
-    {
+    for ((group, _), cells) in &design_cells(spec, plan, results) {
         // Per-group baseline (first design) for normalization.
         let base: f64 = cells[0]
             .energy
@@ -195,14 +264,13 @@ pub fn fig16(
         "# Fig. 16: Jumanji vs Insecure vs Ideal Batch ({mixes} mixes/group)"
     )?;
     writeln!(out, "load\tgroup\tjumanji_pct\tinsecure_pct\tideal_pct")?;
-    let loads = [LcLoad::High, LcLoad::Low];
-    let cells_by_matrix = design_cells(spec, plan, results);
-    let groups_per_load = LcGroup::all().len();
-    for (load, chunk) in loads.iter().zip(cells_by_matrix.chunks(groups_per_load)) {
-        let label = load_label(*load);
+    // Matrices run load-major: one chunk of every group per load.
+    for chunk in design_cells(spec, plan, results).chunks(LcGroup::all().len()) {
+        let (_, load) = chunk[0].0;
+        let label = load_label(load);
         let mut sums = vec![0.0f64; designs.len()];
         let mut count = 0.0;
-        for (group, cells) in LcGroup::all().iter().zip(chunk) {
+        for ((group, _), cells) in chunk {
             let g: Vec<String> = cells
                 .iter()
                 .map(|c| format!("{:.2}", (c.gmean_speedup() - 1.0) * 100.0))

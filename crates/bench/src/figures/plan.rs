@@ -1,16 +1,18 @@
-//! The figures' *plan* phase: enumerate a figure's experiment cells
-//! without computing any of them.
+//! The figures' *plan* phase: the shared types every figure's plan
+//! builds, and [`of`], the dispatch to them.
 //!
-//! [`of`] produces, for a resolved [`ExperimentSpec`], every cell the
-//! figure's render folds — same mixes, same option derivation, same
-//! designs — in the order the render reads them. It is the *only*
-//! enumeration of a figure's cells: the suite executor unions the plans
+//! A figure's plan lives in its own module, beside its render: it
+//! enumerates every cell the render folds (same mixes, same option
+//! derivation, same designs) in the order the render reads them, and
+//! the two read one row table. [`of`] calls it for a resolved
+//! [`ExperimentSpec`] and returns a [`FigurePlan`]: the *only*
+//! enumeration of a figure's cells. The suite executor unions the plans
 //! of many figures into one deduplicated work graph, runs it, and hands
 //! each render its cells' results in plan order
 //! ([`FigureResults`](super::FigureResults)).
 //!
-//! The detailed-simulator studies (fig02, validate) plan *detailed*
-//! cells ([`DetailPlan`]) instead of analytic ones: the full input of
+//! Analytic runs are [`CellPlan`]s. The detailed-simulator studies
+//! (fig02, validate) plan [`DetailPlan`]s instead: the full input of
 //! [`run_detailed`](jumanji::sim::detail::run_detailed). fig04's
 //! timelines, fig08 and the attack demos (fig11, fig12) each plan one
 //! fixed [`Scenario`]. Only the config tables compute nothing and return
@@ -28,17 +30,13 @@
 //! The benchmark's per-design `sim.run.<design>.us_per_interval` metrics
 //! (`perfbench/run.py --trace 1`) are the way to check them.
 
-use super::{groups_by_load, sim_opts};
 use crate::disk_cache::MeasuredCosts;
 use crate::scenario::Scenario;
 use crate::spec::{ExperimentSpec, FigureKind};
-use crate::{mix_cell_inputs, LcGroup};
-use jumanji::attacks::leakage::LeakageConfig;
-use jumanji::attacks::port::PortAttackConfig;
 use jumanji::prelude::*;
 use jumanji::sim::detail::DetailOptions;
 use jumanji::sim::perf::Profile;
-use jumanji::types::{CoreId, Error, Seconds, VmId};
+use jumanji::types::{CoreId, Error, VmId};
 use jumanji::workloads::WorkloadMix;
 
 /// One experiment cell a figure's render folds: the experiment's
@@ -243,249 +241,49 @@ impl CostModel {
     }
 }
 
-/// `designs` with the Static baseline prepended (the renders normalize
-/// by it) and duplicates dropped.
-fn with_baseline(designs: &[DesignKind]) -> Vec<DesignKind> {
-    let mut out = vec![DesignKind::Static];
-    for &d in designs {
-        if !out.contains(&d) {
-            out.push(d);
-        }
-    }
-    out
-}
-
-/// The plan of the matrix figures (13–16): one cell per
-/// `(group, load, seed)`, Static baseline plus the spec's designs.
-fn matrix_cells(
-    matrices: &[(LcGroup, LcLoad)],
-    spec: &ExperimentSpec,
-) -> Result<Vec<CellPlan>, Error> {
-    let base = sim_opts(spec);
-    let designs = with_baseline(spec.designs());
-    let mut cells = Vec::with_capacity(matrices.len() * spec.mixes);
-    for &(group, load) in matrices {
-        for seed in 0..spec.mixes as u64 {
-            let (mix, opts) = mix_cell_inputs(group, seed, &base)?;
-            cells.push(CellPlan {
-                mix,
-                load,
-                opts,
-                designs: designs.clone(),
-            });
-        }
-    }
-    Ok(cells)
-}
-
 /// Enumerates the cells `spec`'s render folds, without computing any of
-/// them; detailed cells' allocations are computed directly, so the plan
-/// is a pure function of `spec`. Figures with no cells return an empty
-/// plan.
+/// them: a dispatch to the figure's own module, whose plan sits beside
+/// its render. Detailed cells' allocations are computed directly, so the
+/// plan is a pure function of `spec`. Figures with no cells return an
+/// empty plan.
 ///
 /// # Errors
 ///
 /// Returns [`Error::UnknownWorkload`] for specs naming unknown servers,
 /// before any compute.
 pub fn of(spec: &ExperimentSpec) -> Result<FigurePlan, Error> {
+    use super::{attacks, case_study, main_results, scaling, studies, validate};
     use FigureKind::*;
-    let cells = match spec.kind {
-        Fig05 => vec![CellPlan {
-            mix: case_study_mix(spec.seed),
-            load: LcLoad::High,
-            opts: sim_opts(spec),
-            designs: with_baseline(spec.designs()),
-        }],
-        Fig09 => {
-            let base_opts = sim_opts(spec);
-            let mut cells = Vec::new();
-            for (_, _, params) in super::case_study::fig09_cases() {
-                for seed in 0..spec.mixes as u64 {
-                    cells.push(CellPlan {
-                        mix: case_study_mix(seed),
-                        load: LcLoad::High,
-                        opts: SimOptions {
-                            controller: Some(params),
-                            ..base_opts.clone()
-                        },
-                        designs: vec![DesignKind::Static, DesignKind::Jumanji],
-                    });
-                }
-            }
-            cells
-        }
-        Fig13 | Fig14 | Fig16 => matrix_cells(&groups_by_load(&[LcLoad::High, LcLoad::Low]), spec)?,
-        Fig15 => {
-            let matrices: Vec<(LcGroup, LcLoad)> = LcGroup::all()
-                .into_iter()
-                .map(|g| (g, LcLoad::High))
-                .collect();
-            matrix_cells(&matrices, spec)?
-        }
-        Fig17 => {
-            let opts = sim_opts(spec);
-            let mut cells = Vec::new();
-            for (_, cfg_spec) in fig17_configs() {
-                for seed in 0..spec.mixes as u64 {
-                    cells.push(CellPlan {
-                        mix: super::scaling::fig17_mix(&cfg_spec, seed),
-                        load: LcLoad::High,
-                        opts: opts.clone(),
-                        designs: vec![DesignKind::Static, DesignKind::Jumanji],
-                    });
-                }
-            }
-            cells
-        }
-        Fig18 => {
-            let mut cells = Vec::new();
-            for router in super::scaling::FIG18_ROUTER_CYCLES {
-                let mut cfg = SystemConfig::micro2020();
-                cfg.noc.router_cycles = router;
-                let opts = SimOptions {
-                    cfg,
-                    ..sim_opts(spec)
-                };
-                for seed in 0..spec.mixes as u64 {
-                    cells.push(CellPlan {
-                        mix: WorkloadMix::mixed_lc(seed),
-                        load: LcLoad::High,
-                        opts: opts.clone(),
-                        designs: vec![DesignKind::Static, DesignKind::Jumanji],
-                    });
-                }
-            }
-            cells
-        }
-        Ablation => {
-            let opts = sim_opts(spec);
-            let no_panic = super::studies::no_panic_params();
-            let mut cells = Vec::new();
-            for seed in 0..spec.mixes as u64 {
-                cells.push(CellPlan {
-                    mix: case_study_mix(seed),
-                    load: LcLoad::High,
-                    opts: opts.clone(),
-                    designs: vec![
-                        DesignKind::Static,
-                        DesignKind::Jumanji,
-                        DesignKind::JumanjiInsecure,
-                        DesignKind::JumanjiIdealBatch,
-                    ],
-                });
-                cells.push(CellPlan {
-                    mix: case_study_mix(seed),
-                    load: LcLoad::High,
-                    opts: SimOptions {
-                        controller: Some(no_panic),
-                        ..opts.clone()
-                    },
-                    designs: vec![DesignKind::Jumanji],
-                });
-            }
-            cells
-        }
-        Sensitivity => super::studies::sensitivity_jobs(spec.mixes)
-            .into_iter()
-            .map(|(mix, opts, _)| CellPlan {
-                mix,
-                load: LcLoad::High,
-                opts,
-                designs: vec![
-                    DesignKind::Static,
-                    DesignKind::Jumanji,
-                    DesignKind::Jigsaw,
-                    DesignKind::Adaptive,
-                ],
-            })
-            .collect(),
-        // No analytic cells: Fig. 2 and validate run the detailed
-        // simulator, fig04/08/11/12 fixed scenarios (both enumerated
-        // below), and the tables compute nothing.
-        Fig02 | Fig04 | Fig08 | Fig11 | Fig12 | Table2 | Table3 | Validate => Vec::new(),
-    };
-    let details = match spec.kind {
-        Fig02 => {
-            let cfg = SystemConfig::micro2020();
-            let input = PlacementInput::example(&cfg);
-            let profiles = super::case_study::fig02_profiles(&input);
-            let cores: Vec<CoreId> = input.apps.iter().map(|a| a.core).collect();
-            let vms: Vec<VmId> = input.apps.iter().map(|a| a.vm).collect();
-            let opts = super::case_study::fig02_opts(&cfg, spec.accesses);
-            spec.designs()
-                .iter()
-                .map(|&design| {
-                    DetailPlan::new(
-                        design,
-                        opts.clone(),
-                        profiles.clone(),
-                        cores.clone(),
-                        vms.clone(),
-                        design.allocate(&input),
-                    )
-                })
-                .collect()
-        }
-        Validate => {
-            let cfg = SystemConfig::micro2020();
-            let input = PlacementInput::example(&cfg);
-            let cores: Vec<CoreId> = input.apps.iter().map(|a| a.core).collect();
-            let vms: Vec<VmId> = input.apps.iter().map(|a| a.vm).collect();
-            let mut details = Vec::new();
-            // Render order: design outer, mix inner (cell index is
-            // `design * mixes + mix`).
-            for &design in &super::validate::DESIGNS {
-                let alloc = design.allocate(&input);
-                for mix in 0..spec.mixes {
-                    details.push(DetailPlan::new(
-                        design,
-                        super::validate::detail_opts(&cfg, spec.accesses, mix),
-                        super::validate::profiles_for_mix(&input, mix),
-                        cores.clone(),
-                        vms.clone(),
-                        alloc.clone(),
-                    ));
-                }
-            }
-            details
-        }
-        _ => Vec::new(),
-    };
-    let scenarios = match spec.kind {
-        // The only figure that plots intervals: its one cell records the
-        // timelines that run cells do not carry.
-        Fig04 => vec![Scenario::Timeline(Box::new(CellPlan {
-            mix: case_study_mix(spec.seed),
-            load: LcLoad::High,
-            opts: SimOptions {
-                duration: Seconds(4.0),
-                ..sim_opts(spec)
-            },
-            designs: spec.designs().to_vec(),
-        }))],
-        Fig08 => {
-            let xapian = tailbench().into_iter().find(|p| p.name == "xapian");
-            let xapian = xapian.ok_or_else(|| Error::unknown_workload("xapian"))?;
-            vec![Scenario::TailSweep(Box::new((
-                xapian,
-                SystemConfig::micro2020(),
-            )))]
-        }
-        Fig11 => vec![Scenario::PortAttack(PortAttackConfig::default())],
-        Fig12 => vec![Scenario::Leakage(LeakageConfig::default())],
-        _ => Vec::new(),
-    };
-    Ok(FigurePlan {
+    let mut plan = FigurePlan {
         kind: spec.kind,
-        cells,
-        details,
-        scenarios,
-    })
+        cells: Vec::new(),
+        details: Vec::new(),
+        scenarios: Vec::new(),
+    };
+    match spec.kind {
+        Fig02 => plan.details = case_study::fig02_details(spec),
+        Fig04 => plan.scenarios = vec![case_study::fig04_scenario(spec)],
+        Fig05 => plan.cells = vec![case_study::fig05_cell(spec)],
+        Fig08 => plan.scenarios = vec![case_study::fig08_scenario()?],
+        Fig09 => plan.cells = case_study::fig09_cells(spec),
+        Fig11 => plan.scenarios = vec![attacks::fig11_scenario()],
+        Fig12 => plan.scenarios = vec![attacks::fig12_scenario()],
+        Fig13 | Fig14 | Fig15 | Fig16 => plan.cells = main_results::matrix_cells(spec)?,
+        Fig17 => plan.cells = scaling::fig17_cells(spec),
+        Fig18 => plan.cells = scaling::fig18_cells(spec),
+        Ablation => plan.cells = studies::ablation_cells(spec),
+        Sensitivity => plan.cells = studies::sensitivity_cells(spec),
+        Validate => plan.details = validate::validate_details(spec),
+        // The configuration tables compute nothing.
+        Table2 | Table3 => {}
+    }
+    Ok(plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jumanji::types::Seconds;
 
     #[test]
     fn matrix_figures_enumerate_groups_loads_and_seeds() {
@@ -584,12 +382,14 @@ mod tests {
         // Validate's mix-0 cell under a shared design dedups with
         // fig02's cell at equal --accesses: same profiles, same seed,
         // same allocation.
+        let vdesigns: Vec<DesignKind> = vplan.details.iter().map(|d| d.design).collect();
         let shared: Vec<u128> = plan
             .details
             .iter()
-            .filter(|d| super::super::validate::DESIGNS.contains(&d.design))
+            .filter(|d| vdesigns.contains(&d.design))
             .map(DetailPlan::key)
             .collect();
+        assert_eq!(shared.len(), 2, "fig02 runs both of validate's designs");
         let vkeys: Vec<u128> = vplan.details.iter().map(DetailPlan::key).collect();
         for key in shared {
             assert!(vkeys.contains(&key), "fig02/validate mix-0 cells dedup");

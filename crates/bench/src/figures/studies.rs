@@ -1,7 +1,8 @@
 //! Reproduction studies beyond the paper's figures: the design-choice
 //! ablation and the modeling-constant sensitivity sweep.
 
-use super::FigureResults;
+use super::plan::{CellPlan, FigurePlan};
+use super::{sim_opts, FigureResults};
 use crate::spec::ExperimentSpec;
 use jumanji::core::jumanji_with_trades;
 use jumanji::prelude::*;
@@ -9,7 +10,40 @@ use jumanji::sim::metrics::gmean;
 use jumanji::types::{Error, Seconds};
 use jumanji::workloads::WorkloadMix;
 use std::io::Write;
-use std::sync::Arc;
+
+/// The ablation's rows, one cell each: per case-study seed, the paper
+/// controller (`true`), then the controller with its panic disabled.
+fn ablation_rows(mixes: usize) -> impl Iterator<Item = (u64, bool)> {
+    (0..mixes as u64).flat_map(|seed| [(seed, true), (seed, false)])
+}
+
+/// The ablation's cells: one per [`ablation_rows`] entry. The paper
+/// controller's cell runs [Static, Jumanji, Insecure, Ideal Batch]; the
+/// panic-disabled one (its threshold raised out of reach) runs Jumanji.
+pub fn ablation_cells(spec: &ExperimentSpec) -> Vec<CellPlan> {
+    use DesignKind::*;
+    let paper = sim_opts(spec);
+    let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
+    let no_panic = SimOptions {
+        controller: Some(ControllerParams {
+            panic_threshold: f64::MAX,
+            ..ControllerParams::micro2020(llc)
+        }),
+        ..paper.clone()
+    };
+    ablation_rows(spec.mixes)
+        .map(|(seed, panic)| CellPlan {
+            mix: case_study_mix(seed),
+            load: LcLoad::High,
+            opts: if panic { &paper } else { &no_panic }.clone(),
+            designs: if panic {
+                vec![Static, Jumanji, JumanjiInsecure, JumanjiIdealBatch]
+            } else {
+                vec![Jumanji]
+            },
+        })
+        .collect()
+}
 
 /// Ablation study of Jumanji's design choices (DESIGN.md §"ablations"):
 ///
@@ -24,6 +58,7 @@ use std::sync::Arc;
 ///    panic disabled — why the boost matters for tails.
 pub fn ablation(
     spec: &ExperimentSpec,
+    plan: &FigurePlan,
     results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
@@ -63,16 +98,25 @@ pub fn ablation(
         "# expected: few accepts, marginal distance change (the paper omitted trades).\n"
     )?;
 
-    // 2-3. Isolation and ideality costs over random mixes. Each seed
-    // plans two cells: [Static, Jumanji, Insecure, Ideal Batch] under the
-    // paper controller, then [Jumanji] with the panic disabled.
-    let per_seed = || results.runs.chunks(2);
-    let speedups = |d: usize| -> Vec<f64> {
-        per_seed()
-            .map(|cells| cells[0][d].weighted_speedup_vs(&cells[0][0]))
+    // 2-3. Isolation and ideality costs over random mixes, on the paper
+    // controller's cells.
+    let cells_with = |panic: bool| {
+        ablation_rows(mixes)
+            .enumerate()
+            .filter(move |&(_, (_, p))| p == panic)
+            .map(|(cell, _)| cell)
+    };
+    let speedups = |design| -> Vec<f64> {
+        cells_with(true)
+            .map(|c| {
+                let baseline = results.run(plan, c, DesignKind::Static);
+                results.run(plan, c, design).weighted_speedup_vs(baseline)
+            })
             .collect()
     };
-    let (jumanji_s, insecure_s, ideal_s) = (speedups(1), speedups(2), speedups(3));
+    let jumanji_s = speedups(DesignKind::Jumanji);
+    let insecure_s = speedups(DesignKind::JumanjiInsecure);
+    let ideal_s = speedups(DesignKind::JumanjiIdealBatch);
     writeln!(
         out,
         "# Ablation 2-3: isolation and greedy-placement costs ({mixes} mixes)"
@@ -97,12 +141,12 @@ pub fn ablation(
     )?;
 
     // 4. Panic ablation: the threshold raised out of reach.
-    let with_t = per_seed()
-        .map(|cells| cells[0][1].max_norm_tail())
-        .fold(0.0f64, f64::max);
-    let without_t = per_seed()
-        .map(|cells| cells[1][0].max_norm_tail())
-        .fold(0.0f64, f64::max);
+    let worst_tail = |panic| {
+        cells_with(panic)
+            .map(|c| results.run(plan, c, DesignKind::Jumanji).max_norm_tail())
+            .fold(0.0f64, f64::max)
+    };
+    let (with_t, without_t) = (worst_tail(true), worst_tail(false));
     writeln!(out, "# Ablation 4: controller panic boost")?;
     writeln!(
         out,
@@ -116,97 +160,115 @@ pub fn ablation(
     Ok(())
 }
 
-/// The panic-disabled controller of ablation part 4: the paper's
-/// parameters with the panic threshold raised out of reach (see
-/// [`super::plan`]).
-pub(crate) fn no_panic_params() -> ControllerParams {
-    let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
-    ControllerParams {
-        panic_threshold: f64::MAX,
-        ..ControllerParams::micro2020(llc)
-    }
+/// One row of the sensitivity sweep: a modeling knob at one value.
+#[derive(Debug, Clone, Copy)]
+enum Knob {
+    /// Miss-serialization factor of the LC service model.
+    MissStall(f64),
+    /// Simulated horizon, in seconds.
+    Duration(f64),
+    /// Reconfiguration period, in ms (the paper: "more frequent
+    /// reconfigurations do not improve results").
+    Reconfig(f64),
+    /// Arrival-stream seeds, varied over three times as many mixes.
+    Seeds,
 }
 
-struct Row {
-    jumanji_speedup: f64,
-    jigsaw_speedup: f64,
-    adaptive_speedup: f64,
-    jumanji_tail: f64,
-    jigsaw_tail: f64,
+/// The sweep's rows, in plan and row order.
+fn knobs() -> impl Iterator<Item = Knob> {
+    let stalls = [2.0, 3.0, 4.0].map(Knob::MissStall);
+    let horizons = [2.0, 4.0, 8.0].map(Knob::Duration);
+    let periods = [50.0, 100.0, 200.0].map(Knob::Reconfig);
+    stalls
+        .into_iter()
+        .chain(horizons)
+        .chain(periods)
+        .chain([Knob::Seeds])
 }
 
-impl Row {
-    /// One sweep job's row from its [Static, Jumanji, Jigsaw, Adaptive]
-    /// runs.
-    fn of(runs: &[Arc<ExperimentResult>]) -> Row {
-        let (stat, jumanji, jigsaw, adaptive) = (&runs[0], &runs[1], &runs[2], &runs[3]);
-        Row {
-            jumanji_speedup: (jumanji.weighted_speedup_vs(stat) - 1.0) * 100.0,
-            jigsaw_speedup: (jigsaw.weighted_speedup_vs(stat) - 1.0) * 100.0,
-            adaptive_speedup: (adaptive.weighted_speedup_vs(stat) - 1.0) * 100.0,
-            jumanji_tail: jumanji.max_norm_tail(),
-            jigsaw_tail: jigsaw.max_norm_tail(),
+impl Knob {
+    /// The row's cells for `n` seeds per knob.
+    fn seeds(self, n: usize) -> usize {
+        match self {
+            Knob::Seeds => 3 * n,
+            _ => n,
         }
     }
-}
 
-/// The sensitivity sweep's job list for `n` seeds per knob:
-/// `(mix, options, label)` rows in sweep order: the plan's cells and the
-/// render's row labels. Construction is cheap and deterministic.
-pub(crate) fn sensitivity_jobs(n: usize) -> Vec<(WorkloadMix, SimOptions, String)> {
-    let mut jobs: Vec<(WorkloadMix, SimOptions, String)> = Vec::new();
+    /// The row's `knob\tvariant` label.
+    fn label(self) -> String {
+        match self {
+            Knob::MissStall(stall) => format!("miss_stall\t{stall}x"),
+            Knob::Duration(secs) => format!("duration\t{secs}s"),
+            Knob::Reconfig(ms) => format!("reconfig\t{ms}ms"),
+            Knob::Seeds => "seed\tvaried".to_string(),
+        }
+    }
 
-    // 1. Miss-serialization factor of the LC service model.
-    for stall in [2.0f64, 3.0, 4.0] {
-        for seed in 0..n as u64 {
-            let mut mix = case_study_mix(seed);
-            for vm in &mut mix.vms {
-                for lc in &mut vm.lc {
+    /// The mix and options of the row's `seed`-th cell.
+    fn inputs(self, seed: u64) -> (WorkloadMix, SimOptions) {
+        let mut mix = case_study_mix(seed);
+        let defaults = SimOptions::default();
+        let opts = match self {
+            Knob::MissStall(stall) => {
+                for lc in mix.vms.iter_mut().flat_map(|vm| &mut vm.lc) {
                     lc.miss_stall = stall;
                 }
+                defaults
             }
-            jobs.push((mix, SimOptions::default(), format!("miss_stall\t{stall}x")));
-        }
-    }
-    // 2. Simulated horizon.
-    for secs in [2.0f64, 4.0, 8.0] {
-        for seed in 0..n as u64 {
-            jobs.push((
-                case_study_mix(seed),
-                SimOptions {
-                    duration: Seconds(secs),
-                    ..SimOptions::default()
-                },
-                format!("duration\t{secs}s"),
-            ));
-        }
-    }
-    // 3. Reconfiguration period (the paper: "more frequent
-    //    reconfigurations do not improve results").
-    for ms in [50.0f64, 100.0, 200.0] {
-        for seed in 0..n as u64 {
-            jobs.push((
-                case_study_mix(seed),
-                SimOptions {
-                    reconfig: Seconds::from_millis(ms),
-                    ..SimOptions::default()
-                },
-                format!("reconfig\t{ms}ms"),
-            ));
-        }
-    }
-    // 4. Arrival-stream seeds.
-    for seed in 0..(3 * n as u64) {
-        jobs.push((
-            case_study_mix(seed),
-            SimOptions {
-                seed: seed ^ 0xC0FFEE,
-                ..SimOptions::default()
+            Knob::Duration(secs) => SimOptions {
+                duration: Seconds(secs),
+                ..defaults
             },
-            "seed\tvaried".to_string(),
-        ));
+            Knob::Reconfig(ms) => SimOptions {
+                reconfig: Seconds::from_millis(ms),
+                ..defaults
+            },
+            Knob::Seeds => SimOptions {
+                seed: seed ^ 0xC0FFEE,
+                ..defaults
+            },
+        };
+        (mix, opts)
     }
-    jobs
+}
+
+/// The sensitivity sweep's cells: each [`knobs`] row's seeds, in order.
+/// Construction is cheap and deterministic.
+pub fn sensitivity_cells(spec: &ExperimentSpec) -> Vec<CellPlan> {
+    let mut cells = Vec::new();
+    for knob in knobs() {
+        for seed in 0..knob.seeds(spec.mixes) as u64 {
+            let (mix, opts) = knob.inputs(seed);
+            cells.push(CellPlan {
+                mix,
+                load: LcLoad::High,
+                opts,
+                designs: vec![
+                    DesignKind::Static,
+                    DesignKind::Jumanji,
+                    DesignKind::Jigsaw,
+                    DesignKind::Adaptive,
+                ],
+            });
+        }
+    }
+    cells
+}
+
+/// The plan's `cell`-th sensitivity row: Jumanji's, Jigsaw's and
+/// Adaptive's batch speedups over Static (percent), then Jumanji's and
+/// Jigsaw's worst normalized tails.
+fn row(plan: &FigurePlan, results: &FigureResults, cell: usize) -> [f64; 5] {
+    let run = |design| results.run(plan, cell, design);
+    let speedup = |design| (run(design).weighted_speedup_vs(run(DesignKind::Static)) - 1.0) * 100.0;
+    [
+        speedup(DesignKind::Jumanji),
+        speedup(DesignKind::Jigsaw),
+        speedup(DesignKind::Adaptive),
+        run(DesignKind::Jumanji).max_norm_tail(),
+        run(DesignKind::Jigsaw).max_norm_tail(),
+    ]
 }
 
 /// Robustness of the reproduction's conclusions to its modeling
@@ -220,6 +282,7 @@ pub(crate) fn sensitivity_jobs(n: usize) -> Vec<(WorkloadMix, SimOptions, String
 /// gain nothing — hold across those choices.
 pub fn sensitivity(
     spec: &ExperimentSpec,
+    plan: &FigurePlan,
     results: &FigureResults,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
@@ -232,25 +295,15 @@ pub fn sensitivity(
         out,
         "knob\tvariant\tjumanji%\tjigsaw%\tadaptive%\tjumanji_tail\tjigsaw_tail"
     )?;
-    // Aggregate the jobs' rows by label.
-    let mut agg: Vec<(String, Vec<Row>)> = Vec::new();
-    for ((_, _, label), runs) in sensitivity_jobs(n).into_iter().zip(&results.runs) {
-        let row = Row::of(runs);
-        match agg.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, v)) => v.push(row),
-            None => agg.push((label, vec![row])),
-        }
-    }
     let mut ok = true;
-    for (label, group) in &agg {
-        let mean =
-            |f: fn(&Row) -> f64| -> f64 { group.iter().map(f).sum::<f64>() / group.len() as f64 };
-        let (ju, ji, ad) = (
-            mean(|r| r.jumanji_speedup),
-            mean(|r| r.jigsaw_speedup),
-            mean(|r| r.adaptive_speedup),
-        );
-        let (jut, jit) = (mean(|r| r.jumanji_tail), mean(|r| r.jigsaw_tail));
+    let mut first = 0;
+    for knob in knobs() {
+        let cells = first..first + knob.seeds(n);
+        first = cells.end;
+        let rows: Vec<[f64; 5]> = cells.map(|c| row(plan, results, c)).collect();
+        let mean = |col: usize| rows.iter().map(|r| r[col]).sum::<f64>() / rows.len() as f64;
+        let [ju, ji, ad, jut, jit] = [0, 1, 2, 3, 4].map(mean);
+        let label = knob.label();
         writeln!(
             out,
             "{label}\t{ju:.2}\t{ji:.2}\t{ad:.2}\t{jut:.2}\t{jit:.2}"

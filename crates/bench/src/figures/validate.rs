@@ -2,45 +2,25 @@
 //! the analytic epoch model's miss ratio and hop distance vs. the
 //! detailed execution-driven simulation of the same allocation.
 
-use super::plan::FigurePlan;
-use super::FigureResults;
+use super::plan::{DetailPlan, FigurePlan};
+use super::{example_details, FigureResults};
 use crate::spec::ExperimentSpec;
-use jumanji::core::AppKind;
 use jumanji::prelude::*;
-use jumanji::sim::detail::DetailOptions;
 use jumanji::sim::perf::{evaluate_with, EvalScratch, Profile};
 use jumanji::types::Error;
 use std::io::Write;
 
-/// The two designs validate cross-checks (see [`super::plan`]).
-pub(crate) const DESIGNS: [DesignKind; 2] = [DesignKind::Adaptive, DesignKind::Jumanji];
-
-/// Builds the profile list for one mix by rotating the LC and batch
-/// rosters; mix 0 is the canonical assignment the seed tree used.
-pub(crate) fn profiles_for_mix(input: &PlacementInput, mix: usize) -> Vec<Profile> {
-    let lc = tailbench();
-    let batch = spec2006();
-    input
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(i, a)| match a.kind {
-            AppKind::LatencyCritical => Profile::Lc(lc[(i + mix) % lc.len()].clone(), LcLoad::High),
-            AppKind::Batch => Profile::Batch(batch[(i + 2 * mix) % batch.len()].clone()),
-        })
-        .collect()
+/// Validate's `(design, mix)` rows, one detailed cell each: Adaptive and
+/// Jumanji, each on `mixes` rotations of the example problem's rosters.
+fn rows(mixes: usize) -> impl Iterator<Item = (DesignKind, usize)> {
+    [DesignKind::Adaptive, DesignKind::Jumanji]
+        .into_iter()
+        .flat_map(move |design| (0..mixes).map(move |mix| (design, mix)))
 }
 
-/// The detailed-run options for one validate mix: per-cell seeds derive
-/// from the mix index alone, so output is byte-identical at any thread
-/// count.
-pub(crate) fn detail_opts(cfg: &SystemConfig, accesses: usize, mix: usize) -> DetailOptions {
-    DetailOptions {
-        cfg: cfg.clone(),
-        accesses_per_app: accesses,
-        seed: DetailOptions::default().seed ^ (mix as u64).wrapping_mul(0x9E37_79B9),
-        ..DetailOptions::default()
-    }
+/// Validate's cells: one per [`rows`] entry.
+pub fn validate_details(spec: &ExperimentSpec) -> Vec<DetailPlan> {
+    example_details(rows(spec.mixes), spec.accesses)
 }
 
 /// Analytic-vs-detailed cross-validation over `(design, mix)` cells:
@@ -61,9 +41,8 @@ pub fn validate(
         out,
         "design\tmix\tapp\tcap_mb\tmr_analytic\tmr_detailed\thops_analytic\thops_detailed"
     )?;
-    // Cells are design-major: index = design * mixes + mix.
-    for (idx, (cell, detail)) in plan.details.iter().zip(&results.details).enumerate() {
-        let mix = idx % mixes;
+    let cells = plan.details.iter().zip(&results.details);
+    for ((design, mix), (cell, detail)) in rows(mixes).zip(cells) {
         let rates: Vec<f64> = cell
             .profiles
             .iter()
@@ -84,7 +63,7 @@ pub fn validate(
             writeln!(
                 out,
                 "{}\t{}\t{}\t{:.2}\t{:.3}\t{:.3}\t{:.2}\t{:.2}",
-                cell.design,
+                design,
                 mix,
                 profile.name(),
                 analytic[i].capacity_bytes / 1048576.0,
@@ -96,9 +75,7 @@ pub fn validate(
         }
         writeln!(
             out,
-            "# {} mix {}: VM-isolated in real cache state: {}",
-            cell.design,
-            mix,
+            "# {design} mix {mix}: VM-isolated in real cache state: {}",
             detail.vm_isolated(&cell.vms)
         )?;
     }

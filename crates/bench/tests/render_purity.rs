@@ -200,8 +200,9 @@ fn figure_code_names_no_cache_or_simulator() {
     assert!(
         found.is_empty(),
         "figure code names the cell cache or a simulator entry point; list the cell \
-         in the figure's plan (`figures/plan.rs`) and fold its result from the \
-         `FigureResults` the executor passes the render:\n{}",
+         in the figure's plan (the function beside its render in the figure's module \
+         under `figures/`) and fold its result from the `FigureResults` the executor \
+         passes the render:\n{}",
         found.join("\n")
     );
 }

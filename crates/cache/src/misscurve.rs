@@ -18,7 +18,7 @@
 
 use core::fmt;
 use std::borrow::Cow;
-use std::cell::{OnceCell, RefCell, RefMut};
+use std::cell::{RefCell, RefMut};
 
 /// Misses (in any consistent unit: ratio, MPKI, or absolute per epoch) as a
 /// non-increasing function of allocated capacity.
@@ -331,8 +331,6 @@ impl<T: Curve + ?Sized> Curve for &T {
 pub struct CombinedCurve<'a> {
     max_units: usize,
     merge: RefCell<Merge<'a>>,
-    /// [`Curve::is_convex`] of the full merge, decided on first request.
-    convex: OnceCell<bool>,
 }
 
 /// The state of a [`CombinedCurve`]'s greedy merge.
@@ -405,7 +403,6 @@ impl<'a> CombinedCurve<'a> {
                 current,
                 points,
             }),
-            convex: OnceCell::new(),
         }
     }
 
@@ -481,12 +478,13 @@ impl Curve for CombinedCurve<'_> {
         m.points[lo] * (1.0 - frac) + m.points[lo + 1] * frac
     }
 
-    /// Merges every point on first call: convexity is a property of the
-    /// whole curve.
+    /// Always true, without merging: each step grants the largest of the
+    /// members' next gains, and a convex member's gains never grow, so
+    /// neither do the merged curve's. A member's tolerance (relative to
+    /// its first point) is within the combined curve's (relative to the
+    /// sum of the first points).
     fn is_convex(&self) -> bool {
-        *self
-            .convex
-            .get_or_init(|| points_convex(&self.merged_to(self.max_units).points))
+        true
     }
 }
 

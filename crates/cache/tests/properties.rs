@@ -261,6 +261,27 @@ proptest! {
         prop_assert_eq!(CombinedCurve::new(&members, cap).is_convex(), full.is_convex());
     }
 
+    /// A greedy merge of convex hulls is convex, which is why the lazy
+    /// curve answers `is_convex` without merging: for members convex or
+    /// not, at magnitudes up to absolute-miss scale, the full merge's
+    /// points pass `MissCurve::new(..).is_convex()`.
+    #[test]
+    fn the_full_merge_of_any_members_is_convex(
+        members in proptest::collection::vec(arb_member(), 1..6),
+        scale in prop_oneof![Just(1.0f64), 1.0f64..1e9],
+        cap in 0usize..80,
+    ) {
+        let members: Vec<MissCurve> = members
+            .iter()
+            .map(|m| MissCurve::new(64, m.points().iter().map(|p| p * scale).collect()))
+            .collect();
+        let lazy = CombinedCurve::new(&members, cap);
+        prop_assert!(lazy.is_convex());
+        prop_assert_eq!(lazy.merged_len(), 1);
+        let full = MissCurve::combine_convex_curve(&members, cap);
+        prop_assert!(MissCurve::new(64, full.points().to_vec()).is_convex());
+    }
+
     /// An empty group is a flat zero curve over the cap.
     #[test]
     fn empty_combined_curve_is_flat_zero(cap in 0usize..40, q in 0.0f64..50.0) {

@@ -50,20 +50,9 @@ echo "== benchmark probe still compiles against the crates' API"
 cargo check --offline --locked --manifest-path perfbench/probe/Cargo.toml \
     --target-dir target/probe
 
-echo "== cargo test --release"
-cargo test --offline --release --workspace
-
-echo "== golden-trace regression (flat kernels vs pre-refactor fixtures)"
-cargo test --offline --release -p jumanji --test golden_trace
-
-echo "== golden-analytic regression (epoch engine vs pre-refactor fixtures)"
-cargo test --offline --release -p jumanji --test golden_analytic
-
-echo "== suite golden regression (full fig13/fig14 matrix, gated tests on)"
-JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test suite_golden
-
-echo "== render purity (every figure folded from executor results, full-matrix figures on)"
-JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test render_purity
+echo "== cargo test --release (gated tests on: suite_golden's full fig13/fig14 matrix, render_purity's every figure)"
+# The workspace run includes the golden_trace and golden_analytic fixtures.
+JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release --workspace
 
 echo "== perfbench helper unit tests (writes nothing under perfbench/)"
 PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench
@@ -227,6 +216,22 @@ for fig in fig02 fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 \
     head -c 1 "$f" | grep -q '#'
     [ -z "$(tail -c 1 "$f")" ]
     [ "$(wc -l <"$f")" -ge 3 ]
+done
+
+echo "== row counts do not depend on --mixes (validate: 21 lines per design and mix)"
+./target/release/suite --figures all --mixes 3 --accesses 2000 \
+    --out "$tmp/smoke3" 2>/dev/null
+for fig in fig02 fig04 fig05 fig08 fig09 fig11 fig12 fig13 fig14 fig15 \
+           fig16 fig17 fig18 table2 table3 ablation sensitivity validate; do
+    one=$(wc -l <"$tmp/smoke/$fig.tsv")
+    three=$(wc -l <"$tmp/smoke3/$fig.tsv")
+    want=$one
+    # validate: 2 more mixes x 2 designs x (20 app rows + 1 isolation line).
+    [ "$fig" = validate ] && want=$((one + 2 * 2 * 21))
+    if [ "$three" -ne "$want" ]; then
+        echo "verify: $fig.tsv has $three lines at --mixes 3, want $want" >&2
+        exit 1
+    fi
 done
 
 echo "== every figure is byte-identical to the pinned golden TSVs"
