@@ -16,14 +16,17 @@
 //! write-back to both. Keys are 128-bit content fingerprints of the
 //! cell's full input behind a kind tag, so two cells share an entry
 //! exactly when the simulation would do identical work, and two kinds
-//! never share a key. A key is composed, not formatted: a mix enters as
-//! its VM structure and one bit-exact fingerprint per profile, the
-//! simulation options, machine configuration and allocation field by
-//! field, a design as its stable tag, and only the detailed and
-//! fixed-scenario options as their `Debug` form — so naming a cell costs
-//! far less than reading it from the store. One-shot placements are not
-//! cells: a [`DesignKind::allocate`] call costs less than fingerprinting
-//! its input, so the plan pass computes them directly.
+//! never share a key. A key is composed, not formatted, and streamed
+//! through one [`Fingerprinter`] without building a byte vector: a mix
+//! enters as its VM structure and one bit-exact fingerprint per profile,
+//! the simulation and detailed options, machine configuration
+//! ([`SystemConfig::fingerprint_into`](jumanji::types::SystemConfig::fingerprint_into))
+//! and allocation field by field, a design as its stable tag, and only
+//! the small fixed-scenario options as their `Debug` form — so naming a
+//! cell costs far less than reading it from the store. One-shot
+//! placements are not cells: a [`DesignKind::allocate`] call costs less
+//! than fingerprinting its input, so the plan pass computes them
+//! directly.
 //!
 //! **Experiment handles are lazy.** An [`ExperimentHandle`] names an
 //! experiment (inputs + key) without constructing it; the run cells that
@@ -42,17 +45,15 @@
 
 use crate::disk_cache::{self, DiskCache, DiskCacheStats};
 use crate::figures::plan::{CostModel, DetailPlan};
+use jumanji::cache::ReplPolicy;
 use jumanji::core::{Allocation, AppAlloc, ControllerParams, DesignKind, Pool};
 use jumanji::sim::detail::{run_detailed, DetailOptions, DetailReport};
 use jumanji::sim::perf::Profile;
 use jumanji::sim::{ratio_hull_cache_stats, Experiment, ExperimentResult, SimOptions};
 use jumanji::telemetry::{NoopSink, Telemetry};
 use jumanji::types::codec::{ByteReader, ByteWriter, CodecError};
-use jumanji::types::hash::fingerprint128;
-use jumanji::types::{
-    BankId, CacheLevelConfig, CoreId, EnergyConfig, LlcConfig, MapStats, MemConfig, NocConfig,
-    ShardedMap, SystemConfig, VmId,
-};
+use jumanji::types::hash::Fingerprinter;
+use jumanji::types::{BankId, CoreId, MapStats, ShardedMap, VmId};
 use jumanji::workloads::{LcLoad, VmWorkload, WorkloadMix};
 use std::any::Any;
 use std::fmt::Debug;
@@ -60,128 +61,52 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Every cache key: a 128-bit fingerprint of the cell kind's `tag`
-/// followed by the cell's inputs as `write` encodes them — field by
+/// followed by the cell's inputs as `write` streams them — field by
 /// field, floats by bit pattern, workload profiles by their
-/// fingerprints, and the detailed and fixed-scenario options as
-/// [`debug_leaf`]s. Tags differ per kind, so two kinds never share a
-/// key.
-pub(crate) fn content_key(tag: &str, write: impl FnOnce(&mut ByteWriter)) -> u128 {
-    // Room for an experiment key's inputs, the most frequent kind.
-    let mut w = ByteWriter::with_capacity(2048);
-    w.str(tag);
-    write(&mut w);
-    fingerprint128(&w.into_bytes())
+/// fingerprints, and the fixed-scenario options as [`debug_leaf`]s. Tags
+/// differ per kind, so two kinds never share a key.
+pub(crate) fn content_key(tag: &str, write: impl FnOnce(&mut Fingerprinter)) -> u128 {
+    let mut f = Fingerprinter::new();
+    f.write_str(tag);
+    write(&mut f);
+    f.finish128()
 }
 
 /// Writes `value`'s `Debug` form as one length-prefixed leaf: how the
-/// rarely keyed option structs reach a key without a hand-written
+/// rarely keyed scenario options reach a key without a hand-written
 /// encoder, so none of their fields can drop out of it.
-pub(crate) fn debug_leaf(w: &mut ByteWriter, value: &dyn Debug) {
-    w.str(&format!("{value:?}"));
+pub(crate) fn debug_leaf(f: &mut Fingerprinter, value: &dyn Debug) {
+    f.write_str(&format!("{value:?}"));
 }
 
 /// Writes `mix` as its VM structure plus one fingerprint per profile
 /// ([`LcProfile::fingerprint`](jumanji::workloads::LcProfile::fingerprint),
 /// [`BatchProfile::fingerprint`](jumanji::workloads::BatchProfile::fingerprint)).
-fn write_mix(w: &mut ByteWriter, mix: &WorkloadMix) {
+fn write_mix(f: &mut Fingerprinter, mix: &WorkloadMix) {
     let WorkloadMix { vms } = mix;
-    w.usize(vms.len());
+    f.write_usize(vms.len());
     for VmWorkload { lc, batch } in vms {
-        w.usize(lc.len());
-        w.usize(batch.len());
+        f.write_usize(lc.len());
+        f.write_usize(batch.len());
         for p in lc {
-            w.u128(p.fingerprint());
+            f.write_u128(p.fingerprint());
         }
         for p in batch {
-            w.u128(p.fingerprint());
+            f.write_u128(p.fingerprint());
         }
     }
 }
 
 /// Writes a load level as a one-byte tag.
-fn write_load(w: &mut ByteWriter, load: LcLoad) {
-    w.u8(match load {
+fn write_load(f: &mut Fingerprinter, load: LcLoad) {
+    f.write_u8(match load {
         LcLoad::Low => 0,
         LcLoad::High => 1,
     });
 }
 
-/// Writes every field of `cfg`, floats by bit pattern.
-fn write_cfg(w: &mut ByteWriter, cfg: &SystemConfig) {
-    // Exhaustive destructuring: a new field does not compile until it is
-    // written.
-    let SystemConfig {
-        freq_hz,
-        num_cores,
-        mesh_cols,
-        mesh_rows,
-        l1,
-        l2,
-        llc,
-        noc,
-        mem,
-        energy,
-    } = cfg;
-    w.f64(*freq_hz);
-    w.usize(*num_cores);
-    w.usize(*mesh_cols);
-    w.usize(*mesh_rows);
-    for CacheLevelConfig {
-        size_bytes,
-        ways,
-        latency,
-    } in [l1, l2]
-    {
-        w.u64(*size_bytes);
-        w.u32(*ways);
-        w.u64(latency.0);
-    }
-    let LlcConfig {
-        num_banks,
-        bank_bytes,
-        ways,
-        bank_latency,
-        line_bytes,
-        bank_ports,
-    } = llc;
-    w.usize(*num_banks);
-    w.u64(*bank_bytes);
-    w.u32(*ways);
-    w.u64(bank_latency.0);
-    w.u64(*line_bytes);
-    w.u32(*bank_ports);
-    let NocConfig {
-        router_cycles,
-        link_cycles,
-        flit_bits,
-    } = noc;
-    w.u64(*router_cycles);
-    w.u64(*link_cycles);
-    w.u64(*flit_bits);
-    let MemConfig {
-        num_controllers,
-        latency,
-        cycles_per_line,
-    } = mem;
-    w.usize(*num_controllers);
-    w.u64(latency.0);
-    w.u64(*cycles_per_line);
-    let EnergyConfig {
-        l1_access_pj,
-        l2_access_pj,
-        llc_bank_access_pj,
-        noc_hop_flit_pj,
-        dram_access_pj,
-    } = energy;
-    w.f64(*l1_access_pj);
-    w.f64(*l2_access_pj);
-    w.f64(*llc_bank_access_pj);
-    w.f64(*noc_hop_flit_pj);
-    w.f64(*dram_access_pj);
-}
-
 /// Writes every field of `params`, floats by bit pattern.
-fn write_controller(w: &mut ByteWriter, params: &ControllerParams) {
+fn write_controller(f: &mut Fingerprinter, params: &ControllerParams) {
     let ControllerParams {
         percentile,
         interval,
@@ -193,19 +118,19 @@ fn write_controller(w: &mut ByteWriter, params: &ControllerParams) {
         min_bytes,
         max_bytes,
     } = params;
-    w.f64(*percentile);
-    w.usize(*interval);
-    w.f64(*target_high);
-    w.f64(*target_low);
-    w.f64(*panic_threshold);
-    w.f64(*step);
-    w.f64(*panic_bytes);
-    w.f64(*min_bytes);
-    w.f64(*max_bytes);
+    f.write_f64(*percentile);
+    f.write_usize(*interval);
+    f.write_f64(*target_high);
+    f.write_f64(*target_low);
+    f.write_f64(*panic_threshold);
+    f.write_f64(*step);
+    f.write_f64(*panic_bytes);
+    f.write_f64(*min_bytes);
+    f.write_f64(*max_bytes);
 }
 
 /// Writes every field of `opts`, floats by bit pattern.
-fn write_opts(w: &mut ByteWriter, opts: &SimOptions) {
+fn write_opts(f: &mut Fingerprinter, opts: &SimOptions) {
     let SimOptions {
         cfg,
         duration,
@@ -213,30 +138,30 @@ fn write_opts(w: &mut ByteWriter, opts: &SimOptions) {
         seed,
         controller,
     } = opts;
-    write_cfg(w, cfg);
-    w.f64(duration.0);
-    w.f64(reconfig.0);
-    w.u64(*seed);
+    cfg.fingerprint_into(f);
+    f.write_f64(duration.0);
+    f.write_f64(reconfig.0);
+    f.write_u64(*seed);
     match controller {
-        None => w.u8(0),
+        None => f.write_u8(0),
         Some(params) => {
-            w.u8(1);
-            write_controller(w, params);
+            f.write_u8(1);
+            write_controller(f, params);
         }
     }
 }
 
 /// Writes a placement's `(bank, bytes)` pairs, bytes by bit pattern.
-fn write_placement(w: &mut ByteWriter, placement: &[(BankId, f64)]) {
-    w.usize(placement.len());
+fn write_placement(f: &mut Fingerprinter, placement: &[(BankId, f64)]) {
+    f.write_usize(placement.len());
     for &(bank, bytes) in placement {
-        w.usize(bank.0);
-        w.f64(bytes);
+        f.write_usize(bank.0);
+        f.write_f64(bytes);
     }
 }
 
 /// Writes every field of `alloc`, byte counts by bit pattern.
-fn write_alloc(w: &mut ByteWriter, alloc: &Allocation) {
+fn write_alloc(f: &mut Fingerprinter, alloc: &Allocation) {
     // Exhaustive destructuring: a new field does not compile until it is
     // written.
     let Allocation {
@@ -244,7 +169,7 @@ fn write_alloc(w: &mut ByteWriter, alloc: &Allocation) {
         pools,
         ideal_batch,
     } = alloc;
-    w.usize(apps.len());
+    f.write_usize(apps.len());
     for AppAlloc {
         app,
         placement,
@@ -252,26 +177,26 @@ fn write_alloc(w: &mut ByteWriter, alloc: &Allocation) {
         copy,
     } in apps
     {
-        w.usize(app.0);
-        write_placement(w, placement);
+        f.write_usize(app.0);
+        write_placement(f, placement);
         match pool {
-            None => w.u8(0),
+            None => f.write_u8(0),
             Some(i) => {
-                w.u8(1);
-                w.usize(*i);
+                f.write_u8(1);
+                f.write_usize(*i);
             }
         }
-        w.u8(*copy);
+        f.write_u8(*copy);
     }
-    w.usize(pools.len());
+    f.write_usize(pools.len());
     for Pool { members, placement } in pools {
-        w.usize(members.len());
+        f.write_usize(members.len());
         for m in members {
-            w.usize(m.0);
+            f.write_usize(m.0);
         }
-        write_placement(w, placement);
+        write_placement(f, placement);
     }
-    w.u8(u8::from(*ideal_batch));
+    f.write_u8(u8::from(*ideal_batch));
 }
 
 /// The cache identity of an experiment: a 128-bit fingerprint of `mix`'s
@@ -279,10 +204,10 @@ fn write_alloc(w: &mut ByteWriter, alloc: &Allocation) {
 /// `opts`, exposed so the plan pass ([`crate::figures::plan`]) can name
 /// a cell without constructing it.
 pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u128 {
-    content_key("exp", |w| {
-        write_load(w, load);
-        write_opts(w, opts);
-        write_mix(w, mix);
+    content_key("exp", |f| {
+        write_load(f, load);
+        write_opts(f, opts);
+        write_mix(f, mix);
     })
 }
 
@@ -290,10 +215,30 @@ pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u12
 /// the experiment's key and the design's stable
 /// [`design_tag`](disk_cache::design_tag).
 pub fn run_key(experiment_key: u128, design: DesignKind) -> u128 {
-    content_key("run", |w| {
-        w.u128(experiment_key);
-        w.u8(disk_cache::design_tag(design));
+    content_key("run", |f| {
+        f.write_u128(experiment_key);
+        f.write_u8(disk_cache::design_tag(design));
     })
+}
+
+/// Writes every field of `opts`, the policy as a one-byte tag.
+fn write_detail_opts(f: &mut Fingerprinter, opts: &DetailOptions) {
+    let DetailOptions {
+        cfg,
+        accesses_per_app,
+        policy,
+        seed,
+    } = opts;
+    cfg.fingerprint_into(f);
+    f.write_usize(*accesses_per_app);
+    f.write_u8(match policy {
+        ReplPolicy::Lru => 0,
+        ReplPolicy::Srrip => 1,
+        ReplPolicy::Brrip => 2,
+        ReplPolicy::Drrip => 3,
+        ReplPolicy::Nru => 4,
+    });
+    f.write_u64(*seed);
 }
 
 /// The cache identity of a detailed-simulator cell: a fingerprint of
@@ -306,31 +251,21 @@ pub fn detail_key(
     vms: &[VmId],
     alloc: &Allocation,
 ) -> u128 {
-    content_key("detail", |w| {
-        debug_leaf(w, opts);
-        w.usize(profiles.len());
+    content_key("detail", |f| {
+        write_detail_opts(f, opts);
+        f.write_usize(profiles.len());
         for profile in profiles {
-            match profile {
-                Profile::Batch(p) => {
-                    w.u8(0);
-                    w.u128(p.fingerprint());
-                }
-                Profile::Lc(p, load) => {
-                    w.u8(1);
-                    w.u128(p.fingerprint());
-                    write_load(w, *load);
-                }
-            }
+            profile.fingerprint_into(f);
         }
-        w.usize(cores.len());
+        f.write_usize(cores.len());
         for core in cores {
-            w.usize(core.0);
+            f.write_usize(core.0);
         }
-        w.usize(vms.len());
+        f.write_usize(vms.len());
         for vm in vms {
-            w.usize(vm.0);
+            f.write_usize(vm.0);
         }
-        write_alloc(w, alloc);
+        write_alloc(f, alloc);
     })
 }
 

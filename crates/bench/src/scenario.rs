@@ -109,14 +109,14 @@ impl Cell for Scenario {
     /// by their `Debug` form.
     fn key(&self) -> u128 {
         match self {
-            Scenario::Timeline(cell) => content_key("timeline", |w| {
-                w.u128(cell.experiment_key());
-                w.usize(cell.designs.len());
+            Scenario::Timeline(cell) => content_key("timeline", |f| {
+                f.write_u128(cell.experiment_key());
+                f.write_usize(cell.designs.len());
                 for &design in &cell.designs {
-                    w.u8(design_tag(design));
+                    f.write_u8(design_tag(design));
                 }
             }),
-            _ => content_key("scenario", |w| debug_leaf(w, self)),
+            _ => content_key("scenario", |f| debug_leaf(f, self)),
         }
     }
 

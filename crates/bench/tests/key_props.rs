@@ -1,5 +1,6 @@
 //! Property tests for the cell keys: two inputs key apart whenever their
-//! `Debug` forms differ, and a clone keys like its original.
+//! `Debug` forms differ, and a clone keys like its original. A gated
+//! test checks the same on every cell every figure plans at paper scale.
 //!
 //! Experiment and detail keys are composed from the VM structure, bit-exact
 //! profile fingerprints and the allocation's fields, not hashed from a
@@ -11,9 +12,10 @@
 use jumanji::prelude::*;
 use jumanji::sim::detail::DetailOptions;
 use jumanji::sim::perf::Profile;
+use jumanji::types::hash::DetMap;
 use jumanji::workloads::curves::Component;
 use jumanji::workloads::{BatchProfile, CurveShape, LcProfile, VmWorkload};
-use jumanji_bench::cell_cache::{detail_key, experiment_key};
+use jumanji_bench::cell_cache::{detail_key, experiment_key, run_key, Cell};
 use jumanji_bench::figures::plan::{self, DetailPlan};
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use proptest::prelude::*;
@@ -298,4 +300,84 @@ fn a_detail_plan_keys_its_own_inputs() {
     for p in detail_plans() {
         assert_eq!(p.key(), key_of(&inputs_of(&p)));
     }
+}
+
+/// Records that `key` names an input whose `Debug` form is `debug`, and
+/// fails when an earlier input broke "equal keys exactly when equal
+/// `Debug` forms".
+fn record(
+    by_key: &mut DetMap<u128, String>,
+    by_debug: &mut DetMap<String, u128>,
+    what: &str,
+    key: u128,
+    debug: String,
+) {
+    if let Some(prior) = by_key.get(&key) {
+        assert_eq!(prior, &debug, "{what}: two inputs share key {key:#x}");
+        return;
+    }
+    if let Some(prior) = by_debug.insert(debug.clone(), key) {
+        panic!("{what}: one input keyed both {prior:#x} and {key:#x}: {debug}");
+    }
+    by_key.insert(key, debug);
+}
+
+/// Every cell of every figure at the paper's 40 mixes: experiment, run,
+/// detail and scenario keys are equal exactly when the cells' `Debug`
+/// forms are, so the composed keys separate every input the `Debug`
+/// strings did, on the inputs the figures really plan. Gated behind
+/// `JUMANJI_SUITE_GOLDEN=1` (`scripts/verify.sh` sets it): it formats
+/// every planned cell, which takes seconds in a debug build.
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test gate reads its own opt-in env switch; never fingerprinted output"
+)]
+fn gated_keys_match_debug_forms_on_every_figure_at_paper_scale() {
+    if std::env::var_os("JUMANJI_SUITE_GOLDEN").is_none() {
+        eprintln!("skipping: set JUMANJI_SUITE_GOLDEN=1 to plan every figure at --mixes 40");
+        return;
+    }
+    let (mut by_key, mut by_debug) = (DetMap::default(), DetMap::default());
+    let mut counts = [0usize; 4];
+    for kind in FigureKind::all() {
+        let plan = plan::of(&ExperimentSpec::new(kind).mixes(40)).expect("figure plans");
+        for cell in &plan.cells {
+            let exp = format!("{:?}|{:?}|{:?}", cell.load, cell.opts, cell.mix);
+            let key = cell.experiment_key();
+            for &design in &cell.designs {
+                let debug = format!("{exp}|{design:?}");
+                record(
+                    &mut by_key,
+                    &mut by_debug,
+                    "run",
+                    run_key(key, design),
+                    debug,
+                );
+                counts[1] += 1;
+            }
+            record(&mut by_key, &mut by_debug, "experiment", key, exp);
+            counts[0] += 1;
+        }
+        for p in &plan.details {
+            let debug = format!("{:?}", inputs_of(p));
+            record(&mut by_key, &mut by_debug, "detail", p.key(), debug);
+            counts[2] += 1;
+        }
+        for s in &plan.scenarios {
+            record(
+                &mut by_key,
+                &mut by_debug,
+                "scenario",
+                s.key(),
+                format!("{s:?}"),
+            );
+            counts[3] += 1;
+        }
+    }
+    assert!(counts.iter().all(|&n| n > 0), "planned {counts:?}");
+    eprintln!(
+        "{counts:?} planned (experiments, runs, details, scenarios): {} distinct keys",
+        by_key.len()
+    );
 }

@@ -17,9 +17,9 @@
     reason = "test gates read their own opt-in env switches; never fingerprinted output"
 )]
 
+use jumanji::sim::deadline::deadline_key;
 use jumanji::telemetry::NoopSink;
 use jumanji::types::codec::{encode_entry, ByteWriter};
-use jumanji::types::hash::fingerprint128;
 use jumanji::types::SystemConfig;
 use jumanji::workloads::tailbench;
 use jumanji_bench::{figures, ExperimentSpec, FigureKind};
@@ -157,7 +157,7 @@ fn a_stale_model_file_never_changes_a_tsv() {
     w.u32(0);
     w.u32(servers.len() as u32);
     for p in &servers {
-        w.u128(fingerprint128(format!("{p:?}|{cfg:?}").as_bytes()));
+        w.u128(deadline_key(p, &cfg));
         w.f64(3.0e5);
     }
     let model = tmp.path().join("model.bin");

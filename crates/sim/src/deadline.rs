@@ -99,6 +99,18 @@ fn queue_p95(interarrival: f64, seed: u64, horizon: u64, service_cycles: f64) ->
 static DEADLINES: std::sync::LazyLock<nuca_types::ShardedMap<u128, f64>> =
     std::sync::LazyLock::new(nuca_types::ShardedMap::new);
 
+/// The deadline memo's key for `(profile, cfg)`: the profile's content
+/// fingerprint ([`LcProfile::fingerprint`]) and every field of `cfg`
+/// ([`SystemConfig::fingerprint_into`]), behind a `"deadline"` tag. Two
+/// inputs share it exactly when both are bit-identical.
+pub fn deadline_key(profile: &LcProfile, cfg: &SystemConfig) -> u128 {
+    let mut f = nuca_types::hash::Fingerprinter::new();
+    f.write_str("deadline");
+    f.write_u128(profile.fingerprint());
+    cfg.fingerprint_into(&mut f);
+    f.finish128()
+}
+
 /// The deadline, in cycles, for `profile` per the paper's methodology.
 ///
 /// Deterministic: the arrival stream is seeded from the profile name.
@@ -107,17 +119,15 @@ static DEADLINES: std::sync::LazyLock<nuca_types::ShardedMap<u128, f64>> =
 /// far the most expensive step of `Experiment::new` — and it is a pure
 /// function of `(profile, cfg)`, both of which repeat across the thousands
 /// of experiments a figure sweep runs. The result is therefore memoized
-/// process-wide, keyed by the content fingerprint of the full input.
+/// process-wide under [`deadline_key`].
 pub fn deadline_cycles(profile: &LcProfile, cfg: &SystemConfig) -> f64 {
-    // Debug formatting captures every field (including the curve shape),
-    // so any change to the profile or machine gets its own entry.
-    let key = nuca_types::hash::fingerprint128(format!("{profile:?}|{cfg:?}").as_bytes());
-    DEADLINES.get_or_compute(key, || deadline_cycles_uncached(profile, cfg))
+    DEADLINES.get_or_compute(deadline_key(profile, cfg), || {
+        deadline_cycles_uncached(profile, cfg)
+    })
 }
 
 /// Every completed entry of the deadline memo, for persisting it to a
-/// disk-backed store. Keys are the same content fingerprints
-/// [`deadline_cycles`] computes from its inputs.
+/// disk-backed store. Keys are [`deadline_key`]s.
 pub fn export_deadlines() -> Vec<(u128, f64)> {
     DEADLINES.snapshot()
 }
@@ -208,6 +218,109 @@ mod tests {
         let d = |n: &str| deadline_cycles(find(n), &cfg);
         assert!(d("moses") > d("silo"));
         assert!(d("img-dnn") > d("masstree"));
+    }
+
+    /// Every perturbation of a profile's or a machine's fields by one
+    /// unit or one ULP, and the input itself last.
+    fn perturbed_inputs() -> Vec<(LcProfile, SystemConfig)> {
+        use nuca_workloads::curves::Component;
+        use nuca_workloads::CurveShape;
+        let (base, cfg) = (tailbench()[1].clone(), SystemConfig::micro2020());
+        let mut profiles: Vec<LcProfile> = Vec::new();
+        let mut edit = |f: &dyn Fn(&mut LcProfile)| {
+            let mut p = base.clone();
+            f(&mut p);
+            profiles.push(p);
+        };
+        edit(&|p| p.name = "xapian2");
+        edit(&|p| p.qps_low = p.qps_low.next_up());
+        edit(&|p| p.qps_high = p.qps_high.next_up());
+        edit(&|p| p.num_queries += 1);
+        edit(&|p| p.work_cycles = p.work_cycles.next_up());
+        edit(&|p| p.accesses_per_req = p.accesses_per_req.next_up());
+        edit(&|p| p.miss_stall = p.miss_stall.next_up());
+        edit(&|p| {
+            p.shape = CurveShape::new(p.shape.floor().next_up(), p.shape.components().to_vec())
+        });
+        for (i, c) in base.shape.components().iter().enumerate() {
+            let fields = match c {
+                Component::Smooth { .. } => 3,
+                Component::Cliff { .. } => 2,
+            };
+            for field in 0..fields {
+                edit(&|p| {
+                    let mut comps = p.shape.components().to_vec();
+                    match &mut comps[i] {
+                        Component::Smooth {
+                            weight,
+                            ws_bytes,
+                            sharpness,
+                        } => match field {
+                            0 => *weight = weight.next_down(),
+                            1 => *ws_bytes += 1,
+                            _ => *sharpness = sharpness.next_up(),
+                        },
+                        Component::Cliff { weight, ws_bytes } => match field {
+                            0 => *weight = weight.next_down(),
+                            _ => *ws_bytes += 1,
+                        },
+                    }
+                    p.shape = CurveShape::new(p.shape.floor(), comps);
+                });
+            }
+        }
+        let mut out: Vec<(LcProfile, SystemConfig)> =
+            profiles.into_iter().map(|p| (p, cfg.clone())).collect();
+        let edits: [fn(&mut SystemConfig); 30] = [
+            |c| c.freq_hz = c.freq_hz.next_up(),
+            |c| c.num_cores += 1,
+            |c| c.mesh_cols += 1,
+            |c| c.mesh_rows += 1,
+            |c| c.l1.size_bytes += 1,
+            |c| c.l1.ways += 1,
+            |c| c.l1.latency.0 += 1,
+            |c| c.l2.size_bytes += 1,
+            |c| c.l2.ways += 1,
+            |c| c.l2.latency.0 += 1,
+            |c| c.llc.num_banks += 1,
+            |c| c.llc.bank_bytes += 1,
+            |c| c.llc.ways += 1,
+            |c| c.llc.bank_latency.0 += 1,
+            |c| c.llc.line_bytes += 1,
+            |c| c.llc.bank_ports += 1,
+            |c| c.noc.router_cycles += 1,
+            |c| c.noc.link_cycles += 1,
+            |c| c.noc.flit_bits += 1,
+            |c| c.mem.num_controllers += 1,
+            |c| c.mem.latency.0 += 1,
+            |c| c.mem.cycles_per_line += 1,
+            |c| c.energy.l1_access_pj = c.energy.l1_access_pj.next_up(),
+            |c| c.energy.l2_access_pj = c.energy.l2_access_pj.next_up(),
+            |c| c.energy.llc_bank_access_pj = c.energy.llc_bank_access_pj.next_up(),
+            |c| c.energy.noc_hop_flit_pj = c.energy.noc_hop_flit_pj.next_up(),
+            |c| c.energy.dram_access_pj = c.energy.dram_access_pj.next_up(),
+            // Two machine fields swapped keep their sum but not their key.
+            |c| (c.noc.router_cycles, c.noc.link_cycles) = (1, 2),
+            |c| c.energy.l1_access_pj = -0.0,
+            |c| c.energy.l1_access_pj = 0.0,
+        ];
+        for edit in edits {
+            let mut c = cfg.clone();
+            edit(&mut c);
+            out.push((base.clone(), c));
+        }
+        out.push((base, cfg));
+        out
+    }
+
+    #[test]
+    fn every_field_of_profile_and_machine_keys_its_deadline_apart() {
+        let inputs = perturbed_inputs();
+        let keys: nuca_types::hash::DetSet<u128> =
+            inputs.iter().map(|(p, c)| deadline_key(p, c)).collect();
+        assert_eq!(keys.len(), inputs.len());
+        let (p, c) = inputs.last().unwrap();
+        assert_eq!(deadline_key(&p.clone(), &c.clone()), deadline_key(p, c));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use nuca_cache::MissCurve;
 use nuca_mem::MemSystem;
 use nuca_noc::queueing::md1_wait;
 use nuca_noc::{LinkLoads, MeshNoc, RouteTable};
+use nuca_types::hash::Fingerprinter;
 use nuca_types::{AppId, BankId, CoreId, SystemConfig};
 use nuca_workloads::{BatchProfile, LcLoad, LcProfile};
 use std::sync::Arc;
@@ -53,6 +54,26 @@ pub enum Profile {
 }
 
 impl Profile {
+    /// Streams the profile into a key: its kind, its content fingerprint
+    /// ([`BatchProfile::fingerprint`], [`LcProfile::fingerprint`]) and
+    /// an LC app's load.
+    pub fn fingerprint_into(&self, f: &mut Fingerprinter) {
+        match self {
+            Profile::Batch(p) => {
+                f.write_u8(0);
+                f.write_u128(p.fingerprint());
+            }
+            Profile::Lc(p, load) => {
+                f.write_u8(1);
+                f.write_u128(p.fingerprint());
+                f.write_u8(match load {
+                    LcLoad::Low => 0,
+                    LcLoad::High => 1,
+                });
+            }
+        }
+    }
+
     /// The application's miss-ratio shape evaluated at `bytes`.
     pub fn miss_ratio(&self, bytes: f64) -> f64 {
         let b = bytes.max(0.0) as u64;
@@ -80,29 +101,15 @@ impl Profile {
 }
 
 /// The memo key of a curve sampled from `prof` on a grid of `units`
-/// `unit`-byte steps: a fingerprint of `tag`, the profile's kind, its
-/// content fingerprint ([`BatchProfile::fingerprint`],
-/// [`LcProfile::fingerprint`]), the LC load, and the grid.
+/// `unit`-byte steps: a fingerprint of `tag`, the profile
+/// ([`Profile::fingerprint_into`]) and the grid.
 pub(crate) fn curve_key(tag: &str, prof: &Profile, unit: u64, units: usize) -> u128 {
-    let mut w = nuca_types::codec::ByteWriter::with_capacity(64);
-    w.str(tag);
-    match prof {
-        Profile::Batch(p) => {
-            w.u8(0);
-            w.u128(p.fingerprint());
-        }
-        Profile::Lc(p, load) => {
-            w.u8(1);
-            w.u128(p.fingerprint());
-            w.u8(match load {
-                LcLoad::Low => 0,
-                LcLoad::High => 1,
-            });
-        }
-    }
-    w.u64(unit);
-    w.usize(units);
-    nuca_types::hash::fingerprint128(&w.into_bytes())
+    let mut f = Fingerprinter::new();
+    f.write_str(tag);
+    prof.fingerprint_into(&mut f);
+    f.write_u64(unit);
+    f.write_usize(units);
+    f.finish128()
 }
 
 /// Per-application outputs of the performance model for one interval.

@@ -28,7 +28,7 @@
 //! r.finish().unwrap();
 //! ```
 
-use crate::hash::fingerprint128;
+use crate::hash::Fingerprinter;
 
 /// Magic number opening every store entry (`"JMNJ"` little-endian).
 pub const MAGIC: u32 = 0x4A4E_4D4A;
@@ -45,8 +45,10 @@ pub const MAGIC: u32 = 0x4A4E_4D4A;
 /// 3 — run entries dropped their per-interval timeline, which moved,
 /// written flat, into a timeline scenario entry; 4 — cells moved from
 /// one file each into append-only segments, each record's payload
-/// leading with its cell kind and key.
-pub const FORMAT_VERSION: u16 = 4;
+/// leading with its cell kind and key; 5 — the checksum became the
+/// 64-bit half of the four-lane [`Fingerprinter`], and every cell key
+/// changed with it.
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Why a decode was rejected. Every variant means "drop this entry and
 /// recompute" — none is a caller bug.
@@ -271,10 +273,13 @@ impl<'a> ByteReader<'a> {
 /// length (8) + checksum (8).
 pub const HEADER_BYTES: usize = 24;
 
-/// Checksum of a payload: the low half of its 128-bit content
-/// fingerprint. 64 bits is far beyond what bit-rot detection needs.
+/// Checksum of a payload: its 64-bit [`Fingerprinter`] fingerprint,
+/// which reads every lane and so catches every single-bit flip. 64 bits
+/// is far beyond what bit-rot detection needs.
 fn checksum(payload: &[u8]) -> u64 {
-    fingerprint128(payload) as u64
+    let mut f = Fingerprinter::new();
+    f.write(payload);
+    f.finish64()
 }
 
 /// Wraps `payload` in the versioned, checksummed store envelope.
@@ -386,6 +391,40 @@ mod tests {
         assert!(fs[1].is_nan());
         assert_eq!(fs[2], f64::INFINITY);
         r.finish().expect("fully consumed");
+    }
+
+    /// The envelope of a fixed payload, byte for byte. The checksum is
+    /// pinned beside the format version: a change to either retires
+    /// every store, so a new checksum must come with a [`FORMAT_VERSION`]
+    /// bump and a new pinned pair.
+    #[test]
+    fn golden_envelope() {
+        let payload: Vec<u8> = (0..40).collect();
+        let file = encode_entry(9, payload.clone());
+        let (version, sum) = (5, 0xf0bd_eb9e_61a5_d159);
+        assert_eq!(FORMAT_VERSION, version);
+        let mut want = vec![
+            0x4A,
+            0x4D,
+            0x4E,
+            0x4A,
+            version as u8,
+            0,
+            9,
+            0,
+            40,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+        ];
+        want.extend_from_slice(&u64::to_le_bytes(sum));
+        want.extend_from_slice(&payload);
+        assert_eq!(file, want);
+        assert_eq!(decode_entry(9, &file), Ok(&payload[..]));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! corners.
 
 use crate::error::ConfigError;
+use crate::hash::Fingerprinter;
 use crate::time::Cycles;
 use crate::topology::Mesh;
 
@@ -258,6 +259,82 @@ impl SystemConfig {
             return Err(ConfigError::new("frequency must be positive"));
         }
         Ok(())
+    }
+
+    /// Streams every field into `f`, floats by bit pattern: the one
+    /// encoding of a machine inside every cache and memo key that
+    /// depends on it (experiment, detailed cell, deadline).
+    pub fn fingerprint_into(&self, f: &mut Fingerprinter) {
+        // Exhaustive destructuring: a new field does not compile until it
+        // is written.
+        let SystemConfig {
+            freq_hz,
+            num_cores,
+            mesh_cols,
+            mesh_rows,
+            l1,
+            l2,
+            llc,
+            noc,
+            mem,
+            energy,
+        } = self;
+        f.write_f64(*freq_hz);
+        f.write_usize(*num_cores);
+        f.write_usize(*mesh_cols);
+        f.write_usize(*mesh_rows);
+        for CacheLevelConfig {
+            size_bytes,
+            ways,
+            latency,
+        } in [l1, l2]
+        {
+            f.write_u64(*size_bytes);
+            f.write_u32(*ways);
+            f.write_u64(latency.0);
+        }
+        let LlcConfig {
+            num_banks,
+            bank_bytes,
+            ways,
+            bank_latency,
+            line_bytes,
+            bank_ports,
+        } = llc;
+        f.write_usize(*num_banks);
+        f.write_u64(*bank_bytes);
+        f.write_u32(*ways);
+        f.write_u64(bank_latency.0);
+        f.write_u64(*line_bytes);
+        f.write_u32(*bank_ports);
+        let NocConfig {
+            router_cycles,
+            link_cycles,
+            flit_bits,
+        } = noc;
+        f.write_u64(*router_cycles);
+        f.write_u64(*link_cycles);
+        f.write_u64(*flit_bits);
+        let MemConfig {
+            num_controllers,
+            latency,
+            cycles_per_line,
+        } = mem;
+        f.write_usize(*num_controllers);
+        f.write_u64(latency.0);
+        f.write_u64(*cycles_per_line);
+        let EnergyConfig {
+            l1_access_pj,
+            l2_access_pj,
+            llc_bank_access_pj,
+            noc_hop_flit_pj,
+            dram_access_pj,
+        } = energy;
+        f.write_f64(*l1_access_pj);
+        f.write_f64(*l2_access_pj);
+        f.write_f64(*llc_bank_access_pj);
+        f.write_f64(*noc_hop_flit_pj);
+        f.write_f64(*dram_access_pj);
     }
 }
 

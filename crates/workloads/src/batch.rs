@@ -11,8 +11,7 @@
 use crate::curves::{Component, CurveShape};
 use crate::MB;
 use nuca_cache::MissCurve;
-use nuca_types::codec::ByteWriter;
-use nuca_types::hash::fingerprint128;
+use nuca_types::hash::Fingerprinter;
 
 /// A synthetic batch application profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,12 +39,6 @@ impl BatchProfile {
     /// `-0.0` differ), never merely because they share a `name`. Cache
     /// keys are built from it.
     pub fn fingerprint(&self) -> u128 {
-        fingerprint128(&self.encode())
-    }
-
-    /// Every field, floats by bit pattern: what [`Self::fingerprint`]
-    /// hashes.
-    fn encode(&self) -> Vec<u8> {
         // Exhaustive destructuring: a new field does not compile until it
         // is written.
         let BatchProfile {
@@ -54,13 +47,13 @@ impl BatchProfile {
             base_cpi,
             shape,
         } = self;
-        let mut w = ByteWriter::with_capacity(256);
-        w.str("batch");
-        w.str(name);
-        w.f64(*llc_apki);
-        w.f64(*base_cpi);
-        shape.encode(&mut w);
-        w.into_bytes()
+        let mut f = Fingerprinter::new();
+        f.write_str("batch");
+        f.write_str(name);
+        f.write_f64(*llc_apki);
+        f.write_f64(*base_cpi);
+        shape.fingerprint_into(&mut f);
+        f.finish128()
     }
 
     /// Instructions per second this app would execute given an average

@@ -14,7 +14,7 @@
 //! capacity removes.
 
 use nuca_cache::MissCurve;
-use nuca_types::codec::ByteWriter;
+use nuca_types::hash::Fingerprinter;
 
 /// One working-set component of a miss-ratio curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,13 +120,13 @@ impl CurveShape {
         r
     }
 
-    /// Writes every field of the shape to `w`, floats by bit pattern, for
-    /// the profile fingerprints cache keys are built from. Exhaustive
+    /// Streams every field of the shape into `f`, floats by bit pattern,
+    /// for the profile fingerprints cache keys are built from. Exhaustive
     /// destructuring: a new field does not compile until it is written.
-    pub fn encode(&self, w: &mut ByteWriter) {
+    pub(crate) fn fingerprint_into(&self, f: &mut Fingerprinter) {
         let CurveShape { floor, components } = self;
-        w.f64(*floor);
-        w.usize(components.len());
+        f.write_f64(*floor);
+        f.write_usize(components.len());
         for component in components {
             match *component {
                 Component::Smooth {
@@ -134,15 +134,15 @@ impl CurveShape {
                     ws_bytes,
                     sharpness,
                 } => {
-                    w.u8(0);
-                    w.f64(weight);
-                    w.u64(ws_bytes);
-                    w.f64(sharpness);
+                    f.write_u8(0);
+                    f.write_f64(weight);
+                    f.write_u64(ws_bytes);
+                    f.write_f64(sharpness);
                 }
                 Component::Cliff { weight, ws_bytes } => {
-                    w.u8(1);
-                    w.f64(weight);
-                    w.u64(ws_bytes);
+                    f.write_u8(1);
+                    f.write_f64(weight);
+                    f.write_u64(ws_bytes);
                 }
             }
         }

@@ -28,8 +28,7 @@
 use crate::curves::{Component, CurveShape};
 use crate::MB;
 use nuca_cache::MissCurve;
-use nuca_types::codec::ByteWriter;
-use nuca_types::hash::fingerprint128;
+use nuca_types::hash::Fingerprinter;
 
 /// Request load level (Table III: low = 10 %, high = 50 % utilization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,12 +92,6 @@ impl LcProfile {
     /// `-0.0` differ), never merely because they share a `name`. Cache
     /// keys are built from it.
     pub fn fingerprint(&self) -> u128 {
-        fingerprint128(&self.encode())
-    }
-
-    /// Every field, floats by bit pattern: what [`Self::fingerprint`]
-    /// hashes.
-    fn encode(&self) -> Vec<u8> {
         // Exhaustive destructuring: a new field does not compile until it
         // is written.
         let LcProfile {
@@ -111,17 +104,17 @@ impl LcProfile {
             miss_stall,
             shape,
         } = self;
-        let mut w = ByteWriter::with_capacity(256);
-        w.str("lc");
-        w.str(name);
-        w.f64(*qps_low);
-        w.f64(*qps_high);
-        w.u32(*num_queries);
-        w.f64(*work_cycles);
-        w.f64(*accesses_per_req);
-        w.f64(*miss_stall);
-        shape.encode(&mut w);
-        w.into_bytes()
+        let mut f = Fingerprinter::new();
+        f.write_str("lc");
+        f.write_str(name);
+        f.write_f64(*qps_low);
+        f.write_f64(*qps_high);
+        f.write_u32(*num_queries);
+        f.write_f64(*work_cycles);
+        f.write_f64(*accesses_per_req);
+        f.write_f64(*miss_stall);
+        shape.fingerprint_into(&mut f);
+        f.finish128()
     }
 
     /// LLC accesses per second this server generates at a given load

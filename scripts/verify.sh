@@ -50,7 +50,7 @@ echo "== benchmark probe still compiles against the crates' API"
 cargo check --offline --locked --manifest-path perfbench/probe/Cargo.toml \
     --target-dir target/probe
 
-echo "== cargo test --release (gated tests on: suite_golden's full fig13/fig14 matrix, render_purity's every figure)"
+echo "== cargo test --release (gated tests on: suite_golden's full fig13/fig14 matrix, render_purity's every figure, key_props' paper-scale key identity)"
 # The workspace run includes the golden_trace and golden_analytic fixtures.
 JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release --workspace
 
